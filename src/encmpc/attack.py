@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
-from .mpqp import _fmt_17g
+from .mpqp import fmt_17g
 from .qe_cipher import dequantize
 
 NOISE_KINDS = ("none", "gaussian", "uniform", "impulse")
@@ -257,7 +257,7 @@ def run_attack_table(observations, settings, seed):
 
 def attack_table_csv(table, backends, noise_kinds=NOISE_KINDS):
     """CSV with one row per noise setting, one column per backend."""
-    fmt = lambda v: "undefined" if math.isnan(v) else _fmt_17g(v)
+    fmt = lambda v: "undefined" if math.isnan(v) else fmt_17g(v)
     lines = [",".join(["noise"] + list(backends))]
     for kind in noise_kinds:
         row = [kind] + [fmt(table[(kind, b)]) for b in backends]

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 runtime fault, 2 configuration error.
 """
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -19,8 +18,8 @@ from pathlib import Path
 
 from .attack import (attack_table_csv, default_settings, gather_observations,
                      run_attack_table, NOISE_KINDS)
-from .config import ConfigError, RunConfig
-from .mpqp import PwaController, _fmt_17g
+from .config import ConfigError, RunConfig, load_json
+from .mpqp import PwaController, fmt_17g
 from .paillier import keygen
 from .protocol import BACKENDS
 from .simulation import (attack_scenario, benchmark_scenario, input_mismatch,
@@ -33,38 +32,22 @@ ATTACK_BACKENDS = ("plaintext", "paillier", "qe", "qe_quantized")
 CONFIG_FIELDS = tuple(f.name for f in dataclass_fields(RunConfig))
 
 
-def _load_json(path):
-    """json.load with the parse location attached to any failure."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
-
-
 def runconfig_from_dict(data):
     unknown = sorted(set(data) - set(CONFIG_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config fields: {unknown}")
-    extra = dict(data.get("extra", {}))
-    explicit = tuple(k for k in ("delta", "w") if k in data)
-    if explicit:
-        extra.setdefault("explicit", explicit)
-    kwargs = {k: v for k, v in data.items() if k != "extra"}
-    return RunConfig(extra=extra, **kwargs)
+    return RunConfig(**data)
 
 
 def build_config(args):
     """Merge defaults, config file, and flags; flags win.
 
-    Returns (config, set_keys) where set_keys records which fields were
-    given explicitly rather than defaulted.
+    Returns (config, data) where data holds only the fields given
+    explicitly, so a derived field can be derived again per sweep point.
     """
     data = {}
     if args.config:
-        data = _load_json(args.config)
+        data = load_json(args.config)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
     overrides = {
@@ -82,38 +65,11 @@ def build_config(args):
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}; "
                           f"choose from {', '.join(BACKENDS)}")
-    return cfg, frozenset(data)
-
-
-def config_with(cfg, **updates):
-    """A new RunConfig equal to cfg with some fields replaced.
-
-    Rebuilt from scratch so epsilon_q rederivation in __post_init__ sees
-    the new values.
-    """
-    data = {name: getattr(cfg, name) for name in CONFIG_FIELDS
-            if name != "extra"}
-    data.update(updates)
-    extra = dict(cfg.extra)
-    explicit = set(extra.get("explicit", ())) | ({"delta", "w"} & set(updates))
-    if explicit:
-        extra["explicit"] = tuple(sorted(explicit))
-    return RunConfig(extra=extra, **data)
+    return cfg, data
 
 
 def resolve_scenario(cfg, default):
-    if cfg.scenario_path:
-        with open(cfg.scenario_path) as fh:
-            text = fh.read()
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{cfg.scenario_path}: malformed JSON at line {exc.lineno} "
-                f"column {exc.colno}: {exc.msg}") from exc
-        from .simulation import scenario_from_dict
-        return scenario_from_dict(payload)
-    return default()
+    return load_scenario(cfg.scenario_path) if cfg.scenario_path else default()
 
 
 def _controller_path(cfg):
@@ -135,8 +91,8 @@ def cmd_synthesize(cfg):
     radii = sorted(reg.cheb_radius for reg in controller.regions)
     mid = radii[len(radii) // 2]
     print(f"scenario {scenario.name}: {controller.nregions} regions -> {path}")
-    print(f"chebyshev radii: min {_fmt_17g(radii[0])} "
-          f"median {_fmt_17g(mid)} max {_fmt_17g(radii[-1])}")
+    print(f"chebyshev radii: min {fmt_17g(radii[0])} "
+          f"median {fmt_17g(mid)} max {fmt_17g(radii[-1])}")
     return 0
 
 
@@ -190,7 +146,7 @@ def parse_sweep(spec):
         if not sep or not name:
             raise ConfigError(f"bad sweep clause {clause!r}; "
                               f"expected field=value[,value...]")
-        if name != "backend" and name not in CONFIG_FIELDS:
+        if name not in CONFIG_FIELDS:
             raise ConfigError(f"unknown sweep field {name!r}")
         vals = [_coerce(v.strip()) for v in values.split(",") if v.strip()]
         if not vals:
@@ -230,9 +186,9 @@ def _bench_row(cfg, traj):
         "rho": cfg.rho,
         "gamma": cfg.gamma,
         "delta": cfg.delta,
-        "epsilon_q": "" if cfg.epsilon_q is None else _fmt_17g(cfg.epsilon_q),
-        "rmse": _fmt_17g(tracking_rmse(traj)),
-        "mismatch_max": _fmt_17g(mis_max),
+        "epsilon_q": "" if cfg.epsilon_q is None else fmt_17g(cfg.epsilon_q),
+        "rmse": fmt_17g(tracking_rmse(traj)),
+        "mismatch_max": fmt_17g(mis_max),
         "payload_s_to_c": payload.get("s_to_c", 0),
         "payload_c_to_a": payload.get("c_to_a", 0),
         "payload_total": payload.get("total", 0),
@@ -251,7 +207,7 @@ def _mean_wall(traj, part):
     return sum(met.wall_time[part] for met in traj.metrics) / len(traj.metrics)
 
 
-def cmd_bench(cfg, sweep_spec, backend_pinned):
+def cmd_bench(cfg, data, sweep_spec):
     scenario = resolve_scenario(cfg, benchmark_scenario)
     path = _controller_path(cfg)
     if path.exists():
@@ -262,11 +218,10 @@ def cmd_bench(cfg, sweep_spec, backend_pinned):
     keypairs = {}
     lines = [",".join(BENCH_COLUMNS)]
     for point in points:
-        point_cfg = config_with(cfg, **{k: v for k, v in point.items()
-                                        if k != "backend"})
+        point_cfg = runconfig_from_dict({**data, **point})
         if "backend" in point:
             backends = (point["backend"],)
-        elif backend_pinned:
+        elif "backend" in data:
             backends = (cfg.backend,)
         else:
             backends = BACKENDS
@@ -357,13 +312,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg, set_keys = build_config(args)
+        cfg, data = build_config(args)
         if args.command == "synthesize":
             return cmd_synthesize(cfg)
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "bench":
-            return cmd_bench(cfg, args.sweep, "backend" in set_keys)
+            return cmd_bench(cfg, data, args.sweep)
         if args.command == "attack":
             return cmd_attack(cfg)
         raise AssertionError(f"unhandled command {args.command}")

@@ -1,19 +1,20 @@
 """Numerical tolerances and run configuration shared across the workbench."""
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Fixed numerical constants used by synthesis and point location.
 
-    feasibility    slack allowed when testing membership in a polyhedron
-                   (rows are unit-normalized, so this is a distance)
+    feasibility    slack allowed when testing membership in a polyhedron;
+                   a raw slack on a_i'x - b_i, not a distance, since
+                   stored region rows are not unit-normalized
     rank           singular values below this count as zero in LICQ checks
     cheb_cutoff    regions with Chebyshev radius at or below this are dropped
-    kkt_residual   max KKT stationarity residual accepted from the QP oracle
     dual_feas      multipliers may undershoot zero by this much
     zero_row       region rows with norm below this are degenerate
     spd_min_eig    smallest eigenvalue required of R and of the condensed H
@@ -22,7 +23,6 @@ class Tolerances:
     feasibility: float = 1e-9
     rank: float = 1e-10
     cheb_cutoff: float = 1e-9
-    kkt_residual: float = 1e-8
     dual_feas: float = 1e-9
     zero_row: float = 1e-11
     spd_min_eig: float = 1e-10
@@ -37,6 +37,17 @@ EXP_ARG_LIMIT = 700.0
 
 class ConfigError(ValueError):
     """Raised when a run configuration is internally inconsistent."""
+
+
+def load_json(path):
+    """json.load with the parse location attached to any failure."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
+            f"{exc.msg}") from exc
 
 
 def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int, int]:
@@ -60,8 +71,10 @@ def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int, int]:
 class RunConfig:
     """Everything a CLI command needs to be reproducible.
 
-    If epsilon_q is set, (delta, w, p_bits) defaults are derived via
-    align_accuracy and explicit overrides must still meet the target.
+    delta and w left as None are derived from epsilon_q via
+    align_accuracy, or default to 10 and 16 when epsilon_q is unset.
+    With epsilon_q set, p_bits is raised to the derived minimum and
+    explicit delta and w must still meet the target.
     """
 
     scenario_path: str = ""
@@ -70,28 +83,28 @@ class RunConfig:
     seed_quant: int = 2
     seed_attack: int = 3
     w_b: int = 16
-    w: int = 16
+    w: int | None = None
     p_bits: int = 64
     rho: int = 2
     gamma: int = 4
-    delta: int = 10
+    delta: int | None = None
     key_bits: int = 512
     epsilon_q: float | None = None
     out_dir: str = "out"
     steps: int | None = None
     attack_trials: int = 200
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.epsilon_q is not None:
+        if self.epsilon_q is None:
+            delta, w = 10, 16
+        else:
             delta, w, p_min = align_accuracy(self.epsilon_q, self.rho)
-            if "delta" not in self.extra.get("explicit", ()):
-                self.delta = delta
-            if "w" not in self.extra.get("explicit", ()):
-                self.w = w
-            if self.p_bits < p_min:
-                self.p_bits = p_min
-            self.validate_accuracy()
+            self.p_bits = max(self.p_bits, p_min)
+        if self.delta is None:
+            self.delta = delta
+        if self.w is None:
+            self.w = w
+        self.validate_accuracy()
 
     def validate_accuracy(self) -> None:
         if self.epsilon_q is None:

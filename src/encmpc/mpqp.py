@@ -258,8 +258,25 @@ class PwaController:
         """Return (u, sigma) at state x; raises outside the partition."""
         sigma = self.locate(x)
         if sigma < 0:
-            raise StateNotCovered("state outside the explicit controller's domain")
+            raise self.not_covered(x)
         return self.eval_region(sigma, x), sigma
+
+    def not_covered(self, x) -> StateNotCovered:
+        """The error for a state in no region.
+
+        It names the nearest region, the one whose most violated row is
+        violated least (a 0-row region covers every state, so each
+        region here has a row).
+        """
+        x = np.asarray(x, dtype=float).reshape(-1)
+        text = f"state {x.tolist()} lies in no region"
+        if self.regions:
+            slack = [r.poly.A @ x - r.poly.b for r in self.regions]
+            sigma = int(np.argmin([s.max() for s in slack]))
+            row = int(np.argmax(slack[sigma]))
+            text += (f"; nearest is region {sigma}, whose row {row} is "
+                     f"violated by {slack[sigma][row]:.3e}")
+        return StateNotCovered(text)
 
     def gain_table(self):
         """Stacked gains (nreg, m, n) and offsets (nreg, m)."""
@@ -319,20 +336,8 @@ class PwaController:
             return PwaController.from_json(fh.read())
 
 
-def locate_region(ctrl: PwaController, x) -> int:
-    """Smallest region index containing x; raises StateNotCovered."""
-    sigma = ctrl.locate(x)
-    if sigma < 0:
-        raise StateNotCovered(f"state {np.asarray(x).tolist()} lies in no region")
-    return sigma
-
-
-def eval_pwa(ctrl: PwaController, sigma: int, x):
-    """u = K^(sigma) x + b^(sigma)."""
-    return ctrl.eval_region(sigma, x)
-
-
-def _fmt_17g(x: float) -> str:
+def fmt_17g(x: float) -> str:
+    """%.17g text of a float, which parses back to the same float."""
     if x != x:
         raise ValueError("NaN has no JSON representation")
     if x == float("inf"):
@@ -367,7 +372,7 @@ def _dumps_17g(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_17g(float(obj))
+        return fmt_17g(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -403,57 +408,37 @@ def parameter_box(qp: CondensedQp):
     return lo, hi
 
 
-def _conflict_pairs(qp: CondensedQp) -> np.ndarray:
-    """(i, j) pairs that can never be active together.
-
-    Two constraint rows that are antiparallel (or parallel) in (z, x)
-    space but have inconsistent offsets describe parallel hyperplanes,
-    so requiring both as equalities is contradictory.
-    """
-    GE = np.hstack([qp.G, -qp.E])
-    norms = np.linalg.norm(GE, axis=1)
-    norms[norms == 0] = 1.0
-    U = GE / norms[:, None]
-    cos = U @ U.T
-    hn = qp.h / norms
-    pairs = []
-    q = qp.q
-    for i in range(q):
-        for j in range(i + 1, q):
-            t = cos[i, j]
-            if abs(abs(t) - 1.0) < 1e-12 and abs(hn[j] - t * hn[i]) > 1e-12:
-                pairs.append((i, j))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
+# candidates per batch; bounds the (B, q, n) row arrays held at once
+_CHUNK = 20000
 
 
 def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
-                      chunk: int = 20000, stats: dict = None) -> list:
+                      stats: dict = None) -> list:
     """All full-dimensional critical regions by active-set enumeration.
 
-    Candidates are all row subsets up to size nz. Pruning, in order:
-    conflicting row pairs, rank-deficient G_A (LICQ), a bounding-box
+    Candidates are all row subsets up to size nz, the empty set included.
+    Pruning, in order: rank-deficient G_A (LICQ), a bounding-box
     emptiness certificate, then the Chebyshev LP; regions whose ball
     radius is below the cutoff are dropped as lower-dimensional, and a
     later candidate reproducing an already-kept (region, law) pair is
     merged away. The returned list is sorted by active set, so region
     numbering is independent of enumeration internals.
     """
-    n, q, nz = qp.n, qp.q, qp.nz
+    q, nz = qp.q, qp.nz
     Hinv = np.linalg.inv(qp.H)
     HinvF = Hinv @ qp.F
-    pairs = _conflict_pairs(qp)
     box_lo, box_hi = parameter_box(qp)
     box_c = 0.5 * (box_lo + box_hi)
     box_w = 0.5 * (box_hi - box_lo)
     if stats is not None:
-        stats.update(candidates=0, conflict_skips=0, rank_fails=0,
+        stats.update(candidates=0, rank_fails=0,
                      box_kills=0, lp_calls=0, empty=0, thin=0, merged=0)
 
     regions = []
-    seen = {}
+    seen = set()
 
-    def flush(cands: np.ndarray, k: int):
-        if cands.size == 0:
+    def flush(cands: np.ndarray):
+        if len(cands) == 0:
             return
         GA = qp.G[cands]                      # (B, k, nz)
         EA = qp.E[cands]                      # (B, k, n)
@@ -466,7 +451,7 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
             stats["rank_fails"] += int((~ok).sum())
         if not ok.all():
             cands, GA, EA, hA, M = cands[ok], GA[ok], EA[ok], hA[ok], M[ok]
-            if cands.size == 0:
+            if len(cands) == 0:
                 return
         SA = EA + GA @ HinvF                  # (B, k, n)
         Lam = -np.linalg.solve(M, SA)         # (B, k, n)
@@ -513,7 +498,7 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
                 if stats is not None:
                     stats["merged"] += 1
                 continue
-            seen[key] = aset
+            seen.add(key)
             regions.append(Region(
                 active_set=aset,
                 poly=Polyhedron(Ar, br),
@@ -523,51 +508,18 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
                 cheb_radius=float(radius),
             ))
 
-    # size 0: the unconstrained LQR region
-    Z0 = -HinvF
-    prim_A = qp.G @ Z0 - qp.E
-    prim_b = qp.h.copy()
-    center, radius = chebyshev_center(prim_A, prim_b)
-    if stats is not None:
-        stats["candidates"] += 1
-        stats["lp_calls"] += 1
-    if radius > tol.cheb_cutoff:
-        K0 = Z0[:qp.m].copy()
-        b0 = np.zeros(qp.m)
-        if q:
-            Ar, br, _ = irredundant_rows(prim_A, prim_b)
-        else:
-            Ar, br = np.zeros((0, n)), np.zeros(0)
-        seen[_region_signature(Ar, br, K0, b0)] = ()
-        regions.append(Region(active_set=(), poly=Polyhedron(Ar, br),
-                              K=K0, b=b0,
-                              cheb_center=center, cheb_radius=float(radius)))
-
-    for k in range(1, min(q, nz) + 1):
+    for k in range(min(q, nz) + 1):
         combos = np.array(list(itertools.combinations(range(q), k)), dtype=int)
         if stats is not None:
             stats["candidates"] += len(combos)
-        keep = np.ones(len(combos), dtype=bool)
-        for (i, j) in pairs:
-            has_i = (combos == i).any(axis=1)
-            has_j = (combos == j).any(axis=1)
-            keep &= ~(has_i & has_j)
-        if stats is not None:
-            stats["conflict_skips"] += int((~keep).sum())
-        combos = combos[keep]
-        if combos.size == 0:
-            continue
-        # LICQ: batched singular values of G_A
-        for start in range(0, len(combos), chunk):
-            block = combos[start:start + chunk]
-            GA = qp.G[block]
-            sv = np.linalg.svd(GA, compute_uv=False)
-            smin = sv[:, -1]
-            smax = sv[:, 0]
-            full_rank = smin > tol.rank * np.maximum(smax, 1.0)
+        # LICQ: batched singular values of G_A, all above the rank floor
+        for start in range(0, len(combos), _CHUNK):
+            block = combos[start:start + _CHUNK]
+            sv = np.linalg.svd(qp.G[block], compute_uv=False)
+            full_rank = (sv > tol.rank * np.maximum(sv[:, :1], 1.0)).all(axis=1)
             if stats is not None:
                 stats["rank_fails"] += int((~full_rank).sum())
-            flush(block[full_rank], k)
+            flush(block[full_rank])
     regions.sort(key=lambda r: r.active_set)
     return regions
 

@@ -3,12 +3,12 @@ region enumeration: Chebyshev centers, membership, redundancy pruning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 
 # sentinel bound on the Chebyshev radius; optima at or above half of it
 # are reported as unbounded
@@ -42,14 +42,6 @@ class Polyhedron:
 
     def chebyshev_center(self):
         return chebyshev_center(self.A, self.b)
-
-    def is_empty(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        _, radius = self.chebyshev_center()
-        return radius < tol.cheb_cutoff
-
-    def reduce(self) -> "Polyhedron":
-        A, b, _ = irredundant_rows(self.A, self.b)
-        return Polyhedron(A, b)
 
 
 def box(lower, upper) -> Polyhedron:

@@ -15,19 +15,16 @@ protocol's documented leak.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import wire
-from .config import RunConfig
 from .keys import KeyConfig, KeySource, betas
-from .mpqp import InvalidRegion, PwaController, StateNotCovered
+from .mpqp import InvalidRegion
 from .paillier import (
     FixedPointCodec,
     HeCiphertext,
-    PaillierKeypair,
-    PaillierPublicKey,
     encode_gain,
     fp_decode,
     fp_encode,
@@ -166,7 +163,7 @@ class Sensor:
         x = np.asarray(x, dtype=float).ravel()
         sigma = self.controller.locate(x)
         if sigma < 0:
-            raise StateNotCovered(f"state {x.tolist()} not in any region")
+            raise self.controller.not_covered(x)
         b_sig = self.offsets[sigma]
         head = wire.encode_u32(sigma)
 

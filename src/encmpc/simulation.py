@@ -14,22 +14,20 @@ representable range stops the loop and records the fault instead of
 raising.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, load_json
 from .mpqp import (
     LtiSystem,
     MpcSpec,
-    PwaController,
     StateNotCovered,
-    _fmt_17g,
+    fmt_17g,
     synthesize,
 )
 from .polyhedra import box
-from .protocol import EavesdropLog, make_parties, run_cycle
+from .protocol import make_parties, run_cycle
 from .qe_cipher import CiphertextError, MagnitudeError, RangeError
 
 
@@ -188,8 +186,8 @@ def scenario_from_dict(d):
 
 
 def load_scenario(path):
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    """Scenario from a JSON file; malformed JSON is a ConfigError."""
+    return scenario_from_dict(load_json(path))
 
 
 @dataclass
@@ -314,9 +312,9 @@ def trajectory_csv(traj):
             + ["payload_bits"])
     lines = [",".join(cols)]
     for rec in traj.records:
-        vals = ([str(rec.k)] + [_fmt_17g(v) for v in rec.x] + [str(rec.sigma)]
-                + [_fmt_17g(v) for v in rec.u] + [_fmt_17g(v) for v in rec.u_plain]
-                + [_fmt_17g(v) for v in rec.y] + [_fmt_17g(v) for v in rec.r]
+        vals = ([str(rec.k)] + [fmt_17g(v) for v in rec.x] + [str(rec.sigma)]
+                + [fmt_17g(v) for v in rec.u] + [fmt_17g(v) for v in rec.u_plain]
+                + [fmt_17g(v) for v in rec.y] + [fmt_17g(v) for v in rec.r]
                 + [str(rec.payload_bits)])
         lines.append(",".join(vals))
     if traj.fault:

@@ -91,7 +91,3 @@ def decode_he_ct(data, off=0):
     if len(data) < end:
         raise WireError("truncated ciphertext body")
     return int.from_bytes(data[off:end], "big"), end
-
-
-def he_ct_payload_bits(key_bits):
-    return 2 * key_bits

@@ -1,14 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encmpc.config import ConfigError
+from encmpc.config import ConfigError, RunConfig
 from encmpc.mpqp import (InvalidRegion, LtiSystem, MpcSpec, PwaController,
-                         StateNotCovered, condense, eval_pwa, locate_region,
-                         parameter_box, synthesize)
+                         StateNotCovered, condense, parameter_box, synthesize)
 from encmpc.polyhedra import box
+from encmpc.protocol import make_parties
 from encmpc.qp import (QpInfeasible, implicit_control, kkt_residuals,
                        solve_qp, solve_qp_oracle)
 
@@ -62,7 +63,7 @@ def test_scalar_facet_tiebreak():
     assert ctl.locate([-2.0]) == 0
     assert ctl.locate([2.0]) == 0
     assert ctl.locate([-2.0000001]) == 1
-    assert locate_region(ctl, [0.3]) == 0
+    assert ctl.evaluate([0.3])[1] == 0
 
 
 def test_scalar_qp_oracle_saturation():
@@ -137,6 +138,8 @@ def test_benchmark_partition(bench_controller):
     ctl = bench_controller
     assert ctl.nregions == 39
     assert [r.active_set for r in ctl.regions] == BENCH_ACTIVE_SETS
+    # region 0 is the empty active set, which goes through the same
+    # candidate batch as every other size
     # region 0 carries the unconstrained LQR gain
     qp = condense(bench_system(), bench_spec())
     K_lqr = -(np.linalg.solve(qp.H, qp.F))[:1]
@@ -145,6 +148,20 @@ def test_benchmark_partition(bench_controller):
     radii = np.array([r.cheb_radius for r in ctl.regions])
     assert np.all(radii > 1e-9)
     assert np.all(np.isfinite(radii))
+
+
+def test_benchmark_synthesis_funnel(bench_synthesis):
+    """Pruning funnel of the benchmark synthesis, counts pinned: every
+    one of the C(30, <=5) row subsets is either rank-deficient, killed by
+    the box certificate, or costs one Chebyshev LP."""
+    ctl, stats = bench_synthesis
+    assert stats == {"candidates": 174437, "rank_fails": 114886,
+                     "box_kills": 51088, "lp_calls": 8463, "empty": 8424,
+                     "thin": 0, "merged": 0}
+    assert stats["candidates"] == (stats["rank_fails"] + stats["box_kills"]
+                                   + stats["lp_calls"])
+    assert stats["lp_calls"] - stats["empty"] == ctl.nregions == 39
+    assert [r.active_set for r in ctl.regions] == BENCH_ACTIVE_SETS
 
 
 def test_benchmark_parameter_box():
@@ -211,23 +228,40 @@ def test_infeasible_state_raises(bench_controller):
     assert bench_controller.locate([50.0, 50.0]) == -1
     with pytest.raises(StateNotCovered):
         bench_controller.evaluate([50.0, 50.0])
-    with pytest.raises(StateNotCovered):
-        locate_region(bench_controller, [50.0, 50.0])
     with pytest.raises(InvalidRegion):
-        eval_pwa(bench_controller, 39, [0.0, 0.0])
+        bench_controller.eval_region(39, [0.0, 0.0])
     with pytest.raises(InvalidRegion):
-        eval_pwa(bench_controller, -1, [0.0, 0.0])
+        bench_controller.eval_region(-1, [0.0, 0.0])
+
+
+def test_state_not_covered_names_nearest_region(bench_controller):
+    x = np.array([50.0, 50.0])
+    viol = [np.max(r.poly.A @ x - r.poly.b) for r in bench_controller.regions]
+    sigma = int(np.argmin(viol))
+    row = int(np.argmax(bench_controller.regions[sigma].poly.A @ x
+                        - bench_controller.regions[sigma].poly.b))
+    with pytest.raises(StateNotCovered) as info:
+        bench_controller.evaluate(x)
+    text = str(info.value)
+    assert text == (f"state [50.0, 50.0] lies in no region; nearest is "
+                    f"region {sigma}, whose row {row} is violated by "
+                    f"{viol[sigma]:.3e}")
+    assert viol[sigma] > 0
+    # the sensor raises the same error for the same state
+    sensor = make_parties(bench_controller, "plaintext", RunConfig())[0]
+    with pytest.raises(StateNotCovered, match=re.escape(text)):
+        sensor.step(x, 0)
 
 
 def test_eval_pwa_affine_form(bench_controller):
     x = np.array([0.3, -0.2])
-    sigma = locate_region(bench_controller, x)
+    u, sigma = bench_controller.evaluate(x)
     reg = bench_controller.regions[sigma]
-    assert eval_pwa(bench_controller, sigma, x) == pytest.approx(reg.K @ x + reg.b)
+    assert u == pytest.approx(reg.K @ x + reg.b)
+    assert bench_controller.eval_region(sigma, x) == pytest.approx(u)
     # x=0 returns the offset of whatever region holds the origin
-    s0 = locate_region(bench_controller, [0.0, 0.0])
-    assert eval_pwa(bench_controller, s0, [0.0, 0.0]) == pytest.approx(
-        bench_controller.regions[s0].b)
+    u0, s0 = bench_controller.evaluate([0.0, 0.0])
+    assert u0 == pytest.approx(bench_controller.regions[s0].b)
 
 
 def test_chebyshev_center_is_interior(bench_controller):

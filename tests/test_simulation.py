@@ -160,6 +160,9 @@ def test_scenario_json_roundtrip(tmp_path):
     assert back.T == 60
     with pytest.raises(ConfigError):
         scenario_from_dict({"name": "broken", "A": [[1]]})
+    path.write_text('{\n  "name": "broken",\n  "A": [[1]\n}')
+    with pytest.raises(ConfigError, match="line 4 column 1"):
+        load_scenario(path)
 
 
 def test_reference_schedule():
