@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
+from .config import ConfigError
 from .mpqp import fmt_17g
 from .qe_cipher import dequantize
 
@@ -212,10 +213,20 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None,
     to the adversary; the plaintext wire carries the state anyway and
     giving every adversary the true inputs only makes the
     confidentiality comparison conservative).
+
+    The reference program must be 0 at every step: the wire carries the
+    shifted state x - x_ss, and the truth and inputs are absolute, so
+    they share a frame only when x_ss = 0 throughout.
     """
     from .protocol import EavesdropLog
     from .simulation import run_closed_loop
 
+    if any(np.any(np.asarray(r) != 0) for _, r in scenario.r_steps):
+        raise ConfigError(
+            "the attack needs a reference program that is 0 at every step: "
+            "features come from the wire (x - x_ss) but truth is the "
+            f"absolute state, so r_steps {list(scenario.r_steps)} would "
+            "score the adversary in mixed frames")
     if dither is None:
         dither = probe_dither(scenario.T, controller.m, cfg.seed_attack)
     obs = {}

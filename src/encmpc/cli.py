@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 runtime fault, 2 configuration error.
 import argparse
 import math
 import random
+import statistics
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -201,10 +202,11 @@ def _bench_row(cfg, traj):
     return ",".join(str(vals[col]) for col in BENCH_COLUMNS)
 
 
-def _mean_wall(traj, part):
+def _median_wall(traj, part):
+    """Median per-cycle wall time: a cold first cycle would skew a mean."""
     if not traj.metrics:
         return float("nan")
-    return sum(met.wall_time[part] for met in traj.metrics) / len(traj.metrics)
+    return statistics.median(met.wall_time[part] for met in traj.metrics)
 
 
 def cmd_bench(cfg, data, sweep_spec):
@@ -239,11 +241,11 @@ def cmd_bench(cfg, data, sweep_spec):
                                    controller=controller, keypair=keypair)
             lines.append(_bench_row(point_cfg, traj))
             print(f"timing {backend} (L={point_cfg.key_bits} "
-                  f"p={point_cfg.p_bits}): per-cycle mean "
-                  f"sensor {_mean_wall(traj, 'sensor'):.3e}s "
-                  f"cloud {_mean_wall(traj, 'cloud'):.3e}s "
-                  f"actuator {_mean_wall(traj, 'actuator'):.3e}s "
-                  f"total {_mean_wall(traj, 'total'):.3e}s"
+                  f"p={point_cfg.p_bits}): per-cycle median "
+                  f"sensor {_median_wall(traj, 'sensor'):.3e}s "
+                  f"cloud {_median_wall(traj, 'cloud'):.3e}s "
+                  f"actuator {_median_wall(traj, 'actuator'):.3e}s "
+                  f"total {_median_wall(traj, 'total'):.3e}s"
                   + (f" [fault at {traj.fault_k}: {traj.fault}]"
                      if traj.fault else ""))
     out = Path(cfg.out_dir) / "bench.csv"

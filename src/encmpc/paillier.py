@@ -1,10 +1,16 @@
 """Paillier cryptosystem with fixed-point encoding for encrypted affine control.
 
-Implements the g = n+1 variant: keys are (n, lambda, mu) with
-lambda = lcm(p-1, q-1) and mu = lambda^{-1} mod n.  Ciphertexts live in
-Z_{n^2}^* and support addition of plaintexts (ciphertext product) and
-multiplication by a known plaintext constant (ciphertext power), which is
-all an affine control law u = Kx + b needs.
+Implements the g = n+1 variant.  Ciphertexts live in Z_{n^2}^* and
+support addition of plaintexts (ciphertext product) and multiplication
+by a known plaintext constant (ciphertext power), which is all an affine
+control law u = Kx + b needs.
+
+The keypair keeps the factors p, q and computes both trapdoor
+exponentiations by the Chinese remainder theorem modulo p^2 and q^2
+(Paillier, EUROCRYPT 1999, section 7): decryption, and the randomizer
+r^n mod n^2 when the encrypting party holds the keypair.  Both give the
+same integers as the textbook formulas, so ciphertexts are the same
+bytes whichever key encrypts them.
 
 Real numbers enter through a fixed-point codec on the grid rho^{-delta}.
 States and gains are encoded at scale delta; offsets are pre-scaled to
@@ -14,7 +20,7 @@ values use the upper half (n/2, n) of the residue ring.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +43,52 @@ class PaillierPublicKey:
 
 
 @dataclass(frozen=True)
+class _CrtHalf:
+    """Constants for one prime factor f of n, computed once per keypair."""
+
+    f: int
+    f_sq: int
+    h: int  # L_f((n+1)^(f-1) mod f^2)^(-1) mod f, L_f(u) = (u-1)/f
+    enc_exp: int  # n mod f(f-1); f(f-1) is the order of Z_{f^2}^*
+
+    @classmethod
+    def of(cls, f, n):
+        f_sq = f * f
+        h = pow((pow(n + 1, f - 1, f_sq) - 1) // f, -1, f)
+        return cls(f, f_sq, h, n % (f * (f - 1)))
+
+    def dec(self, c):
+        """m mod f = L_f(c^(f-1) mod f^2) h_f mod f."""
+        return (pow(c, self.f - 1, self.f_sq) - 1) // self.f * self.h % self.f
+
+    def pow_n(self, r):
+        """r^n mod f^2, with n reduced modulo the group order."""
+        return pow(r, self.enc_exp, self.f_sq)
+
+
+@dataclass(frozen=True)
 class PaillierKeypair:
+    """Public key plus the factorization n = p q, with CRT constants."""
+
     public: PaillierPublicKey
-    lam: int
-    mu: int
+    p: int
+    q: int
+    _hp: _CrtHalf = field(init=False, repr=False, compare=False)
+    _hq: _CrtHalf = field(init=False, repr=False, compare=False)
+    _q_inv_p: int = field(init=False, repr=False, compare=False)
+    _q_sq_inv_p_sq: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p, q, n = self.p, self.q, self.public.n
+        if p < 2 or q < 2 or p == q or p * q != n:
+            raise ValueError("p and q must be distinct factors with p*q = n")
+        if self.public.n_sq != n * n:
+            raise ValueError("public key n_sq is not n^2")
+        set_ = object.__setattr__
+        set_(self, "_hp", _CrtHalf.of(p, n))
+        set_(self, "_hq", _CrtHalf.of(q, n))
+        set_(self, "_q_inv_p", pow(q, -1, p))
+        set_(self, "_q_sq_inv_p_sq", pow(q * q, -1, p * p))
 
     @property
     def n(self):
@@ -49,6 +97,22 @@ class PaillierKeypair:
     @property
     def n_sq(self):
         return self.public.n_sq
+
+    @property
+    def bits(self):
+        return self.public.bits
+
+    def decrypt(self, c):
+        """Plaintext in [0, n): m mod p and m mod q, recombined."""
+        mp = self._hp.dec(c)
+        mq = self._hq.dec(c)
+        return mq + self.q * ((mp - mq) * self._q_inv_p % self.p)
+
+    def pow_n(self, r):
+        """r^n mod n^2 from its residues mod p^2 and q^2."""
+        xp = self._hp.pow_n(r)
+        xq = self._hq.pow_n(r)
+        return xq + self._hq.f_sq * ((xp - xq) * self._q_sq_inv_p_sq % self._hp.f_sq)
 
 
 @dataclass(frozen=True)
@@ -123,13 +187,17 @@ def keygen(bits, rng):
             continue
         if math.gcd(n, (p - 1) * (q - 1)) != 1:
             continue
-        lam = math.lcm(p - 1, q - 1)
-        mu = pow(lam, -1, n)
-        return PaillierKeypair(PaillierPublicKey(n, n * n, bits), lam, mu)
+        return PaillierKeypair(PaillierPublicKey(n, n * n, bits), p, q)
 
 
-def he_enc(z, pk, rng):
-    """Encrypt integer z in [0, n): c = (n+1)^z r^n mod n^2."""
+def he_enc(z, key, rng):
+    """Encrypt integer z in [0, n): c = (n+1)^z r^n mod n^2.
+
+    key is the public key or the keypair.  The keypair computes r^n by
+    CRT; r is drawn the same way, so the ciphertext is the same integer.
+    """
+    crt = isinstance(key, PaillierKeypair)
+    pk = key.public if crt else key
     z = int(z)
     if not 0 <= z < pk.n:
         raise PlaintextRange(f"plaintext {z} outside [0, {pk.n})")
@@ -137,17 +205,17 @@ def he_enc(z, pk, rng):
         r = rng.randrange(1, pk.n)
         if math.gcd(r, pk.n) == 1:
             break
+    rn = key.pow_n(r) if crt else pow(r, pk.n, pk.n_sq)
     # (n+1)^z mod n^2 collapses binomially to 1 + z n
     gz = (1 + z * pk.n) % pk.n_sq
-    return HeCiphertext(gz * pow(r, pk.n, pk.n_sq) % pk.n_sq, pk.n_sq)
+    return HeCiphertext(gz * rn % pk.n_sq, pk.n_sq)
 
 
 def he_dec(ct, keypair):
-    """Decrypt to the plaintext residue in [0, n)."""
+    """Decrypt to the plaintext residue in [0, n), by CRT over p and q."""
     if ct.n_sq != keypair.n_sq:
         raise KeyMismatch("ciphertext not under this keypair")
-    u = pow(ct.value, keypair.lam, keypair.n_sq)
-    return (u - 1) // keypair.n * keypair.mu % keypair.n
+    return keypair.decrypt(ct.value)
 
 
 def he_add(c1, c2, pk):

@@ -132,10 +132,12 @@ class Sensor:
 
     Holds the partition for point location and all region offsets in
     plaintext; for QE backends also a key source synchronized with the
-    actuator's, for Paillier the public key and codec.
+    actuator's, for Paillier a key and the codec.  The Paillier key may
+    be the public key or, on the plant side, the keypair, which
+    computes the encryption randomizer by CRT (same ciphertexts).
     """
 
-    def __init__(self, controller, backend, key_source=None, pk=None,
+    def __init__(self, controller, backend, key_source=None, he_key=None,
                  codec=None, quant_rng=None, w=None, he_rng=None):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
@@ -145,7 +147,7 @@ class Sensor:
         self.m = controller.m
         self.offsets = [np.asarray(r.b, dtype=float) for r in controller.regions]
         self.key_source = key_source
-        self.pk = pk
+        self.he_key = he_key
         self.codec = codec
         self.quant_rng = quant_rng
         self.w = w
@@ -154,8 +156,9 @@ class Sensor:
             raise ValueError(f"{backend} sensor needs a key source")
         if backend == "qe_quantized" and (quant_rng is None or w is None):
             raise ValueError("quantized sensor needs a quantizer rng and width")
-        if backend == "paillier" and (pk is None or codec is None or he_rng is None):
-            raise ValueError("paillier sensor needs pk, codec, and rng")
+        if backend == "paillier" and (he_key is None or codec is None
+                                      or he_rng is None):
+            raise ValueError("paillier sensor needs a key, codec, and rng")
 
     def step(self, x, cycle):
         t0 = time.perf_counter()
@@ -184,15 +187,16 @@ class Sensor:
                 body = head + wire.pack_words(wx) + wire.pack_words(wb)
                 bits = 32 + (self.n + self.m) * self.w
         else:
+            key, L = self.he_key, self.he_key.bits
             enc = []
             for v in x:
-                enc.append(he_enc(fp_encode(v, self.codec), self.pk, self.he_rng))
+                enc.append(he_enc(fp_encode(v, self.codec), key, self.he_rng))
             for v in b_sig:
                 enc.append(he_enc(fp_encode(v, self.codec, scale_power=2),
-                                  self.pk, self.he_rng))
+                                  key, self.he_rng))
             counts["he_enc"] += self.n + self.m
-            body = head + b"".join(wire.encode_he_ct(c.value, self.pk.bits) for c in enc)
-            bits = 32 + (self.n + self.m) * 2 * self.pk.bits
+            body = head + b"".join(wire.encode_he_ct(c.value, L) for c in enc)
+            bits = 32 + (self.n + self.m) * 2 * L
 
         msg = WireMessage(cycle, "s_to_c", body, bits, time.perf_counter())
         return msg, counts, time.perf_counter() - t0
@@ -262,8 +266,9 @@ class Cloud:
         else:
             cts = []
             for _ in range(n + m):
-                val, off = wire.decode_he_ct(msg.body, off)
+                val, off = wire.decode_he_ct(msg.body, off, self.pk.bits)
                 cts.append(HeCiphertext(val, self.pk.n_sq))
+            wire.expect_end(msg.body, off)
             out = he_eval_pwa(sigma, cts[:n], self.gains_encoded[sigma],
                               cts[n:], self.pk, counters=counts)
             body = b"".join(wire.encode_he_ct(c.value, self.pk.bits) for c in out)
@@ -321,10 +326,11 @@ class Actuator:
             off = 0
             u = np.empty(m)
             for j in range(m):
-                val, off = wire.decode_he_ct(msg.body, off)
+                val, off = wire.decode_he_ct(msg.body, off, self.keypair.bits)
                 z = he_dec(HeCiphertext(val, self.keypair.n_sq), self.keypair)
                 counts["he_dec"] += 1
                 u[j] = fp_decode(z, self.codec, scale_power=2)
+            wire.expect_end(msg.body, off)
 
         return np.asarray(u, dtype=float), counts, time.perf_counter() - t0
 
@@ -369,7 +375,8 @@ def make_parties(controller, backend, cfg, keypair=None, log=None):
 
     Returns (sensor, cloud, actuator, cost_params).  For Paillier a
     keypair is generated from cfg.seed_keys unless one is supplied; the
-    cloud always receives public material only.
+    plant-side sensor and actuator hold it, the cloud receives the
+    public key only.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -415,7 +422,7 @@ def make_parties(controller, backend, cfg, keypair=None, log=None):
         enc_gains = [encode_gain(K, codec) for K in gains]
         cost = CostParams(L=keypair.public.bits, p=cfg.p_bits,
                           b_K=max(gain_bitlen(k) for k in enc_gains))
-        sensor = Sensor(controller, backend, pk=keypair.public, codec=codec,
+        sensor = Sensor(controller, backend, he_key=keypair, codec=codec,
                         he_rng=random.Random(cfg.seed_keys + 1))
         cloud = Cloud(gains, backend, n, m, pk=keypair.public,
                       gains_encoded=enc_gains)

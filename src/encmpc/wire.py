@@ -85,9 +85,23 @@ def encode_he_ct(value, key_bits):
     return encode_u32(body_len) + body
 
 
-def decode_he_ct(data, off=0):
+def decode_he_ct(data, off=0, key_bits=None):
+    """Read one length-prefixed ciphertext; returns (value, next offset).
+
+    With key_bits, a prefix other than the L/4 bytes that key's
+    ciphertexts take is a WireError; without it, any prefix is read.
+    """
     body_len, off = decode_u32(data, off)
+    if key_bits is not None and body_len != key_bits // 4:
+        raise WireError(f"ciphertext length {body_len} bytes, "
+                        f"expected {key_bits // 4} for L = {key_bits}")
     end = off + body_len
     if len(data) < end:
         raise WireError("truncated ciphertext body")
     return int.from_bytes(data[off:end], "big"), end
+
+
+def expect_end(data, off):
+    """Raise WireError if bytes follow the last expected field."""
+    if len(data) != off:
+        raise WireError(f"{len(data) - off} trailing bytes after offset {off}")

@@ -20,9 +20,9 @@ from encmpc.attack import (
     rollout,
     run_attack_table,
 )
-from encmpc.config import RunConfig
+from encmpc.config import ConfigError, RunConfig
 from encmpc.paillier import keygen
-from encmpc.simulation import attack_scenario
+from encmpc.simulation import attack_scenario, benchmark_scenario
 
 BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
 
@@ -243,3 +243,11 @@ def test_attack_table_deterministic(observations):
     assert t1 == t2
     t3 = run_attack_table(observations, settings, seed=8)
     assert t1 != t3
+
+
+def test_observations_refuse_nonzero_reference(bench_controller):
+    """Wire features are x - x_ss while truth is absolute, so a scenario
+    with a nonzero reference would be scored in mixed frames."""
+    with pytest.raises(ConfigError, match="reference program"):
+        gather_observations(benchmark_scenario(), bench_controller,
+                            RunConfig(), ("plaintext",))

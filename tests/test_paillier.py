@@ -1,11 +1,13 @@
 """Paillier primitives, fixed-point codec, and encrypted affine evaluation."""
 
 import inspect
+import math
 import random
 
 import numpy as np
 import pytest
 
+from encmpc import wire
 from encmpc.paillier import (
     FixedPointCodec,
     HeCiphertext,
@@ -32,6 +34,20 @@ def kp256():
     return keygen(256, random.Random(7))
 
 
+@pytest.fixture(scope="module", params=[256, 1024])
+def kp_sized(request):
+    """Keypairs at a fast-test size and at the benchmark's size."""
+    return keygen(request.param, random.Random(request.param))
+
+
+def lambda_dec(ct, kp):
+    """Textbook decryption, the oracle for the CRT path:
+    L(c^lambda mod n^2) mu mod n with lambda = lcm(p-1, q-1)."""
+    lam = math.lcm(kp.p - 1, kp.q - 1)
+    mu = pow(lam, -1, kp.n)
+    return (pow(ct.value, lam, kp.n_sq) - 1) // kp.n * mu % kp.n
+
+
 def test_miller_rabin_known_values():
     rng = random.Random(0)
     for p in [2, 3, 5, 97, 7919, 2**61 - 1]:
@@ -44,7 +60,8 @@ def test_miller_rabin_known_values():
 def test_keygen_shape(kp256):
     assert kp256.n.bit_length() == 256
     assert kp256.n_sq == kp256.n * kp256.n
-    assert kp256.mu * kp256.lam % kp256.n == 1
+    assert kp256.p * kp256.q == kp256.n and kp256.p != kp256.q
+    assert kp256.p.bit_length() == kp256.q.bit_length() == 128
     other = keygen(256, random.Random(8))
     assert other.n != kp256.n
     with pytest.raises(ValueError):
@@ -77,7 +94,7 @@ def test_plaintext_range(kp256):
 
 def test_tiny_hand_keypair():
     """n = 5*7 = 35: fixed ciphertext value worked out by hand."""
-    kp = PaillierKeypair(PaillierPublicKey(35, 1225, 6), 12, 3)
+    kp = PaillierKeypair(PaillierPublicKey(35, 1225, 6), 5, 7)
     # enc(4) with r = 2: (1 + 4*35) * 2^35 mod 1225 = 141 * 18 mod 1225 = 88
     assert pow(2, 35, 1225) == 18
     assert he_dec(HeCiphertext(88, 1225), kp) == 4
@@ -85,6 +102,51 @@ def test_tiny_hand_keypair():
         gz = (1 + z * 35) % 1225
         ct = HeCiphertext(gz * pow(3, 35, 1225) % 1225, 1225)
         assert he_dec(ct, kp) == z
+
+
+def test_crt_dec_matches_lambda_formula(kp_sized):
+    kp, pk = kp_sized, kp_sized.public
+    rng = random.Random(pk.bits)
+    zs = [0, 1, pk.n - 1] + [rng.randrange(pk.n) for _ in range(10)]
+    cts = [he_enc(z, pk, rng) for z in zs]
+    sums = [he_add(a, b, pk) for a, b in zip(cts, cts[1:])]
+    for ct in cts + sums:
+        assert he_dec(ct, kp) == lambda_dec(ct, kp)
+    assert [he_dec(ct, kp) for ct in cts] == zs
+    assert ([he_dec(ct, kp) for ct in sums]
+            == [(a + b) % pk.n for a, b in zip(zs, zs[1:])])
+    # any residue, not only well-formed encryptions
+    for _ in range(5):
+        ct = HeCiphertext(rng.randrange(1, pk.n_sq), pk.n_sq)
+        assert he_dec(ct, kp) == lambda_dec(ct, kp)
+
+
+def test_keypair_encryption_is_byte_identical(kp_sized):
+    """The keypair's CRT r^n gives the public key's ciphertext, byte for
+    byte, from the same rng state."""
+    kp, L = kp_sized, kp_sized.bits
+    zs = [0, 1, kp.n - 1] + [random.Random(L).randrange(kp.n) for _ in range(10)]
+    by_pk, by_kp = random.Random(99), random.Random(99)
+    for z in zs:
+        a = he_enc(z, kp.public, by_pk)
+        b = he_enc(z, kp, by_kp)
+        assert wire.encode_he_ct(a.value, L) == wire.encode_he_ct(b.value, L)
+        assert a == b
+    assert by_pk.getstate() == by_kp.getstate()
+
+
+def test_keypair_rejects_inconsistent_factors(kp256):
+    pub35 = PaillierPublicKey(35, 1225, 6)
+    for p, q in [(5, 11), (3, 7), (1, 35), (35, 1)]:
+        with pytest.raises(ValueError):
+            PaillierKeypair(pub35, p, q)
+    with pytest.raises(ValueError):
+        PaillierKeypair(PaillierPublicKey(49, 2401, 6), 7, 7)
+    with pytest.raises(ValueError):
+        PaillierKeypair(PaillierPublicKey(35, 1224, 6), 5, 7)
+    with pytest.raises(ValueError):
+        PaillierKeypair(kp256.public, kp256.p, kp256.q + 2)
+    assert PaillierKeypair(pub35, 7, 5).n == 35
 
 
 def test_homomorphism_laws(kp256):
@@ -217,4 +279,4 @@ def test_cloud_cannot_decrypt():
     assert "pk" in params and "keypair" not in params
     pub_fields = set(PaillierPublicKey.__dataclass_fields__)
     assert pub_fields == {"n", "n_sq", "bits"}
-    assert not pub_fields & {"lam", "mu"}
+    assert not pub_fields & {"p", "q", "lam", "mu"}

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from encmpc import wire
 from encmpc.config import ConfigError, RunConfig, align_accuracy
 from encmpc.keys import BetaVector, KeyReuseError, KeySource
 from encmpc.mpqp import InvalidRegion, PwaController, Region, StateNotCovered
@@ -13,6 +14,8 @@ from encmpc.paillier import PaillierKeypair, keygen
 from encmpc.polyhedra import Polyhedron, box
 from encmpc.protocol import (
     EavesdropLog,
+    Sensor,
+    WireMessage,
     audit_no_plaintext_leak,
     make_parties,
     predict_cost,
@@ -195,7 +198,6 @@ def test_error_paths(bench_controller):
     with pytest.raises(StateNotCovered):
         sensor.step(np.array([50.0, 50.0]), 0)
     msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 1)
-    import encmpc.wire as wire
     forged = wire.encode_u32(10_000) + msg1.body[4:]
     bad = type(msg1)(msg1.cycle, msg1.link, forged, msg1.payload_bits,
                      msg1.timestamp)
@@ -214,7 +216,63 @@ def test_cloud_holds_no_secrets(bench_controller, kp256):
             assert not isinstance(val, (KeySource, BetaVector, PaillierKeypair))
             assert "key" not in name and "beta" not in name and "seed" not in name
         if cloud.pk is not None:
-            assert not hasattr(cloud.pk, "lam") and not hasattr(cloud.pk, "mu")
+            for secret in ("p", "q", "lam", "mu"):
+                assert not hasattr(cloud.pk, secret)
+
+
+def test_paillier_sensor_holds_keypair_same_bytes(bench_controller, kp256):
+    """The plant-side sensor encrypts with the keypair (CRT r^n); a sensor
+    holding only the public key sends the same bytes."""
+    cfg = RunConfig(key_bits=256)
+    sensor, _, _, _ = make_parties(bench_controller, "paillier", cfg,
+                                   keypair=kp256)
+    assert sensor.he_key is kp256
+    public_only = Sensor(bench_controller, "paillier", he_key=kp256.public,
+                         codec=sensor.codec,
+                         he_rng=random.Random(cfg.seed_keys + 1))
+    for k, x in enumerate(sample_feasible(bench_controller, 5, 8)):
+        assert sensor.step(x, k)[0].body == public_only.step(x, k)[0].body
+
+
+def with_body(msg, body):
+    return WireMessage(msg.cycle, msg.link, body, msg.payload_bits,
+                       msg.timestamp)
+
+
+def malformed_he_bodies(body, head, count, L):
+    """Misframed copies of a body of `count` Paillier ciphertexts after
+    `head` header bytes, each with the error text its decoder must give."""
+    vals, off = [], head
+    for _ in range(count):
+        v, off = wire.decode_he_ct(body, off, L)
+        vals.append(v)
+
+    def framed(width):
+        return body[:head] + b"".join(
+            wire.encode_u32(width) + v.to_bytes(width, "big") for v in vals)
+
+    assert framed(L // 4) == body
+    return [(framed(L // 4 + 1), "expected"), (framed(L // 2), "expected"),
+            (body[:-1], "truncated"), (body[:head + 2], "truncated"),
+            (body + b"\x00", "trailing"), (body + body[head:], "trailing")]
+
+
+def test_paillier_framing_is_strict(bench_controller, kp256):
+    """Cloud and actuator refuse a ciphertext prefix other than L/4, a
+    truncated body, and bytes after the last ciphertext."""
+    cfg = RunConfig(key_bits=256)
+    sensor, cloud, actuator, _ = make_parties(
+        bench_controller, "paillier", cfg, keypair=kp256)
+    msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
+    msg2, _, _ = cloud.step(msg1)
+    actuator.step(msg2, 0)
+    n, m = bench_controller.n, bench_controller.m
+    for body, text in malformed_he_bodies(msg1.body, 4, n + m, 256):
+        with pytest.raises(wire.WireError, match=text):
+            cloud.step(with_body(msg1, body))
+    for body, text in malformed_he_bodies(msg2.body, 0, m, 256):
+        with pytest.raises(wire.WireError, match=text):
+            actuator.step(with_body(msg2, body), 0)
 
 
 def test_eavesdrop_log_and_leak_audit(bench_controller):
