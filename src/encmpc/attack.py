@@ -114,9 +114,6 @@ class ScoreResult:
     def defined(self):
         return self.counted > 0
 
-    def __float__(self):
-        return self.value
-
 
 def confidentiality_score(truth, predicted):
     """Average over steps of ||xhat(k) - x(k)|| / ||x(k)||.

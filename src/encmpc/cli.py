@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime fault, 2 configuration error.
 """
 
 import argparse
+import logging
 import math
 import random
 import statistics
@@ -85,7 +86,10 @@ def _write_text(path, text):
 
 def cmd_synthesize(cfg):
     scenario = resolve_scenario(cfg, benchmark_scenario)
-    controller = scenario.synthesize_controller()
+    stats = {}
+    controller = scenario.synthesize_controller(stats=stats)
+    logging.getLogger("encmpc").info("synthesis funnel: %s", ", ".join(
+        f"{key} {val}" for key, val in stats.items()))
     path = _controller_path(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
     controller.save(path)
@@ -301,7 +305,7 @@ def build_parser():
                         help="bench grid, e.g. 'key_bits=1024,2048;w=8,12'")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synthesize", parents=[common],
-                   help="enumerate critical regions, write controller.json")
+                   help="explore critical regions, write controller.json")
     sub.add_parser("run", parents=[common],
                    help="closed-loop run, write trajectory CSV")
     sub.add_parser("bench", parents=[common],
@@ -313,6 +317,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     try:
         cfg, data = build_config(args)
         if args.command == "synthesize":

@@ -5,17 +5,18 @@ parametric QP
 
     min_z  1/2 z'Hz + x'F'z   s.t.  G z <= h + E x,
 
-then enumerates optimal active sets exhaustively to produce the explicit
-piecewise-affine law u(x) = K_s x + b_s over polyhedral regions. The
-enumeration is batched over candidates of equal cardinality so the rank
-tests and KKT solves run as stacked numpy calls; per-candidate work is
-reduced to one small Chebyshev LP, and most empty candidates are killed
-beforehand by a bounding-box certificate.
+then walks its critical regions across their facets (Tondel, Johansen &
+Bemporad, Automatica 39(3), 2003) to produce the explicit piecewise-
+affine law u(x) = K_s x + b_s over polyhedral regions. Each region costs
+one Chebyshev LP plus its redundancy LPs, not one LP per feasible subset
+of the constraint rows; where degeneracy hides the neighbour across a
+facet, the QP oracle names it.
 """
 from __future__ import annotations
 
-import itertools
 import json
+import logging
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ import numpy as np
 from . import lp
 from .config import ConfigError, DEFAULT_TOL, Tolerances
 from .polyhedra import Polyhedron, chebyshev_center, irredundant_rows
+from .qp import QpInfeasible, QpNoConvergence, solve_qp_oracle
+
+log = logging.getLogger(__name__)
 
 
 class StateNotCovered(ValueError):
@@ -380,148 +384,144 @@ def _dumps_17g(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def parameter_box(qp: CondensedQp):
-    """Bounding box of the feasible parameter set.
-
-    Solves 2n LPs over the lifted polytope {(x, z): Gz - Ex <= h}. A
-    direction where the LP is unbounded gets a large sentinel so the box
-    always contains the true feasible set.
-    """
-    BIG = 1e6
-    n, nz = qp.n, qp.nz
-    lo = np.full(n, -BIG)
-    hi = np.full(n, BIG)
-    if qp.q == 0:
-        return lo, hi
-    A_ub = np.hstack([-qp.E, qp.G])
-    for i in range(n):
-        obj = np.zeros(n + nz)
-        obj[i] = 1.0
-        status, _, value = lp.max_linear(obj, A_ub, qp.h)
-        if status == lp.OPTIMAL:
-            hi[i] = value
-        elif status == lp.INFEASIBLE:
-            raise ConfigError("MPC constraints are infeasible for every state")
-        status, _, value = lp.max_linear(-obj, A_ub, qp.h)
-        if status == lp.OPTIMAL:
-            lo[i] = -value
-    return lo, hi
-
-
-# candidates per batch; bounds the (B, q, n) row arrays held at once
-_CHUNK = 20000
+# steps past a facet, tried in turn until the oracle names its region
+_FACET_STEPS = (1e-6, 1e-7, 1e-8)
 
 
 def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
                       stats: dict = None) -> list:
-    """All full-dimensional critical regions by active-set enumeration.
+    """All full-dimensional critical regions, by crossing their facets.
 
-    Candidates are all row subsets up to size nz, the empty set included.
-    Pruning, in order: rank-deficient G_A (LICQ), a bounding-box
-    emptiness certificate, then the Chebyshev LP; regions whose ball
-    radius is below the cutoff are dropped as lower-dimensional, and a
-    later candidate reproducing an already-kept (region, law) pair is
-    merged away. The returned list is sorted by active set, so region
-    numbering is independent of enumeration internals.
+    Starts from the oracle's active set at the Chebyshev center of the
+    lifted feasible set {(x, z): Gz - Ex <= h} (none: no feasible state)
+    and visits each active set once: LICQ (rank floor, determinant
+    guard), KKT law and region rows, dead-row kill, Chebyshev LP against
+    the cutoff. Irredundant primal row i is crossed to A + {i}, the
+    multiplier row of a_j to A - {a_j}. If degeneracy leaves that set
+    without a region, the oracle's active set, or its strongly active
+    set, a step past the facet's Chebyshev center is taken instead: an
+    infeasible oracle marks the feasible set's boundary, one failing at
+    every step raises ConfigError, and a step whose sets give no region
+    (ill-conditioned G_A) is logged as unresolved. Coinciding (region,
+    law) pairs keep the set smallest in (size, indices) order, as
+    exhaustive enumeration did. Sorted by active set.
+
+    stats gets the funnel: candidates = rank_fails + dead_kills +
+    lp_calls, regions = lp_calls - empty - thin - merged, and per facet
+    step oracle_steps (feasible), boundary_facets and unresolved.
     """
-    q, nz = qp.q, qp.nz
     Hinv = np.linalg.inv(qp.H)
     HinvF = Hinv @ qp.F
-    box_lo, box_hi = parameter_box(qp)
-    box_c = 0.5 * (box_lo + box_hi)
-    box_w = 0.5 * (box_hi - box_lo)
-    if stats is not None:
-        stats.update(candidates=0, rank_fails=0,
-                     box_kills=0, lp_calls=0, empty=0, thin=0, merged=0)
+    stats = {} if stats is None else stats
+    stats.update(dict.fromkeys(
+        ("candidates", "rank_fails", "dead_kills", "lp_calls", "empty", "thin",
+         "merged", "oracle_steps", "boundary_facets", "unresolved"), 0))
+    found = {}      # active set -> (rows A, rows b) of its region, or None
+    kept = {}       # (region, law) signature -> Region
+    frontier = deque()
 
-    regions = []
-    seen = set()
-
-    def flush(cands: np.ndarray):
-        if len(cands) == 0:
-            return
-        GA = qp.G[cands]                      # (B, k, nz)
-        EA = qp.E[cands]                      # (B, k, n)
-        hA = qp.h[cands]                      # (B, k)
+    def visit(aset: tuple):
+        """Rows of aset's region, or None. The KKT algebra runs as a (1, k)
+        batch: its float rounding is what controller.json pins."""
+        if aset in found:
+            return found[aset]
+        found[aset] = None
+        stats["candidates"] += 1
+        cands = np.array([aset], dtype=int).reshape(1, len(aset))
+        GA = qp.G[cands]                      # (1, k, nz)
+        sv = np.linalg.svd(GA, compute_uv=False)
         M = GA @ Hinv @ GA.transpose(0, 2, 1)
-        # LICQ already holds; M = G_A H^-1 G_A' is then PD, but guard anyway
-        sign, _ = np.linalg.slogdet(M)
-        ok = sign > 0
-        if stats is not None:
-            stats["rank_fails"] += int((~ok).sum())
-        if not ok.all():
-            cands, GA, EA, hA, M = cands[ok], GA[ok], EA[ok], hA[ok], M[ok]
-            if len(cands) == 0:
-                return
-        SA = EA + GA @ HinvF                  # (B, k, n)
-        Lam = -np.linalg.solve(M, SA)         # (B, k, n)
-        lam0 = -np.linalg.solve(M, hA[..., None])[..., 0]  # (B, k)
+        if not ((sv > tol.rank * np.maximum(sv[:, :1], 1.0)).all()
+                and np.linalg.slogdet(M)[0][0] > 0):
+            stats["rank_fails"] += 1
+            return None
+        Lam = -np.linalg.solve(M, qp.E[cands] + GA @ HinvF)         # (1, k, n)
+        lam0 = -np.linalg.solve(M, qp.h[cands][..., None])[..., 0]  # (1, k)
         GAT = GA.transpose(0, 2, 1)
         Z = -(HinvF[None] + np.einsum("bzk,bkn->bzn", Hinv[None] @ GAT, Lam))
         z0 = -np.einsum("zj,bjk,bk->bz", Hinv, GAT, lam0)
-        # primal rows over all q constraints; active rows turn into 0 <= 0
-        prim_A = np.einsum("qz,bzn->bqn", qp.G, Z) - qp.E[None]
-        prim_b = qp.h[None] - np.einsum("qz,bz->bq", qp.G, z0)
-        dual_A = -Lam
-        dual_b = lam0
-        rows_A = np.concatenate([prim_A, dual_A], axis=1)
-        rows_b = np.concatenate([prim_b, dual_b], axis=1)
-
-        norms = np.linalg.norm(rows_A, axis=2)
-        dead = norms <= tol.zero_row
-        bad_dead = dead & (rows_b < -tol.feasibility)
-        kill = bad_dead.any(axis=1)
+        # primal rows of all q constraints (active: 0 <= 0), multiplier rows
+        rows_A = np.concatenate(
+            [np.einsum("qz,bzn->bqn", qp.G, Z) - qp.E[None], -Lam], axis=1)[0]
+        rows_b = np.concatenate(
+            [qp.h[None] - np.einsum("qz,bz->bq", qp.G, z0), lam0], axis=1)[0]
+        dead = np.linalg.norm(rows_A, axis=1) <= tol.zero_row
+        if (rows_b[dead] < -tol.feasibility).any():
+            stats["dead_kills"] += 1
+            return None
         # vacuous zero rows are neutralized instead of removed
         rows_b = np.where(dead, 1.0, rows_b)
-        rows_A = np.where(dead[..., None], 0.0, rows_A)
-        # bounding-box certificate: region lies inside the feasible set,
-        # so a row whose minimum over the parameter box exceeds its
-        # offset proves emptiness
-        lower = rows_A @ box_c - np.abs(rows_A) @ box_w
-        kill |= (lower > rows_b + 1e-9).any(axis=1)
-        if stats is not None:
-            stats["box_kills"] += int(kill.sum())
-        for ci in np.flatnonzero(~kill):
-            if stats is not None:
-                stats["lp_calls"] += 1
-            center, radius = chebyshev_center(rows_A[ci], rows_b[ci])
-            if not (radius > tol.cheb_cutoff):
-                if stats is not None:
-                    stats["empty" if radius < 0 else "thin"] += 1
-                continue
-            aset = tuple(int(v) for v in cands[ci])
-            K = Z[ci][:qp.m].copy()
-            b = z0[ci][:qp.m].copy()
-            Ar, br, _ = irredundant_rows(rows_A[ci], rows_b[ci])
-            key = _region_signature(Ar, br, K, b)
-            if key in seen:
-                if stats is not None:
-                    stats["merged"] += 1
-                continue
-            seen.add(key)
-            regions.append(Region(
-                active_set=aset,
-                poly=Polyhedron(Ar, br),
-                K=K,
-                b=b,
-                cheb_center=center,
-                cheb_radius=float(radius),
-            ))
+        rows_A = np.where(dead[:, None], 0.0, rows_A)
+        stats["lp_calls"] += 1
+        center, radius = chebyshev_center(rows_A, rows_b)
+        if not (radius > tol.cheb_cutoff):
+            stats["empty" if radius < 0 else "thin"] += 1
+            return None
+        Ar, br, facets = irredundant_rows(rows_A, rows_b)
+        found[aset] = Ar, br
+        frontier.append((aset, Ar, br, facets.tolist()))
+        region = Region(active_set=aset, poly=Polyhedron(Ar, br),
+                        K=Z[0][:qp.m].copy(), b=z0[0][:qp.m].copy(),
+                        cheb_center=center, cheb_radius=float(radius))
+        key = _region_signature(Ar, br, region.K, region.b)
+        old = kept.get(key)
+        if old is not None:
+            stats["merged"] += 1
+        if old is None or (len(aset), aset) < (len(old.active_set), old.active_set):
+            kept[key] = region
+        return found[aset]
 
-    for k in range(min(q, nz) + 1):
-        combos = np.array(list(itertools.combinations(range(q), k)), dtype=int)
-        if stats is not None:
-            stats["candidates"] += len(combos)
-        # LICQ: batched singular values of G_A, all above the rank floor
-        for start in range(0, len(combos), _CHUNK):
-            block = combos[start:start + _CHUNK]
-            sv = np.linalg.svd(qp.G[block], compute_uv=False)
-            full_rank = (sv > tol.rank * np.maximum(sv[:, :1], 1.0)).all(axis=1)
-            if stats is not None:
-                stats["rank_fails"] += int((~full_rank).sum())
-            flush(block[full_rank])
-    regions.sort(key=lambda r: r.active_set)
-    return regions
+    def step_across(aset, Ar, br, row, facet):
+        """Settle a facet through the oracle just past its center."""
+        normal = Ar[row] / np.linalg.norm(Ar[row])
+        center = _facet_center(Ar, br, row)
+        converged = False
+        for step in _FACET_STEPS:
+            x = center + step * normal
+            try:
+                _, active, lam = solve_qp_oracle(qp, x, tol)
+            except QpInfeasible:
+                stats["boundary_facets"] += 1
+                return
+            except (QpNoConvergence, lp.LpError):
+                continue
+            converged = True
+            stats["oracle_steps"] += 1
+            for cand in (active, tuple(i for i in active if lam[i] > 1e-9)):
+                rows = visit(cand)
+                if rows is not None and np.all(rows[0] @ x - rows[1] <= tol.feasibility):
+                    return
+        where = f"facet row {facet} of the region of active set {aset}"
+        if not converged:
+            raise ConfigError(f"QP oracle failed at every step across {where}")
+        stats["unresolved"] += 1
+        log.warning("no full-dimensional region found across %s", where)
+
+    start, radius = chebyshev_center(np.hstack([-qp.E, qp.G]), qp.h)
+    if radius < 0:
+        raise ConfigError("MPC constraints are infeasible for every state")
+    _, active, _ = solve_qp_oracle(qp, start[:qp.n], tol)
+    visit(active)
+    while frontier:
+        aset, Ar, br, facets = frontier.popleft()
+        for row, facet in enumerate(facets):
+            if not Ar[row].any():
+                continue  # a lone neutralized row: the region is all of R^n
+            j = facet - qp.q
+            nb = tuple(sorted(aset + (facet,))) if j < 0 else aset[:j] + aset[j + 1:]
+            if visit(nb) is None:
+                step_across(aset, Ar, br, row, facet)
+    return sorted(kept.values(), key=lambda r: r.active_set)
+
+
+def _facet_center(A: np.ndarray, b: np.ndarray, row: int) -> np.ndarray:
+    """Chebyshev center of facet a_row'x = b_row of {Ax <= b}, found in
+    the facet's own coordinates x = x0 + N y (N orthonormal)."""
+    a, others = A[row], np.arange(len(b)) != row
+    x0 = a * (b[row] / (a @ a))
+    N = np.linalg.svd(a[None])[2][1:].T    # (n, n-1)
+    y, radius = chebyshev_center(A[others] @ N, b[others] - A[others] @ x0)
+    return x0 if radius < 0 else x0 + N @ y
 
 
 def _region_signature(A: np.ndarray, b: np.ndarray,
@@ -543,10 +543,10 @@ def _region_signature(A: np.ndarray, b: np.ndarray,
 
 def synthesize(sys: LtiSystem, spec: MpcSpec, tol: Tolerances = DEFAULT_TOL,
                meta: dict = None, stats: dict = None) -> PwaController:
-    """Condense and enumerate; returns the explicit controller."""
+    """Condense and explore the regions; returns the explicit controller."""
     qp = condense(sys, spec, tol)
     regions = enumerate_regions(qp, tol, stats=stats)
     if not regions:
-        raise ConfigError("enumeration produced no full-dimensional regions")
+        raise ConfigError("synthesis produced no full-dimensional regions")
     return PwaController(regions=regions, n=qp.n, m=qp.m, horizon=qp.horizon,
                          meta=meta or {})

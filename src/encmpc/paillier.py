@@ -263,10 +263,6 @@ class FixedPointCodec:
                 f" >= n = {self.modulus}"
             )
 
-    @property
-    def resolution(self):
-        return float(self.rho) ** -self.delta
-
 
 def fp_encode(x, codec, scale_power=1):
     """Round x to the scale grid and reduce mod n (upper half = negative)."""

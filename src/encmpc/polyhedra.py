@@ -1,5 +1,5 @@
 """Polyhedra in halfspace form {x : Ax <= b} and the geometry used by
-region enumeration: Chebyshev centers, membership, redundancy pruning.
+region synthesis: Chebyshev centers, membership, redundancy pruning.
 """
 from __future__ import annotations
 
@@ -93,9 +93,6 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray):
     status, xr, value = lp.max_linear(obj, A_lp, b_lp)
     if status == lp.INFEASIBLE:
         return None, -np.inf
-    if status == lp.UNBOUNDED:
-        # cannot happen with the cap row, kept for safety
-        return np.zeros(n), np.inf
     radius = float(value)
     if radius >= 0.5 * RADIUS_CAP:
         return xr[:n], np.inf

@@ -231,31 +231,31 @@ class Cloud:
         if backend == "qe_quantized" and (quant_rng is None or w is None):
             raise ValueError("quantized cloud needs a quantizer rng and width")
 
-    def _check_sigma(self, sigma):
-        if not 0 <= sigma < len(self.gains):
-            raise InvalidRegion(f"region index {sigma} out of range")
-
     def step(self, msg):
         t0 = time.perf_counter()
         counts = _zero_counts()
         n, m = self.n, self.m
         sigma, off = wire.decode_u32(msg.body)
-        self._check_sigma(sigma)
+        if not 0 <= sigma < len(self.gains):
+            raise InvalidRegion(f"region index {sigma} out of range")
 
         if self.backend == "plaintext":
             x, off = wire.decode_f64_vec(msg.body, n, off)
+            wire.expect_end(msg.body, off)
             u = self.gains[sigma] @ x + self.offsets[sigma]
             body = wire.encode_f64_vec(u)
             bits = m * 64
         elif self.backend == "qe":
             ct_x, off = wire.decode_f64_vec(msg.body, n, off)
+            wire.expect_end(msg.body, wire.decode_f64_vec(msg.body, m, off)[1])
             t_mat = con(self.gains[sigma], ct_x)
             counts["con"] += m * n
-            # offset ciphertexts forwarded byte-identical
+            # the m offset ciphertexts, checked above, forwarded byte-identical
             body = wire.encode_f64_vec(t_mat.ravel()) + msg.body[off:]
             bits = (m * n + m) * 64
         elif self.backend == "qe_quantized":
             wx, off = wire.unpack_words(msg.body, n, self.w, off)
+            wire.expect_end(msg.body, wire.unpack_words(msg.body, m, self.w, off)[1])
             ct_x = np.array([dequantize(word) for word in wx])
             t_mat = con(self.gains[sigma], ct_x)
             counts["con"] += m * n
@@ -305,16 +305,18 @@ class Actuator:
         n, m = self.n, self.m
 
         if self.backend == "plaintext":
-            u, _ = wire.decode_f64_vec(msg.body, m)
+            u, off = wire.decode_f64_vec(msg.body, m)
+            wire.expect_end(msg.body, off)
         elif self.backend in ("qe", "qe_quantized"):
             if self.backend == "qe":
                 flat, off = wire.decode_f64_vec(msg.body, m * n)
-                ct_b, _ = wire.decode_f64_vec(msg.body, m, off)
+                ct_b, off = wire.decode_f64_vec(msg.body, m, off)
             else:
                 wt, off = wire.unpack_words(msg.body, m * n, self.w)
-                wb, _ = wire.unpack_words(msg.body, m, self.w, off)
+                wb, off = wire.unpack_words(msg.body, m, self.w, off)
                 flat = np.array([dequantize(word) for word in wt])
                 ct_b = np.array([dequantize(word) for word in wb])
+            wire.expect_end(msg.body, off)
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
             t_mat = flat.reshape(m, n)
             v = dec_aggregate(t_mat, bv.state_part)

@@ -45,6 +45,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
         raise QpInfeasible("constraint set is empty for this parameter")
 
     work: list = []
+    settled = False   # after a full step z minimizes over the working set
     for _ in range(max_iter):
         k = len(work)
         grad = H @ z + g
@@ -59,7 +60,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
             d = np.linalg.solve(H, -grad)
             lam_w = np.zeros(0)
 
-        if np.linalg.norm(d) <= 1e-11:
+        if settled or np.linalg.norm(d) <= 1e-11:
             neg = [i for i, lv in enumerate(lam_w) if lv < -tol.dual_feas]
             if not neg:
                 lam = np.zeros(q)
@@ -68,6 +69,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
                 return z, lam, tuple(sorted(work))
             drop = min(neg, key=lambda i: work[i])
             work.pop(drop)
+            settled = False
             continue
 
         # ratio test over rows outside the working set
@@ -86,6 +88,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
             elif blocker >= 0 and abs(ratio - alpha) <= 1e-12 and i < blocker:
                 blocker = i
         z = z + alpha * d
+        settled = blocker < 0
         if blocker >= 0:
             work.append(blocker)
     raise QpNoConvergence("active-set iteration limit reached")

@@ -75,8 +75,8 @@ class Scenario:
             X=box(self.x_lo, self.x_hi),
         )
 
-    def synthesize_controller(self):
-        return synthesize(self.system(), self.mpc_spec())
+    def synthesize_controller(self, stats=None):
+        return synthesize(self.system(), self.mpc_spec(), stats=stats)
 
     def reference(self, k):
         """Reference output value active at step k."""

@@ -9,8 +9,8 @@ from encmpc.polyhedra import box
 def bench_synthesis():
     """(controller, funnel stats) for the double-integrator workbench problem.
 
-    Synthesized once per test session (a couple of seconds); tests that
-    need the condensed QP matrices rebuild those cheaply themselves.
+    Synthesized once per test session; tests that need the condensed QP
+    matrices rebuild those cheaply themselves.
     """
     sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]],
                     C_out=[[1.0, 0.0]])

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, CSV schemas, determinism."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -39,6 +40,21 @@ def test_synthesize_writes_controller(workdir, capsys):
     text = (workdir / "controller.json").read_text()
     ctrl.save(workdir / "resaved.json")
     assert (workdir / "resaved.json").read_text() == text
+
+
+def test_synthesize_logs_funnel(tmp_path, capsys, caplog):
+    """The pruning funnel goes to the "encmpc" logger; stdout keeps its
+    two result lines."""
+    caplog.set_level(logging.INFO, logger="encmpc")
+    assert main(["synthesize", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("scenario double-integrator: 39 regions")
+    funnel = [r for r in caplog.records if r.getMessage().startswith("synthesis funnel")]
+    assert len(funnel) == 1 and funnel[0].name == "encmpc"
+    assert funnel[0].getMessage() == (
+        "synthesis funnel: candidates 71, rank_fails 26, dead_kills 0, "
+        "lp_calls 45, empty 6, thin 0, merged 0, oracle_steps 8, "
+        "boundary_facets 30, unresolved 0")
 
 
 def test_synthesize_unconstrained_single_region(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from encmpc.config import ConfigError, RunConfig
 from encmpc.mpqp import (InvalidRegion, LtiSystem, MpcSpec, PwaController,
-                         StateNotCovered, condense, parameter_box, synthesize)
-from encmpc.polyhedra import box
+                         StateNotCovered, condense, synthesize)
+from encmpc.polyhedra import Polyhedron, box, chebyshev_center
 from encmpc.protocol import make_parties
 from encmpc.qp import (QpInfeasible, implicit_control, kkt_residuals,
                        solve_qp, solve_qp_oracle)
@@ -97,6 +97,19 @@ def test_unconstrained_single_region():
     assert z == pytest.approx(-np.linalg.solve(qp.H, qp.F @ np.array([2.0, 1.0])), abs=1e-9)
 
 
+def test_zero_state_weight_single_region():
+    # with Q = P = 0 the optimum is u = 0 everywhere: every region row
+    # degenerates to the neutralized 0 <= 1, which is no facet to cross
+    stats = {}
+    ctl = synthesize(LtiSystem(A=[[1.0]], B=[[1.0]]),
+                     MpcSpec(horizon=2, Q=[[0.0]], R=[[1.0]],
+                             U=box([-1.0], [1.0])), stats=stats)
+    assert [r.active_set for r in ctl.regions] == [()]
+    assert ctl.regions[0].poly.A.tolist() == [[0.0]]
+    assert ctl.regions[0].cheb_radius == np.inf
+    assert stats["candidates"] == 1 and stats["oracle_steps"] == 0
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         MpcSpec(horizon=1, Q=[[1.0]], R=[[0.0]])            # R not PD
@@ -138,9 +151,7 @@ def test_benchmark_partition(bench_controller):
     ctl = bench_controller
     assert ctl.nregions == 39
     assert [r.active_set for r in ctl.regions] == BENCH_ACTIVE_SETS
-    # region 0 is the empty active set, which goes through the same
-    # candidate batch as every other size
-    # region 0 carries the unconstrained LQR gain
+    # region 0 is the empty active set and carries the unconstrained LQR gain
     qp = condense(bench_system(), bench_spec())
     K_lqr = -(np.linalg.solve(qp.H, qp.F))[:1]
     assert ctl.regions[0].K == pytest.approx(K_lqr, abs=1e-12)
@@ -152,23 +163,202 @@ def test_benchmark_partition(bench_controller):
 
 def test_benchmark_synthesis_funnel(bench_synthesis):
     """Pruning funnel of the benchmark synthesis, counts pinned: every
-    one of the C(30, <=5) row subsets is either rank-deficient, killed by
-    the box certificate, or costs one Chebyshev LP."""
+    active set the facet crossing tries either fails LICQ, dies on a
+    dead row, or costs one Chebyshev LP; every facet whose crossed set
+    gives no region is settled by the oracle, here 30 of them on the
+    feasible set's boundary."""
     ctl, stats = bench_synthesis
-    assert stats == {"candidates": 174437, "rank_fails": 114886,
-                     "box_kills": 51088, "lp_calls": 8463, "empty": 8424,
-                     "thin": 0, "merged": 0}
-    assert stats["candidates"] == (stats["rank_fails"] + stats["box_kills"]
+    assert stats == {"candidates": 71, "rank_fails": 26, "dead_kills": 0,
+                     "lp_calls": 45, "empty": 6, "thin": 0, "merged": 0,
+                     "oracle_steps": 8, "boundary_facets": 30,
+                     "unresolved": 0}
+    assert stats["candidates"] == (stats["rank_fails"] + stats["dead_kills"]
                                    + stats["lp_calls"])
     assert stats["lp_calls"] - stats["empty"] == ctl.nregions == 39
     assert [r.active_set for r in ctl.regions] == BENCH_ACTIVE_SETS
 
 
-def test_benchmark_parameter_box():
+def test_everywhere_infeasible_constraints_raise():
+    # the terminal set asks for x_1 <= 2 and x_1 >= 3 at once, so no
+    # state admits a feasible input
+    sys = LtiSystem(A=[[1.0]], B=[[1.0]])
+    spec = MpcSpec(horizon=1, Q=[[1.0]], R=[[1.0]], U=box([-1.0], [1.0]),
+                   T_term=Polyhedron([[1.0], [-1.0]], [2.0, -3.0]))
+    with pytest.raises(ConfigError, match="infeasible for every state"):
+        synthesize(sys, spec)
+
+
+# the benchmark plant at horizon 3 with the input bound u <= 1 given
+# twice, once scaled as 2u <= 2: rows 3k and 3k + 2 of the condensed QP
+# describe the same constraint, so crossing a facet can land on a
+# rank-deficient or lower-dimensional active set; these 17 sets are what
+# exhaustive enumeration kept (the smallest set of each region and law)
+DUPLICATE_ROW_ACTIVE_SETS = [
+    (), (0,), (0, 3), (0, 3, 6), (0, 4), (0, 4, 7), (1,), (1, 3),
+    (1, 3, 6), (1, 4), (1, 4, 7), (3,), (3, 6), (3, 6, 9), (4,), (4, 7),
+    (4, 7, 11),
+]
+
+
+def test_duplicate_input_row_partition():
+    spec = MpcSpec(horizon=3, Q=np.diag([1.0, 0.1]), R=[[0.5]],
+                   U=Polyhedron([[1.0], [-1.0], [2.0]], [1.0, 1.0, 2.0]),
+                   X=box([-5.0, -5.0], [5.0, 5.0]))
+    stats = {}
+    ctl = synthesize(bench_system(), spec, stats=stats)
+    assert [r.active_set for r in ctl.regions] == DUPLICATE_ROW_ACTIVE_SETS
+    assert stats["merged"] > 0
+    assert ctl.nregions == (stats["lp_calls"] - stats["empty"] - stats["thin"]
+                            - stats["merged"])
+
+
+def random_plant(seed):
+    rng = np.random.default_rng(seed)
+    sys = LtiSystem(A=rng.normal(size=(2, 2)), B=rng.normal(size=(2, 1)))
+    spec = MpcSpec(horizon=3, Q=np.eye(2), R=[[1.0]], U=box([-1.0], [1.0]),
+                   X=box([-5.0, -5.0], [5.0, 5.0]))
+    return sys, spec
+
+
+def oracle_feasible_samples(qp, seed, count, lo, hi):
+    """(x, u) at seeded uniform states where the implicit controller is feasible."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for x in rng.uniform(lo, hi, size=(count, len(lo))):
+        try:
+            out.append((x, implicit_control(qp, x)[0]))
+        except QpInfeasible:
+            continue
+    return out
+
+
+def assert_covers(ctl, samples, tol):
+    for x, u in samples:
+        sigma = ctl.locate(x)
+        assert sigma >= 0, f"oracle-feasible state {x} not covered"
+        assert ctl.eval_region(sigma, x) == pytest.approx(u, abs=tol)
+
+
+# active sets of the parent's exhaustive enumeration for seeded random
+# plants: plain crossing finds 11 of seed 24's 15 regions, and on seeds 4
+# and 40 the oracle once cycled to max_iter just past a facet; seeds 4
+# and 40 also have near-singular active sets logged as unresolved
+RANDOM_PLANT_ACTIVE_SETS = {
+    24: [(), (0,), (0, 2), (0, 2, 17), (0, 13), (1,), (1, 3), (1, 3, 15),
+         (1, 11), (2, 9), (3, 7), (7,), (7, 11), (9,), (9, 13)],
+    4: [(), (0,), (0, 11), (1,), (1, 13), (7,), (9,)],
+    40: [(), (0,), (0, 2), (0, 2, 4), (0, 3), (0, 3, 4), (0, 3, 14), (0, 4),
+         (1,), (1, 2), (1, 2, 5), (1, 2, 16), (1, 3), (1, 3, 5), (1, 5), (2,),
+         (2, 11), (3,), (3, 13)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_PLANT_ACTIVE_SETS))
+def test_random_plant_partition(seed):
+    """Stepping across the facets whose crossed set gives no region finds
+    every region exhaustive enumeration found, and they cover."""
+    sys, spec = random_plant(seed)
+    stats = {}
+    ctl = synthesize(sys, spec, stats=stats)
+    assert stats["oracle_steps"] > 0
+    assert [r.active_set for r in ctl.regions] == RANDOM_PLANT_ACTIVE_SETS[seed]
+    samples = oracle_feasible_samples(condense(sys, spec), 0, 300,
+                                      [-6.0, -6.0], [6.0, 6.0])
+    assert len(samples) > 100
+    assert_covers(ctl, samples, 1e-9)
+
+
+@pytest.mark.parametrize("seed, x", [
+    (4, [-25.164025697570253, 55.93767824747539]),
+    (40, [-0.14839979026932965, 4.332435904050954]),
+])
+def test_oracle_stops_after_full_step(seed, x):
+    """Just past a facet of these plants the working-set KKT system is so
+    ill-conditioned that after the full step to its minimizer the next
+    solve still gives |d| ~ 3e-11, above the 1e-11 stop; the solver
+    must check multipliers there instead of stepping until max_iter."""
+    qp = condense(*random_plant(seed))
+    z, _, lam = solve_qp_oracle(qp, x)
+    res = kkt_residuals(qp, np.array(x), z, lam)
+    assert res["primal"] <= 1e-9 and res["dual"] <= 1e-9
+    assert res["stationarity"] <= 1e-8 * max(1.0, np.abs(lam).max())
+
+
+def facet_segment(A, b, row):
+    """End points of facet `row` of the bounded 2-D polygon {x : Ax <= b}."""
+    a = A[row]
+    x0 = a * b[row] / (a @ a)
+    d = np.array([-a[1], a[0]]) / np.linalg.norm(a)
+    others = np.arange(len(b)) != row
+    rate = A[others] @ d
+    room = b[others] - A[others] @ x0
+    t_hi = min(room[rate > 1e-12] / rate[rate > 1e-12])
+    t_lo = max(room[rate < -1e-12] / rate[rate < -1e-12])
+    assert t_hi - t_lo > 1e-9, "irredundant row is no facet"
+    return np.array([x0 + t_lo * d, x0 + t_hi * d])
+
+
+def certify_partition(ctl, qp):
+    """Each facet is the same facet of exactly one other region, or lies on
+    the feasible set's boundary (the oracle is infeasible just outside
+    its midpoint); touching regions are interior-disjoint. Returns the
+    adjacent pairs."""
+    unit = []
+    for reg in ctl.regions:
+        norms = np.linalg.norm(reg.poly.A, axis=1)
+        unit.append((reg.poly.A / norms[:, None], reg.poly.b / norms))
+    pairs = set()
+    for s, (A, b) in enumerate(unit):
+        for row in range(len(b)):
+            ends = facet_segment(A, b, row)
+            sharing = []
+            for t, (A2, b2) in enumerate(unit):
+                opposite = np.flatnonzero(
+                    (np.abs(A2 + A[row]).max(axis=1) < 1e-7)
+                    & (np.abs(b2 + b[row]) < 1e-7))
+                for r2 in opposite:
+                    e2 = facet_segment(A2, b2, r2)
+                    if (np.allclose(e2, ends, atol=1e-7)
+                            or np.allclose(e2[::-1], ends, atol=1e-7)):
+                        sharing.append(t)
+            if sharing:
+                assert len(sharing) == 1, f"region {s} row {row}: {sharing}"
+                pairs.add((min(s, sharing[0]), max(s, sharing[0])))
+            else:
+                with pytest.raises(QpInfeasible):
+                    implicit_control(qp, ends.mean(axis=0) + 1e-6 * A[row])
+    for s, t in pairs:
+        P, Q = ctl.regions[s].poly, ctl.regions[t].poly
+        _, radius = chebyshev_center(np.vstack([P.A, Q.A]),
+                                     np.concatenate([P.b, Q.b]))
+        assert radius <= 1e-9, f"regions {s} and {t} overlap"
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def horizon10():
+    spec = bench_spec()
+    spec.horizon = 10
+    return synthesize(bench_system(), spec), condense(bench_system(), spec)
+
+
+def test_benchmark_partition_certificate(bench_controller):
     qp = condense(bench_system(), bench_spec())
-    lo, hi = parameter_box(qp)
-    assert lo == pytest.approx([-10.0, -5.5], abs=1e-7)
-    assert hi == pytest.approx([10.0, 5.5], abs=1e-7)
+    pairs = certify_partition(bench_controller, qp)
+    assert len(pairs) >= bench_controller.nregions - 1
+    samples = oracle_feasible_samples(qp, 5, 600, [-11.0, -6.0], [11.0, 6.0])
+    assert len(samples) > 150
+    assert_covers(bench_controller, samples, 1e-9)
+
+
+def test_horizon10_partition_certificate(horizon10):
+    ctl, qp = horizon10
+    assert ctl.horizon == 10 and ctl.nregions == 87
+    pairs = certify_partition(ctl, qp)
+    assert len(pairs) >= ctl.nregions - 1
+    samples = oracle_feasible_samples(qp, 5, 600, [-11.0, -6.0], [11.0, 6.0])
+    assert len(samples) > 150
+    assert_covers(ctl, samples, 1e-9)
 
 
 def test_explicit_matches_implicit(bench_controller):

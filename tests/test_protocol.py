@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encmpc import wire
 from encmpc.config import ConfigError, RunConfig, align_accuracy
@@ -12,6 +13,7 @@ from encmpc.keys import BetaVector, KeyReuseError, KeySource
 from encmpc.mpqp import InvalidRegion, PwaController, Region, StateNotCovered
 from encmpc.paillier import PaillierKeypair, keygen
 from encmpc.polyhedra import Polyhedron, box
+from encmpc.qe_cipher import QuantizedWord
 from encmpc.protocol import (
     EavesdropLog,
     Sensor,
@@ -273,6 +275,80 @@ def test_paillier_framing_is_strict(bench_controller, kp256):
     for body, text in malformed_he_bodies(msg2.body, 0, m, 256):
         with pytest.raises(wire.WireError, match=text):
             actuator.step(with_body(msg2, body), 0)
+
+
+BACKEND_NAMES = ("plaintext", "qe", "qe_quantized", "paillier")
+
+
+@pytest.fixture(scope="module")
+def framed_messages(bench_controller, kp256):
+    """Per backend: fresh parties and one real sensor and cloud message."""
+    cfg = RunConfig(key_bits=256)
+    out = {}
+    for backend in BACKEND_NAMES:
+        sensor, cloud, actuator, _ = make_parties(
+            bench_controller, backend, cfg, keypair=kp256)
+        msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
+        msg2, _, _ = cloud.step(msg1)
+        out[backend] = (cloud, actuator, msg1, msg2)
+    return out
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_junk_suffix_raises_on_every_backend(framed_messages, backend):
+    cloud, actuator, msg1, msg2 = framed_messages[backend]
+    with pytest.raises(wire.WireError, match="trailing"):
+        cloud.step(with_body(msg1, msg1.body + b"junk"))
+    with pytest.raises(wire.WireError, match="trailing"):
+        actuator.step(with_body(msg2, msg2.body + b"junk"), 0)
+    # the unaltered cloud message still decodes (wire errors come
+    # before the actuator derives cycle 0's keys)
+    u, _, _ = actuator.step(msg2, 0)
+    assert np.all(np.isfinite(u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(backend=st.sampled_from(BACKEND_NAMES),
+       cut=st.integers(-9, 9).filter(bool), to_cloud=st.booleans())
+def test_misframed_length_raises(framed_messages, backend, cut, to_cloud):
+    """Any body shorter or longer than its frame is refused."""
+    cloud, actuator, msg1, msg2 = framed_messages[backend]
+    msg = msg1 if to_cloud else msg2
+    body = msg.body[:cut] if cut < 0 else msg.body + bytes(range(cut))
+    with pytest.raises(wire.WireError):
+        if to_cloud:
+            cloud.step(with_body(msg, body))
+        else:
+            actuator.step(with_body(msg, body), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=st.lists(st.floats(allow_nan=False), max_size=6),
+       junk=st.binary(max_size=9))
+def test_f64_vec_roundtrip(vals, junk):
+    data = wire.encode_f64_vec(vals) + junk
+    got, off = wire.decode_f64_vec(data, len(vals))
+    assert got.tolist() == vals and off == 8 * len(vals)
+    if junk:
+        with pytest.raises(wire.WireError, match="trailing"):
+            wire.expect_end(data, off)
+    else:
+        wire.expect_end(data, off)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=st.integers(1, 40), data=st.data())
+def test_word_packing_roundtrip(w, data):
+    values = data.draw(st.lists(st.integers(0, 2**w - 1), min_size=1,
+                                max_size=5))
+    junk = data.draw(st.binary(max_size=3))
+    packed = wire.pack_words([QuantizedWord(v, w) for v in values])
+    assert len(packed) == (len(values) * w + 7) // 8
+    words, off = wire.unpack_words(packed + junk, len(values), w)
+    assert [word.value for word in words] == values and off == len(packed)
+    if junk:
+        with pytest.raises(wire.WireError, match="trailing"):
+            wire.expect_end(packed + junk, off)
 
 
 def test_eavesdrop_log_and_leak_audit(bench_controller):
