@@ -232,6 +232,17 @@ class PwaController:
     m: int
     horizon: int
     meta: dict = field(default_factory=dict)
+    # every region's rows stacked in region order; owner[i] is row i's region
+    A_all: np.ndarray = field(init=False, repr=False, compare=False)
+    b_all: np.ndarray = field(init=False, repr=False, compare=False)
+    owner: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the trailing empty block gives the right shapes with no regions
+        polys = [r.poly for r in self.regions]
+        self.A_all = np.vstack([p.A for p in polys] + [np.zeros((0, self.n))])
+        self.b_all = np.concatenate([p.b for p in polys] + [np.zeros(0)])
+        self.owner = np.repeat(np.arange(len(polys)), [p.nrows for p in polys])
 
     @property
     def nregions(self) -> int:
@@ -240,16 +251,21 @@ class PwaController:
     def locate(self, x, tol: float = None) -> int:
         """Index of the first region containing x, or -1.
 
-        Regions are checked in stored order, so states on shared facets
-        resolve to the lowest index deterministically.
+        One product over the stacked rows of all regions gives every
+        slack; x lies in a region when none of its rows has slack above
+        tol (a NaN slack counts as above, so a non-finite state lands
+        only in a 0-row region). Of those regions the lowest index wins,
+        so states on shared facets resolve deterministically.
         """
         if tol is None:
             tol = DEFAULT_TOL.feasibility
         x = np.asarray(x, dtype=float).reshape(-1)
-        for i, reg in enumerate(self.regions):
-            if np.all(reg.poly.A @ x - reg.poly.b <= tol):
-                return i
-        return -1
+        out = ~(self.A_all @ x - self.b_all <= tol)
+        # violated rows per region, plus a slot past the last region that
+        # stays 0, so argmin lands on the first region with none
+        missed = np.bincount(self.owner[out], minlength=len(self.regions) + 1)
+        sigma = int(missed.argmin())
+        return sigma if sigma < len(self.regions) else -1
 
     def eval_region(self, sigma: int, x):
         """Affine law of region sigma applied to x."""
@@ -275,11 +291,15 @@ class PwaController:
         x = np.asarray(x, dtype=float).reshape(-1)
         text = f"state {x.tolist()} lies in no region"
         if self.regions:
-            slack = [r.poly.A @ x - r.poly.b for r in self.regions]
-            sigma = int(np.argmin([s.max() for s in slack]))
-            row = int(np.argmax(slack[sigma]))
+            with np.errstate(invalid="ignore"):  # non-finite x: NaN slack
+                slack = self.A_all @ x - self.b_all
+                worst = np.full(len(self.regions), -np.inf)
+                np.maximum.at(worst, self.owner, slack)
+            sigma = int(np.argmin(worst))
+            own = slack[self.owner == sigma]
+            row = int(np.argmax(own))
             text += (f"; nearest is region {sigma}, whose row {row} is "
-                     f"violated by {slack[sigma][row]:.3e}")
+                     f"violated by {own[row]:.3e}")
         return StateNotCovered(text)
 
     def gain_table(self):

@@ -6,7 +6,8 @@ on encodings rather than estimated from formulas.  Conventions:
 * region index: unsigned 32-bit little-endian
 * plain or QE ciphertext scalar: IEEE-754 binary64, little-endian
 * quantized ciphertext: w-bit words packed MSB-first, zero-padded to a
-  byte boundary per field; padding bits are excluded from payload counts
+  byte boundary per field; padding bits are excluded from payload counts,
+  and a field whose padding is not zero is refused
 * Paillier ciphertext: value mod n^2 as a fixed-width big-endian string
   of 2L bits, length-prefixed with an unsigned 32-bit; the prefix is
   framing, not payload
@@ -68,6 +69,9 @@ def unpack_words(data, count, w, off=0):
     if len(data) < off + nbytes:
         raise WireError("truncated word field")
     chunk = np.frombuffer(data[off : off + nbytes], dtype=np.uint8)
+    pad = 8 * nbytes - total
+    if pad and chunk[-1] & ((1 << pad) - 1):
+        raise WireError(f"nonzero pad bits after {count} words of {w} bits")
     bits = np.unpackbits(chunk)[:total]
     words = []
     for i in range(count):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encmpc.config import ConfigError, RunConfig
+from encmpc.config import DEFAULT_TOL, ConfigError, RunConfig
 from encmpc.mpqp import (InvalidRegion, LtiSystem, MpcSpec, PwaController,
-                         StateNotCovered, condense, synthesize)
+                         Region, StateNotCovered, condense, synthesize)
 from encmpc.polyhedra import Polyhedron, box, chebyshev_center
 from encmpc.protocol import make_parties
 from encmpc.qp import (QpInfeasible, implicit_control, kkt_residuals,
@@ -456,11 +456,122 @@ def test_eval_pwa_affine_form(bench_controller):
 
 def test_chebyshev_center_is_interior(bench_controller):
     for sigma, reg in enumerate(bench_controller.regions):
-        assert bench_controller.locate(reg.cheb_center) == sigma or \
-            bench_controller.locate(reg.cheb_center) < sigma  # earlier region may overlap only on facets
+        assert bench_controller.locate(reg.cheb_center) == sigma
         slack = reg.poly.b - reg.poly.A @ reg.cheb_center
         norms = np.linalg.norm(reg.poly.A, axis=1)
         assert np.all(slack >= reg.cheb_radius * norms - 1e-7)
+
+
+def scan_locate(ctl, x, tol=DEFAULT_TOL.feasibility):
+    """Reference point location: the first region, in stored order, none
+    of whose rows has slack above tol."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    for sigma, reg in enumerate(ctl.regions):
+        if np.all(reg.poly.A @ x - reg.poly.b <= tol):
+            return sigma
+    return -1
+
+
+def facet_feet(ctl):
+    """Projection of each region's Chebyshev center onto each of its
+    facets: points on shared facets, where the lowest index must win."""
+    for reg in ctl.regions:
+        c = reg.cheb_center
+        for a, b in zip(reg.poly.A, reg.poly.b):
+            if a.any():
+                yield c + (b - a @ c) / (a @ a) * a
+
+
+def assert_locates_like_scan(ctl, states, tol=DEFAULT_TOL.feasibility):
+    sigmas = [ctl.locate(x, tol) for x in states]
+    assert sigmas == [scan_locate(ctl, x, tol) for x in states]
+    return sigmas
+
+
+@pytest.mark.parametrize("which", ["benchmark", "horizon10", 4, 24, 40])
+def test_locate_matches_scan(which, bench_controller, horizon10):
+    """Seeded box states and the facet foot points of every region locate
+    to the region the first-hit scan names, and each Chebyshev center
+    to its own region."""
+    if which == "benchmark":
+        ctl, lo, hi = bench_controller, [-11.0, -6.0], [11.0, 6.0]
+    elif which == "horizon10":
+        ctl, lo, hi = horizon10[0], [-11.0, -6.0], [11.0, 6.0]
+    else:
+        ctl, lo, hi = synthesize(*random_plant(which)), [-6.0, -6.0], [6.0, 6.0]
+    rng = np.random.default_rng(17)
+    feet = list(facet_feet(ctl))
+    assert_locates_like_scan(ctl, list(rng.uniform(lo, hi, size=(1500, 2))) + feet)
+    centers = [r.cheb_center for r in ctl.regions]
+    assert assert_locates_like_scan(ctl, centers) == list(range(ctl.nregions))
+
+
+def test_locate_non_default_tol(bench_controller):
+    """States just off the facets switch region with tol as the scan does."""
+    ctl = bench_controller
+    feet = np.array(list(facet_feet(ctl)))
+    rng = np.random.default_rng(3)
+    near = feet + rng.normal(scale=1e-4, size=feet.shape)
+    for tol in (0.0, 1e-5, 1e-3, -1e-5):
+        sigmas = assert_locates_like_scan(ctl, near, tol)
+        assert len(set(sigmas)) > 10
+    assert ([ctl.locate(x, 1e-3) for x in near]
+            != [ctl.locate(x, -1e-5) for x in near])
+
+
+def zero_row_controller(at):
+    """Two unit boxes side by side, with a region of no rows (it holds
+    every state) inserted at index `at`."""
+    def region(poly):
+        return Region(active_set=(), poly=poly, K=np.zeros((1, 2)),
+                      b=np.zeros(1), cheb_center=np.zeros(2), cheb_radius=1.0)
+    regions = [region(box([-1.0, 0.0], [0.0, 1.0])),
+               region(box([0.0, 0.0], [1.0, 1.0]))]
+    regions.insert(at, region(box([-np.inf] * 2, [np.inf] * 2)))
+    assert regions[at].poly.nrows == 0
+    return PwaController(regions=regions, n=2, m=1, horizon=1)
+
+
+@pytest.mark.parametrize("at, expect", [(0, [0, 0, 0, 0, 0]),
+                                        (1, [0, 0, 1, 1, 1]),
+                                        (2, [0, 0, 1, 2, 2])])
+def test_locate_zero_row_region(at, expect):
+    ctl = zero_row_controller(at)
+    states = [[-0.5, 0.5], [0.0, 0.5], [0.5, 0.5], [3.0, 3.0], [np.nan, 0.0]]
+    assert assert_locates_like_scan(ctl, states) == expect
+    assert ctl.A_all.shape == (8, 2)
+    assert np.bincount(ctl.owner, minlength=3).tolist()[at] == 0
+
+
+def test_locate_without_regions():
+    ctl = PwaController(regions=[], n=2, m=1, horizon=1)
+    assert ctl.locate([0.0, 0.0]) == -1
+    assert str(ctl.not_covered([0.0, 0.0])) == "state [0.0, 0.0] lies in no region"
+
+
+# inf * 0 in the slack product warns, as the per-region product did
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0],
+                               [-np.inf, 0.0], [0.0, np.inf], [np.inf, -np.inf]])
+def test_non_finite_state_not_covered(bench_controller, x):
+    assert bench_controller.locate(x) == -1
+    assert scan_locate(bench_controller, x) == -1
+    with pytest.raises(StateNotCovered):
+        bench_controller.evaluate(x)
+    sensor = make_parties(bench_controller, "plaintext", RunConfig())[0]
+    with pytest.raises(StateNotCovered):
+        sensor.step(np.array(x), 0)
+
+
+def test_stacked_rows_stay_out_of_json(bench_controller):
+    ctl = bench_controller
+    assert ctl.A_all.shape == (sum(r.poly.nrows for r in ctl.regions), 2)
+    assert np.array_equal(ctl.b_all, np.concatenate([r.poly.b for r in ctl.regions]))
+    text = ctl.to_json()
+    assert "A_all" not in text and "owner" not in text
+    again = PwaController.from_json(text)
+    assert np.array_equal(again.A_all, ctl.A_all)
+    assert np.array_equal(again.owner, ctl.owner)
 
 
 def test_serialization_roundtrip(bench_controller, tmp_path):

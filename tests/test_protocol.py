@@ -349,6 +349,28 @@ def test_word_packing_roundtrip(w, data):
     if junk:
         with pytest.raises(wire.WireError, match="trailing"):
             wire.expect_end(packed + junk, off)
+    pad = 8 * len(packed) - len(values) * w
+    if pad:
+        bad = data.draw(st.integers(1, 2**pad - 1))
+        dirty = packed[:-1] + bytes([packed[-1] | bad])
+        with pytest.raises(wire.WireError, match="pad bits"):
+            wire.unpack_words(dirty + junk, len(values), w)
+
+
+def test_quantized_pad_bits_refused(bench_controller):
+    """At w = 12 each field of one word ends in 4 pad bits: the cloud
+    refuses a sensor body and the actuator a cloud body with any set."""
+    cfg = RunConfig(w=12, w_b=4)
+    sensor, cloud, actuator, _ = make_parties(bench_controller, "qe_quantized", cfg)
+    msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
+    msg2, _, _ = cloud.step(msg1)
+    assert msg1.body[-1] & 0x0F == 0 and msg2.body[-1] & 0x0F == 0
+    with pytest.raises(wire.WireError, match="pad bits"):
+        cloud.step(with_body(msg1, msg1.body[:-1] + b"\x0f"))
+    with pytest.raises(wire.WireError, match="pad bits"):
+        actuator.step(with_body(msg2, msg2.body[:-1] + bytes([msg2.body[-1] | 1])), 0)
+    u, _, _ = actuator.step(msg2, 0)
+    assert np.all(np.isfinite(u))
 
 
 def test_eavesdrop_log_and_leak_audit(bench_controller):
