@@ -147,8 +147,8 @@ def observe_features(log, backend, n, w=None):
         if backend in ("plaintext", "qe"):
             vals, _ = wire.decode_f64_vec(rest, n)
         elif backend == "qe_quantized":
-            words, _ = wire.unpack_words(rest, n, w)
-            vals = np.array([dequantize(word) for word in words])
+            codes, _ = wire.unpack_words(rest, n, w)
+            vals = dequantize(codes, w)
         elif backend == "paillier":
             vals = np.empty(n)
             off = 0

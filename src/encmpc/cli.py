@@ -22,8 +22,8 @@ from .attack import (attack_table_csv, default_settings, gather_observations,
                      run_attack_table, NOISE_KINDS)
 from .config import ConfigError, RunConfig, load_json
 from .mpqp import PwaController, fmt_17g
-from .paillier import keygen
-from .protocol import BACKENDS
+from .paillier import gain_bitlen, keygen
+from .protocol import BACKENDS, predict_cost
 from .simulation import (attack_scenario, benchmark_scenario, input_mismatch,
                          load_scenario, run_closed_loop, tracking_rmse,
                          trajectory_csv)
@@ -169,12 +169,21 @@ BENCH_COLUMNS = (
 )
 
 
-def _bench_row(cfg, traj):
+def _model_cost(controller, cfg):
+    """predict_cost for one bench row; b_K from the fixed-point gains."""
+    scale = cfg.rho ** cfg.delta
+    b_K = gain_bitlen([[round(float(v) * scale)
+                        for r in controller.regions for v in r.K.flat]])
+    return predict_cost(controller.n, controller.m, cfg.key_bits,
+                        cfg.p_bits, b_K)
+
+
+def _bench_row(cfg, traj, controller):
     if traj.records:
         met = traj.metrics[0]
         counts = met.counts
         payload = met.payload_bits
-        cost = met.model_cost
+        cost = _model_cost(controller, cfg)
         _, mis_max = input_mismatch(traj)
     else:
         counts = {}
@@ -243,7 +252,7 @@ def cmd_bench(cfg, data, sweep_spec):
                 keypair = keypairs[bits]
             traj = run_closed_loop(scenario, backend, point_cfg,
                                    controller=controller, keypair=keypair)
-            lines.append(_bench_row(point_cfg, traj))
+            lines.append(_bench_row(point_cfg, traj, controller))
             print(f"timing {backend} (L={point_cfg.key_bits} "
                   f"p={point_cfg.p_bits}): per-cycle median "
                   f"sensor {_median_wall(traj, 'sensor'):.3e}s "
@@ -329,10 +338,7 @@ def main(argv=None):
         if args.command == "attack":
             return cmd_attack(cfg)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime fault, not a config problem

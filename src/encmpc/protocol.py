@@ -3,9 +3,12 @@
 One control cycle is a strict pipeline: the sensor locates the active
 region and encrypts, the cloud applies the region gain in ciphertext
 space, the actuator decrypts and applies the input.  Messages are real
-byte strings built by the wire codec, so payload accounting is measured,
-not estimated, and an eavesdropper tap sees exactly what a network
-observer would.
+byte strings built by the wire codec, so an eavesdropper tap sees exactly
+what a network observer would, and each message's payload bits are its
+body's bits less framing (see wire).  The qe and qe_quantized backends
+run the same cipher and differ only in how a ciphertext field is
+written: binary64 or stochastically rounded w-bit codes (F64Field,
+WordField).
 
 The cloud object holds gain matrices and (for Paillier) the public key
 only; it has no field that can carry key material or plaintext state.
@@ -28,7 +31,6 @@ from .paillier import (
     encode_gain,
     fp_decode,
     fp_encode,
-    gain_bitlen,
     he_dec,
     he_enc,
     he_eval_pwa,
@@ -45,6 +47,7 @@ from .qe_cipher import (
 )
 
 BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
+QE_BACKENDS = ("qe", "qe_quantized")
 
 COUNT_KEYS = ("enc", "con", "dec", "sums", "he_enc", "he_dec", "he_add", "he_mul")
 
@@ -87,7 +90,6 @@ class CycleMetrics:
     sigma: int
     counts: dict
     payload_bits: dict
-    model_cost: dict
     wall_time: dict
 
 
@@ -118,13 +120,33 @@ def predict_cost(n, m, L, p, b_K):
     }
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Inputs the bit-cost model needs, fixed once per run."""
+class F64Field:
+    """QE ciphertext fields as IEEE-754 binary64 (the qe backend)."""
 
-    L: int
-    p: int
-    b_K: int
+    bits = 64
+
+    def encode(self, values):
+        return wire.encode_f64_vec(values)
+
+    def decode(self, data, count, off=0):
+        return wire.decode_f64_vec(data, count, off)
+
+
+class WordField:
+    """QE ciphertext fields as w-bit codes, each value stochastically
+    rounded with this party's own quantizer rng (qe_quantized)."""
+
+    def __init__(self, w, rng=None):
+        self.bits = w
+        self.rng = rng
+
+    def encode(self, values):
+        codes = quantize_stochastic(values, self.bits, self.rng)
+        return wire.pack_words(codes, self.bits)
+
+    def decode(self, data, count, off=0):
+        codes, off = wire.unpack_words(data, count, self.bits, off)
+        return dequantize(codes, self.bits), off
 
 
 class Sensor:
@@ -132,13 +154,14 @@ class Sensor:
 
     Holds the partition for point location and all region offsets in
     plaintext; for QE backends also a key source synchronized with the
-    actuator's, for Paillier a key and the codec.  The Paillier key may
-    be the public key or, on the plant side, the keypair, which
-    computes the encryption randomizer by CRT (same ciphertexts).
+    actuator's and a ciphertext field codec, for Paillier a key and the
+    fixed-point codec.  The Paillier key may be the public key or, on the
+    plant side, the keypair, which computes the encryption randomizer by
+    CRT (same ciphertexts).
     """
 
-    def __init__(self, controller, backend, key_source=None, he_key=None,
-                 codec=None, quant_rng=None, w=None, he_rng=None):
+    def __init__(self, controller, backend, key_source=None, field=None,
+                 he_key=None, codec=None, he_rng=None):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -147,15 +170,12 @@ class Sensor:
         self.m = controller.m
         self.offsets = [np.asarray(r.b, dtype=float) for r in controller.regions]
         self.key_source = key_source
+        self.field = field
         self.he_key = he_key
         self.codec = codec
-        self.quant_rng = quant_rng
-        self.w = w
         self.he_rng = he_rng
-        if backend in ("qe", "qe_quantized") and key_source is None:
-            raise ValueError(f"{backend} sensor needs a key source")
-        if backend == "qe_quantized" and (quant_rng is None or w is None):
-            raise ValueError("quantized sensor needs a quantizer rng and width")
+        if backend in QE_BACKENDS and (key_source is None or field is None):
+            raise ValueError(f"{backend} sensor needs a key source and a field")
         if backend == "paillier" and (he_key is None or codec is None
                                       or he_rng is None):
             raise ValueError("paillier sensor needs a key, codec, and rng")
@@ -173,19 +193,13 @@ class Sensor:
         if self.backend == "plaintext":
             body = head + wire.encode_f64_vec(x)
             bits = 32 + self.n * 64
-        elif self.backend in ("qe", "qe_quantized"):
+        elif self.backend in QE_BACKENDS:
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
             ct_x = enc_state(x, bv)
             ct_b = enc_offset(b_sig, bv)
             counts["enc"] += self.n + self.m
-            if self.backend == "qe":
-                body = head + wire.encode_f64_vec(ct_x) + wire.encode_f64_vec(ct_b)
-                bits = 32 + (self.n + self.m) * 64
-            else:
-                wx = [quantize_stochastic(v, self.w, self.quant_rng) for v in ct_x]
-                wb = [quantize_stochastic(v, self.w, self.quant_rng) for v in ct_b]
-                body = head + wire.pack_words(wx) + wire.pack_words(wb)
-                bits = 32 + (self.n + self.m) * self.w
+            body = head + self.field.encode(ct_x) + self.field.encode(ct_b)
+            bits = 32 + (self.n + self.m) * self.field.bits
         else:
             key, L = self.he_key, self.he_key.bits
             enc = []
@@ -209,8 +223,8 @@ class Cloud:
     beta vector, Paillier trapdoor, or plaintext state.
     """
 
-    def __init__(self, gains, backend, n, m, offsets=None, pk=None,
-                 gains_encoded=None, quant_rng=None, w=None):
+    def __init__(self, gains, backend, n, m, offsets=None, field=None,
+                 pk=None, gains_encoded=None):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -222,14 +236,13 @@ class Cloud:
             if offsets is None:
                 raise ValueError("plaintext cloud applies offsets itself")
             self.offsets = [np.asarray(b, dtype=float).ravel() for b in offsets]
+        self.field = field
         self.pk = pk
         self.gains_encoded = gains_encoded
-        self.quant_rng = quant_rng
-        self.w = w
+        if backend in QE_BACKENDS and field is None:
+            raise ValueError(f"{backend} cloud needs a field")
         if backend == "paillier" and (pk is None or gains_encoded is None):
             raise ValueError("paillier cloud needs pk and encoded gains")
-        if backend == "qe_quantized" and (quant_rng is None or w is None):
-            raise ValueError("quantized cloud needs a quantizer rng and width")
 
     def step(self, msg):
         t0 = time.perf_counter()
@@ -245,24 +258,14 @@ class Cloud:
             u = self.gains[sigma] @ x + self.offsets[sigma]
             body = wire.encode_f64_vec(u)
             bits = m * 64
-        elif self.backend == "qe":
-            ct_x, off = wire.decode_f64_vec(msg.body, n, off)
-            wire.expect_end(msg.body, wire.decode_f64_vec(msg.body, m, off)[1])
+        elif self.backend in QE_BACKENDS:
+            ct_x, off = self.field.decode(msg.body, n, off)
+            wire.expect_end(msg.body, self.field.decode(msg.body, m, off)[1])
             t_mat = con(self.gains[sigma], ct_x)
             counts["con"] += m * n
             # the m offset ciphertexts, checked above, forwarded byte-identical
-            body = wire.encode_f64_vec(t_mat.ravel()) + msg.body[off:]
-            bits = (m * n + m) * 64
-        elif self.backend == "qe_quantized":
-            wx, off = wire.unpack_words(msg.body, n, self.w, off)
-            wire.expect_end(msg.body, wire.unpack_words(msg.body, m, self.w, off)[1])
-            ct_x = np.array([dequantize(word) for word in wx])
-            t_mat = con(self.gains[sigma], ct_x)
-            counts["con"] += m * n
-            wt = [quantize_stochastic(v, self.w, self.quant_rng)
-                  for v in t_mat.ravel()]
-            body = wire.pack_words(wt) + msg.body[off:]
-            bits = (m * n + m) * self.w
+            body = self.field.encode(t_mat.ravel()) + msg.body[off:]
+            bits = (m * n + m) * self.field.bits
         else:
             cts = []
             for _ in range(n + m):
@@ -281,21 +284,19 @@ class Cloud:
 class Actuator:
     """Decrypts the aggregate and applies u = v + offset term."""
 
-    def __init__(self, backend, n, m, key_source=None, keypair=None,
-                 codec=None, w=None):
+    def __init__(self, backend, n, m, key_source=None, field=None,
+                 keypair=None, codec=None):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.n = int(n)
         self.m = int(m)
         self.key_source = key_source
+        self.field = field
         self.keypair = keypair
         self.codec = codec
-        self.w = w
-        if backend in ("qe", "qe_quantized") and key_source is None:
-            raise ValueError(f"{backend} actuator needs a key source")
-        if backend == "qe_quantized" and w is None:
-            raise ValueError("quantized actuator needs the word width")
+        if backend in QE_BACKENDS and (key_source is None or field is None):
+            raise ValueError(f"{backend} actuator needs a key source and a field")
         if backend == "paillier" and (keypair is None or codec is None):
             raise ValueError("paillier actuator needs the keypair and codec")
 
@@ -307,15 +308,9 @@ class Actuator:
         if self.backend == "plaintext":
             u, off = wire.decode_f64_vec(msg.body, m)
             wire.expect_end(msg.body, off)
-        elif self.backend in ("qe", "qe_quantized"):
-            if self.backend == "qe":
-                flat, off = wire.decode_f64_vec(msg.body, m * n)
-                ct_b, off = wire.decode_f64_vec(msg.body, m, off)
-            else:
-                wt, off = wire.unpack_words(msg.body, m * n, self.w)
-                wb, off = wire.unpack_words(msg.body, m, self.w, off)
-                flat = np.array([dequantize(word) for word in wt])
-                ct_b = np.array([dequantize(word) for word in wb])
+        elif self.backend in QE_BACKENDS:
+            flat, off = self.field.decode(msg.body, m * n)
+            ct_b, off = self.field.decode(msg.body, m, off)
             wire.expect_end(msg.body, off)
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
             t_mat = flat.reshape(m, n)
@@ -337,7 +332,7 @@ class Actuator:
         return np.asarray(u, dtype=float), counts, time.perf_counter() - t0
 
 
-def run_cycle(x, sensor, cloud, actuator, cycle, log=None, cost=None):
+def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
     """Execute one S -> C -> A pipeline; returns (u, CycleMetrics)."""
     msg1, c1, w1 = sensor.step(x, cycle)
     if log is not None:
@@ -352,10 +347,6 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None, cost=None):
         for k, v in part.items():
             counts[k] += v
     sigma, _ = wire.decode_u32(msg1.body)
-    model = {}
-    if cost is not None:
-        pred = predict_cost(sensor.n, sensor.m, cost.L, cost.p, cost.b_K)
-        model = {"C_HE": pred["C_HE"], "C_QE": pred["C_QE"]}
     metrics = CycleMetrics(
         backend=sensor.backend,
         sigma=int(sigma),
@@ -365,20 +356,20 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None, cost=None):
             "c_to_a": msg2.payload_bits,
             "total": msg1.payload_bits + msg2.payload_bits,
         },
-        model_cost=model,
         wall_time={"sensor": w1, "cloud": w2, "actuator": w3,
                    "total": w1 + w2 + w3},
     )
     return u, metrics
 
 
-def make_parties(controller, backend, cfg, keypair=None, log=None):
+def make_parties(controller, backend, cfg, keypair=None):
     """Wire up the three parties for a controller under one RunConfig.
 
-    Returns (sensor, cloud, actuator, cost_params).  For Paillier a
-    keypair is generated from cfg.seed_keys unless one is supplied; the
-    plant-side sensor and actuator hold it, the cloud receives the
-    public key only.
+    Returns (sensor, cloud, actuator).  The QE backends pick their field
+    codec here; qe_quantized's sensor and cloud each own a quantizer rng
+    (seeds seed_quant and seed_quant + 1).  For Paillier a keypair is
+    generated from cfg.seed_keys unless one is supplied; the plant-side
+    sensor and actuator hold it, the cloud receives the public key only.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -386,50 +377,35 @@ def make_parties(controller, backend, cfg, keypair=None, log=None):
     gains = [r.K for r in controller.regions]
     offsets = [r.b for r in controller.regions]
 
-    # b_K from the fixed-point image of the gain library (used by the
-    # cost model for every backend, not only the Paillier run)
-    scale = cfg.rho**cfg.delta
-    b_K = max(
-        max((abs(round(float(v) * scale)).bit_length()
-             for K in gains for v in np.atleast_2d(K).ravel()), default=0),
-        1,
-    )
-    cost = CostParams(L=cfg.key_bits, p=cfg.p_bits, b_K=b_K)
-
     if backend == "plaintext":
         sensor = Sensor(controller, backend)
         cloud = Cloud(gains, backend, n, m, offsets=offsets)
         actuator = Actuator(backend, n, m)
-    elif backend in ("qe", "qe_quantized"):
-        kc = KeyConfig(n=n, m=m, w_b=cfg.w_b)
-        sensor_keys = KeySource(cfg.seed_keys, kc)
-        actuator_keys = KeySource(cfg.seed_keys, kc)
+    elif backend in QE_BACKENDS:
         if backend == "qe":
-            sensor = Sensor(controller, backend, key_source=sensor_keys)
-            cloud = Cloud(gains, backend, n, m)
-            actuator = Actuator(backend, n, m, key_source=actuator_keys)
+            fields = (F64Field(),) * 3
         else:
-            sensor = Sensor(controller, backend, key_source=sensor_keys,
-                            quant_rng=np.random.default_rng(cfg.seed_quant),
-                            w=cfg.w)
-            cloud = Cloud(gains, backend, n, m,
-                          quant_rng=np.random.default_rng(cfg.seed_quant + 1),
-                          w=cfg.w)
-            actuator = Actuator(backend, n, m, key_source=actuator_keys,
-                                w=cfg.w)
+            rng = np.random.default_rng
+            fields = (WordField(cfg.w, rng(cfg.seed_quant)),
+                      WordField(cfg.w, rng(cfg.seed_quant + 1)),
+                      WordField(cfg.w))
+        kc = KeyConfig(n=n, m=m, w_b=cfg.w_b)
+        sensor = Sensor(controller, backend, field=fields[0],
+                        key_source=KeySource(cfg.seed_keys, kc))
+        cloud = Cloud(gains, backend, n, m, field=fields[1])
+        actuator = Actuator(backend, n, m, field=fields[2],
+                            key_source=KeySource(cfg.seed_keys, kc))
     else:
         if keypair is None:
             keypair = keygen(cfg.key_bits, random.Random(cfg.seed_keys))
         codec = FixedPointCodec(cfg.rho, cfg.gamma, cfg.delta, keypair.n)
         enc_gains = [encode_gain(K, codec) for K in gains]
-        cost = CostParams(L=keypair.public.bits, p=cfg.p_bits,
-                          b_K=max(gain_bitlen(k) for k in enc_gains))
         sensor = Sensor(controller, backend, he_key=keypair, codec=codec,
                         he_rng=random.Random(cfg.seed_keys + 1))
         cloud = Cloud(gains, backend, n, m, pk=keypair.public,
                       gains_encoded=enc_gains)
         actuator = Actuator(backend, n, m, keypair=keypair, codec=codec)
-    return sensor, cloud, actuator, cost
+    return sensor, cloud, actuator
 
 
 def audit_no_plaintext_leak(log, states, n, tol=1e-6):

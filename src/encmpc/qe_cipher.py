@@ -7,14 +7,12 @@ linear combination through beta-weighted logarithms:
     sum_i beta_i * ln((exp(z_i/beta_i))^{K_ji}) = sum_i K_ji z_i
 
 exactly, in real arithmetic. A stochastic rounding quantizer with the
-domain fold g (values below 1 reflected by 2 - 1/v) provides the
-finite-word wire format for the quantized backend.
+domain fold g (values below 1 reflected by 2 - 1/v) turns ciphertexts
+into the w-bit integer codes of the quantized backend's wire format.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,30 +115,6 @@ def dec_aggregate(T, betas_part) -> np.ndarray:
 
 # domain fold and stochastic quantizer
 
-@dataclass(frozen=True)
-class QuantizedWord:
-    """w-bit stochastically rounded word.
-
-    value is the integer I with decoded magnitude I * 2^(1-w); the bit
-    string a_{w-1}..a_0 of the defining sum xi = sum_j 2^(-j) a_j is
-    value's binary expansion read in reverse.
-    """
-    value: int
-    w: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < 2 ** self.w:
-            raise RangeError(f"word {self.value} outside [0, 2^{self.w})")
-
-    @property
-    def decoded(self) -> float:
-        return self.value * 2.0 ** (1 - self.w)
-
-    @property
-    def bits(self) -> str:
-        return format(self.value, f"0{self.w}b")[::-1]
-
-
 def g_map(v: float) -> float:
     """Fold (0,1] onto (-inf,1] by v -> 2 - 1/v; identity above 1."""
     if v == 0:
@@ -152,51 +126,34 @@ def g_inv(y: float) -> float:
     return float(y) if y > 1 else 1.0 / (2.0 - float(y))
 
 
-@lru_cache(maxsize=None)
-def _grid(w: int):
-    """(2^(w-1), top code's decoded value 2 - 2^(1-w), top code) for w bits."""
-    return 2.0 ** (w - 1), 2.0 - 2.0 ** (1 - w), 2 ** w - 1
+def quantize_stochastic(values, w: int, rng: np.random.Generator) -> list:
+    """Stochastically round each g_map(v) to a w-bit integer code.
 
-
-def _word(value: int, w: int) -> QuantizedWord:
-    """QuantizedWord without the range check, for a value already in range."""
-    word = object.__new__(QuantizedWord)
-    fields = word.__dict__
-    fields["value"] = value
-    fields["w"] = w
-    return word
-
-
-def quantize_stochastic(v: float, w: int, rng: np.random.Generator) -> QuantizedWord:
-    """Stochastically round g_map(v) to a w-bit word.
-
-    With y = g_map(v) and eta the fractional part of 2^(w-1) y, the word
-    rounds up with probability eta, making the decoded value an unbiased
-    estimate of y with squared error at most 2^(-2w). Each call draws
-    exactly one rng.random(), rounding up when it is below eta.
+    Code I stands for I * 2^(1-w).  With y = g_map(v) and eta the
+    fractional part of 2^(w-1) y, the code rounds up with probability
+    eta, so the decoded value is an unbiased estimate of y with squared
+    error at most 2^(-2w).  Each value draws exactly one rng.random(),
+    in order, rounding up when it is below eta; a value outside
+    [0, 2 - 2^(1-w)] raises RangeError before its draw.
     """
     if w < 1:
         raise RangeError("bit budget must be >= 1")
-    scale, top, top_code = _grid(w)
-    y = g_map(v)
-    if not -1e-12 <= y <= top + 1e-12:
-        raise RangeError(
-            f"g_map(v) = {y:.6g} outside [0, {top:.6g}] for w = {w}")
-    scaled = y * scale
-    base = math.floor(scaled)
-    value = base + 1 if rng.random() < scaled - base else base
-    # y within 1e-12 of the ends can round one code past them
-    if value < 0:
-        value = 0
-    elif value > top_code:
-        value = top_code
-    return _word(value, w)
+    scale, top, top_code = 2.0 ** (w - 1), 2.0 - 2.0 ** (1 - w), 2 ** w - 1
+    codes = []
+    for v in values:
+        y = g_map(v)
+        if not -1e-12 <= y <= top + 1e-12:
+            raise RangeError(
+                f"g_map(v) = {y:.6g} outside [0, {top:.6g}] for w = {w}")
+        scaled = y * scale
+        base = math.floor(scaled)
+        code = base + 1 if rng.random() < scaled - base else base
+        # y within 1e-12 of the ends can round one code past them
+        codes.append(0 if code < 0 else min(code, top_code))
+    return codes
 
 
-def dequantize(word: QuantizedWord) -> float:
-    """Positive real back from a wire word: g_inv of the decoded value."""
-    return g_inv(word.decoded)
-
-
-def quantized_roundtrip(v: float, w: int, rng: np.random.Generator) -> float:
-    return dequantize(quantize_stochastic(v, w, rng))
+def dequantize(codes, w: int) -> np.ndarray:
+    """Positive reals back from w-bit codes: g_inv of I * 2^(1-w)."""
+    scale = 2.0 ** (1 - w)
+    return np.array([g_inv(code * scale) for code in codes])

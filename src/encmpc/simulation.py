@@ -215,7 +215,7 @@ class Trajectory:
 
 
 def run_closed_loop(scenario, backend, cfg=None, controller=None,
-                    keypair=None, log=None, T=None, dither=None):
+                    keypair=None, log=None, dither=None):
     """Simulate the plant under one backend; returns a Trajectory.
 
     The plaintext law is evaluated in parallel each step for the
@@ -232,9 +232,9 @@ def run_closed_loop(scenario, backend, cfg=None, controller=None,
     if controller is None:
         controller = scenario.synthesize_controller()
     sys = scenario.system()
-    sensor, cloud, actuator, cost = make_parties(
-        controller, backend, cfg, keypair=keypair)
-    T = T if T is not None else (cfg.steps if cfg.steps else scenario.T)
+    sensor, cloud, actuator = make_parties(controller, backend, cfg,
+                                           keypair=keypair)
+    T = cfg.steps if cfg.steps else scenario.T
 
     traj = Trajectory(backend=backend)
     x = np.asarray(scenario.x0, dtype=float).ravel()
@@ -244,7 +244,7 @@ def run_closed_loop(scenario, backend, cfg=None, controller=None,
         x_shift = x - x_ss
         try:
             u_tilde, metrics = run_cycle(x_shift, sensor, cloud, actuator,
-                                         k, log=log, cost=cost)
+                                         k, log=log)
             u_plain_tilde, _ = controller.evaluate(x_shift)
         except (StateNotCovered, RangeError, MagnitudeError,
                 CiphertextError) as exc:

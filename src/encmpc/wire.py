@@ -1,13 +1,15 @@
 """Byte-level wire codec for the sensor-cloud-actuator links.
 
-Everything on a link is a real byte string, so payload accounting is done
-on encodings rather than estimated from formulas.  Conventions:
+Everything on a link is a real byte string.  A message's payload bits
+are its body's bits less framing: the zero pad of quantized fields and
+the length prefix of each Paillier ciphertext (tests check this against
+the bytes; the u32 region index counts as payload).  Conventions:
 
 * region index: unsigned 32-bit little-endian
 * plain or QE ciphertext scalar: IEEE-754 binary64, little-endian
-* quantized ciphertext: w-bit words packed MSB-first, zero-padded to a
-  byte boundary per field; padding bits are excluded from payload counts,
-  and a field whose padding is not zero is refused
+* quantized ciphertext: w-bit integer codes packed MSB-first, zero-padded
+  to a byte boundary per field; a field whose padding is not zero is
+  refused
 * Paillier ciphertext: value mod n^2 as a fixed-width big-endian string
   of 2L bits, length-prefixed with an unsigned 32-bit; the prefix is
   framing, not payload
@@ -16,8 +18,6 @@ on encodings rather than estimated from formulas.  Conventions:
 import struct
 
 import numpy as np
-
-from .qe_cipher import QuantizedWord
 
 
 class WireError(ValueError):
@@ -49,37 +49,30 @@ def decode_f64_vec(data, count, off=0):
     return np.array(struct.unpack_from(f"<{count}d", data, off)), end
 
 
-def pack_words(words):
-    """Pack equal-width quantized words MSB-first into a padded bitstream."""
-    if not words:
-        return b""
-    w = words[0].w
-    bits = []
-    for word in words:
-        if word.w != w:
-            raise WireError("mixed word widths in one field")
-        bits.extend((word.value >> j) & 1 for j in range(w - 1, -1, -1))
-    arr = np.array(bits, dtype=np.uint8)
-    return np.packbits(arr).tobytes()
+def pack_words(codes, w):
+    """Pack w-bit integer codes MSB-first, zero-padded to a byte boundary."""
+    acc = 0
+    for code in codes:
+        if not 0 <= code < 1 << w:
+            raise WireError(f"code {code} outside [0, 2^{w})")
+        acc = acc << w | code
+    total = len(codes) * w
+    nbytes = (total + 7) // 8
+    return (acc << 8 * nbytes - total).to_bytes(nbytes, "big")
 
 
 def unpack_words(data, count, w, off=0):
+    """Read `count` w-bit codes written by pack_words; returns (codes, end)."""
     total = count * w
-    nbytes = (total + 7) // 8
-    if len(data) < off + nbytes:
+    end = off + (total + 7) // 8
+    if len(data) < end:
         raise WireError("truncated word field")
-    chunk = np.frombuffer(data[off : off + nbytes], dtype=np.uint8)
-    pad = 8 * nbytes - total
-    if pad and chunk[-1] & ((1 << pad) - 1):
+    pad = 8 * (end - off) - total
+    acc = int.from_bytes(data[off:end], "big")
+    if acc & ((1 << pad) - 1):
         raise WireError(f"nonzero pad bits after {count} words of {w} bits")
-    bits = np.unpackbits(chunk)[:total]
-    words = []
-    for i in range(count):
-        val = 0
-        for bit in bits[i * w : (i + 1) * w]:
-            val = (val << 1) | int(bit)
-        words.append(QuantizedWord(val, w))
-    return words, off + nbytes
+    mask = (1 << w) - 1
+    return [acc >> (pad + w * j) & mask for j in range(count - 1, -1, -1)], end
 
 
 def encode_he_ct(value, key_bits):

@@ -90,8 +90,8 @@ def test_criterion_03_quantizer_moments():
         # sweep ends at the largest representable value g_inv(2 - 2^(1-w))
         for v in np.linspace(0.5, 2.0 - 2.0 ** (1 - w), 20):
             y = g_map(v)
-            err = np.array([quantize_stochastic(v, w, rng).decoded
-                            for _ in range(draws)]) - y
+            codes = quantize_stochastic([v] * draws, w, rng)
+            err = np.array(codes) * 2.0 ** (1 - w) - y
             me, mse = abs(err.mean()), float((err**2).mean())
             if me > mean_bound or mse > mse_bound:
                 ok = False
@@ -155,7 +155,7 @@ def test_criterion_05_primitive_counts():
                 parties = make_parties(controller, backend, cfg,
                                        keypair=kp if backend == "paillier"
                                        else None)
-                _, metrics = run_cycle(x, *parties[:3], 0)
+                _, metrics = run_cycle(x, *parties, 0)
                 got = {k: metrics.counts[k] for k in expected}
                 if got != expected:
                     bad.append((n, m, backend, got, expected))
@@ -173,9 +173,9 @@ def test_criterion_06_payload_ordering(bench_controller):
     x = np.asarray(benchmark_scenario().x0, dtype=float)
     kp = keygen(2048, random.Random(1))
     qe_parties = make_parties(bench_controller, "qe", cfg)
-    _, qe_metrics = run_cycle(x, *qe_parties[:3], 0)
+    _, qe_metrics = run_cycle(x, *qe_parties, 0)
     he_parties = make_parties(bench_controller, "paillier", cfg, keypair=kp)
-    _, he_metrics = run_cycle(x, *he_parties[:3], 0)
+    _, he_metrics = run_cycle(x, *he_parties, 0)
     qe_bits = qe_metrics.payload_bits["total"]
     he_bits = he_metrics.payload_bits["total"]
     ok = qe_bits < 0.10 * he_bits

@@ -1,5 +1,7 @@
 """Sensor/cloud/actuator pipeline: counts, payloads, isolation, equivalence."""
 
+import collections
+import hashlib
 import itertools
 import random
 
@@ -13,7 +15,7 @@ from encmpc.keys import BetaVector, KeyReuseError, KeySource
 from encmpc.mpqp import InvalidRegion, PwaController, Region, StateNotCovered
 from encmpc.paillier import PaillierKeypair, keygen
 from encmpc.polyhedra import Polyhedron, box
-from encmpc.qe_cipher import QuantizedWord
+from encmpc.qe_cipher import RangeError
 from encmpc.protocol import (
     EavesdropLog,
     Sensor,
@@ -52,10 +54,10 @@ def sample_feasible(controller, count, seed):
 
 def test_qe_matches_plaintext(bench_controller):
     cfg = RunConfig()
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "qe", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
     errs = []
     for k, x in enumerate(sample_feasible(bench_controller, 50, 3)):
-        u, _ = run_cycle(x, sensor, cloud, actuator, k, cost=cost)
+        u, _ = run_cycle(x, sensor, cloud, actuator, k)
         errs.append(abs(u - bench_controller.evaluate(x)[0]).max())
     assert max(errs) <= 1e-9
     assert np.mean(errs) <= 1e-10
@@ -63,12 +65,12 @@ def test_qe_matches_plaintext(bench_controller):
 
 def test_paillier_matches_plaintext_within_budget(bench_controller, kp256):
     cfg = RunConfig(key_bits=256)
-    sensor, cloud, actuator, cost = make_parties(
+    sensor, cloud, actuator = make_parties(
         bench_controller, "paillier", cfg, keypair=kp256)
     K_max = max(abs(r.K).max() for r in bench_controller.regions)
     budget = (bench_controller.n * 2.0**cfg.gamma * K_max + 2) * 2.0**-cfg.delta
     for k, x in enumerate(sample_feasible(bench_controller, 20, 4)):
-        u, _ = run_cycle(x, sensor, cloud, actuator, k, cost=cost)
+        u, _ = run_cycle(x, sensor, cloud, actuator, k)
         assert abs(u - bench_controller.evaluate(x)[0]).max() <= budget
 
 
@@ -80,7 +82,7 @@ def test_quantized_error_scales_with_word_budget(bench_controller):
     ciphertext stays inside the fold's representable window no matter
     which betas the key stream draws."""
     cfg = RunConfig(w_b=4, w=24)
-    sensor, cloud, actuator, cost = make_parties(
+    sensor, cloud, actuator = make_parties(
         bench_controller, "qe_quantized", cfg)
     rng = np.random.default_rng(5)
     errs = []
@@ -89,7 +91,7 @@ def test_quantized_error_scales_with_word_budget(bench_controller):
         x = rng.uniform([-0.5, -0.25], [0.5, 0.25])
         if bench_controller.locate(x) != 0:
             continue
-        u, _ = run_cycle(x, sensor, cloud, actuator, k, cost=cost)
+        u, _ = run_cycle(x, sensor, cloud, actuator, k)
         errs.append(abs(u - bench_controller.evaluate(x)[0]).max())
         k += 1
     assert max(errs) <= 1e-4
@@ -97,9 +99,9 @@ def test_quantized_error_scales_with_word_budget(bench_controller):
 
 def test_plaintext_backend_zero_counts(bench_controller):
     cfg = RunConfig()
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "plaintext", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "plaintext", cfg)
     x = np.array([-1.0, 0.2])
-    u, metrics = run_cycle(x, sensor, cloud, actuator, 0, cost=cost)
+    u, metrics = run_cycle(x, sensor, cloud, actuator, 0)
     assert all(v == 0 for v in metrics.counts.values())
     assert np.allclose(u, bench_controller.evaluate(x)[0])
 
@@ -107,15 +109,15 @@ def test_plaintext_backend_zero_counts(bench_controller):
 def test_counts_on_benchmark(bench_controller, kp256):
     cfg = RunConfig(key_bits=256)
     x = np.array([-1.0, 0.2])
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "qe", cfg)
-    _, mq = run_cycle(x, sensor, cloud, actuator, 0, cost=cost)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
+    _, mq = run_cycle(x, sensor, cloud, actuator, 0)
     assert (mq.counts["enc"], mq.counts["con"]) == (3, 2)
     assert (mq.counts["dec"], mq.counts["sums"]) == (3, 2)
     assert all(mq.counts[k] == 0 for k in ("he_enc", "he_dec", "he_add", "he_mul"))
 
-    sensor, cloud, actuator, cost = make_parties(
+    sensor, cloud, actuator = make_parties(
         bench_controller, "paillier", cfg, keypair=kp256)
-    _, mp = run_cycle(x, sensor, cloud, actuator, 0, cost=cost)
+    _, mp = run_cycle(x, sensor, cloud, actuator, 0)
     assert (mp.counts["he_enc"], mp.counts["he_mul"]) == (3, 2)
     assert (mp.counts["he_add"], mp.counts["he_dec"]) == (2, 1)
     assert all(mp.counts[k] == 0 for k in ("enc", "con", "dec", "sums"))
@@ -129,16 +131,16 @@ def test_counts_closed_forms_all_dims(kp256):
         x = rng.uniform(-1, 1, size=n)
         cfg = RunConfig(key_bits=256)
 
-        sensor, cloud, actuator, cost = make_parties(ctrl, "qe", cfg)
-        _, mq = run_cycle(x, sensor, cloud, actuator, 0, cost=cost)
+        sensor, cloud, actuator = make_parties(ctrl, "qe", cfg)
+        _, mq = run_cycle(x, sensor, cloud, actuator, 0)
         assert mq.counts["enc"] == n + m
         assert mq.counts["con"] == m * n
         assert mq.counts["dec"] == m * n + m
         assert mq.counts["sums"] == m * n
 
-        sensor, cloud, actuator, cost = make_parties(
+        sensor, cloud, actuator = make_parties(
             ctrl, "paillier", cfg, keypair=kp256)
-        _, mp = run_cycle(x, sensor, cloud, actuator, 0, cost=cost)
+        _, mp = run_cycle(x, sensor, cloud, actuator, 0)
         assert mp.counts["he_enc"] == n + m
         assert mp.counts["he_mul"] == m * n
         assert mp.counts["he_add"] == m * n
@@ -150,13 +152,13 @@ def test_payload_bits(bench_controller, kp256):
     x = np.array([-1.0, 0.2])
     cfg = RunConfig(key_bits=256)
 
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "qe", cfg)
-    _, mq = run_cycle(x, sensor, cloud, actuator, 0, cost=cost)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
+    _, mq = run_cycle(x, sensor, cloud, actuator, 0)
     assert mq.payload_bits["s_to_c"] == 32 + (n + m) * 64
     assert mq.payload_bits["c_to_a"] == (m * n + m) * 64
     assert mq.payload_bits["total"] == 416
 
-    sensor, cloud, actuator, cost = make_parties(
+    sensor, cloud, actuator = make_parties(
         bench_controller, "paillier", cfg, keypair=kp256)
     msg1, _, _ = sensor.step(x, 0)
     assert len(msg1.body) == 4 + (n + m) * (4 + 2 * 256 // 8)
@@ -165,18 +167,17 @@ def test_payload_bits(bench_controller, kp256):
     assert msg2.payload_bits == m * 2 * 256
 
     cfg = RunConfig(w_b=4, w=24)
-    sensor, cloud, actuator, cost = make_parties(
+    sensor, cloud, actuator = make_parties(
         bench_controller, "qe_quantized", cfg)
     # small state: in range for the fold window under any key draw
-    _, mz = run_cycle(np.array([-0.4, 0.2]), sensor, cloud, actuator, 0,
-                      cost=cost)
+    _, mz = run_cycle(np.array([-0.4, 0.2]), sensor, cloud, actuator, 0)
     assert mz.payload_bits["s_to_c"] == 32 + (n + m) * 24
     assert mz.payload_bits["c_to_a"] == (m * n + m) * 24
 
 
 def test_fresh_keys_per_cycle(bench_controller):
     cfg = RunConfig()
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "qe", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
     x = np.array([-1.0, 0.2])
     msg_a, _, _ = sensor.step(x, 0)
     msg_b, _, _ = sensor.step(x, 1)
@@ -187,7 +188,7 @@ def test_fresh_keys_per_cycle(bench_controller):
 
 def test_offset_forwarded_byte_identical(bench_controller):
     cfg = RunConfig()
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "qe", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
     msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
     msg2, _, _ = cloud.step(msg1)
     m, n = 1, 2
@@ -196,7 +197,7 @@ def test_offset_forwarded_byte_identical(bench_controller):
 
 def test_error_paths(bench_controller):
     cfg = RunConfig()
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "qe", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
     with pytest.raises(StateNotCovered):
         sensor.step(np.array([50.0, 50.0]), 0)
     msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 1)
@@ -213,7 +214,7 @@ def test_cloud_holds_no_secrets(bench_controller, kp256):
                         ("paillier", {"keypair": kp256})]:
         if backend == "qe_quantized":
             cfg = RunConfig(key_bits=256, w_b=4, w=24)
-        _, cloud, _, _ = make_parties(bench_controller, backend, cfg, **kw)
+        _, cloud, _ = make_parties(bench_controller, backend, cfg, **kw)
         for name, val in vars(cloud).items():
             assert not isinstance(val, (KeySource, BetaVector, PaillierKeypair))
             assert "key" not in name and "beta" not in name and "seed" not in name
@@ -226,7 +227,7 @@ def test_paillier_sensor_holds_keypair_same_bytes(bench_controller, kp256):
     """The plant-side sensor encrypts with the keypair (CRT r^n); a sensor
     holding only the public key sends the same bytes."""
     cfg = RunConfig(key_bits=256)
-    sensor, _, _, _ = make_parties(bench_controller, "paillier", cfg,
+    sensor, _, _ = make_parties(bench_controller, "paillier", cfg,
                                    keypair=kp256)
     assert sensor.he_key is kp256
     public_only = Sensor(bench_controller, "paillier", he_key=kp256.public,
@@ -263,7 +264,7 @@ def test_paillier_framing_is_strict(bench_controller, kp256):
     """Cloud and actuator refuse a ciphertext prefix other than L/4, a
     truncated body, and bytes after the last ciphertext."""
     cfg = RunConfig(key_bits=256)
-    sensor, cloud, actuator, _ = make_parties(
+    sensor, cloud, actuator = make_parties(
         bench_controller, "paillier", cfg, keypair=kp256)
     msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
     msg2, _, _ = cloud.step(msg1)
@@ -286,7 +287,7 @@ def framed_messages(bench_controller, kp256):
     cfg = RunConfig(key_bits=256)
     out = {}
     for backend in BACKEND_NAMES:
-        sensor, cloud, actuator, _ = make_parties(
+        sensor, cloud, actuator = make_parties(
             bench_controller, backend, cfg, keypair=kp256)
         msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
         msg2, _, _ = cloud.step(msg1)
@@ -342,10 +343,10 @@ def test_word_packing_roundtrip(w, data):
     values = data.draw(st.lists(st.integers(0, 2**w - 1), min_size=1,
                                 max_size=5))
     junk = data.draw(st.binary(max_size=3))
-    packed = wire.pack_words([QuantizedWord(v, w) for v in values])
+    packed = wire.pack_words(values, w)
     assert len(packed) == (len(values) * w + 7) // 8
-    words, off = wire.unpack_words(packed + junk, len(values), w)
-    assert [word.value for word in words] == values and off == len(packed)
+    codes, off = wire.unpack_words(packed + junk, len(values), w)
+    assert codes == values and off == len(packed)
     if junk:
         with pytest.raises(wire.WireError, match="trailing"):
             wire.expect_end(packed + junk, off)
@@ -361,7 +362,7 @@ def test_quantized_pad_bits_refused(bench_controller):
     """At w = 12 each field of one word ends in 4 pad bits: the cloud
     refuses a sensor body and the actuator a cloud body with any set."""
     cfg = RunConfig(w=12, w_b=4)
-    sensor, cloud, actuator, _ = make_parties(bench_controller, "qe_quantized", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe_quantized", cfg)
     msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
     msg2, _, _ = cloud.step(msg1)
     assert msg1.body[-1] & 0x0F == 0 and msg2.body[-1] & 0x0F == 0
@@ -373,21 +374,80 @@ def test_quantized_pad_bits_refused(bench_controller):
     assert np.all(np.isfinite(u))
 
 
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_payload_bits_are_body_bits_less_framing(bench_controller, kp256,
+                                                 backend):
+    """Each message's payload_bits equals its body's bits less the zero
+    pad of quantized fields and 32 per Paillier length prefix; the u32
+    region index counts as payload.  w = 12 leaves 4 pad bits after
+    every one-word field."""
+    cfg = RunConfig(key_bits=256, w=12, w_b=4)
+    sensor, cloud, _ = make_parties(bench_controller, backend, cfg,
+                                    keypair=kp256)
+    n, m = bench_controller.n, bench_controller.m
+    msg1, _, _ = sensor.step(np.array([-0.4, 0.2]), 0)
+    msg2, _, _ = cloud.step(msg1)
+    for msg, off, fields in ((msg1, 4, (n, m)), (msg2, 0, (m * n, m))):
+        framing = 0
+        if backend == "qe_quantized":
+            for count in fields:
+                end = off + (count * cfg.w + 7) // 8
+                pad = 8 * (end - off) - count * cfg.w
+                assert int.from_bytes(msg.body[off:end], "big") % 2**pad == 0
+                framing += pad
+                off = end
+            assert off == len(msg.body)
+        elif backend == "paillier":
+            while off < len(msg.body):
+                _, off = wire.decode_he_ct(msg.body, off)
+                framing += 32
+        assert msg.payload_bits == 8 * len(msg.body) - framing
+
+
+def test_quantized_wire_stream_pinned(bench_controller):
+    """One set of qe_quantized parties over a seeded state stream that
+    faults often: w_b = 5 puts many ciphertexts outside the fold window,
+    so RangeError comes from the sensor and, three times, from the cloud
+    after the sensor message went out; some states lie outside the
+    partition.  The bodies and fault steps match those recorded from the
+    earlier word-object implementation, so each party's quantizer stream
+    carries on across faults exactly as before."""
+    parties = make_parties(bench_controller, "qe_quantized",
+                           RunConfig(w=12, w_b=5))
+    log = EavesdropLog()
+    rng = np.random.default_rng(12)
+    faults = []
+    for k in range(400):
+        sent = len(log.entries)
+        try:
+            run_cycle(rng.uniform([-6.0, -3.0], [6.0, 3.0]), *parties, k, log=log)
+        except (RangeError, StateNotCovered) as exc:
+            faults.append((k, type(exc).__name__, len(log.entries) - sent))
+    digest = hashlib.sha256(repr(faults).encode())
+    for msg in log.entries:
+        digest.update(msg.body)
+    kinds = collections.Counter((name, sent) for _, name, sent in faults)
+    assert kinds == {("RangeError", 0): 105, ("RangeError", 1): 3,
+                     ("StateNotCovered", 0): 81}
+    assert digest.hexdigest() == (
+        "498cb8566f6d090d22c4d93d917cfb7a4f3037d6063f0bc05bfbfa670164ce3b")
+
+
 def test_eavesdrop_log_and_leak_audit(bench_controller):
     cfg = RunConfig()
     log = EavesdropLog()
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "qe", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
     states = sample_feasible(bench_controller, 10, 6)
     for k, x in enumerate(states):
-        run_cycle(x, sensor, cloud, actuator, k, log=log, cost=cost)
+        run_cycle(x, sensor, cloud, actuator, k, log=log)
     assert len(log.entries) == 20
     assert all(isinstance(e.body, bytes) for e in log.entries)
     assert audit_no_plaintext_leak(log, states, bench_controller.n)
 
     leak_log = EavesdropLog()
-    sensor, cloud, actuator, cost = make_parties(bench_controller, "plaintext", cfg)
+    sensor, cloud, actuator = make_parties(bench_controller, "plaintext", cfg)
     for k, x in enumerate(states):
-        run_cycle(x, sensor, cloud, actuator, k, log=leak_log, cost=cost)
+        run_cycle(x, sensor, cloud, actuator, k, log=leak_log)
     assert not audit_no_plaintext_leak(leak_log, states, bench_controller.n)
 
 

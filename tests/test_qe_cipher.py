@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from encmpc import wire
 from encmpc.keys import KeyConfig, betas, generate_key
 from encmpc.qe_cipher import (CiphertextError, DomainError, MagnitudeError,
-                              QuantizedWord, RangeError, con, dec_aggregate,
-                              dec_scalar, dec_vector, dequantize, enc_offset,
-                              enc_scalar, enc_state, enc_vector, g_inv, g_map,
-                              quantize_stochastic, quantized_roundtrip)
+                              RangeError, con, dec_aggregate, dec_scalar,
+                              dec_vector, dequantize, enc_offset, enc_scalar,
+                              enc_state, enc_vector, g_inv, g_map,
+                              quantize_stochastic)
 
 
 def test_enc_scalar_values():
@@ -167,16 +168,15 @@ def test_quantize_grid_aligned_deterministic():
     rng = np.random.default_rng(0)
     # v = 1.5 > 1: y = 1.5; with w=4, 2^3*1.5 = 12 exactly
     for _ in range(50):
-        word = quantize_stochastic(1.5, 4, rng)
-        assert word.value == 12
-        assert word.decoded == 1.5
-        assert dequantize(word) == 1.5
+        codes = quantize_stochastic([1.5], 4, rng)
+        assert codes == [12]
+        assert dequantize(codes, 4).tolist() == [1.5]
 
 
 def test_quantize_w1_coin():
     # g_map(2/3) = 0.5, w=1: eta = 0.5 -> equal mass on 0 and 1
     rng = np.random.default_rng(1)
-    vals = [quantize_stochastic(2.0 / 3.0, 1, rng).value for _ in range(20_000)]
+    vals = quantize_stochastic([2.0 / 3.0] * 20_000, 1, rng)
     mean = np.mean(vals)
     assert 0.48 <= mean <= 0.52
     assert set(vals) == {0, 1}
@@ -185,11 +185,18 @@ def test_quantize_w1_coin():
 def test_quantize_out_of_range():
     rng = np.random.default_rng(2)
     with pytest.raises(RangeError):
-        quantize_stochastic(3.0, 4, rng)      # y = 3 > 2 - 2^-3
+        quantize_stochastic([3.0], 4, rng)      # y = 3 > 2 - 2^-3
     with pytest.raises(RangeError):
-        quantize_stochastic(0.4, 8, rng)      # y = -0.5 < 0
+        quantize_stochastic([0.4], 8, rng)      # y = -0.5 < 0
     with pytest.raises(RangeError):
-        quantize_stochastic(-1.0, 8, rng)     # negative v folds above 2
+        quantize_stochastic([-1.0], 8, rng)     # negative v folds above 2
+    # the bad value raises before its draw: only the value ahead of it drew
+    fresh = np.random.default_rng(2)
+    with pytest.raises(RangeError):
+        quantize_stochastic([1.5, 3.0, 1.5], 4, fresh)
+    fresh_ref = np.random.default_rng(2)
+    fresh_ref.random()
+    assert fresh.random() == fresh_ref.random()
 
 
 def test_quantizer_moments_small():
@@ -202,8 +209,7 @@ def test_quantizer_moments_small():
     w = 6
     for v in (0.52, 0.8, 1.0, 1.37, 1.9):
         y = g_map(v)
-        draws = np.array([quantize_stochastic(v, w, rng).decoded
-                          for _ in range(20_000)])
+        draws = np.array(quantize_stochastic([v] * 20_000, w, rng)) * 2.0 ** (1 - w)
         err = draws - y
         se = (2.0 ** -w) / math.sqrt(len(draws))
         assert abs(err.mean()) <= 4 * se + 1e-12
@@ -211,11 +217,10 @@ def test_quantizer_moments_small():
 
 
 def test_quantized_word_bits_string():
-    word = QuantizedWord(value=0b10, w=2)  # a0=1, a1=0 -> xi = 1.0
-    assert word.decoded == 1.0
-    assert word.bits == "01"  # written a_{w-1}..a_0
-    with pytest.raises(RangeError):
-        QuantizedWord(value=4, w=2)
+    # codes go on the wire MSB-first, the last byte zero-padded
+    assert wire.pack_words([0b10, 0b01], 2) == b"\x90"
+    assert wire.unpack_words(b"\x90", 2, 2) == ([0b10, 0b01], 1)
+    assert dequantize([0b10], 2).tolist() == [1.0]  # 2 * 2^(1-2)
 
 
 # words drawn by the quantizer before its hot path was trimmed; the
@@ -236,13 +241,13 @@ RECORDED_WORDS = [
 @pytest.mark.parametrize("seed,v,w,expected", RECORDED_WORDS)
 def test_quantizer_stream_pinned(seed, v, w, expected):
     rng = np.random.default_rng(seed)
-    assert [quantize_stochastic(v, w, rng).value for _ in expected] == expected
+    assert quantize_stochastic([v] * len(expected), w, rng) == expected
 
 
 def test_quantizer_one_draw_per_word():
     # a grid-aligned value (1.5 at w=4) still consumes its draw
     rng = np.random.default_rng(31)
-    vals = [quantize_stochastic(v, 4, rng).value for v in (1.5, 0.52) * 6]
+    vals = quantize_stochastic((1.5, 0.52) * 6, 4, rng)
     assert vals == [12, 1, 12, 1, 12, 1, 12, 1, 12, 1, 12, 0]
     fresh = np.random.default_rng(31)
     fresh.random(12)
@@ -250,17 +255,17 @@ def test_quantizer_one_draw_per_word():
 
 
 def test_quantized_word_range_checked():
-    with pytest.raises(RangeError):
-        QuantizedWord(value=-1, w=8)
-    with pytest.raises(RangeError):
-        QuantizedWord(value=256, w=8)
-    assert QuantizedWord(value=255, w=8) == quantize_stochastic(
-        2.0 - 2.0 ** -7, 8, np.random.default_rng(0))
+    for code in (-1, 256):
+        with pytest.raises(wire.WireError, match="outside"):
+            wire.pack_words([0, code], 8)
+    assert quantize_stochastic([2.0 - 2.0 ** -7], 8,
+                               np.random.default_rng(0)) == [255]
 
 
 def test_quantized_roundtrip_error_decays():
     rng = np.random.default_rng(4)
-    errs24 = [abs(quantized_roundtrip(1.3, 24, rng) - 1.3) for _ in range(200)]
+    roundtrip = lambda v, w, k: dequantize(quantize_stochastic([v] * k, w, rng), w)
+    errs24 = np.abs(roundtrip(1.3, 24, 200) - 1.3)
     assert max(errs24) <= 2.0 ** -22
-    errs16 = [abs(quantized_roundtrip(0.75, 16, rng) - 0.75) for _ in range(10_000)]
+    errs16 = np.abs(roundtrip(0.75, 16, 10_000) - 0.75)
     assert np.mean(errs16) <= 1e-3

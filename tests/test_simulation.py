@@ -1,5 +1,6 @@
 """Closed-loop benchmark runs: exactness, constraints, faults, determinism."""
 
+import hashlib
 import json
 import random
 
@@ -79,8 +80,8 @@ def test_origin_equilibrium(bench_controller):
     sc = benchmark_scenario()
     sc.x0 = np.array([0.0, 0.0])
     sc.r_steps = ((0, 0.0),)
-    traj = run_closed_loop(sc, "qe", RunConfig(), controller=bench_controller,
-                           T=10)
+    traj = run_closed_loop(sc, "qe", RunConfig(steps=10),
+                           controller=bench_controller)
     for rec in traj.records:
         assert np.abs(rec.u).max() <= 1e-9
         assert np.abs(rec.x).max() <= 1e-8
@@ -136,6 +137,25 @@ def test_trajectory_csv_shape_and_determinism(bench_controller):
     assert lines[0] == "k,x0,x1,sigma,u0,u_plain0,y0,r0,payload_bits"
     assert len(lines) == 62  # header + 60 rows + trailing newline
     assert lines[1].split(",")[0] == "0"
+
+
+# SHA-256 of trajectory_csv for qe_quantized, recorded from the earlier
+# word-object implementation of the quantized wire; the second config
+# faults with StateNotCovered at step 1
+QUANTIZED_CSV_SHA256 = [
+    ({}, "d208bb99d510e79353a6eda479d1dd6e1c9ca8945b09e22909058de6befd21a5"),
+    ({"epsilon_q": 0.001},
+     "da9c693811c107fa431c32e35da66f3ba781bd3a570366fed001cc7260e24064"),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", QUANTIZED_CSV_SHA256)
+def test_quantized_trajectory_bytes_pinned(bench_controller, overrides, digest):
+    cfg = RunConfig(backend="qe_quantized", **overrides)
+    traj = run_closed_loop(benchmark_scenario(), "qe_quantized", cfg,
+                           controller=bench_controller)
+    text = trajectory_csv(traj)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_rmse_and_mismatch_trivia():
