@@ -433,6 +433,32 @@ def test_quantized_wire_stream_pinned(bench_controller):
         "498cb8566f6d090d22c4d93d917cfb7a4f3037d6063f0bc05bfbfa670164ce3b")
 
 
+def test_qe_wire_stream_pinned(bench_controller):
+    """One set of qe parties over a seeded state stream, some of it
+    outside the partition.  The bodies, inputs and fault steps match
+    those recorded before the cycle's key derivation and cipher were
+    rewritten, so a fault burns no key and every ciphertext keeps its
+    bytes."""
+    parties = make_parties(bench_controller, "qe", RunConfig())
+    log = EavesdropLog()
+    rng = np.random.default_rng(12)
+    faults, inputs = [], []
+    for k in range(400):
+        sent = len(log.entries)
+        try:
+            u, _ = run_cycle(rng.uniform([-6.0, -3.0], [6.0, 3.0]), *parties,
+                             k, log=log)
+            inputs.append(u.tobytes())
+        except StateNotCovered as exc:
+            faults.append((k, type(exc).__name__, len(log.entries) - sent))
+    digest = hashlib.sha256(repr(faults).encode())
+    for data in inputs + [msg.body for msg in log.entries]:
+        digest.update(data)
+    assert len(faults) == 81 and len(log.entries) == 2 * 319
+    assert digest.hexdigest() == (
+        "f635d623e1eabe64caf427069c3a16275676bfcf33cef9ff8a9d23c6e2354b19")
+
+
 def test_eavesdrop_log_and_leak_audit(bench_controller):
     cfg = RunConfig()
     log = EavesdropLog()

@@ -158,6 +158,23 @@ def test_quantized_trajectory_bytes_pinned(bench_controller, overrides, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# SHA-256 of trajectory_csv for qe, recorded before the cycle's key
+# derivation and cipher were rewritten; seed_keys moves every ciphertext
+QE_CSV_SHA256 = [
+    ({}, "8a520b93a059ee27b176e2c3c02d9b08ac1bba36eef45b65a84261ff7e739cb8"),
+    ({"seed_keys": 7},
+     "4542c5d8570c4fd24191b6414fbdffcc64876c9229f84da184fe5f02709418e7"),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", QE_CSV_SHA256)
+def test_qe_trajectory_bytes_pinned(bench_controller, overrides, digest):
+    traj = run_closed_loop(benchmark_scenario(), "qe", RunConfig(**overrides),
+                           controller=bench_controller)
+    text = trajectory_csv(traj)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_rmse_and_mismatch_trivia():
     rec = StepRecord(k=0, x=np.zeros(2), sigma=0, u=np.array([0.3]),
                      u_plain=np.array([0.3]), y=np.array([1.0]),
