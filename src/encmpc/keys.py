@@ -44,25 +44,30 @@ class KeyConfig:
     def w_q(self) -> int:
         return self.d * self.w_b
 
+    @property
+    def n_words(self) -> int:
+        """64-bit words that hold the w_q bits of one cycle."""
+        return -(-self.w_q // 64)
+
 
 @dataclass(frozen=True)
 class KeyStream:
     k: int
-    bits: np.ndarray  # uint8 array of length w_q, group-major, MSB-first
+    words: list  # n_words 64-bit ints whose first w_q bits, MSB-first, are the stream
 
 
 @dataclass(frozen=True)
 class BetaVector:
-    beta: np.ndarray  # int64, length d = n + m
+    beta: tuple  # d = n + m nonzero ints: n state, then m offset coefficients
     n: int
     m: int
 
     @property
-    def state_part(self) -> np.ndarray:
+    def state_part(self) -> tuple:
         return self.beta[:self.n]
 
     @property
-    def offset_part(self) -> np.ndarray:
+    def offset_part(self) -> tuple:
         return self.beta[self.n:]
 
 
@@ -71,7 +76,9 @@ class KeySource:
 
     stream(k) is a pure function of (seed, k) so two sources with the
     same seed agree bit for bit, but each source also enforces strictly
-    increasing cycle indices: key material is never reused.
+    increasing cycle indices: key material is never reused.  A cycle
+    index outside 64 bits is refused before it counts as used.  Each
+    source re-keys one Philox per cycle instead of building a new one.
     """
 
     def __init__(self, seed: int, cfg: KeyConfig):
@@ -80,56 +87,63 @@ class KeySource:
         self.seed = int(seed)
         self.cfg = cfg
         self._last_k = -1
+        self._bitgen = np.random.Philox(key=self.seed << 64)
 
     def stream(self, k: int) -> KeyStream:
+        _check_cycle(k)
         if k <= self._last_k:
             raise KeyReuseError(
                 f"cycle {k} requested after cycle {self._last_k}; key streams are single-use")
         self._last_k = k
-        return generate_key(self.seed, k, self.cfg)
+        return generate_key(self.seed, k, self.cfg, self._bitgen)
 
 
-def generate_key(seed: int, k: int, cfg: KeyConfig) -> KeyStream:
+def _check_cycle(k):
+    if not 0 <= k < 2 ** 64:
+        raise ConfigError("cycle index must fit in 64 bits")
+
+
+def generate_key(seed: int, k: int, cfg: KeyConfig, bitgen=None) -> KeyStream:
     """w_q uniform bits for cycle k, reproducible from (seed, k).
 
     Philox is counter-based, so keying it on the 128-bit value
     (seed << 64) | k gives independent streams per cycle with no
-    sequential state to keep in sync between the two parties.
+    sequential state to keep in sync between the two parties.  The
+    generator `bitgen` (a new one if None) is re-keyed with its counter
+    at zero and its buffer empty, so its words are those of a fresh
+    Philox(key=(seed << 64) | k).
     """
-    if k < 0 or k >= 2 ** 64:
-        raise ConfigError("cycle index must fit in 64 bits")
-    bitgen = np.random.Philox(key=(int(seed) << 64) | int(k))
-    nwords = -(-cfg.w_q // 64)
-    raw = bitgen.random_raw(nwords)
-    by = np.frombuffer(np.asarray(raw, dtype=">u8").tobytes(), dtype=np.uint8)
-    bits = np.unpackbits(by)[:cfg.w_q]
-    return KeyStream(k=int(k), bits=bits)
+    _check_cycle(k)
+    if bitgen is None:
+        bitgen = np.random.Philox(key=0)
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": (0, 0, 0, 0), "key": (int(k), int(seed))},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
+    return KeyStream(k=int(k), words=bitgen.random_raw(cfg.n_words).tolist())
 
 
-def beta_from_bits(group) -> int:
+def beta_from_bits(group: int, w_b: int) -> int:
     """Nonzero coefficient from one w_b-bit group b_{w_b-1}..b_0.
 
     beta = -(2^(w_b-1)+1) * b_{w_b-1} + sum_{j<w_b-1} 2^j b_j + 1, which
     covers [-2^(w_b-1), 2^(w_b-1)] and skips zero.
     """
-    group = np.asarray(group, dtype=np.int64).reshape(-1)
-    w_b = group.size
-    if w_b < 2:
-        raise KeyLengthError("beta group needs at least 2 bits")
-    low = 0
-    for bit in group[1:]:
-        low = (low << 1) | int(bit)
-    return low + 1 - (2 ** (w_b - 1) + 1) * int(group[0])
+    half = 1 << (w_b - 1)
+    return (group & (half - 1)) + 1 - (half + 1) * (group >> (w_b - 1))
 
 
 def betas(key: KeyStream, cfg: KeyConfig) -> BetaVector:
-    """Split the stream into d groups and map each to its beta."""
-    if key.bits.size != cfg.w_q:
+    """Split the stream's w_q bits into d groups and map each to its beta."""
+    w_q, w_b, words = cfg.w_q, cfg.w_b, key.words
+    if len(words) != cfg.n_words:
         raise KeyLengthError(
-            f"stream has {key.bits.size} bits, config requires {cfg.w_q}")
-    groups = key.bits.reshape(cfg.d, cfg.w_b).astype(np.int64)
-    msb = groups[:, 0]
-    weights = 2 ** np.arange(cfg.w_b - 2, -1, -1, dtype=np.int64)
-    low = groups[:, 1:] @ weights
-    beta = low + 1 - (2 ** (cfg.w_b - 1) + 1) * msb
+            f"stream has {len(words)} words, config requires {cfg.n_words}")
+    acc = 0
+    for word in words:
+        acc = acc << 64 | word
+    acc >>= 64 * len(words) - w_q
+    mask = (1 << w_b) - 1
+    beta = tuple([beta_from_bits(acc >> shift & mask, w_b)
+                  for shift in range(w_q - w_b, -1, -w_b)])
     return BetaVector(beta=beta, n=cfg.n, m=cfg.m)

@@ -36,15 +36,7 @@ from .paillier import (
     he_eval_pwa,
     keygen,
 )
-from .qe_cipher import (
-    con,
-    dec_aggregate,
-    dec_vector,
-    dequantize,
-    enc_offset,
-    enc_state,
-    quantize_stochastic,
-)
+from .qe_cipher import con, dec_aggregate, dequantize, enc_state, quantize_stochastic
 
 BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
 QE_BACKENDS = ("qe", "qe_quantized")
@@ -121,32 +113,49 @@ def predict_cost(n, m, L, p, b_K):
 
 
 class F64Field:
-    """QE ciphertext fields as IEEE-754 binary64 (the qe backend)."""
+    """QE ciphertext fields as IEEE-754 binary64 (the qe backend).
+
+    encode/decode take consecutive fields of the given sizes, which carry
+    no pad and so are one run; skip checks a field's framing unread."""
 
     bits = 64
 
-    def encode(self, values):
+    def encode(self, values, sizes):
         return wire.encode_f64_vec(values)
 
-    def decode(self, data, count, off=0):
-        return wire.decode_f64_vec(data, count, off)
+    def decode(self, data, sizes, off=0):
+        return wire.decode_f64_vec(data, sum(sizes), off)
+
+    def skip(self, data, count, off):
+        return wire.f64_end(data, count, off)
 
 
 class WordField:
     """QE ciphertext fields as w-bit codes, each value stochastically
-    rounded with this party's own quantizer rng (qe_quantized)."""
+    rounded with this party's own quantizer rng (qe_quantized); each
+    field is zero-padded to a byte boundary on its own."""
 
     def __init__(self, w, rng=None):
         self.bits = w
         self.rng = rng
 
-    def encode(self, values):
-        codes = quantize_stochastic(values, self.bits, self.rng)
-        return wire.pack_words(codes, self.bits)
+    def encode(self, values, sizes):
+        codes = quantize_stochastic(values.tolist(), self.bits, self.rng)
+        parts, start = [], 0
+        for size in sizes:
+            parts.append(wire.pack_words(codes[start:start + size], self.bits))
+            start += size
+        return b"".join(parts)
 
-    def decode(self, data, count, off=0):
-        codes, off = wire.unpack_words(data, count, self.bits, off)
+    def decode(self, data, sizes, off=0):
+        codes = []
+        for size in sizes:
+            part, off = wire.unpack_words(data, size, self.bits, off)
+            codes += part
         return dequantize(codes, self.bits), off
+
+    def skip(self, data, count, off):
+        return wire.words_end(data, count, self.bits, off)
 
 
 class Sensor:
@@ -168,7 +177,8 @@ class Sensor:
         self.controller = controller
         self.n = controller.n
         self.m = controller.m
-        self.offsets = [np.asarray(r.b, dtype=float) for r in controller.regions]
+        self.offsets = [np.asarray(r.b, dtype=float).ravel().tolist()
+                        for r in controller.regions]
         self.key_source = key_source
         self.field = field
         self.he_key = he_key
@@ -195,10 +205,9 @@ class Sensor:
             bits = 32 + self.n * 64
         elif self.backend in QE_BACKENDS:
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
-            ct_x = enc_state(x, bv)
-            ct_b = enc_offset(b_sig, bv)
+            ct = enc_state(x.tolist() + b_sig, bv.beta)
             counts["enc"] += self.n + self.m
-            body = head + self.field.encode(ct_x) + self.field.encode(ct_b)
+            body = head + self.field.encode(ct, (self.n, self.m))
             bits = 32 + (self.n + self.m) * self.field.bits
         else:
             key, L = self.he_key, self.he_key.bits
@@ -259,12 +268,12 @@ class Cloud:
             body = wire.encode_f64_vec(u)
             bits = m * 64
         elif self.backend in QE_BACKENDS:
-            ct_x, off = self.field.decode(msg.body, n, off)
-            wire.expect_end(msg.body, self.field.decode(msg.body, m, off)[1])
+            ct_x, off = self.field.decode(msg.body, (n,), off)
+            # the m offset ciphertexts: framing checked, forwarded as they are
+            wire.expect_end(msg.body, self.field.skip(msg.body, m, off))
             t_mat = con(self.gains[sigma], ct_x)
             counts["con"] += m * n
-            # the m offset ciphertexts, checked above, forwarded byte-identical
-            body = self.field.encode(t_mat.ravel()) + msg.body[off:]
+            body = self.field.encode(t_mat.ravel(), (m * n,)) + msg.body[off:]
             bits = (m * n + m) * self.field.bits
         else:
             cts = []
@@ -309,16 +318,12 @@ class Actuator:
             u, off = wire.decode_f64_vec(msg.body, m)
             wire.expect_end(msg.body, off)
         elif self.backend in QE_BACKENDS:
-            flat, off = self.field.decode(msg.body, m * n)
-            ct_b, off = self.field.decode(msg.body, m, off)
+            cts, off = self.field.decode(msg.body, (m * n, m))
             wire.expect_end(msg.body, off)
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
-            t_mat = flat.reshape(m, n)
-            v = dec_aggregate(t_mat, bv.state_part)
-            counts["dec"] += m * n
+            u = dec_aggregate(cts, bv)
+            counts["dec"] += m * n + m
             counts["sums"] += m * n
-            u = v + dec_vector(ct_b, bv.offset_part)
-            counts["dec"] += m
         else:
             off = 0
             u = np.empty(m)
@@ -329,7 +334,7 @@ class Actuator:
                 u[j] = fp_decode(z, self.codec, scale_power=2)
             wire.expect_end(msg.body, off)
 
-        return np.asarray(u, dtype=float), counts, time.perf_counter() - t0
+        return np.array(u, dtype=float), counts, time.perf_counter() - t0
 
 
 def run_cycle(x, sensor, cloud, actuator, cycle, log=None):

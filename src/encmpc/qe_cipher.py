@@ -9,6 +9,10 @@ linear combination through beta-weighted logarithms:
 exactly, in real arithmetic. A stochastic rounding quantizer with the
 domain fold g (values below 1 reflected by 2 - 1/v) turns ciphertexts
 into the w-bit integer codes of the quantized backend's wire format.
+
+exp, log and power are numpy ufuncs applied once per message: math's
+versions differ from them in the last bit on some arguments, and a
+ufunc's value for one element does not depend on the array's length.
 """
 from __future__ import annotations
 
@@ -37,50 +41,45 @@ class RangeError(ValueError):
     """Folded value not representable in the requested bit budget."""
 
 
-def enc_scalar(z: float, beta: int) -> float:
-    arg = z / beta
-    if not abs(arg) <= EXP_ARG_LIMIT:
-        raise MagnitudeError(f"|z/beta| = {abs(arg):.3g} exceeds {EXP_ARG_LIMIT}")
-    return float(np.exp(arg))
+def _positive_finite(values) -> bool:
+    # on Python floats: cheaper than numpy reductions over a few values
+    return all(0.0 < v < math.inf for v in values)
 
 
-def dec_scalar(ct: float, beta: int) -> float:
-    if not (ct > 0 and np.isfinite(ct)):
-        raise CiphertextError(f"ciphertext {ct!r} not a positive finite real")
-    return float(beta * np.log(ct))
+def enc_vector(values, beta) -> np.ndarray:
+    """exp(z_i / beta_i) for each component, in one np.exp.
 
-
-def enc_vector(values, betas_part) -> np.ndarray:
-    """Componentwise enc_scalar with per-component beta."""
-    values = np.asarray(values, dtype=float).reshape(-1)
-    betas_part = np.asarray(betas_part, dtype=float).reshape(-1)
-    if values.size != betas_part.size:
-        raise ValueError("value/beta length mismatch")
-    args = values / betas_part
-    bad = np.flatnonzero(~(np.abs(args) <= EXP_ARG_LIMIT))
-    if bad.size:
-        i = int(bad[0])
-        raise MagnitudeError(
-            f"component {i}: |z/beta| = {abs(args[i]):.3g} exceeds {EXP_ARG_LIMIT}")
+    The guard comes first: the first component with |z/beta| above
+    EXP_ARG_LIMIT raises MagnitudeError before any exp is taken.  The
+    sensor encrypts its state and the region offset in one call.
+    """
+    args = [z / b for z, b in zip(values, beta, strict=True)]
+    for i, arg in enumerate(args):
+        if not abs(arg) <= EXP_ARG_LIMIT:
+            raise MagnitudeError(
+                f"component {i}: |z/beta| = {abs(arg):.3g} exceeds {EXP_ARG_LIMIT}")
     return np.exp(args)
 
 
-def dec_vector(cts, betas_part) -> np.ndarray:
+# the sensor encrypts the state and the offset in one call, so both
+# names are this one function
+enc_state = enc_offset = enc_vector
+
+
+def dec_vector(cts, beta) -> np.ndarray:
+    """beta_i * ln(ct_i) for each component; inverts enc_vector."""
     cts = np.asarray(cts, dtype=float).reshape(-1)
-    betas_part = np.asarray(betas_part, dtype=float).reshape(-1)
-    if not np.all((cts > 0) & np.isfinite(cts)):
+    if not _positive_finite(cts.tolist()):
         raise CiphertextError("ciphertext vector has nonpositive or nonfinite entries")
-    return betas_part * np.log(cts)
+    return np.asarray(beta, dtype=float) * np.log(cts)
 
 
-def enc_state(x, bv: BetaVector) -> np.ndarray:
-    """Encrypt the n state components with the state part of the key."""
-    return enc_vector(x, bv.state_part)
+def enc_scalar(z: float, beta: int) -> float:
+    return float(enc_vector([z], [beta])[0])
 
 
-def enc_offset(b, bv: BetaVector) -> np.ndarray:
-    """Encrypt the m offset components with the offset part of the key."""
-    return enc_vector(b, bv.offset_part)
+def dec_scalar(ct: float, beta: int) -> float:
+    return float(dec_vector([ct], [beta])[0])
 
 
 def con(K, ct_vec) -> np.ndarray:
@@ -93,24 +92,31 @@ def con(K, ct_vec) -> np.ndarray:
     ct_vec = np.asarray(ct_vec, dtype=float).reshape(-1)
     if K.shape[1] != ct_vec.size:
         raise ValueError("gain/ciphertext dimension mismatch")
-    if not np.all((ct_vec > 0) & np.isfinite(ct_vec)):
+    if not _positive_finite(ct_vec.tolist()):
         raise CiphertextError("ciphertext vector has nonpositive or nonfinite entries")
     with np.errstate(over="ignore", under="ignore"):
-        T = ct_vec[None, :] ** K
-    if not np.all(np.isfinite(T) & (T > 0)):
+        T = ct_vec ** K
+    if not _positive_finite(T.ravel().tolist()):
         raise CiphertextError("power overflowed or underflowed the positive reals")
     return T
 
 
-def dec_aggregate(T, betas_part) -> np.ndarray:
-    """v_j = sum_i beta_i * ln(T[j,i]); recovers K x for T = con(K, enc(x))."""
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    betas_part = np.asarray(betas_part, dtype=float).reshape(-1)
-    if T.shape[1] != betas_part.size:
-        raise ValueError("matrix/beta dimension mismatch")
-    if not np.all((T > 0) & np.isfinite(T)):
-        raise CiphertextError("cipher matrix has nonpositive or nonfinite entries")
-    return np.log(T) @ betas_part
+def dec_aggregate(cts, bv: BetaVector) -> np.ndarray:
+    """The actuator's decryption, in one np.log: u = K x + b.
+
+    cts are the m*n + m ciphertexts the actuator receives, T = con(K,
+    enc(x)) row-major and then enc(b); u_j = sum_i beta_i ln T[j,i] +
+    beta_{n+j} ln enc(b)_j.
+    """
+    n, m = bv.n, bv.m
+    cts = np.asarray(cts, dtype=float).reshape(-1)
+    if cts.size != m * n + m:
+        raise ValueError(f"{cts.size} ciphertexts, expected {m * n + m}")
+    if not _positive_finite(cts.tolist()):
+        raise CiphertextError("received ciphertexts have nonpositive or nonfinite entries")
+    logs = np.log(cts)
+    beta = np.asarray(bv.beta, dtype=float)
+    return logs[:m * n].reshape(m, n) @ beta[:n] + beta[n:] * logs[m * n:]
 
 
 # domain fold and stochastic quantizer

@@ -38,15 +38,21 @@ def decode_u32(data, off=0):
 
 
 def encode_f64_vec(values):
-    arr = np.asarray(values, dtype=float).ravel()
-    return struct.pack(f"<{arr.size}d", *arr)
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
-def decode_f64_vec(data, count, off=0):
+def f64_end(data, count, off=0):
+    """End offset of `count` binary64 values at off, which must all be there."""
     end = off + 8 * count
     if len(data) < end:
         raise WireError("truncated f64 vector")
-    return np.array(struct.unpack_from(f"<{count}d", data, off)), end
+    return end
+
+
+def decode_f64_vec(data, count, off=0):
+    """(values, end): `count` binary64 values at off, a read-only view of data."""
+    end = f64_end(data, count, off)
+    return np.frombuffer(data, dtype="<f8", count=count, offset=off), end
 
 
 def pack_words(codes, w):
@@ -61,18 +67,25 @@ def pack_words(codes, w):
     return (acc << 8 * nbytes - total).to_bytes(nbytes, "big")
 
 
-def unpack_words(data, count, w, off=0):
-    """Read `count` w-bit codes written by pack_words; returns (codes, end)."""
+def words_end(data, count, w, off=0):
+    """End offset of a field of `count` w-bit codes at off, checking that
+    the field is all there and its pad bits are zero, without reading it."""
     total = count * w
     end = off + (total + 7) // 8
     if len(data) < end:
         raise WireError("truncated word field")
     pad = 8 * (end - off) - total
-    acc = int.from_bytes(data[off:end], "big")
-    if acc & ((1 << pad) - 1):
+    if pad and data[end - 1] & ((1 << pad) - 1):
         raise WireError(f"nonzero pad bits after {count} words of {w} bits")
+    return end
+
+
+def unpack_words(data, count, w, off=0):
+    """Read `count` w-bit codes written by pack_words; returns (codes, end)."""
+    end = words_end(data, count, w, off)
+    acc = int.from_bytes(data[off:end], "big") >> 8 * (end - off) - count * w
     mask = (1 << w) - 1
-    return [acc >> (pad + w * j) & mask for j in range(count - 1, -1, -1)], end
+    return [acc >> w * j & mask for j in range(count - 1, -1, -1)], end
 
 
 def encode_he_ct(value, key_bits):

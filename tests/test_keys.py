@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from encmpc.config import ConfigError
-from encmpc.keys import (BetaVector, KeyConfig, KeyLengthError, KeyReuseError,
-                         KeySource, KeyStream, beta_from_bits, betas,
-                         generate_key)
+from encmpc.keys import (KeyConfig, KeyLengthError, KeyReuseError, KeySource,
+                         KeyStream, beta_from_bits, betas, generate_key)
+
+
+def stream_bits(stream, cfg):
+    """The stream's w_q bits as a uint8 array, MSB-first."""
+    raw = np.array(stream.words, dtype=">u8")
+    return np.unpackbits(np.frombuffer(raw.tobytes(), dtype=np.uint8))[:cfg.w_q]
 
 
 def test_shared_randomness_contract():
@@ -15,28 +20,28 @@ def test_shared_randomness_contract():
     for k in (0, 1, 7):
         sa = a.stream(k)
         sb = b.stream(k)
-        assert np.array_equal(sa.bits, sb.bits)
-        assert sa.bits.size == cfg.w_q == 48
+        assert sa.words == sb.words
+        assert stream_bits(sa, cfg).size == cfg.w_q == 48
 
 
 def test_distinct_cycles_differ():
     cfg = KeyConfig(n=3, m=2, w_b=16)  # w_q = 80 >= 64
     s0 = generate_key(5, 0, cfg)
     s1 = generate_key(5, 1, cfg)
-    assert not np.array_equal(s0.bits, s1.bits)
+    assert not np.array_equal(stream_bits(s0, cfg), stream_bits(s1, cfg))
 
 
 def test_distinct_seeds_differ():
     cfg = KeyConfig(n=2, m=2, w_b=16)
-    assert not np.array_equal(generate_key(1, 0, cfg).bits,
-                              generate_key(2, 0, cfg).bits)
+    assert not np.array_equal(stream_bits(generate_key(1, 0, cfg), cfg),
+                              stream_bits(generate_key(2, 0, cfg), cfg))
 
 
 def test_bit_mean_near_half():
     cfg = KeyConfig(n=5, m=5, w_b=50)  # 500 bits per cycle
     total = []
     for k in range(200):
-        total.append(generate_key(123, k, cfg).bits)
+        total.append(stream_bits(generate_key(123, k, cfg), cfg))
     mean = np.concatenate(total).mean()
     assert 0.49 <= mean <= 0.51
 
@@ -53,15 +58,16 @@ def test_key_reuse_rejected():
 
 
 def test_beta_from_bits_examples():
-    assert beta_from_bits([0, 0, 0, 0]) == 1
-    assert beta_from_bits([0] * 16) == 1
-    assert beta_from_bits([1, 0, 0, 0]) == -(8 + 1) + 0 + 1  # -8
-    assert beta_from_bits([0, 1, 1, 1]) == 7 + 1              # 8
+    assert beta_from_bits(0b0000, 4) == 1
+    assert beta_from_bits(0, 16) == 1
+    assert beta_from_bits(0b1000, 4) == -(8 + 1) + 0 + 1  # -8
+    assert beta_from_bits(0b0111, 4) == 7 + 1              # 8
 
 
 def test_betas_grouping():
     cfg = KeyConfig(n=1, m=1, w_b=4)
-    stream = KeyStream(k=0, bits=np.array([0, 0, 0, 0, 0, 1, 1, 1], dtype=np.uint8))
+    # the stream's first 8 bits are 0000 0111; the rest of the word is unused
+    stream = KeyStream(k=0, words=[0b00000111 << 56 | 0xFFFF])
     bv = betas(stream, cfg)
     assert list(bv.beta) == [1, 8]
     assert list(bv.state_part) == [1]
@@ -70,21 +76,20 @@ def test_betas_grouping():
 
 def test_betas_all_zero_bits():
     cfg = KeyConfig(n=2, m=2, w_b=6)
-    bv = betas(KeyStream(k=0, bits=np.zeros(24, dtype=np.uint8)), cfg)
+    bv = betas(KeyStream(k=0, words=[0]), cfg)
     assert list(bv.beta) == [1, 1, 1, 1]
 
 
 def test_betas_length_mismatch():
     cfg = KeyConfig(n=2, m=1, w_b=8)
     with pytest.raises(KeyLengthError):
-        betas(KeyStream(k=0, bits=np.zeros(10, dtype=np.uint8)), cfg)
+        betas(KeyStream(k=0, words=[0, 0]), cfg)
 
 
 def test_beta_image_exhaustive_w3():
     image = set()
     for pattern in range(8):
-        bits = [(pattern >> (2 - i)) & 1 for i in range(3)]
-        image.add(beta_from_bits(bits))
+        image.add(beta_from_bits(pattern, 3))
     assert image == {-4, -3, -2, -1, 1, 2, 3, 4}
 
 
@@ -92,20 +97,87 @@ def test_beta_image_exhaustive_w3():
 def test_beta_nonzero_range_bruteforce(w_b):
     lo, hi = -(2 ** (w_b - 1)), 2 ** (w_b - 1)
     for pattern in range(2 ** w_b):
-        bits = [(pattern >> (w_b - 1 - i)) & 1 for i in range(w_b)]
-        beta = beta_from_bits(bits)
+        beta = beta_from_bits(pattern, w_b)
         assert beta != 0
         assert lo <= beta <= hi
 
 
+def reference_betas(seed, k, cfg):
+    """Betas the way they were first derived: a fresh Philox keyed on
+    (seed << 64) | k, its words unpacked to bits, cut into d groups of
+    w_b bits and mapped by a matrix product.  Also returns the words."""
+    words = np.random.Philox(key=(seed << 64) | k).random_raw(cfg.n_words)
+    bits = np.unpackbits(np.frombuffer(words.astype(">u8").tobytes(),
+                                       dtype=np.uint8))[:cfg.w_q]
+    groups = bits.reshape(cfg.d, cfg.w_b).astype(np.int64)
+    weights = 2 ** np.arange(cfg.w_b - 2, -1, -1, dtype=np.int64)
+    beta = groups[:, 1:] @ weights + 1 - (2 ** (cfg.w_b - 1) + 1) * groups[:, 0]
+    patterns = [int("".join(map(str, g)), 2) for g in groups]
+    return words.tolist(), beta.tolist(), patterns
+
+
 def test_betas_matches_scalar_path():
-    """Vectorized betas agrees with the scalar beta_from_bits on every group."""
+    """betas agrees with beta_from_bits on every group of the stream."""
     cfg = KeyConfig(n=3, m=2, w_b=11)
-    stream = generate_key(77, 4, cfg)
-    bv = betas(stream, cfg)
-    groups = stream.bits.reshape(cfg.d, cfg.w_b)
+    bv = betas(generate_key(77, 4, cfg), cfg)
+    _, _, patterns = reference_betas(77, 4, cfg)
     for i in range(cfg.d):
-        assert bv.beta[i] == beta_from_bits(groups[i])
+        assert bv.beta[i] == beta_from_bits(patterns[i], cfg.w_b)
+
+
+# 1, 3, 5 and 10 words: the longer ones cross Philox's 4-word block
+WORD_CONFIGS = [KeyConfig(n=2, m=1, w_b=16), KeyConfig(n=4, m=2, w_b=32),
+                KeyConfig(n=5, m=3, w_b=40), KeyConfig(n=10, m=5, w_b=40)]
+EDGE_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1]
+EDGE_CYCLES = [0, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("cfg", WORD_CONFIGS, ids=lambda c: f"{c.n_words}words")
+def test_rekeyed_generator_matches_fresh_philox(cfg):
+    """One generator re-keyed per cycle, left mid-buffer by other draws
+    between cycles, gives the words and betas of a fresh Philox keyed on
+    (seed << 64) | k, and every beta is beta_from_bits of its group."""
+    rng = np.random.default_rng(2024)
+    seeds = EDGE_SEEDS + [int(s) for s in rng.integers(0, 2 ** 64, 4, dtype=np.uint64)]
+    cycles = EDGE_CYCLES + [int(k) for k in rng.integers(0, 2 ** 64, 4, dtype=np.uint64)]
+    bitgen = np.random.Philox(key=0)
+    dirty = np.random.Generator(bitgen)
+    for seed in seeds:
+        for k in cycles:
+            stream = generate_key(seed, k, cfg, bitgen)
+            words, beta, patterns = reference_betas(seed, k, cfg)
+            assert stream.words == words and len(words) == cfg.n_words
+            bv = betas(stream, cfg)
+            assert list(bv.beta) == beta
+            assert list(bv.beta) == [beta_from_bits(p, cfg.w_b) for p in patterns]
+            assert generate_key(seed, k, cfg).words == words
+            dirty.integers(0, 2 ** 32, size=int(rng.integers(1, 4)), dtype=np.uint32)
+
+
+def test_key_source_words_match_fresh_philox():
+    """A KeySource's streams over increasing cycles are those of a fresh
+    Philox per cycle, at every seed."""
+    cfg = KeyConfig(n=5, m=3, w_b=40)
+    for seed in EDGE_SEEDS:
+        src = KeySource(seed, cfg)
+        for k in sorted(EDGE_CYCLES + [5, 6, 2 ** 40]):
+            assert src.stream(k).words == reference_betas(seed, k, cfg)[0]
+
+
+def test_bad_cycle_index_burns_nothing():
+    """An out-of-range cycle index raises ConfigError and uses no key."""
+    cfg = KeyConfig(n=1, m=1, w_b=8)
+    src = KeySource(seed=0, cfg=cfg)
+    with pytest.raises(ConfigError):
+        src.stream(-1)
+    with pytest.raises(ConfigError):
+        src.stream(2 ** 64)
+    assert src.stream(5).words == generate_key(0, 5, cfg).words
+    with pytest.raises(ConfigError):
+        src.stream(2 ** 64)
+    src.stream(6)
+    with pytest.raises(KeyReuseError):
+        src.stream(6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -113,8 +185,7 @@ def test_betas_matches_scalar_path():
        k=st.integers(min_value=0, max_value=2 ** 32))
 def test_generate_key_pure(seed, k):
     cfg = KeyConfig(n=2, m=1, w_b=8)
-    assert np.array_equal(generate_key(seed, k, cfg).bits,
-                          generate_key(seed, k, cfg).bits)
+    assert generate_key(seed, k, cfg).words == generate_key(seed, k, cfg).words
 
 
 def test_config_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from encmpc import wire
-from encmpc.keys import KeyConfig, betas, generate_key
+from encmpc.keys import BetaVector, KeyConfig, betas, generate_key
 from encmpc.qe_cipher import (CiphertextError, DomainError, MagnitudeError,
                               RangeError, con, dec_aggregate, dec_scalar,
                               dec_vector, dequantize, enc_offset, enc_scalar,
@@ -52,10 +52,18 @@ def test_enc_state_offset_split():
     bv = betas(generate_key(3, 0, cfg), cfg)
     x = np.array([0.4, -1.2])
     b = np.array([0.7])
-    ct_x = enc_state(x, bv)
-    ct_b = enc_offset(b, bv)
+    ct_x = enc_state(x, bv.state_part)
+    ct_b = enc_offset(b, bv.offset_part)
     assert dec_vector(ct_x, bv.state_part) == pytest.approx(x, abs=1e-12)
     assert dec_vector(ct_b, bv.offset_part) == pytest.approx(b, abs=1e-12)
+    # the sensor's one call over (x, b) gives the same bytes
+    both = enc_state([0.4, -1.2, 0.7], bv.beta)
+    assert both.tobytes() == ct_x.tobytes() + ct_b.tobytes()
+
+
+def received(T, ct_b):
+    """The actuator's view: T row-major, then the offset ciphertexts."""
+    return np.concatenate([np.ravel(T), ct_b])
 
 
 def test_con_basic():
@@ -75,15 +83,30 @@ def test_con_rejects_bad_inputs():
 
 def test_dec_aggregate_hand_chain():
     # x=3, beta=5, K=2: enc -> e^{0.6}; con -> e^{1.2}; aggregate -> 6 = Kx
+    # and b=0.5 under beta=-3 adds 0.5
     ct = enc_vector([3.0], [5])
     T = con([[2.0]], ct)
-    v = dec_aggregate(T, [5])
-    assert v == pytest.approx([6.0], abs=1e-12)
+    u = dec_aggregate(received(T, enc_vector([0.5], [-3])),
+                      BetaVector(beta=(5, -3), n=1, m=1))
+    assert u == pytest.approx([6.5], abs=1e-12)
 
 
 def test_dec_aggregate_zero_gain():
     T = con(np.zeros((2, 3)), [1.5, 0.3, 9.0])
-    assert dec_aggregate(T, [4, -7, 2]) == pytest.approx(np.zeros(2), abs=0)
+    bv = BetaVector(beta=(4, -7, 2, 5, -6), n=3, m=2)
+    assert dec_aggregate(received(T, [1.0, 1.0]), bv) == pytest.approx(
+        np.zeros(2), abs=0)
+
+
+def test_dec_aggregate_rejects_bad_ciphertexts():
+    bv = BetaVector(beta=(4, -7, 2), n=2, m=1)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(CiphertextError):
+            dec_aggregate([1.0, 2.0, bad], bv)
+        with pytest.raises(CiphertextError):
+            dec_aggregate([bad, 2.0, 1.0], bv)
+    with pytest.raises(ValueError):
+        dec_aggregate([1.0, 2.0], bv)
 
 
 def test_exact_recovery_chain_random():
@@ -95,8 +118,8 @@ def test_exact_recovery_chain_random():
         bv = betas(generate_key(21, trial, cfg), cfg)
         x = rng.uniform(-5, 5, size=3)
         K = rng.uniform(-3, 3, size=(2, 3))
-        T = con(K, enc_state(x, bv))
-        v = dec_aggregate(T, bv.state_part)
+        T = con(K, enc_state(x, bv.state_part))
+        v = dec_aggregate(received(T, enc_offset([0.0, 0.0], bv.offset_part)), bv)
         worst = max(worst, np.abs(v - K @ x).max())
     assert worst <= 1e-9
 
@@ -109,8 +132,8 @@ def test_exact_recovery_with_offset():
         x = rng.uniform(-4, 4, size=4)
         b = rng.uniform(-2, 2, size=2)
         K = rng.uniform(-2, 2, size=(2, 4))
-        v = dec_aggregate(con(K, enc_state(x, bv)), bv.state_part)
-        u = v + dec_vector(enc_offset(b, bv), bv.offset_part)
+        u = dec_aggregate(received(con(K, enc_state(x, bv.state_part)),
+                                   enc_offset(b, bv.offset_part)), bv)
         assert u == pytest.approx(K @ x + b, abs=1e-9)
 
 
@@ -131,7 +154,8 @@ def test_wrong_key_garbles():
         x = rng.uniform(-5, 5, size=3)
         K = rng.uniform(-3, 3, size=(1, 3))
         ref = K @ x
-        v_bad = dec_aggregate(con(K, enc_state(x, bv)), wrong.state_part)
+        v_bad = dec_aggregate(received(con(K, enc_state(x, bv.state_part)),
+                                       enc_offset([0.0], bv.offset_part)), wrong)
         rel[trial] = np.linalg.norm(v_bad - ref) / max(np.linalg.norm(ref), 1e-9)
     assert np.median(rel) > 0.5
     assert np.mean(rel < 0.1) <= 0.10
