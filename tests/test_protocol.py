@@ -433,17 +433,14 @@ def test_quantized_wire_stream_pinned(bench_controller):
         "498cb8566f6d090d22c4d93d917cfb7a4f3037d6063f0bc05bfbfa670164ce3b")
 
 
-def test_qe_wire_stream_pinned(bench_controller):
-    """One set of qe parties over a seeded state stream, some of it
-    outside the partition.  The bodies, inputs and fault steps match
-    those recorded before the cycle's key derivation and cipher were
-    rewritten, so a fault burns no key and every ciphertext keeps its
-    bytes."""
-    parties = make_parties(bench_controller, "qe", RunConfig())
+def wire_stream_digest(parties, count):
+    """Run one set of parties over `count` seeded states, some of them
+    outside the partition; return (faults, messages sent, SHA-256 of the
+    faults, the inputs and every body on both links)."""
     log = EavesdropLog()
     rng = np.random.default_rng(12)
     faults, inputs = [], []
-    for k in range(400):
+    for k in range(count):
         sent = len(log.entries)
         try:
             u, _ = run_cycle(rng.uniform([-6.0, -3.0], [6.0, 3.0]), *parties,
@@ -454,9 +451,41 @@ def test_qe_wire_stream_pinned(bench_controller):
     digest = hashlib.sha256(repr(faults).encode())
     for data in inputs + [msg.body for msg in log.entries]:
         digest.update(data)
-    assert len(faults) == 81 and len(log.entries) == 2 * 319
-    assert digest.hexdigest() == (
+    return faults, len(log.entries), digest.hexdigest()
+
+
+def test_qe_wire_stream_pinned(bench_controller):
+    """One set of qe parties over a seeded state stream, some of it
+    outside the partition.  The bodies, inputs and fault steps match
+    those recorded before the cycle's key derivation and cipher were
+    rewritten, so a fault burns no key and every ciphertext keeps its
+    bytes."""
+    parties = make_parties(bench_controller, "qe", RunConfig())
+    faults, sent, digest = wire_stream_digest(parties, 400)
+    assert len(faults) == 81 and sent == 2 * 319
+    assert digest == (
         "f635d623e1eabe64caf427069c3a16275676bfcf33cef9ff8a9d23c6e2354b19")
+
+
+def test_paillier_wire_stream_pinned(bench_controller, kp256):
+    """One set of Paillier parties over the qe pin's 400 seeded states:
+    region 0 and four others with two negative gains, the saturated
+    zero-gain regions, and 81 states outside the partition.  The first
+    30 of those states follow at the benchmark's L = 1024.  The bodies, inputs and
+    fault steps match those recorded before the randomizer and the
+    cloud's inverses were rewritten, so every ciphertext keeps its bytes."""
+    parties = make_parties(bench_controller, "paillier",
+                           RunConfig(key_bits=256), keypair=kp256)
+    faults, sent, digest = wire_stream_digest(parties, 400)
+    assert len(faults) == 81 and sent == 2 * 319
+    assert digest == (
+        "c5cce856add057e0727272d0d9f9dbba9a56cd7f6ee1c2fdff5694b762531731")
+    parties = make_parties(bench_controller, "paillier",
+                           RunConfig(key_bits=1024))
+    faults, sent, digest = wire_stream_digest(parties, 30)
+    assert len(faults) == 7 and sent == 2 * 23
+    assert digest == (
+        "3d358658aa3ced7c2b3906398bc14cf63c5bdd926021c51f0949e22565f8c0eb")
 
 
 def test_eavesdrop_log_and_leak_audit(bench_controller):
