@@ -8,9 +8,10 @@ control law u = Kx + b needs.
 The keypair keeps the factors p, q and computes both trapdoor
 exponentiations by the Chinese remainder theorem modulo p^2 and q^2
 (Paillier, EUROCRYPT 1999, section 7): decryption, and the randomizer
-r^n mod n^2 when the encrypting party holds the keypair.  Both give the
-same integers as the textbook formulas, so ciphertexts are the same
-bytes whichever key encrypts them.
+r^n mod n^2 when the encrypting party holds the keypair, there as the
+p-th power of a residue mod p.  Both give the same integers as the
+textbook formulas, so ciphertexts are the same bytes whichever key
+encrypts them.
 
 Real numbers enter through a fixed-point codec on the grid rho^{-delta}.
 States and gains are encoded at scale delta; offsets are pre-scaled to
@@ -49,21 +50,23 @@ class _CrtHalf:
     f: int
     f_sq: int
     h: int  # L_f((n+1)^(f-1) mod f^2)^(-1) mod f, L_f(u) = (u-1)/f
-    enc_exp: int  # n mod f(f-1); f(f-1) is the order of Z_{f^2}^*
+    g_exp: int  # g mod (f-1) for the other prime g of n = f g
 
     @classmethod
-    def of(cls, f, n):
+    def of(cls, f, g):
         f_sq = f * f
-        h = pow((pow(n + 1, f - 1, f_sq) - 1) // f, -1, f)
-        return cls(f, f_sq, h, n % (f * (f - 1)))
+        h = pow((pow(f * g + 1, f - 1, f_sq) - 1) // f, -1, f)
+        return cls(f, f_sq, h, g % (f - 1))
 
     def dec(self, c):
         """m mod f = L_f(c^(f-1) mod f^2) h_f mod f."""
         return (pow(c, self.f - 1, self.f_sq) - 1) // self.f * self.h % self.f
 
     def pow_n(self, r):
-        """r^n mod f^2, with n reduced modulo the group order."""
-        return pow(r, self.enc_exp, self.f_sq)
+        """r^n mod f^2 = (r^g)^f mod f^2, lifted from r^g mod f: y^f mod
+        f^2 depends on y mod f only, and r^g = r^(g mod (f-1)) mod f by
+        Fermat (both 0 when f divides r, as g mod (f-1) > 0)."""
+        return pow(pow(r, self.g_exp, self.f), self.f, self.f_sq)
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,15 @@ class PaillierKeypair:
 
     def __post_init__(self):
         p, q, n = self.p, self.q, self.public.n
-        if p < 2 or q < 2 or p == q or p * q != n:
-            raise ValueError("p and q must be distinct factors with p*q = n")
+        if (p < 2 or q < 2 or p == q or p * q != n
+                or math.gcd(n, (p - 1) * (q - 1)) != 1):
+            raise ValueError("p and q must be distinct factors with p*q = n"
+                             " and gcd(n, (p-1)(q-1)) = 1")
         if self.public.n_sq != n * n:
             raise ValueError("public key n_sq is not n^2")
         set_ = object.__setattr__
-        set_(self, "_hp", _CrtHalf.of(p, n))
-        set_(self, "_hq", _CrtHalf.of(q, n))
+        set_(self, "_hp", _CrtHalf.of(p, q))
+        set_(self, "_hq", _CrtHalf.of(q, p))
         set_(self, "_q_inv_p", pow(q, -1, p))
         set_(self, "_q_sq_inv_p_sq", pow(q * q, -1, p * p))
 
@@ -306,8 +311,11 @@ def he_eval_pwa(sigma, enc_x, K_hat, enc_b, pk, counters=None):
 
     Takes only the public key, so decryption is impossible here by
     construction.  enc_x must be at scale delta and enc_b at scale
-    2*delta; the result is at scale 2*delta.  If a counters dict is
-    given, he_mul and he_add are incremented once per primitive call.
+    2*delta; the result is at scale 2*delta.  The powers for negative
+    gains are taken to |a| and multiplied apart, and their product is
+    inverted once per row: the same residue mod n^2 as one inverse per
+    negative gain.  If a counters dict is given, he_mul and he_add are
+    incremented once per gain term.
     """
     if sigma < 0:
         raise ValueError("region index must be nonnegative")
@@ -317,11 +325,17 @@ def he_eval_pwa(sigma, enc_x, K_hat, enc_b, pk, counters=None):
     for j, row in enumerate(K_hat):
         if len(row) != len(enc_x):
             raise ValueError("gain columns and state length disagree")
-        acc = enc_b[j]
+        acc, neg = enc_b[j], None
         for a, ct in zip(row, enc_x):
-            acc = he_add(acc, he_scalar_mul(a, ct, pk), pk)
-            if counters is not None:
-                counters["he_mul"] += 1
-                counters["he_add"] += 1
+            term = he_scalar_mul(abs(a), ct, pk)
+            if a >= 0:
+                acc = he_add(acc, term, pk)
+            else:
+                neg = term if neg is None else he_add(neg, term, pk)
+        if neg is not None:
+            acc = he_add(acc, he_scalar_mul(-1, neg, pk), pk)
+        if counters is not None:
+            counters["he_mul"] += len(row)
+            counters["he_add"] += len(row)
         out.append(acc)
     return out

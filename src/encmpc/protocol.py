@@ -45,7 +45,7 @@ COUNT_KEYS = ("enc", "con", "dec", "sums", "he_enc", "he_dec", "he_add", "he_mul
 
 
 def _zero_counts():
-    return {k: 0 for k in COUNT_KEYS}
+    return dict.fromkeys(COUNT_KEYS, 0)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class Sensor:
     actuator's and a ciphertext field codec, for Paillier a key and the
     fixed-point codec.  The Paillier key may be the public key or, on the
     plant side, the keypair, which computes the encryption randomizer by
-    CRT (same ciphertexts).
+    CRT (same ciphertexts).  `sigma` is the region the last step located.
     """
 
     def __init__(self, controller, backend, key_source=None, field=None,
@@ -184,6 +184,7 @@ class Sensor:
         self.he_key = he_key
         self.codec = codec
         self.he_rng = he_rng
+        self.sigma = None
         if backend in QE_BACKENDS and (key_source is None or field is None):
             raise ValueError(f"{backend} sensor needs a key source and a field")
         if backend == "paillier" and (he_key is None or codec is None
@@ -197,6 +198,7 @@ class Sensor:
         sigma = self.controller.locate(x)
         if sigma < 0:
             raise self.controller.not_covered(x)
+        self.sigma = sigma
         b_sig = self.offsets[sigma]
         head = wire.encode_u32(sigma)
 
@@ -347,15 +349,10 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
         log.record(msg2)
     u, c3, w3 = actuator.step(msg2, cycle)
 
-    counts = _zero_counts()
-    for part in (c1, c2, c3):
-        for k, v in part.items():
-            counts[k] += v
-    sigma, _ = wire.decode_u32(msg1.body)
     metrics = CycleMetrics(
         backend=sensor.backend,
-        sigma=int(sigma),
-        counts=counts,
+        sigma=sensor.sigma,
+        counts={k: c1[k] + c2[k] + c3[k] for k in COUNT_KEYS},
         payload_bits={
             "s_to_c": msg1.payload_bits,
             "c_to_a": msg2.payload_bits,

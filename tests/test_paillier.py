@@ -1,6 +1,8 @@
 """Paillier primitives, fixed-point codec, and encrypted affine evaluation."""
 
+import functools
 import inspect
+import itertools
 import math
 import random
 
@@ -15,6 +17,7 @@ from encmpc.paillier import (
     PaillierKeypair,
     PaillierPublicKey,
     PlaintextRange,
+    VALID_KEY_BITS,
     encode_gain,
     fp_decode,
     fp_encode,
@@ -34,10 +37,15 @@ def kp256():
     return keygen(256, random.Random(7))
 
 
+@functools.cache
+def seeded_keypair(bits):
+    return keygen(bits, random.Random(bits))
+
+
 @pytest.fixture(scope="module", params=[256, 1024])
 def kp_sized(request):
     """Keypairs at a fast-test size and at the benchmark's size."""
-    return keygen(request.param, random.Random(request.param))
+    return seeded_keypair(request.param)
 
 
 def lambda_dec(ct, kp):
@@ -133,6 +141,31 @@ def test_keypair_encryption_is_byte_identical(kp_sized):
         assert wire.encode_he_ct(a.value, L) == wire.encode_he_ct(b.value, L)
         assert a == b
     assert by_pk.getstate() == by_kp.getstate()
+
+
+@pytest.mark.parametrize("bits", VALID_KEY_BITS)
+def test_pow_n_lift_is_textbook_power(bits):
+    """The keypair's r^n mod n^2, lifted from r^q mod p and r^p mod q, is
+    the textbook power for units, multiples of p or q, and 0."""
+    kp = seeded_keypair(bits)
+    n, p, q = kp.n, kp.p, kp.q
+    rng = random.Random(bits + 1)
+    rs = [0, 1, 2, n - 1, p, 2 * p, (q - 1) * p, q, 3 * q, (p - 1) * q]
+    rs += [rng.randrange(1, n) for _ in range(4)]
+    for r in rs:
+        assert kp.pow_n(r) == pow(r, n, kp.n_sq), r
+
+
+def test_pow_n_lift_hand_keypair():
+    """n = 35: 2^35 mod 1225 = 18, from (2^7 mod 5)^5 mod 25 = 18 and
+    (2^5 mod 7)^7 mod 49 = 18."""
+    kp = PaillierKeypair(PaillierPublicKey(35, 1225, 6), 5, 7)
+    assert kp.pow_n(2) == 18
+    assert [kp.pow_n(r) for r in range(35)] == [pow(r, 35, 1225) for r in range(35)]
+    # the lift needs gcd(n, (p-1)(q-1)) = 1: at n = 6, 2 mod (3-1) = 0
+    for n, p, q in [(6, 3, 2), (21, 3, 7)]:
+        with pytest.raises(ValueError):
+            PaillierKeypair(PaillierPublicKey(n, n * n, n.bit_length()), p, q)
 
 
 def test_keypair_rejects_inconsistent_factors(kp256):
@@ -257,6 +290,51 @@ def test_he_eval_pwa_error_budget(kp256):
         u = np.array([fp_decode(he_dec(c, kp256), codec, scale_power=2) for c in out])
         budget = (n_dim * 2.0**4 * np.abs(K).max() + 2) * 2.0**-10
         assert np.abs(u - (K @ x + b)).max() <= budget
+
+
+def per_term_eval(enc_x, K_hat, enc_b, pk):
+    """Reference law: u~_j = b~_j prod_i x~_i^a, one inverse per negative a."""
+    out = []
+    for row, b in zip(K_hat, enc_b):
+        acc = b.value
+        for a, ct in zip(row, enc_x):
+            acc = acc * pow(ct.value, a, pk.n_sq) % pk.n_sq
+        out.append(acc)
+    return out
+
+
+def test_he_eval_pwa_matches_per_term_inverses(kp256):
+    """Rows of positive, negative, mixed-sign and zero gains give the
+    per-term reference's ciphertext integers at every (n, m) up to (6, 6),
+    and the counters stay at m n."""
+    rng = random.Random(23)
+    pk = kp256.public
+    kinds = [(1, 4096), (-4096, -1), (-4096, 4096), (0, 0)]
+    for n_dim, m_dim in itertools.product(range(1, 7), range(1, 7)):
+        enc_x = [he_enc(rng.randrange(pk.n), pk, rng) for _ in range(n_dim)]
+        enc_b = [he_enc(rng.randrange(pk.n), pk, rng) for _ in range(m_dim)]
+        K_hat = [[rng.randint(*kinds[(j + n_dim) % 4]) for _ in range(n_dim)]
+                 for j in range(m_dim)]
+        counters = {"he_mul": 0, "he_add": 0}
+        out = he_eval_pwa(0, enc_x, K_hat, enc_b, pk, counters=counters)
+        assert [c.value for c in out] == per_term_eval(enc_x, K_hat, enc_b, pk)
+        assert all(c.n_sq == pk.n_sq for c in out)
+        assert counters == {"he_mul": m_dim * n_dim, "he_add": m_dim * n_dim}
+
+
+def test_he_eval_pwa_refuses_non_unit_under_negative_gain(kp256):
+    """A ciphertext sharing a factor with n has no inverse: a negative
+    gain on it raises, as one inverse per negative gain did; a positive
+    gain does not."""
+    rng = random.Random(24)
+    pk = kp256.public
+    bad = HeCiphertext(kp256.p, pk.n_sq)
+    enc_x = [he_enc(5, pk, rng), bad]
+    enc_b = [he_enc(0, pk, rng)]
+    with pytest.raises(ValueError):
+        he_eval_pwa(0, enc_x, [[3, -2]], enc_b, pk)
+    out = he_eval_pwa(0, enc_x, [[-3, 2]], enc_b, pk)
+    assert [c.value for c in out] == per_term_eval(enc_x, [[-3, 2]], enc_b, pk)
 
 
 def test_eval_rejects_shape_mismatch(kp256):
