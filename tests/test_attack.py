@@ -1,5 +1,6 @@
 """Least-squares adversary: fit, rollout, score, and the ordering table."""
 
+import hashlib
 import math
 import random
 
@@ -199,6 +200,24 @@ def test_observation_shapes_and_feature_domains(observations):
     base = observations["plaintext"][2]
     assert np.allclose(observations["qe"][2], base, atol=1e-9)
     assert np.allclose(observations["paillier"][2], base, atol=1e-2)
+
+
+FEATURE_DIGESTS = {
+    "plaintext": "933a030fae6f2e0c5c3cdcf5ded9216c77eb5191227cb9ae9deb2388907c1a7f",
+    "qe": "f1268d2911b638c23993172dc0b9f11ec63d7ddfe4582289d1a015227287868b",
+    "qe_quantized": "ec056ffda5172658ad6232fabe0ba52be4516a22c89d05cf4b1abb4f2645a45f",
+    "paillier": "5a11120d53867210190d9f9af1377c33b62fab88d21d1b32edb8a06b76ec9a3d",
+}
+
+
+def test_observed_features_pinned(observations):
+    """SHA-256 of each backend's binary64 feature array: the adversary's
+    reading of the sensor link stays bit for bit what it was."""
+    for backend in BACKENDS:
+        feats = np.ascontiguousarray(observations[backend][0], dtype="<f8")
+        assert feats.shape == (attack_scenario().T, 2)
+        digest = hashlib.sha256(feats.tobytes()).hexdigest()
+        assert digest == FEATURE_DIGESTS[backend], backend
 
 
 def test_noise_free_single_trial_ratios(observations):

@@ -467,6 +467,17 @@ def test_qe_wire_stream_pinned(bench_controller):
         "f635d623e1eabe64caf427069c3a16275676bfcf33cef9ff8a9d23c6e2354b19")
 
 
+def test_plaintext_wire_stream_pinned(bench_controller):
+    """The qe pin's 400 seeded states through plaintext parties: the
+    state and input travel as binary64, so the bodies pin the reference
+    pipeline's layout and its inputs bit for bit."""
+    parties = make_parties(bench_controller, "plaintext", RunConfig())
+    faults, sent, digest = wire_stream_digest(parties, 400)
+    assert len(faults) == 81 and sent == 2 * 319
+    assert digest == (
+        "14b1383ccbd7b4246d5c18b6c8f20f11c6588cedae0ac379589baa7535a4a267")
+
+
 def test_paillier_wire_stream_pinned(bench_controller, kp256):
     """One set of Paillier parties over the qe pin's 400 seeded states:
     region 0 and four others with two negative gains, the saturated
