@@ -1,9 +1,11 @@
 """Least-squares identification adversary against the wire traffic.
 
-The eavesdropper sees every sensor-link message, maps each one to an
-n-vector of regression features (plaintext: the state itself; QE: the
-positive real ciphertexts; quantized QE: the dequantized words; Paillier:
-log2 of the ciphertext residues), fits a one-step linear predictor by
+The eavesdropper sees every sensor-link message and reads its first n
+fields through the link's own field codec (protocol.wire_field), so its
+view is the protocol's decode of the wire.  Those fields are the
+regression features (plaintext: the state itself; QE: the positive real
+ciphertexts; quantized QE: the dequantized words), except that Paillier's
+residues become their log2.  It fits a one-step linear predictor by
 ridge-regularized least squares, and rolls it out from the true initial
 state with the true input sequence.  Confidentiality is measured as the
 average relative error of that rollout against the true trajectory, so
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import wire
 from .config import ConfigError
 from .mpqp import fmt_17g
-from .qe_cipher import dequantize
+from .protocol import EavesdropLog, wire_field
+from .simulation import run_closed_loop
 
 NOISE_KINDS = ("none", "gaussian", "uniform", "impulse")
 
@@ -139,26 +141,16 @@ def confidentiality_score(truth, predicted):
                        counted=len(terms), skipped=skipped)
 
 
-def observe_features(log, backend, n, w=None):
-    """Adversary's per-cycle feature vectors from the sensor link."""
+def observe_features(log, backend, field, n):
+    """Adversary's per-cycle feature vectors from the sensor link: the n
+    state fields past the plaintext region index, read with `field`."""
     rows = []
     for body in log.bodies("s_to_c"):
-        rest = body[4:]  # past the plaintext region index
-        if backend in ("plaintext", "qe"):
-            vals, _ = wire.decode_f64_vec(rest, n)
-        elif backend == "qe_quantized":
-            codes, _ = wire.unpack_words(rest, n, w)
-            vals = dequantize(codes, w)
-        elif backend == "paillier":
-            vals = np.empty(n)
-            off = 0
-            for i in range(n):
-                v, off = wire.decode_he_ct(rest, off)
-                vals[i] = math.log2(v) if v > 0 else 0.0
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        vals, _ = field.decode(body, (n,), 4)
+        if backend == "paillier":
+            vals = [math.log2(v) if v > 0 else 0.0 for v in vals]
         rows.append(vals)
-    return np.array(rows)
+    return np.array(rows, dtype=float)
 
 
 def apply_noise(features, setting, rng):
@@ -215,9 +207,6 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None,
     shifted state x - x_ss, and the truth and inputs are absolute, so
     they share a frame only when x_ss = 0 throughout.
     """
-    from .protocol import EavesdropLog
-    from .simulation import run_closed_loop
-
     if any(np.any(np.asarray(r) != 0) for _, r in scenario.r_steps):
         raise ConfigError(
             "the attack needs a reference program that is 0 at every step: "
@@ -226,6 +215,7 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None,
             "score the adversary in mixed frames")
     if dither is None:
         dither = probe_dither(scenario.T, controller.m, cfg.seed_attack)
+    key_bits = keypair.bits if keypair is not None else cfg.key_bits
     obs = {}
     for backend in backends:
         log = EavesdropLog()
@@ -234,7 +224,9 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None,
                                log=log, dither=dither)
         if traj.fault:
             raise RuntimeError(f"{backend} observation run faulted: {traj.fault}")
-        features = observe_features(log, backend, controller.n, w=cfg.w)
+        features = observe_features(log, backend,
+                                    wire_field(backend, cfg, key_bits),
+                                    controller.n)
         inputs = np.array([rec.u for rec in traj.records])
         truth = np.array([rec.x for rec in traj.records])
         obs[backend] = (features[: len(truth)], inputs, truth)

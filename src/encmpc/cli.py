@@ -23,7 +23,7 @@ from .attack import (attack_table_csv, default_settings, gather_observations,
 from .config import ConfigError, RunConfig, load_json
 from .mpqp import PwaController, fmt_17g
 from .paillier import gain_bitlen, keygen
-from .protocol import BACKENDS, predict_cost
+from .protocol import BACKENDS, COUNT_KEYS, predict_cost
 from .simulation import (attack_scenario, benchmark_scenario, input_mismatch,
                          load_scenario, run_closed_loop, tracking_rmse,
                          trajectory_csv)
@@ -164,7 +164,7 @@ BENCH_COLUMNS = (
     "backend", "steps", "key_bits", "p_bits", "w_b", "w", "rho", "gamma",
     "delta", "epsilon_q", "rmse", "mismatch_max",
     "payload_s_to_c", "payload_c_to_a", "payload_total",
-    "enc", "con", "dec", "sums", "he_enc", "he_dec", "he_add", "he_mul",
+    *COUNT_KEYS,
     "cost_he", "cost_qe",
 )
 
@@ -209,8 +209,7 @@ def _bench_row(cfg, traj, controller):
         "cost_he": cost.get("C_HE", 0),
         "cost_qe": cost.get("C_QE", 0),
     }
-    for key in ("enc", "con", "dec", "sums", "he_enc", "he_dec",
-                "he_add", "he_mul"):
+    for key in COUNT_KEYS:
         vals[key] = counts.get(key, 0)
     return ",".join(str(vals[col]) for col in BENCH_COLUMNS)
 

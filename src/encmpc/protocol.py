@@ -3,12 +3,16 @@
 One control cycle is a strict pipeline: the sensor locates the active
 region and encrypts, the cloud applies the region gain in ciphertext
 space, the actuator decrypts and applies the input.  Messages are real
-byte strings built by the wire codec, so an eavesdropper tap sees exactly
-what a network observer would, and each message's payload bits are its
-body's bits less framing (see wire).  The qe and qe_quantized backends
-run the same cipher and differ only in how a ciphertext field is
-written: binary64 or stochastically rounded w-bit codes (F64Field,
-WordField).
+byte strings, so an eavesdropper tap sees exactly what a network
+observer would.  The backends differ in how they encrypt and in how a
+ciphertext field is written: binary64 (plaintext, qe), stochastically
+rounded w-bit codes (qe_quantized) or length-prefixed Paillier residues.
+A field codec (F64Field, WordField, HeField), picked by wire_field, owns
+that layout: the parties write and read every field through it, and the
+adversary (attack) reads the sensor link through it too.  A message's
+payload bits are its field count times the codec's bits per field, plus
+the u32 region index on the sensor link; the codecs' framing is not
+payload (see wire).
 
 The cloud object holds gain matrices and (for Paillier) the public key
 only; it has no field that can carry key material or plaintext state.
@@ -56,7 +60,6 @@ class WireMessage:
     link: str  # "s_to_c" or "c_to_a"
     body: bytes
     payload_bits: int
-    timestamp: float
 
 
 class EavesdropLog:
@@ -113,7 +116,7 @@ def predict_cost(n, m, L, p, b_K):
 
 
 class F64Field:
-    """QE ciphertext fields as IEEE-754 binary64 (the qe backend).
+    """Fields as IEEE-754 binary64 (the plaintext and qe backends).
 
     encode/decode take consecutive fields of the given sizes, which carry
     no pad and so are one run; skip checks a field's framing unread."""
@@ -158,12 +161,45 @@ class WordField:
         return wire.words_end(data, count, self.bits, off)
 
 
+class HeField:
+    """Paillier ciphertext fields: each residue mod n^2 as a 2L-bit
+    string after its u32 length prefix, which is framing, not payload; a
+    prefix other than the key's L/4 bytes is refused.  Values are ints."""
+
+    def __init__(self, key_bits):
+        self.key_bits = key_bits
+        self.bits = 2 * key_bits
+
+    def encode(self, values, sizes):
+        return b"".join(wire.encode_he_ct(v, self.key_bits) for v in values)
+
+    def decode(self, data, sizes, off=0):
+        values = []
+        for _ in range(sum(sizes)):
+            v, off = wire.decode_he_ct(data, off, self.key_bits)
+            values.append(v)
+        return values, off
+
+
+def wire_field(backend, cfg, key_bits, rng=None):
+    """The field codec of a backend: binary64, cfg.w-bit words rounded
+    with the encoding party's quantizer rng, or residues of a key_bits
+    Paillier key."""
+    if backend == "qe_quantized":
+        return WordField(cfg.w, rng)
+    if backend == "paillier":
+        return HeField(key_bits)
+    if backend in ("plaintext", "qe"):
+        return F64Field()
+    raise ValueError(f"unknown backend {backend!r}")
+
+
 class Sensor:
     """Measures, locates the region, encrypts state and region offset.
 
-    Holds the partition for point location and all region offsets in
-    plaintext; for QE backends also a key source synchronized with the
-    actuator's and a ciphertext field codec, for Paillier a key and the
+    Holds the partition for point location, all region offsets in
+    plaintext and its link's field codec; for QE backends also a key
+    source synchronized with the actuator's, for Paillier a key and the
     fixed-point codec.  The Paillier key may be the public key or, on the
     plant side, the keypair, which computes the encryption randomizer by
     CRT (same ciphertexts).  `sigma` is the region the last step located.
@@ -171,8 +207,6 @@ class Sensor:
 
     def __init__(self, controller, backend, key_source=None, field=None,
                  he_key=None, codec=None, he_rng=None):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.controller = controller
         self.n = controller.n
@@ -185,11 +219,6 @@ class Sensor:
         self.codec = codec
         self.he_rng = he_rng
         self.sigma = None
-        if backend in QE_BACKENDS and (key_source is None or field is None):
-            raise ValueError(f"{backend} sensor needs a key source and a field")
-        if backend == "paillier" and (he_key is None or codec is None
-                                      or he_rng is None):
-            raise ValueError("paillier sensor needs a key, codec, and rng")
 
     def step(self, x, cycle):
         t0 = time.perf_counter()
@@ -200,30 +229,23 @@ class Sensor:
             raise self.controller.not_covered(x)
         self.sigma = sigma
         b_sig = self.offsets[sigma]
-        head = wire.encode_u32(sigma)
 
+        sizes = (self.n, self.m)
         if self.backend == "plaintext":
-            body = head + wire.encode_f64_vec(x)
-            bits = 32 + self.n * 64
+            values, sizes = x, (self.n,)
         elif self.backend in QE_BACKENDS:
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
-            ct = enc_state(x.tolist() + b_sig, bv.beta)
+            values = enc_state(x.tolist() + b_sig, bv.beta)
             counts["enc"] += self.n + self.m
-            body = head + self.field.encode(ct, (self.n, self.m))
-            bits = 32 + (self.n + self.m) * self.field.bits
         else:
-            key, L = self.he_key, self.he_key.bits
-            enc = []
-            for v in x:
-                enc.append(he_enc(fp_encode(v, self.codec), key, self.he_rng))
-            for v in b_sig:
-                enc.append(he_enc(fp_encode(v, self.codec, scale_power=2),
-                                  key, self.he_rng))
+            key, codec, rng = self.he_key, self.codec, self.he_rng
+            values = [he_enc(fp_encode(v, codec), key, rng).value for v in x]
+            values += [he_enc(fp_encode(v, codec, scale_power=2), key, rng).value
+                       for v in b_sig]
             counts["he_enc"] += self.n + self.m
-            body = head + b"".join(wire.encode_he_ct(c.value, L) for c in enc)
-            bits = 32 + (self.n + self.m) * 2 * L
 
-        msg = WireMessage(cycle, "s_to_c", body, bits, time.perf_counter())
+        body = wire.encode_u32(sigma) + self.field.encode(values, sizes)
+        msg = WireMessage(cycle, "s_to_c", body, 32 + sum(sizes) * self.field.bits)
         return msg, counts, time.perf_counter() - t0
 
 
@@ -236,24 +258,16 @@ class Cloud:
 
     def __init__(self, gains, backend, n, m, offsets=None, field=None,
                  pk=None, gains_encoded=None):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.gains = [np.atleast_2d(np.asarray(K, dtype=float)) for K in gains]
         self.n = int(n)
         self.m = int(m)
-        self.offsets = None
-        if backend == "plaintext":
-            if offsets is None:
-                raise ValueError("plaintext cloud applies offsets itself")
-            self.offsets = [np.asarray(b, dtype=float).ravel() for b in offsets]
+        # plaintext only: that cloud applies the offsets itself
+        self.offsets = (None if offsets is None else
+                        [np.asarray(b, dtype=float).ravel() for b in offsets])
         self.field = field
         self.pk = pk
         self.gains_encoded = gains_encoded
-        if backend in QE_BACKENDS and field is None:
-            raise ValueError(f"{backend} cloud needs a field")
-        if backend == "paillier" and (pk is None or gains_encoded is None):
-            raise ValueError("paillier cloud needs pk and encoded gains")
 
     def step(self, msg):
         t0 = time.perf_counter()
@@ -263,32 +277,30 @@ class Cloud:
         if not 0 <= sigma < len(self.gains):
             raise InvalidRegion(f"region index {sigma} out of range")
 
+        forwarded = 0
         if self.backend == "plaintext":
-            x, off = wire.decode_f64_vec(msg.body, n, off)
+            x, off = self.field.decode(msg.body, (n,), off)
             wire.expect_end(msg.body, off)
-            u = self.gains[sigma] @ x + self.offsets[sigma]
-            body = wire.encode_f64_vec(u)
-            bits = m * 64
+            values = self.gains[sigma] @ x + self.offsets[sigma]
         elif self.backend in QE_BACKENDS:
             ct_x, off = self.field.decode(msg.body, (n,), off)
             # the m offset ciphertexts: framing checked, forwarded as they are
             wire.expect_end(msg.body, self.field.skip(msg.body, m, off))
-            t_mat = con(self.gains[sigma], ct_x)
+            values = con(self.gains[sigma], ct_x).ravel()
             counts["con"] += m * n
-            body = self.field.encode(t_mat.ravel(), (m * n,)) + msg.body[off:]
-            bits = (m * n + m) * self.field.bits
+            forwarded = m
         else:
-            cts = []
-            for _ in range(n + m):
-                val, off = wire.decode_he_ct(msg.body, off, self.pk.bits)
-                cts.append(HeCiphertext(val, self.pk.n_sq))
+            vals, off = self.field.decode(msg.body, (n, m), off)
             wire.expect_end(msg.body, off)
+            cts = [HeCiphertext(v, self.pk.n_sq) for v in vals]
             out = he_eval_pwa(sigma, cts[:n], self.gains_encoded[sigma],
                               cts[n:], self.pk, counters=counts)
-            body = b"".join(wire.encode_he_ct(c.value, self.pk.bits) for c in out)
-            bits = m * 2 * self.pk.bits
+            values = [c.value for c in out]
 
-        out_msg = WireMessage(msg.cycle, "c_to_a", body, bits, time.perf_counter())
+        # msg.body[off:] holds the forwarded fields, empty unless qe
+        body = self.field.encode(values, (len(values),)) + msg.body[off:]
+        bits = (len(values) + forwarded) * self.field.bits
+        out_msg = WireMessage(msg.cycle, "c_to_a", body, bits)
         return out_msg, counts, time.perf_counter() - t0
 
 
@@ -297,8 +309,6 @@ class Actuator:
 
     def __init__(self, backend, n, m, key_source=None, field=None,
                  keypair=None, codec=None):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.n = int(n)
         self.m = int(m)
@@ -306,35 +316,27 @@ class Actuator:
         self.field = field
         self.keypair = keypair
         self.codec = codec
-        if backend in QE_BACKENDS and (key_source is None or field is None):
-            raise ValueError(f"{backend} actuator needs a key source and a field")
-        if backend == "paillier" and (keypair is None or codec is None):
-            raise ValueError("paillier actuator needs the keypair and codec")
 
     def step(self, msg, cycle):
         t0 = time.perf_counter()
         counts = _zero_counts()
         n, m = self.n, self.m
+        qe = self.backend in QE_BACKENDS
+        values, off = self.field.decode(msg.body, (m * n, m) if qe else (m,))
+        wire.expect_end(msg.body, off)
 
         if self.backend == "plaintext":
-            u, off = wire.decode_f64_vec(msg.body, m)
-            wire.expect_end(msg.body, off)
-        elif self.backend in QE_BACKENDS:
-            cts, off = self.field.decode(msg.body, (m * n, m))
-            wire.expect_end(msg.body, off)
+            u = values
+        elif qe:
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
-            u = dec_aggregate(cts, bv)
+            u = dec_aggregate(values, bv)
             counts["dec"] += m * n + m
             counts["sums"] += m * n
         else:
-            off = 0
-            u = np.empty(m)
-            for j in range(m):
-                val, off = wire.decode_he_ct(msg.body, off, self.keypair.bits)
-                z = he_dec(HeCiphertext(val, self.keypair.n_sq), self.keypair)
-                counts["he_dec"] += 1
-                u[j] = fp_decode(z, self.codec, scale_power=2)
-            wire.expect_end(msg.body, off)
+            kp = self.keypair
+            u = [fp_decode(he_dec(HeCiphertext(v, kp.n_sq), kp), self.codec,
+                           scale_power=2) for v in values]
+            counts["he_dec"] += m
 
         return np.array(u, dtype=float), counts, time.perf_counter() - t0
 
@@ -367,66 +369,41 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
 def make_parties(controller, backend, cfg, keypair=None):
     """Wire up the three parties for a controller under one RunConfig.
 
-    Returns (sensor, cloud, actuator).  The QE backends pick their field
-    codec here; qe_quantized's sensor and cloud each own a quantizer rng
-    (seeds seed_quant and seed_quant + 1).  For Paillier a keypair is
-    generated from cfg.seed_keys unless one is supplied; the plant-side
-    sensor and actuator hold it, the cloud receives the public key only.
+    Returns (sensor, cloud, actuator), each with its wire_field codec;
+    qe_quantized's sensor and cloud each own a quantizer rng (seeds
+    seed_quant and seed_quant + 1).  For Paillier a keypair is generated
+    from cfg.seed_keys unless one is supplied; the plant-side sensor and
+    actuator hold it, the cloud receives the public key only.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "paillier" and keypair is None:
+        keypair = keygen(cfg.key_bits, random.Random(cfg.seed_keys))
+    key_bits = keypair.bits if backend == "paillier" else None
+    rng = np.random.default_rng
+    s_field = wire_field(backend, cfg, key_bits, rng(cfg.seed_quant))
+    c_field = wire_field(backend, cfg, key_bits, rng(cfg.seed_quant + 1))
+    a_field = wire_field(backend, cfg, key_bits)
     n, m = controller.n, controller.m
     gains = [r.K for r in controller.regions]
-    offsets = [r.b for r in controller.regions]
 
     if backend == "plaintext":
-        sensor = Sensor(controller, backend)
-        cloud = Cloud(gains, backend, n, m, offsets=offsets)
-        actuator = Actuator(backend, n, m)
+        sensor = Sensor(controller, backend, field=s_field)
+        cloud = Cloud(gains, backend, n, m, field=c_field,
+                      offsets=[r.b for r in controller.regions])
+        actuator = Actuator(backend, n, m, field=a_field)
     elif backend in QE_BACKENDS:
-        if backend == "qe":
-            fields = (F64Field(),) * 3
-        else:
-            rng = np.random.default_rng
-            fields = (WordField(cfg.w, rng(cfg.seed_quant)),
-                      WordField(cfg.w, rng(cfg.seed_quant + 1)),
-                      WordField(cfg.w))
         kc = KeyConfig(n=n, m=m, w_b=cfg.w_b)
-        sensor = Sensor(controller, backend, field=fields[0],
+        sensor = Sensor(controller, backend, field=s_field,
                         key_source=KeySource(cfg.seed_keys, kc))
-        cloud = Cloud(gains, backend, n, m, field=fields[1])
-        actuator = Actuator(backend, n, m, field=fields[2],
+        cloud = Cloud(gains, backend, n, m, field=c_field)
+        actuator = Actuator(backend, n, m, field=a_field,
                             key_source=KeySource(cfg.seed_keys, kc))
     else:
-        if keypair is None:
-            keypair = keygen(cfg.key_bits, random.Random(cfg.seed_keys))
         codec = FixedPointCodec(cfg.rho, cfg.gamma, cfg.delta, keypair.n)
-        enc_gains = [encode_gain(K, codec) for K in gains]
-        sensor = Sensor(controller, backend, he_key=keypair, codec=codec,
-                        he_rng=random.Random(cfg.seed_keys + 1))
-        cloud = Cloud(gains, backend, n, m, pk=keypair.public,
-                      gains_encoded=enc_gains)
-        actuator = Actuator(backend, n, m, keypair=keypair, codec=codec)
+        sensor = Sensor(controller, backend, field=s_field, he_key=keypair,
+                        codec=codec, he_rng=random.Random(cfg.seed_keys + 1))
+        cloud = Cloud(gains, backend, n, m, field=c_field, pk=keypair.public,
+                      gains_encoded=[encode_gain(K, codec) for K in gains])
+        actuator = Actuator(backend, n, m, field=a_field, keypair=keypair,
+                            codec=codec)
     return sensor, cloud, actuator
 
-
-def audit_no_plaintext_leak(log, states, n, tol=1e-6):
-    """Check whether any sensor-link message carries the state in clear.
-
-    Decodes the field region after the region index as doubles and
-    reports a leak when the first n entries positionally match the
-    corresponding cycle's state to within tol.  Returns True when no
-    message leaks.
-    """
-    leaked = False
-    for msg in log.entries:
-        if msg.link != "s_to_c" or msg.cycle >= len(states):
-            continue
-        x = np.asarray(states[msg.cycle], dtype=float).ravel()
-        rest = msg.body[4:]
-        if len(rest) < 8 * n:
-            continue
-        vals, _ = wire.decode_f64_vec(rest, n)
-        if np.all(np.abs(vals - x) <= tol):
-            leaked = True
-    return not leaked

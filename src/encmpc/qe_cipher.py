@@ -74,14 +74,6 @@ def dec_vector(cts, beta) -> np.ndarray:
     return np.asarray(beta, dtype=float) * np.log(cts)
 
 
-def enc_scalar(z: float, beta: int) -> float:
-    return float(enc_vector([z], [beta])[0])
-
-
-def dec_scalar(ct: float, beta: int) -> float:
-    return float(dec_vector([ct], [beta])[0])
-
-
 def con(K, ct_vec) -> np.ndarray:
     """Cloud-side linear-term computation: entry (j,i) = ct_i ** K[j,i].
 

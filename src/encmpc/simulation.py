@@ -218,9 +218,10 @@ def run_closed_loop(scenario, backend, cfg=None, controller=None,
                     keypair=None, log=None, dither=None):
     """Simulate the plant under one backend; returns a Trajectory.
 
-    The plaintext law is evaluated in parallel each step for the
-    mismatch column.  Faults (state outside the partition, ciphertext
-    out of representable range) stop the loop and are recorded.
+    The plaintext law of the region the sensor located is evaluated in
+    parallel each step for the mismatch column.  Faults (state outside
+    the partition, ciphertext out of representable range) stop the loop
+    and are recorded.
 
     dither, if given, is a (T, m) probing sequence added to the applied
     input at the plant (identification experiments need the input to
@@ -245,7 +246,7 @@ def run_closed_loop(scenario, backend, cfg=None, controller=None,
         try:
             u_tilde, metrics = run_cycle(x_shift, sensor, cloud, actuator,
                                          k, log=log)
-            u_plain_tilde, _ = controller.evaluate(x_shift)
+            u_plain_tilde = controller.eval_region(metrics.sigma, x_shift)
         except (StateNotCovered, RangeError, MagnitudeError,
                 CiphertextError) as exc:
             traj.fault = f"{type(exc).__name__}: {exc}"

@@ -3,7 +3,9 @@
 Everything on a link is a real byte string.  A message's payload bits
 are its body's bits less framing: the zero pad of quantized fields and
 the length prefix of each Paillier ciphertext (tests check this against
-the bytes; the u32 region index counts as payload).  Conventions:
+the bytes; the u32 region index counts as payload).  Ciphertext fields
+are read and written only through the protocol's field codecs
+(protocol.wire_field).  Conventions:
 
 * region index: unsigned 32-bit little-endian
 * plain or QE ciphertext scalar: IEEE-754 binary64, little-endian
@@ -95,14 +97,14 @@ def encode_he_ct(value, key_bits):
     return encode_u32(body_len) + body
 
 
-def decode_he_ct(data, off=0, key_bits=None):
+def decode_he_ct(data, off, key_bits):
     """Read one length-prefixed ciphertext; returns (value, next offset).
 
-    With key_bits, a prefix other than the L/4 bytes that key's
-    ciphertexts take is a WireError; without it, any prefix is read.
+    A prefix other than the L/4 bytes that a key_bits key's ciphertexts
+    take is a WireError.
     """
     body_len, off = decode_u32(data, off)
-    if key_bits is not None and body_len != key_bits // 4:
+    if body_len != key_bits // 4:
         raise WireError(f"ciphertext length {body_len} bytes, "
                         f"expected {key_bits // 4} for L = {key_bits}")
     end = off + body_len

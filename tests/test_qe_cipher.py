@@ -7,36 +7,35 @@ from hypothesis import given, settings, strategies as st
 from encmpc import wire
 from encmpc.keys import BetaVector, KeyConfig, betas, generate_key
 from encmpc.qe_cipher import (CiphertextError, DomainError, MagnitudeError,
-                              RangeError, con, dec_aggregate, dec_scalar,
-                              dec_vector, dequantize, enc_offset, enc_scalar,
-                              enc_state, enc_vector, g_inv, g_map,
-                              quantize_stochastic)
+                              RangeError, con, dec_aggregate, dec_vector,
+                              dequantize, enc_offset, enc_state, enc_vector,
+                              g_inv, g_map, quantize_stochastic)
 
 
 def test_enc_scalar_values():
-    assert enc_scalar(0.0, 7) == 1.0
-    assert enc_scalar(3.0, 5) == pytest.approx(math.exp(0.6), rel=1e-15)
-    assert enc_scalar(-2.0, -1) == pytest.approx(math.exp(2.0), rel=1e-15)
+    assert enc_vector([0.0], [7])[0] == 1.0
+    assert enc_vector([3.0], [5])[0] == pytest.approx(math.exp(0.6), rel=1e-15)
+    assert enc_vector([-2.0], [-1])[0] == pytest.approx(math.exp(2.0), rel=1e-15)
 
 
 def test_enc_scalar_magnitude_guard():
     with pytest.raises(MagnitudeError):
-        enc_scalar(701.0, 1)
+        enc_vector([701.0], [1])
     with pytest.raises(MagnitudeError):
-        enc_scalar(1e9, 1000)
-    enc_scalar(700.0, 1)  # boundary allowed
+        enc_vector([1e9], [1000])
+    enc_vector([700.0], [1])  # boundary allowed
 
 
 def test_dec_scalar_values():
-    assert dec_scalar(1.0, 12345) == 0.0
-    assert dec_scalar(math.exp(2.0), -1) == pytest.approx(-2.0, abs=1e-14)
-    assert dec_scalar(enc_scalar(3.0, 5), 5) == pytest.approx(3.0, rel=1e-12)
+    assert dec_vector([1.0], [12345])[0] == 0.0
+    assert dec_vector([math.exp(2.0)], [-1])[0] == pytest.approx(-2.0, abs=1e-14)
+    assert dec_vector(enc_vector([3.0], [5]), [5])[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_dec_scalar_rejects_nonpositive():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(CiphertextError):
-            dec_scalar(bad, 3)
+            dec_vector([bad], [3])
 
 
 def test_enc_vectors():
