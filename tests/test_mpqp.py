@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -200,12 +201,15 @@ DUPLICATE_ROW_ACTIVE_SETS = [
 ]
 
 
-def test_duplicate_input_row_partition():
-    spec = MpcSpec(horizon=3, Q=np.diag([1.0, 0.1]), R=[[0.5]],
+def duplicate_row_spec():
+    return MpcSpec(horizon=3, Q=np.diag([1.0, 0.1]), R=[[0.5]],
                    U=Polyhedron([[1.0], [-1.0], [2.0]], [1.0, 1.0, 2.0]),
                    X=box([-5.0, -5.0], [5.0, 5.0]))
+
+
+def test_duplicate_input_row_partition():
     stats = {}
-    ctl = synthesize(bench_system(), spec, stats=stats)
+    ctl = synthesize(bench_system(), duplicate_row_spec(), stats=stats)
     assert [r.active_set for r in ctl.regions] == DUPLICATE_ROW_ACTIVE_SETS
     assert stats["merged"] > 0
     assert ctl.nregions == (stats["lp_calls"] - stats["empty"] - stats["thin"]
@@ -359,6 +363,46 @@ def test_horizon10_partition_certificate(horizon10):
     samples = oracle_feasible_samples(qp, 5, 600, [-11.0, -6.0], [11.0, 6.0])
     assert len(samples) > 150
     assert_covers(ctl, samples, 1e-9)
+
+
+def pinned_problem(name):
+    """(system, spec) of a synthesis problem whose controller is pinned."""
+    if name == "benchmark":
+        return bench_system(), bench_spec()
+    if name == "horizon10":
+        spec = bench_spec()
+        spec.horizon = 10
+        return bench_system(), spec
+    if name == "duplicate_row":
+        return bench_system(), duplicate_row_spec()
+    return random_plant(int(name.removeprefix("random")))
+
+
+# SHA-256 of controller.json text (to_json()) for every problem the tests
+# synthesize and certify, recorded with one LP per row in redundancy
+# elimination
+CONTROLLER_SHA256 = {
+    "benchmark": "b966458d1dfc710333a84cdc67947dd7a6c13c2b70a242d102f4fea8065f9311",
+    "horizon10": "c4eae2c9a0110e4bc8796bfff97bbba095bebb25d7c61e1f5217b80e683fcf79",
+    "duplicate_row": "0cad3fc80d61f93a24370138491947e30814bbae1a15c0fb24db9023214340cf",
+    "random4": "c04ca34d9e356da44c5e64960d544f94ecb4b7c75a743d4ae90432225931406d",
+    "random24": "73787d688efc8f050f576f2616953d8987f222180e079e7e332434b782af7be0",
+    "random40": "aeedff07cfbc936eacfebe47631db8438fa92ec1c982572c7c1e6a1bafff0708",
+}
+
+
+@pytest.mark.parametrize("name", list(CONTROLLER_SHA256))
+def test_controller_json_pinned(name, bench_controller, horizon10):
+    """Every row, gain and Chebyshev center of these controllers, to the
+    last bit of its %.17g text."""
+    if name == "benchmark":
+        ctl = bench_controller
+    elif name == "horizon10":
+        ctl = horizon10[0]
+    else:
+        ctl = synthesize(*pinned_problem(name))
+    digest = hashlib.sha256(ctl.to_json().encode()).hexdigest()
+    assert digest == CONTROLLER_SHA256[name]
 
 
 def test_explicit_matches_implicit(bench_controller):
