@@ -40,20 +40,21 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int,
     (smallest basis variable), which excludes cycling.
     """
     m = T.shape[0] - 1
+    ratios = np.empty(m)
     for _ in range(max_iter):
-        red = T[-1, :ncols]
-        negative = np.flatnonzero(red < -tol)
-        if negative.size == 0:
+        negative = T[-1, :ncols] < -tol
+        col = int(negative.argmax())
+        if not negative[col]:
             return OPTIMAL
-        col = int(negative[0])
         colvals = T[:m, col]
-        rows = np.flatnonzero(colvals > tol)
-        if rows.size == 0:
+        rising = colvals > tol
+        if not rising.any():
             return UNBOUNDED
-        ratios = T[rows, -1] / colvals[rows]
-        best = ratios.min()
-        cand = rows[ratios <= best + 1e-12]
-        row = int(cand[np.argmin(basis[cand])])
+        # rows where the column does not rise get ratio inf, out of the test
+        ratios.fill(np.inf)
+        np.divide(T[:m, -1], colvals, out=ratios, where=rising)
+        cand = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        row = int(cand[0] if cand.size == 1 else cand[np.argmin(basis[cand])])
         _pivot(T, basis, row, col)
     raise LpError("simplex did not converge (cycling guard tripped)")
 
