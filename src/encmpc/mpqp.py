@@ -8,9 +8,10 @@ parametric QP
 then walks its critical regions across their facets (Tondel, Johansen &
 Bemporad, Automatica 39(3), 2003) to produce the explicit piecewise-
 affine law u(x) = K_s x + b_s over polyhedral regions. Each region costs
-one Chebyshev LP plus its redundancy LPs, not one LP per feasible subset
-of the constraint rows; where degeneracy hides the neighbour across a
-facet, the QP oracle names it.
+one Chebyshev LP plus the redundancy LPs that ray witnesses and its
+bounding box leave, not one LP per feasible subset of the constraint
+rows; where degeneracy hides the neighbour across a facet, the QP oracle
+names it.
 """
 from __future__ import annotations
 
@@ -428,14 +429,18 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
 
     stats gets the funnel: candidates = rank_fails + dead_kills +
     lp_calls, regions = lp_calls - empty - thin - merged, and per facet
-    step oracle_steps (feasible), boundary_facets and unresolved.
+    step oracle_steps (feasible), boundary_facets and unresolved. Each
+    region's redundancy elimination, which starts from its Chebyshev
+    center, adds redundancy_lps and the rows each of its stages settled
+    (rows_duplicate, rows_ray, rows_box, rows_lp; see irredundant_rows).
     """
     Hinv = np.linalg.inv(qp.H)
     HinvF = Hinv @ qp.F
     stats = {} if stats is None else stats
     stats.update(dict.fromkeys(
         ("candidates", "rank_fails", "dead_kills", "lp_calls", "empty", "thin",
-         "merged", "oracle_steps", "boundary_facets", "unresolved"), 0))
+         "merged", "oracle_steps", "boundary_facets", "unresolved",
+         "redundancy_lps", "rows_duplicate", "rows_ray", "rows_box", "rows_lp"), 0))
     found = {}      # active set -> (rows A, rows b) of its region, or None
     kept = {}       # (region, law) signature -> Region
     frontier = deque()
@@ -477,7 +482,7 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
         if not (radius > tol.cheb_cutoff):
             stats["empty" if radius < 0 else "thin"] += 1
             return None
-        Ar, br, facets = irredundant_rows(rows_A, rows_b)
+        Ar, br, facets = irredundant_rows(rows_A, rows_b, center=center, stats=stats)
         found[aset] = Ar, br
         frontier.append((aset, Ar, br, facets.tolist()))
         region = Region(active_set=aset, poly=Polyhedron(Ar, br),

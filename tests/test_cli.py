@@ -54,7 +54,8 @@ def test_synthesize_logs_funnel(tmp_path, capsys, caplog):
     assert funnel[0].getMessage() == (
         "synthesis funnel: candidates 71, rank_fails 26, dead_kills 0, "
         "lp_calls 45, empty 6, thin 0, merged 0, oracle_steps 8, "
-        "boundary_facets 30, unresolved 0")
+        "boundary_facets 30, unresolved 0, redundancy_lps 335, "
+        "rows_duplicate 206, rows_ray 153, rows_box 748, rows_lp 179")
 
 
 def test_synthesize_unconstrained_single_region(tmp_path, capsys):

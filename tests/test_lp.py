@@ -157,6 +157,15 @@ def test_chebyshev_zero_row_infeasible():
     assert r == -np.inf
 
 
+def test_chebyshev_lp_failure_raises(monkeypatch):
+    """The Chebyshev LP is bounded and feasible by construction, so any
+    status but OPTIMAL or INFEASIBLE is a solver failure, reported as
+    LpError naming the status (before, float(None) raised TypeError)."""
+    monkeypatch.setattr(lp, "max_linear", lambda *args: (lp.UNBOUNDED, None, None))
+    with pytest.raises(lp.LpError, match=lp.UNBOUNDED):
+        chebyshev_center(np.eye(2), np.ones(2))
+
+
 def test_contains_boundary_tolerance():
     P = box([0.0], [1.0])
     assert P.contains([1.0])

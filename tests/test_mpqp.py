@@ -167,12 +167,16 @@ def test_benchmark_synthesis_funnel(bench_synthesis):
     active set the facet crossing tries either fails LICQ, dies on a
     dead row, or costs one Chebyshev LP; every facet whose crossed set
     gives no region is settled by the oracle, here 30 of them on the
-    feasible set's boundary."""
+    feasible set's boundary. Of the regions' rows, rays certify 153
+    facets and the bounding boxes 748 redundant rows, so 179 are left to
+    per-row LPs: 335 redundancy LPs with the 156 box LPs."""
     ctl, stats = bench_synthesis
     assert stats == {"candidates": 71, "rank_fails": 26, "dead_kills": 0,
                      "lp_calls": 45, "empty": 6, "thin": 0, "merged": 0,
                      "oracle_steps": 8, "boundary_facets": 30,
-                     "unresolved": 0}
+                     "unresolved": 0, "redundancy_lps": 335,
+                     "rows_duplicate": 206, "rows_ray": 153, "rows_box": 748,
+                     "rows_lp": 179}
     assert stats["candidates"] == (stats["rank_fails"] + stats["dead_kills"]
                                    + stats["lp_calls"])
     assert stats["lp_calls"] - stats["empty"] == ctl.nregions == 39
