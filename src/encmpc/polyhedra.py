@@ -233,9 +233,7 @@ def _bounding_box(A: np.ndarray, b: np.ndarray):
     unbounded), or None if the set is empty; and the LPs solved."""
     n = A.shape[1]
     bounds = np.empty(2 * n)
-    for j in range(2 * n):
-        direction = np.zeros(n)
-        direction[j % n] = 1.0 if j < n else -1.0
+    for j, direction in enumerate(np.vstack([np.eye(n), -np.eye(n)])):
         status, _, value = lp.max_linear(direction, A, b)
         if status == lp.INFEASIBLE:
             return None, j + 1
