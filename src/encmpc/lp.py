@@ -113,7 +113,10 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     # multipliers: solve B_kept' pi_kept = c_B against retained rows,
     # then scatter back (sign-restoring the flipped rows)
     B = A[keep_rows][:, basis]
-    pi_kept = np.linalg.solve(B.T, c[basis]) if mr else np.zeros(0)
+    try:
+        pi_kept = np.linalg.solve(B.T, c[basis]) if mr else np.zeros(0)
+    except np.linalg.LinAlgError:
+        raise LpError(f"singular simplex basis {basis.tolist()}") from None
     pi = np.zeros(m)
     pi[keep_rows] = pi_kept
     pi[flip] *= -1.0
@@ -160,15 +163,19 @@ def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray, tol: float = 1e-9):
     # columns: x+ (n), x- (n), violation s (m), slack t (m), rhs; rows
     # with b_i < 0 are negated so that every right-hand side is >= 0
     flip = b_ub < 0
-    rows = np.hstack([A_ub, -A_ub, -np.eye(m), np.eye(m), b_ub[:, None]])
-    rows[flip] *= -1.0
     ncols = 2 * n + 2 * m
+    T = np.zeros((m + 1, ncols + 1))
+    T[:m, :n] = A_ub
+    T[:m, n:2 * n] = -A_ub
+    np.fill_diagonal(T[:, 2 * n:2 * n + m], -1.0)
+    np.fill_diagonal(T[:, 2 * n + m:ncols], 1.0)
+    T[:m, -1] = b_ub
+    T[:m][flip] *= -1.0
     basis = np.where(flip, 2 * n, 2 * n + m) + np.arange(m)
     # reduced costs c - c_B T, with c = 1 on s and so c_B = 1 on the
     # negated rows, whose basic column is s_i
-    cost = np.zeros(ncols + 1)
-    cost[2 * n:2 * n + m] = 1.0
-    T = np.vstack([rows, cost - rows[flip].sum(axis=0)])
+    T[-1, 2 * n:2 * n + m] = 1.0
+    T[-1] -= T[:m][flip].sum(axis=0)
     status = _bland_iterate(T, basis, ncols)
     if status != OPTIMAL:
         raise LpError(f"phase-1 feasibility LP returned {status}")

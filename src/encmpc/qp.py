@@ -30,8 +30,13 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
     simplex pass from that LP's own slack/violation basis. Each added
     blocking row is automatically independent of the current ones (its
     inner product with the step is nonzero while working rows are
-    orthogonal to it), so the KKT systems stay nonsingular. Smallest
-    index breaks ties both when adding and when dropping rows.
+    orthogonal to it), so the KKT systems stay nonsingular. With k rows
+    in the working set, the KKT system is the leading (nz + k) block of
+    one (nz + q)-square matrix filled in place. The ratio test keeps a
+    running minimum of max((w_i - G_i z) / (G_i d), 0) over the rows
+    outside the working set with G_i d > 1e-12, in index order; a later
+    row replaces it only when lower by more than 1e-12, so the first index
+    wins ties. Of the rows with a negative multiplier, the lowest leaves.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     g = np.asarray(g, dtype=float).reshape(-1)
@@ -44,53 +49,49 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
     if not feasible:
         raise QpInfeasible("constraint set is empty for this parameter")
 
+    kkt = np.zeros((nz + q, nz + q))
+    kkt[:nz, :nz] = H
+    rhs = np.zeros(nz + q)
     work: list = []
+    in_work = np.zeros(q, dtype=bool)
     settled = False   # after a full step z minimizes over the working set
     for _ in range(max_iter):
         k = len(work)
         grad = H @ z + g
-        if k:
-            GW = G[work]
-            KKT = np.block([[H, GW.T], [GW, np.zeros((k, k))]])
-            rhs = np.concatenate([-grad, np.zeros(k)])
-            sol = np.linalg.solve(KKT, rhs)
-            d = sol[:nz]
-            lam_w = sol[nz:]
-        else:
-            d = np.linalg.solve(H, -grad)
-            lam_w = np.zeros(0)
+        kkt[nz:nz + k, :nz] = G[work]
+        kkt[:nz, nz:nz + k] = kkt[nz:nz + k, :nz].T
+        rhs[:nz] = -grad
+        sol = np.linalg.solve(kkt[:nz + k, :nz + k], rhs[:nz + k])
+        d = sol[:nz]
+        lam_w = sol[nz:]
 
         if settled or np.linalg.norm(d) <= 1e-11:
             neg = [i for i, lv in enumerate(lam_w) if lv < -tol.dual_feas]
             if not neg:
                 lam = np.zeros(q)
-                for i, row in enumerate(work):
-                    lam[row] = max(lam_w[i], 0.0)
+                lam[work] = np.maximum(lam_w, 0.0)
                 return z, lam, tuple(sorted(work))
             drop = min(neg, key=lambda i: work[i])
-            work.pop(drop)
+            in_work[work.pop(drop)] = False
             settled = False
             continue
 
-        # ratio test over rows outside the working set
+        # ratio test over rows outside the working set that d moves toward
+        slack = w - G @ z
+        gd = G @ d
+        rows = np.flatnonzero((gd > 1e-12) & ~in_work)
         alpha = 1.0
         blocker = -1
-        for i in range(q):
-            if i in work:
-                continue
-            gd = G[i] @ d
-            if gd <= 1e-12:
-                continue
-            ratio = max((w[i] - G[i] @ z) / gd, 0.0)
+        for i, ratio in zip(rows.tolist(), (slack[rows] / gd[rows]).tolist()):
+            ratio = max(ratio, 0.0)
             if ratio < alpha - 1e-12:
                 alpha = ratio
-                blocker = i
-            elif blocker >= 0 and abs(ratio - alpha) <= 1e-12 and i < blocker:
                 blocker = i
         z = z + alpha * d
         settled = blocker < 0
         if blocker >= 0:
             work.append(blocker)
+            in_work[blocker] = True
     raise QpNoConvergence("active-set iteration limit reached")
 
 

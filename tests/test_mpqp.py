@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from encmpc import lp
 from encmpc.config import DEFAULT_TOL, ConfigError, RunConfig
 from encmpc.mpqp import (InvalidRegion, LtiSystem, MpcSpec, PwaController,
                          Region, StateNotCovered, condense, synthesize)
@@ -274,6 +275,13 @@ def test_random_plant_partition(seed):
                                       [-6.0, -6.0], [6.0, 6.0])
     assert len(samples) > 100
     assert_covers(ctl, samples, 1e-9)
+
+
+def test_singular_simplex_basis_raises_lp_error():
+    """A Chebyshev LP of this plant ends on a singular basis; the simplex
+    names it as LpError instead of letting numpy's LinAlgError escape."""
+    with pytest.raises(lp.LpError, match="singular simplex basis"):
+        synthesize(*random_plant(176))
 
 
 @pytest.mark.parametrize("seed, x", [
