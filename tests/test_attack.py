@@ -245,6 +245,24 @@ def test_ordering_table_and_separation(observations):
     assert table[("none", "plaintext")] < 1e-3
 
 
+ATTACK_TABLE_DIGESTS = {
+    (200, 3): "0caf4b7c7f28e7d799c2598ffdd769398d3e3293f36b9596162a9e9e525718b9",
+    (8, 0): "bb62bef15e6cbf944acdb9389b00d4763f98539cff19648ace00e147799207b7",
+    (8, 1): "91f8f14617cb158622af7b0fd34ad3d9dbfad57222869976da395452c8970231",
+    (8, 2): "4f3b841196e8995ea37e5eb963a4ae99f8450e25393e71588c43ca125f5e0df0",
+}
+
+
+def test_attack_table_pinned(observations):
+    """SHA-256 of the table's CSV text: every cell stays bit for bit."""
+    for (trials, seed), expected in ATTACK_TABLE_DIGESTS.items():
+        table = run_attack_table(observations,
+                                 default_settings(trials=trials), seed=seed)
+        text = attack_table_csv(table, BACKENDS)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == expected, (trials, seed)
+
+
 def test_attack_table_csv_shape():
     table = {(kind, b): 1.0 for kind in NOISE_KINDS for b in BACKENDS}
     table[("none", "plaintext")] = float("nan")
