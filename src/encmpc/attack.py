@@ -13,6 +13,13 @@ bigger is better for the defender.
 
 Observation noise (gaussian, uniform, or sparse impulses, scaled by the
 feature RMS) perturbs only what the adversary records, never the loop.
+
+A table runs every trial of every cell as one batch: each cell draws
+its noise trial by trial from its own seeded generator, as a one-trial
+loop would, and then one fit, one rollout (one stacked product per
+step) and one score handle the whole stack.  Fit, rollout and score
+take a 2-D argument as one trial, and every result equals that of the
+trial run alone, bit for bit.
 """
 
 import math
@@ -59,9 +66,17 @@ def default_settings(trials=200, T=60):
 
 @dataclass
 class LsPredictor:
-    theta: np.ndarray  # n x (n+m)
+    """One trial's fit, or a stack's with one entry per trial."""
+
+    theta: np.ndarray  # n x (n+m), or trials x n x (n+m)
     residual: float
     rank_deficient: bool
+
+
+def _norms(V):
+    """Euclidean norm of each row along the last axis, as np.linalg.norm
+    takes it of one vector (sqrt of its dot product with itself)."""
+    return np.sqrt(np.vecdot(V, V))
 
 
 def fit_ls_predictor(proxies, inputs):
@@ -69,45 +84,77 @@ def fit_ls_predictor(proxies, inputs):
 
     Solved through the ridge-regularized normal equations; a feature
     matrix without full column rank is still solved but flagged.
+    proxies (trials, T, n) and inputs (trials, T or T-1, m) fit every
+    trial at once; 2-D arguments are one trial.
     """
-    P = np.atleast_2d(np.asarray(proxies, dtype=float))
-    U = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if U.shape[0] not in (P.shape[0], P.shape[0] - 1):
+    P = np.asarray(proxies, dtype=float)
+    U = np.asarray(inputs, dtype=float)
+    single = P.ndim < 3
+    if single:
+        P, U = np.atleast_2d(P)[None], np.atleast_2d(U)[None]
+    T, n = P.shape[1:]
+    m = U.shape[2]
+    if U.shape[:2] not in ((P.shape[0], T), (P.shape[0], T - 1)):
         raise ValueError("inputs must cover every proxy transition")
-    n = P.shape[1]
-    m = U.shape[1]
-    if P.shape[0] < n + m + 1:
-        raise ValueError(f"need at least {n + m + 1} samples, got {P.shape[0]}")
-    Z = np.hstack([P[:-1], U[: P.shape[0] - 1]])
-    Y = P[1:]
-    G = Z.T @ Z + RIDGE * np.eye(n + m)
-    theta = np.linalg.solve(G, Z.T @ Y).T
-    residual = float(np.linalg.norm(Y - Z @ theta.T))
+    if T < n + m + 1:
+        raise ValueError(f"need at least {n + m + 1} samples, got {T}")
+    Z = np.concatenate([P[:, :-1], U[:, : T - 1]], axis=2)
+    Y = P[:, 1:]
+    Zt = Z.transpose(0, 2, 1)
+    G = Zt @ Z + RIDGE * np.eye(n + m)
+    # each trial's theta is the F-ordered transpose of its solve, the
+    # layout every later product of the rollout is rounded in
+    theta = np.linalg.solve(G, Zt @ Y).transpose(0, 2, 1)
+    R = (Y - Z @ theta.transpose(0, 2, 1)).reshape(len(P), -1)
+    residual = _norms(R)
     deficient = np.linalg.matrix_rank(Z) < n + m
+    if single:
+        return LsPredictor(theta=theta[0], residual=float(residual[0]),
+                           rank_deficient=deficient[0])
     return LsPredictor(theta=theta, residual=residual, rank_deficient=deficient)
 
 
 def rollout(pred, x0, inputs):
     """Iterate xhat(k+1) = Theta [xhat(k); u(k)] from the true x(0).
 
-    Truncates once ||xhat|| exceeds the divergence cap; the flag reports
-    whether that happened.
+    Truncates once ||xhat|| exceeds the divergence cap.  One trial
+    returns (xhat, diverged): the rows up to and including the first
+    over the cap, and whether that happened.  A stack (theta of
+    trials x n x (n+m), x0 of trials x n, inputs of trials x T x m)
+    steps every trial with one product per step and returns
+    (xhat, steps): trial i's rollout is xhat[i, :steps[i]], and a
+    diverged trial stays frozen at its last row after that.
     """
-    U = np.atleast_2d(np.asarray(inputs, dtype=float))
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    out = [x.copy()]
-    diverged = False
-    for u in U:
-        x = pred.theta @ np.concatenate([x, np.ravel(u)])
-        out.append(x.copy())
-        if np.linalg.norm(x) > DIVERGENCE_CAP:
-            diverged = True
-            break
-    return np.array(out), diverged
+    theta = pred.theta
+    U = np.asarray(inputs, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    single = theta.ndim < 3
+    if single:
+        theta, U, x = theta[None], np.atleast_2d(U)[None], x.ravel()[None]
+    N, T, m = U.shape
+    n = x.shape[1]
+    out = np.empty((N, T + 1, n))
+    out[:, 0] = x
+    z = np.empty((N, n + m, 1))
+    live = np.ones(N, dtype=bool)
+    steps = np.full(N, T + 1)
+    for k in range(T):
+        z[:, :n, 0] = out[:, k]
+        z[:, n:, 0] = U[:, k]
+        x = np.matmul(theta, z)[:, :, 0]
+        out[:, k + 1] = np.where(live[:, None], x, out[:, k])
+        over = live & (_norms(x) > DIVERGENCE_CAP)
+        steps[over] = k + 2
+        live &= ~over
+    if single:
+        return out[0, : steps[0]], not live[0]
+    return out, steps
 
 
 @dataclass
 class ScoreResult:
+    """One trial's score, or a stack's with one entry per trial."""
+
     value: float
     counted: int
     skipped: int
@@ -117,28 +164,35 @@ class ScoreResult:
         return self.counted > 0
 
 
-def confidentiality_score(truth, predicted):
+def confidentiality_score(truth, predicted, steps=None):
     """Average over steps of ||xhat(k) - x(k)|| / ||x(k)||.
 
     Steps with ||x(k)|| at numerical zero are skipped and counted; an
     all-skipped comparison is undefined (value nan).  Terms accumulate
     with compensated summation so trial order cannot change the result.
+    Stacks of trials (trials x T x n) are scored at once, each over its
+    first steps[i] rows when steps is given; 2-D arguments are one trial.
     """
-    X = np.atleast_2d(np.asarray(truth, dtype=float))
-    Xh = np.atleast_2d(np.asarray(predicted, dtype=float))
-    K = min(X.shape[0], Xh.shape[0])
-    terms = []
-    skipped = 0
-    for k in range(K):
-        nrm = np.linalg.norm(X[k])
-        if nrm <= NORM_FLOOR:
-            skipped += 1
-            continue
-        terms.append(np.linalg.norm(Xh[k] - X[k]) / nrm)
-    if not terms:
-        return ScoreResult(value=float("nan"), counted=0, skipped=skipped)
-    return ScoreResult(value=math.fsum(terms) / len(terms),
-                       counted=len(terms), skipped=skipped)
+    X = np.asarray(truth, dtype=float)
+    Xh = np.asarray(predicted, dtype=float)
+    single = X.ndim < 3
+    if single:
+        X, Xh = np.atleast_2d(X)[None], np.atleast_2d(Xh)[None]
+    K = min(X.shape[1], Xh.shape[1])
+    X, Xh = X[:, :K], Xh[:, :K]
+    rows = np.arange(K) < (K if steps is None else np.asarray(steps)[:, None])
+    nrm = _norms(X)
+    skip = rows & (nrm <= NORM_FLOOR)
+    keep = rows & ~skip
+    terms = np.divide(_norms(Xh - X), nrm, out=np.zeros_like(nrm), where=keep)
+    counted = keep.sum(axis=1)
+    value = np.array([math.fsum(t[k].tolist()) / c if c else float("nan")
+                      for t, k, c in zip(terms, keep, counted.tolist())])
+    skipped = skip.sum(axis=1)
+    if single:
+        return ScoreResult(value=float(value[0]), counted=int(counted[0]),
+                           skipped=int(skipped[0]))
+    return ScoreResult(value=value, counted=counted, skipped=skipped)
 
 
 def observe_features(log, backend, field, n):
@@ -169,12 +223,12 @@ def apply_noise(features, setting, rng):
     return F + mask * spikes
 
 
-def attack_once(features, inputs, truth, setting, rng):
-    """One adversary trial: perturb, fit, roll out, score."""
-    noisy = apply_noise(features, setting, rng)
+def attack_once(noisy, inputs, truth):
+    """One adversary pass over a stack of trials (trials x T x .):
+    fit, roll out and score every noisy recording at once."""
     pred = fit_ls_predictor(noisy, inputs)
-    xhat, _ = rollout(pred, truth[0], inputs)
-    return confidentiality_score(truth, xhat)
+    xhat, steps = rollout(pred, truth[:, 0], inputs)
+    return confidentiality_score(truth, xhat, steps)
 
 
 PROBE_SCALE = 0.3
@@ -236,22 +290,32 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None,
 def run_attack_table(observations, settings, seed):
     """Mean confidentiality score per (setting, backend).
 
-    observations maps backend name to (features, inputs, truth_states).
-    Each (setting, backend) cell averages setting.trials independent
-    noise realizations from its own seeded generator.
+    observations maps backend name to (features, inputs, truth_states),
+    all backends of one shape.  Each (setting, backend) cell averages
+    setting.trials independent noise realizations from its own seeded
+    generator.  Every cell's noise is drawn first, trial by trial, and
+    then all trials of the table are fitted, rolled out and scored as
+    one stack.
     """
-    table = {}
+    names = list(observations)
+    inputs = np.stack([observations[b][1] for b in names])
+    truth = np.stack([observations[b][2] for b in names])
+    cells, noisy, which = [], [], []
     for si, setting in enumerate(settings):
-        for bi, (backend, (features, inputs, truth)) in enumerate(
-                observations.items()):
+        for bi, backend in enumerate(names):
             rng = np.random.default_rng(np.random.SeedSequence([seed, si, bi]))
-            vals = []
-            for _ in range(setting.trials):
-                res = attack_once(features, inputs, truth, setting, rng)
-                if res.defined:
-                    vals.append(res.value)
-            table[(setting.noise_kind, backend)] = (
-                math.fsum(vals) / len(vals) if vals else float("nan"))
+            features = observations[backend][0]
+            noisy += [apply_noise(features, setting, rng)
+                      for _ in range(setting.trials)]
+            which += [bi] * setting.trials
+            cells.append(((setting.noise_kind, backend), setting.trials))
+    scores = attack_once(np.stack(noisy), inputs[which], truth[which])
+    table, start = {}, 0
+    for cell, trials in cells:
+        stop = start + trials
+        vals = scores.value[start:stop][scores.defined[start:stop]].tolist()
+        table[cell] = math.fsum(vals) / len(vals) if vals else float("nan")
+        start = stop
     return table
 
 

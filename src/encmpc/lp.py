@@ -153,7 +153,8 @@ def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray, tol: float = 1e-9):
     phase 1: row i starts basic in its slack t_i when b_i >= 0, and in
     its violation s_i (after negating the row) when b_i < 0. So one
     Bland pass from that basis solves it, with no artificial columns.
-    Returns (feasible, x).
+    Returns (feasible, x); raises LpError when the pass ends
+    UNBOUNDED with the total violation still above tol.
     """
     A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
     b_ub = np.asarray(b_ub, dtype=float)
@@ -177,7 +178,10 @@ def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray, tol: float = 1e-9):
     T[-1, 2 * n:2 * n + m] = 1.0
     T[-1] -= T[:m][flip].sum(axis=0)
     status = _bland_iterate(T, basis, ncols)
-    if status != OPTIMAL:
+    # the objective is bounded below by 0, so UNBOUNDED at an objective
+    # already within tol of 0 is rounding in a reduced cost: the current
+    # basis is a feasible point
+    if status != OPTIMAL and -T[-1, -1] > tol:
         raise LpError(f"phase-1 feasibility LP returned {status}")
     y = np.zeros(ncols)
     y[basis] = T[:m, -1]

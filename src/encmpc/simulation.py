@@ -239,9 +239,13 @@ def run_closed_loop(scenario, backend, cfg=None, controller=None,
 
     traj = Trajectory(backend=backend)
     x = np.asarray(scenario.x0, dtype=float).ravel()
+    steady = {}  # one steady state per distinct reference value
     for k in range(T):
         r = scenario.reference(k)
-        x_ss, u_ss = scenario.steady_state(r)
+        key = r.tobytes()
+        if key not in steady:
+            steady[key] = scenario.steady_state(r)
+        x_ss, u_ss = steady[key]
         x_shift = x - x_ss
         try:
             u_tilde, metrics = run_cycle(x_shift, sensor, cloud, actuator,

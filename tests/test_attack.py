@@ -1,13 +1,22 @@
-"""Least-squares adversary: fit, rollout, score, and the ordering table."""
+"""Least-squares adversary: fit, rollout, score, and the ordering table.
+
+`reference_run_attack_table` is the table as it was computed one trial
+at a time, with one norm per step; the program evaluates every trial of
+a table as one stack and must give the same floats, bit for bit.
+"""
 
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from encmpc.attack import (
+    DIVERGENCE_CAP,
+    NORM_FLOOR,
+    RIDGE,
     AttackSetting,
     DEFAULT_SCALES,
     NOISE_KINDS,
@@ -280,6 +289,144 @@ def test_attack_table_deterministic(observations):
     assert t1 == t2
     t3 = run_attack_table(observations, settings, seed=8)
     assert t1 != t3
+
+
+def reference_fit(P, U):
+    n, m = P.shape[1], U.shape[1]
+    Z = np.hstack([P[:-1], U[: P.shape[0] - 1]])
+    Y = P[1:]
+    G = Z.T @ Z + RIDGE * np.eye(n + m)
+    theta = np.linalg.solve(G, Z.T @ Y).T
+    residual = float(np.linalg.norm(Y - Z @ theta.T))
+    return theta, residual, np.linalg.matrix_rank(Z) < n + m
+
+
+def reference_rollout(theta, x0, U):
+    x = np.asarray(x0, dtype=float).ravel().copy()
+    out = [x.copy()]
+    for u in U:
+        x = theta @ np.concatenate([x, np.ravel(u)])
+        out.append(x.copy())
+        if np.linalg.norm(x) > DIVERGENCE_CAP:
+            break
+    return np.array(out)
+
+
+def reference_score(X, Xh):
+    terms = []
+    for k in range(min(X.shape[0], Xh.shape[0])):
+        nrm = np.linalg.norm(X[k])
+        if nrm <= NORM_FLOOR:
+            continue
+        terms.append(np.linalg.norm(Xh[k] - X[k]) / nrm)
+    return math.fsum(terms) / len(terms) if terms else float("nan")
+
+
+def reference_run_attack_table(observations, settings, seed):
+    """One trial at a time: perturb, fit, roll out, score."""
+    table = {}
+    for si, setting in enumerate(settings):
+        for bi, (backend, (features, inputs, truth)) in enumerate(
+                observations.items()):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, si, bi]))
+            vals = []
+            for _ in range(setting.trials):
+                noisy = apply_noise(features, setting, rng)
+                theta, _, _ = reference_fit(noisy, inputs)
+                value = reference_score(
+                    truth, reference_rollout(theta, truth[0], inputs))
+                if not math.isnan(value):
+                    vals.append(value)
+            table[(setting.noise_kind, backend)] = (
+                math.fsum(vals) / len(vals) if vals else float("nan"))
+    return table
+
+
+def assert_same_table(got, expected):
+    """Same cells, same floats bit for bit (NaN matches NaN)."""
+    assert list(got) == list(expected)
+    for cell, value in expected.items():
+        assert float(got[cell]).hex() == value.hex(), cell
+
+
+@pytest.mark.parametrize("trials,seeds", [(1, (0, 4, 9)), (3, (1, 6)), (8, (2, 5))])
+def test_table_matches_reference_on_fixture(observations, trials, seeds):
+    for seed in seeds:
+        settings = default_settings(trials=trials)
+        assert_same_table(run_attack_table(observations, settings, seed),
+                          reference_run_attack_table(observations, settings, seed))
+
+
+def unstable_observations(T=60):
+    """Synthetic cells: an unstable plant whose fitted rollouts diverge,
+    the same fit rolled out from 1e150, whose rollout would overflow
+    within T steps were it not stopped at the cap, a truth with exact
+    zero rows, and a truth that is zero throughout."""
+    A = np.array([[1.4, 0.3], [0.0, 1.3]])
+    B = np.array([[0.2], [1.0]])
+    rng = np.random.default_rng(17)
+    U = rng.uniform(-1.0, 1.0, size=(T, 1))
+    X = np.empty((T, 2))
+    X[0] = [1.0, -0.5]
+    for k in range(T - 1):
+        X[k + 1] = A @ X[k] + B @ U[k]
+    gapped = rng.normal(size=(T, 2))
+    gapped[[0, 7, 31]] = 0.0
+    zero = np.zeros((T, 2))
+    return {
+        "unstable": (X, U, X),
+        "explosive": (X, U, np.full((T, 2), 1e150)),
+        "distorted": (np.tanh(X / 50.0), U, X),
+        "gapped": (gapped, U, gapped),
+        "zero": (rng.normal(size=(T, 2)), U, zero),
+    }
+
+
+def test_table_matches_reference_on_divergent_and_degenerate_cells():
+    """Diverging rollouts raise no overflow warning, a zero-norm truth row
+    is skipped, and an all-zero truth leaves its cells undefined."""
+    obs = unstable_observations()
+    settings = (AttackSetting("none", trials=2), AttackSetting("gaussian", trials=5),
+                AttackSetting("uniform", trials=1), AttackSetting("impulse", trials=4))
+    for seed in (0, 13):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_attack_table(obs, settings, seed)
+        expected = reference_run_attack_table(obs, settings, seed)
+        assert_same_table(table, expected)
+        assert all(math.isnan(table[(s.noise_kind, "zero")]) for s in settings)
+        assert all(math.isfinite(table[(s.noise_kind, b)])
+                   for s in settings
+                   for b in ("unstable", "explosive", "distorted", "gapped"))
+    # the unstable cell does diverge, and its stacked rollout stops there
+    X, U, _ = obs["unstable"]
+    pred = fit_ls_predictor(X, U)
+    xhat, diverged = rollout(pred, X[0], U)
+    assert diverged and len(xhat) < len(U) + 1
+    assert np.array_equal(xhat, reference_rollout(pred.theta, X[0], U))
+
+
+def test_stacked_fit_rollout_score_match_one_trial_each(observations):
+    """Every field of a stacked fit, rollout and score equals its
+    one-trial reference."""
+    rng = np.random.default_rng(4)
+    feats, inputs, truth = observations["qe"]
+    noisy = np.stack([apply_noise(feats, AttackSetting("gaussian", noise_scale=s), rng)
+                      for s in (0.0, 0.01, 0.3, 3.0)])
+    U = np.broadcast_to(inputs, (4,) + inputs.shape)
+    X = np.broadcast_to(truth, (4,) + truth.shape)
+    pred = fit_ls_predictor(noisy, U)
+    xhat, steps = rollout(pred, X[:, 0], U)
+    score = confidentiality_score(X, xhat, steps)
+    for i in range(4):
+        theta, residual, deficient = reference_fit(noisy[i], inputs)
+        assert pred.theta[i].tobytes() == theta.tobytes()
+        assert pred.residual[i] == residual
+        assert pred.rank_deficient[i] == deficient
+        ref = reference_rollout(theta, truth[0], inputs)
+        assert steps[i] == len(ref)
+        assert np.array_equal(xhat[i, : steps[i]], ref)
+        assert score.value[i] == reference_score(truth, ref)
 
 
 def test_observations_refuse_nonzero_reference(bench_controller):

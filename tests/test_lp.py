@@ -132,6 +132,28 @@ def test_feasible_point_agrees_with_max_linear():
     assert any(verdicts) and not all(verdicts)
 
 
+def test_feasible_point_unbounded_by_rounding_at_zero_objective():
+    """The 250th system of this draw (8 x 4) ends its Bland pass UNBOUNDED:
+    after a few pivots a reduced cost rounds to -1.7e-10 over a column
+    with no positive entry, while the total violation already reads
+    -6.8e-11.  The violation LP is bounded below by 0, so that basis is
+    a feasible point, and max_linear calls the system feasible too."""
+    rng = np.random.default_rng(1)
+    for _ in range(250):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 6))
+        A = rng.normal(size=(m, n))
+        A[rng.random((m, n)) < 0.3] = 0.0
+        b = rng.normal(size=m)
+        b[rng.random(m) < 0.2] = 0.0
+    assert A.shape == (8, 4)
+    ok, x = lp.feasible_point(A, b)
+    assert ok
+    assert np.max(A @ x - b) <= 1e-9
+    status, *_ = lp.max_linear(np.zeros(4), A, b)
+    assert status == lp.OPTIMAL
+
+
 def test_chebyshev_unit_box():
     P = box([-1.0, -1.0], [1.0, 1.0])
     c, r = P.chebyshev_center()
