@@ -14,12 +14,12 @@ bigger is better for the defender.
 Observation noise (gaussian, uniform, or sparse impulses, scaled by the
 feature RMS) perturbs only what the adversary records, never the loop.
 
-A table runs every trial of every cell as one batch: each cell draws
-its noise trial by trial from its own seeded generator, as a one-trial
-loop would, and then one fit, one rollout (one stacked product per
-step) and one score handle the whole stack.  Fit, rollout and score
-take a 2-D argument as one trial, and every result equals that of the
-trial run alone, bit for bit.
+A table runs each cell's trials as one batch (blocks of TRIAL_BLOCK):
+the cell draws its noise trial by trial from its own seeded generator,
+as a one-trial loop would, and then one fit, one rollout (one stacked
+product per step) and one score handle the whole stack.  Fit, rollout
+and score take a 2-D argument as one trial, and every result equals
+that of the trial run alone, bit for bit.
 """
 
 import math
@@ -41,6 +41,8 @@ IMPULSE_RATE = 0.05
 DIVERGENCE_CAP = 1e6
 NORM_FLOOR = 1e-12
 RIDGE = 1e-9
+# trials per stacked adversary pass
+TRIAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -290,32 +292,28 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None,
 def run_attack_table(observations, settings, seed):
     """Mean confidentiality score per (setting, backend).
 
-    observations maps backend name to (features, inputs, truth_states),
-    all backends of one shape.  Each (setting, backend) cell averages
-    setting.trials independent noise realizations from its own seeded
-    generator.  Every cell's noise is drawn first, trial by trial, and
-    then all trials of the table are fitted, rolled out and scored as
-    one stack.
+    observations maps backend name to (features, inputs, truth_states).
+    Each (setting, backend) cell averages setting.trials independent
+    noise realizations from its own seeded generator.  A cell's trials
+    are drawn in order and fitted, rolled out and scored as stacks of at
+    most TRIAL_BLOCK trials, so memory does not grow with the trial count.
     """
-    names = list(observations)
-    inputs = np.stack([observations[b][1] for b in names])
-    truth = np.stack([observations[b][2] for b in names])
-    cells, noisy, which = [], [], []
+    table = {}
     for si, setting in enumerate(settings):
-        for bi, backend in enumerate(names):
+        for bi, (backend, (features, inputs, truth)) in enumerate(
+                observations.items()):
             rng = np.random.default_rng(np.random.SeedSequence([seed, si, bi]))
-            features = observations[backend][0]
-            noisy += [apply_noise(features, setting, rng)
-                      for _ in range(setting.trials)]
-            which += [bi] * setting.trials
-            cells.append(((setting.noise_kind, backend), setting.trials))
-    scores = attack_once(np.stack(noisy), inputs[which], truth[which])
-    table, start = {}, 0
-    for cell, trials in cells:
-        stop = start + trials
-        vals = scores.value[start:stop][scores.defined[start:stop]].tolist()
-        table[cell] = math.fsum(vals) / len(vals) if vals else float("nan")
-        start = stop
+            vals = []
+            for start in range(0, setting.trials, TRIAL_BLOCK):
+                k = min(TRIAL_BLOCK, setting.trials - start)
+                noisy = np.stack([apply_noise(features, setting, rng)
+                                  for _ in range(k)])
+                scores = attack_once(noisy,
+                                     np.broadcast_to(inputs, (k,) + inputs.shape),
+                                     np.broadcast_to(truth, (k,) + truth.shape))
+                vals += scores.value[scores.defined].tolist()
+            table[(setting.noise_kind, backend)] = (
+                math.fsum(vals) / len(vals) if vals else float("nan"))
     return table
 
 

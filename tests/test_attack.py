@@ -1,8 +1,8 @@
 """Least-squares adversary: fit, rollout, score, and the ordering table.
 
 `reference_run_attack_table` is the table as it was computed one trial
-at a time, with one norm per step; the program evaluates every trial of
-a table as one stack and must give the same floats, bit for bit.
+at a time, with one norm per step; the program evaluates each cell's
+trials as one stack and must give the same floats, bit for bit.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from encmpc import attack
 from encmpc.attack import (
     DIVERGENCE_CAP,
     NORM_FLOOR,
@@ -404,6 +405,20 @@ def test_table_matches_reference_on_divergent_and_degenerate_cells():
     xhat, diverged = rollout(pred, X[0], U)
     assert diverged and len(xhat) < len(U) + 1
     assert np.array_equal(xhat, reference_rollout(pred.theta, X[0], U))
+
+
+def test_table_blocks_and_cell_shapes_match_reference(observations, monkeypatch):
+    """A cell split over several blocks (the last one short) gives the
+    reference floats; backends may differ in length; no settings, no
+    cells."""
+    obs = dict(observations)
+    feats, inputs, truth = obs.pop("paillier")
+    obs["short"] = (feats[:40], inputs[:40], truth[:40])
+    monkeypatch.setattr(attack, "TRIAL_BLOCK", 3)
+    settings = default_settings(trials=8)
+    assert_same_table(run_attack_table(obs, settings, 11),
+                      reference_run_attack_table(obs, settings, 11))
+    assert run_attack_table(obs, (), 11) == {}
 
 
 def test_stacked_fit_rollout_score_match_one_trial_each(observations):
