@@ -41,7 +41,7 @@ IMPULSE_RATE = 0.05
 DIVERGENCE_CAP = 1e6
 NORM_FLOOR = 1e-12
 RIDGE = 1e-9
-# trials per stacked adversary pass
+# most trials per stacked pass, so memory does not grow with the trial count
 TRIAL_BLOCK = 256
 
 
