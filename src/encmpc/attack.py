@@ -18,8 +18,9 @@ A table runs each cell's trials as one batch (blocks of TRIAL_BLOCK):
 the cell draws its noise trial by trial from its own seeded generator,
 as a one-trial loop would, and then one fit, one rollout (one stacked
 product per step) and one score handle the whole stack.  Fit, rollout
-and score take a 2-D argument as one trial, and every result equals
-that of the trial run alone, bit for bit.
+and score take stacks of trials only (trials x T x .; one trial is a
+stack of one), and every trial's result equals that of the trial run
+alone, bit for bit.
 """
 
 import math
@@ -68,11 +69,11 @@ def default_settings(trials=200, T=60):
 
 @dataclass
 class LsPredictor:
-    """One trial's fit, or a stack's with one entry per trial."""
+    """A stack's fit, one entry per trial."""
 
-    theta: np.ndarray  # n x (n+m), or trials x n x (n+m)
-    residual: float
-    rank_deficient: bool
+    theta: np.ndarray  # trials x n x (n+m)
+    residual: np.ndarray
+    rank_deficient: np.ndarray
 
 
 def _norms(V):
@@ -87,13 +88,10 @@ def fit_ls_predictor(proxies, inputs):
     Solved through the ridge-regularized normal equations; a feature
     matrix without full column rank is still solved but flagged.
     proxies (trials, T, n) and inputs (trials, T or T-1, m) fit every
-    trial at once; 2-D arguments are one trial.
+    trial at once.
     """
     P = np.asarray(proxies, dtype=float)
     U = np.asarray(inputs, dtype=float)
-    single = P.ndim < 3
-    if single:
-        P, U = np.atleast_2d(P)[None], np.atleast_2d(U)[None]
     T, n = P.shape[1:]
     m = U.shape[2]
     if U.shape[:2] not in ((P.shape[0], T), (P.shape[0], T - 1)):
@@ -110,29 +108,21 @@ def fit_ls_predictor(proxies, inputs):
     R = (Y - Z @ theta.transpose(0, 2, 1)).reshape(len(P), -1)
     residual = _norms(R)
     deficient = np.linalg.matrix_rank(Z) < n + m
-    if single:
-        return LsPredictor(theta=theta[0], residual=float(residual[0]),
-                           rank_deficient=deficient[0])
     return LsPredictor(theta=theta, residual=residual, rank_deficient=deficient)
 
 
 def rollout(pred, x0, inputs):
     """Iterate xhat(k+1) = Theta [xhat(k); u(k)] from the true x(0).
 
-    Truncates once ||xhat|| exceeds the divergence cap.  One trial
-    returns (xhat, diverged): the rows up to and including the first
-    over the cap, and whether that happened.  A stack (theta of
-    trials x n x (n+m), x0 of trials x n, inputs of trials x T x m)
-    steps every trial with one product per step and returns
-    (xhat, steps): trial i's rollout is xhat[i, :steps[i]], and a
-    diverged trial stays frozen at its last row after that.
+    theta is trials x n x (n+m), x0 trials x n and inputs trials x T x m;
+    every trial steps with one product per step.  Returns (xhat, steps):
+    trial i's rollout is xhat[i, :steps[i]], truncated after its first
+    row over the divergence cap, and a diverged trial stays frozen at
+    that row after it.
     """
     theta = pred.theta
     U = np.asarray(inputs, dtype=float)
     x = np.asarray(x0, dtype=float)
-    single = theta.ndim < 3
-    if single:
-        theta, U, x = theta[None], np.atleast_2d(U)[None], x.ravel()[None]
     N, T, m = U.shape
     n = x.shape[1]
     out = np.empty((N, T + 1, n))
@@ -148,18 +138,16 @@ def rollout(pred, x0, inputs):
         over = live & (_norms(x) > DIVERGENCE_CAP)
         steps[over] = k + 2
         live &= ~over
-    if single:
-        return out[0, : steps[0]], not live[0]
     return out, steps
 
 
 @dataclass
 class ScoreResult:
-    """One trial's score, or a stack's with one entry per trial."""
+    """A stack's scores, one entry per trial."""
 
-    value: float
-    counted: int
-    skipped: int
+    value: np.ndarray
+    counted: np.ndarray
+    skipped: np.ndarray
 
     @property
     def defined(self):
@@ -173,13 +161,10 @@ def confidentiality_score(truth, predicted, steps=None):
     all-skipped comparison is undefined (value nan).  Terms accumulate
     with compensated summation so trial order cannot change the result.
     Stacks of trials (trials x T x n) are scored at once, each over its
-    first steps[i] rows when steps is given; 2-D arguments are one trial.
+    first steps[i] rows when steps is given.
     """
     X = np.asarray(truth, dtype=float)
     Xh = np.asarray(predicted, dtype=float)
-    single = X.ndim < 3
-    if single:
-        X, Xh = np.atleast_2d(X)[None], np.atleast_2d(Xh)[None]
     K = min(X.shape[1], Xh.shape[1])
     X, Xh = X[:, :K], Xh[:, :K]
     rows = np.arange(K) < (K if steps is None else np.asarray(steps)[:, None])
@@ -190,11 +175,7 @@ def confidentiality_score(truth, predicted, steps=None):
     counted = keep.sum(axis=1)
     value = np.array([math.fsum(t[k].tolist()) / c if c else float("nan")
                       for t, k, c in zip(terms, keep, counted.tolist())])
-    skipped = skip.sum(axis=1)
-    if single:
-        return ScoreResult(value=float(value[0]), counted=int(counted[0]),
-                           skipped=int(skipped[0]))
-    return ScoreResult(value=value, counted=counted, skipped=skipped)
+    return ScoreResult(value=value, counted=counted, skipped=skip.sum(axis=1))
 
 
 def observe_features(log, backend, field, n):
@@ -236,7 +217,7 @@ def attack_once(noisy, inputs, truth):
 PROBE_SCALE = 0.3
 
 
-def probe_dither(T, m, seed, scale=PROBE_SCALE):
+def probe_dither(T, m, seed):
     """Seeded uniform probing sequence added to the applied input.
 
     The closed loop alone makes u a function of x, so the regression
@@ -246,11 +227,10 @@ def probe_dither(T, m, seed, scale=PROBE_SCALE):
     identically.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E0B]))
-    return rng.uniform(-scale, scale, size=(T, m))
+    return rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(T, m))
 
 
-def gather_observations(scenario, controller, cfg, backends, keypair=None,
-                        dither=None):
+def gather_observations(scenario, controller, cfg, backends, keypair=None):
     """Run the true loop once per backend under an eavesdropper tap.
 
     Returns {backend: (features, inputs, truth_states)} where inputs are
@@ -269,8 +249,7 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None,
             "features come from the wire (x - x_ss) but truth is the "
             f"absolute state, so r_steps {list(scenario.r_steps)} would "
             "score the adversary in mixed frames")
-    if dither is None:
-        dither = probe_dither(scenario.T, controller.m, cfg.seed_attack)
+    dither = probe_dither(scenario.T, controller.m, cfg.seed_attack)
     key_bits = keypair.bits if keypair is not None else cfg.key_bits
     obs = {}
     for backend in backends:
@@ -317,11 +296,11 @@ def run_attack_table(observations, settings, seed):
     return table
 
 
-def attack_table_csv(table, backends, noise_kinds=NOISE_KINDS):
+def attack_table_csv(table, backends):
     """CSV with one row per noise setting, one column per backend."""
     fmt = lambda v: "undefined" if math.isnan(v) else fmt_17g(v)
     lines = [",".join(["noise"] + list(backends))]
-    for kind in noise_kinds:
+    for kind in NOISE_KINDS:
         row = [kind] + [fmt(table[(kind, b)]) for b in backends]
         lines.append(",".join(row))
     return "\r\n".join(lines) + "\r\n"

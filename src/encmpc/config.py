@@ -5,6 +5,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .paillier import VALID_KEY_BITS
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -50,12 +52,12 @@ def load_json(path):
             f"{exc.msg}") from exc
 
 
-def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int, int]:
-    """Matched-accuracy parameters (delta, w, p_min) for a target epsilon_q.
+def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int]:
+    """Matched-accuracy parameters (delta, w) for a target epsilon_q.
 
-    delta is the smallest integer with rho**-delta <= epsilon_q, w the
-    smallest with 2**-w <= epsilon_q, and p_min = w is the least internal
-    precision for ciphertext arithmetic.
+    delta is the smallest integer with rho**-delta <= epsilon_q and w the
+    smallest with 2**-w <= epsilon_q; w is also the least internal
+    precision p_bits for ciphertext arithmetic.
     """
     if not 0.0 < epsilon_q < 1.0:
         raise ConfigError(f"epsilon_q must be in (0, 1), got {epsilon_q}")
@@ -64,7 +66,7 @@ def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int, int]:
     # guard against log() landing a hair above an exact integer
     delta = math.ceil(math.log(1.0 / epsilon_q) / math.log(rho) - 1e-9)
     w = math.ceil(math.log2(1.0 / epsilon_q) - 1e-9)
-    return max(delta, 1), max(w, 1), max(w, 1)
+    return max(delta, 1), max(w, 1)
 
 
 @dataclass
@@ -73,8 +75,10 @@ class RunConfig:
 
     delta and w left as None are derived from epsilon_q via
     align_accuracy, or default to 10 and 16 when epsilon_q is unset.
-    With epsilon_q set, p_bits is raised to the derived minimum and
-    explicit delta and w must still meet the target.
+    With epsilon_q set, p_bits is raised to the derived w and explicit
+    delta and w must still meet the target.  A field out of its range
+    (key_bits not a supported Paillier size, attack_trials < 1, rho < 2,
+    w < 1, steps < 1) is a ConfigError.
     """
 
     scenario_path: str = ""
@@ -95,11 +99,19 @@ class RunConfig:
     attack_trials: int = 200
 
     def __post_init__(self) -> None:
+        for name, ok, need in (
+                ("key_bits", self.key_bits in VALID_KEY_BITS, f"one of {VALID_KEY_BITS}"),
+                ("attack_trials", self.attack_trials >= 1, ">= 1"),
+                ("rho", self.rho >= 2, ">= 2"),
+                ("w", self.w is None or self.w >= 1, ">= 1"),
+                ("steps", self.steps is None or self.steps >= 1, ">= 1 or null")):
+            if not ok:
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)}")
         if self.epsilon_q is None:
             delta, w = 10, 16
         else:
-            delta, w, p_min = align_accuracy(self.epsilon_q, self.rho)
-            self.p_bits = max(self.p_bits, p_min)
+            delta, w = align_accuracy(self.epsilon_q, self.rho)
+            self.p_bits = max(self.p_bits, w)
         if self.delta is None:
             self.delta = delta
         if self.w is None:

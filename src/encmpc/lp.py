@@ -5,15 +5,22 @@ feasibility phase-1, redundancy tests) have a handful of rows, so a
 textbook dense tableau is adequate and keeps the dependency surface flat.
 `solve_standard` is the general two-phase route, behind `max_linear`;
 `feasible_point` builds an LP that carries its own feasible start basis
-and so runs a single Bland pass on it.
+and so runs a single Bland pass on it.  Pivots take reduced costs below
+-PIVOT_TOL and column entries above PIVOT_TOL; a pass of MAX_PIVOTS pivots
+has cycled.  `feasible_point` accepts a total violation up to
+config.DEFAULT_TOL.feasibility.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT_TOL
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+PIVOT_TOL = 1e-10
+MAX_PIVOTS = 20000
 
 
 class LpError(RuntimeError):
@@ -30,8 +37,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int,
-                   tol: float = 1e-10, max_iter: int = 20000) -> str:
+def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int) -> str:
     """Run simplex pivots on tableau T until optimal or unbounded.
 
     T layout: rows 0..m-1 are [B^-1 A | B^-1 b], last row is
@@ -41,13 +47,13 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int,
     """
     m = T.shape[0] - 1
     ratios = np.empty(m)
-    for _ in range(max_iter):
-        negative = T[-1, :ncols] < -tol
+    for _ in range(MAX_PIVOTS):
+        negative = T[-1, :ncols] < -PIVOT_TOL
         col = int(negative.argmax())
         if not negative[col]:
             return OPTIMAL
         colvals = T[:m, col]
-        rising = colvals > tol
+        rising = colvals > PIVOT_TOL
         if not rising.any():
             return UNBOUNDED
         # rows where the column does not rise get ratio inf, out of the test
@@ -59,8 +65,7 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int,
     raise LpError("simplex did not converge (cycling guard tripped)")
 
 
-def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                   tol: float = 1e-10):
+def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     """Solve min c'y s.t. Ay = b, y >= 0 by two-phase simplex.
 
     Returns (status, y, value, pi) where pi are the equality-row
@@ -83,14 +88,14 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     T[-1, :n] = -A.sum(axis=0)
     T[-1, -1] = -b.sum()
     basis = np.arange(n, n + m)
-    status = _bland_iterate(T, basis, n + m, tol)
+    status = _bland_iterate(T, basis, n + m)
     if status != OPTIMAL or -T[-1, -1] > 1e-8:
         return INFEASIBLE, None, None, None
 
     # drive surviving artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
-            pivots = np.flatnonzero(np.abs(T[i, :n]) > tol)
+            pivots = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
             if pivots.size:
                 _pivot(T, basis, i, int(pivots[0]))
     keep_rows = np.flatnonzero(basis < n)  # rows basic in an artificial are redundant
@@ -103,7 +108,7 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     T2[:mr, -1] = T[keep_rows, -1]
     T2[-1, :n] = c - c[basis] @ T2[:mr, :n]
     T2[-1, -1] = -c[basis] @ T2[:mr, -1]
-    status = _bland_iterate(T2, basis, n, tol)
+    status = _bland_iterate(T2, basis, n)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None, None
 
@@ -123,8 +128,7 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     return OPTIMAL, y, value, pi
 
 
-def max_linear(objective: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
-               tol: float = 1e-10):
+def max_linear(objective: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray):
     """Maximize objective'x over {x : A_ub x <= b_ub} with x free.
 
     Solved through the standard-form dual (min b'y over A'y = objective,
@@ -136,7 +140,7 @@ def max_linear(objective: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
     A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
     b_ub = np.asarray(b_ub, dtype=float)
     objective = np.asarray(objective, dtype=float)
-    status, y, value, pi = solve_standard(b_ub, A_ub.T, objective, tol)
+    status, y, value, pi = solve_standard(b_ub, A_ub.T, objective)
     if status == INFEASIBLE:
         return UNBOUNDED, None, None
     if status == UNBOUNDED:
@@ -144,7 +148,7 @@ def max_linear(objective: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
     return OPTIMAL, pi, float(value)
 
 
-def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray, tol: float = 1e-9):
+def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray):
     """Find x with A_ub x <= b_ub (x free), or report infeasibility.
 
     Minimizes the total constraint violation sum(s) over
@@ -153,8 +157,8 @@ def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray, tol: float = 1e-9):
     phase 1: row i starts basic in its slack t_i when b_i >= 0, and in
     its violation s_i (after negating the row) when b_i < 0. So one
     Bland pass from that basis solves it, with no artificial columns.
-    Returns (feasible, x); raises LpError when the pass ends
-    UNBOUNDED with the total violation still above tol.
+    Returns (feasible, x), feasible iff the violation is within tol =
+    DEFAULT_TOL.feasibility; raises LpError when the pass ends UNBOUNDED above it.
     """
     A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
     b_ub = np.asarray(b_ub, dtype=float)
@@ -178,6 +182,7 @@ def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray, tol: float = 1e-9):
     T[-1, 2 * n:2 * n + m] = 1.0
     T[-1] -= T[:m][flip].sum(axis=0)
     status = _bland_iterate(T, basis, ncols)
+    tol = DEFAULT_TOL.feasibility
     # the objective is bounded below by 0, so UNBOUNDED at an objective
     # already within tol of 0 is rounding in a reduced cost: the current
     # basis is a feasible point

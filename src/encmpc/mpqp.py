@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .config import ConfigError, DEFAULT_TOL, Tolerances
+from .config import ConfigError, DEFAULT_TOL
 from .polyhedra import Polyhedron, chebyshev_center, irredundant_rows
 from .qp import QpInfeasible, QpNoConvergence, solve_qp_oracle
 
@@ -144,8 +144,7 @@ def prediction_matrices(sys: LtiSystem, N: int):
     return Sx, Su
 
 
-def condense(sys: LtiSystem, spec: MpcSpec,
-             tol: Tolerances = DEFAULT_TOL) -> CondensedQp:
+def condense(sys: LtiSystem, spec: MpcSpec) -> CondensedQp:
     """Eliminate the state sequence to get the parametric QP in U alone.
 
     Constraint rows are stacked in a fixed order: inputs for steps
@@ -167,7 +166,7 @@ def condense(sys: LtiSystem, spec: MpcSpec,
     H = 0.5 * (H + H.T)
     F = Su.T @ Qbar @ Sx
     eigmin = float(np.linalg.eigvalsh(H).min())
-    if eigmin <= tol.spd_min_eig:
+    if eigmin <= DEFAULT_TOL.spd_min_eig:
         raise ConfigError(f"condensed Hessian is not positive definite (min eig {eigmin:.3e})")
 
     G_rows, E_rows, h_rows = [], [], []
@@ -409,8 +408,7 @@ def _dumps_17g(obj, indent: int = 0) -> str:
 _FACET_STEPS = (1e-6, 1e-7, 1e-8)
 
 
-def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
-                      stats: dict = None) -> list:
+def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
     """All full-dimensional critical regions, by crossing their facets.
 
     Starts from the oracle's active set at the Chebyshev center of the
@@ -456,7 +454,7 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
         GA = qp.G[cands]                      # (1, k, nz)
         sv = np.linalg.svd(GA, compute_uv=False)
         M = GA @ Hinv @ GA.transpose(0, 2, 1)
-        if not ((sv > tol.rank * np.maximum(sv[:, :1], 1.0)).all()
+        if not ((sv > DEFAULT_TOL.rank * np.maximum(sv[:, :1], 1.0)).all()
                 and np.linalg.slogdet(M)[0][0] > 0):
             stats["rank_fails"] += 1
             return None
@@ -470,8 +468,8 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
             [np.einsum("qz,bzn->bqn", qp.G, Z) - qp.E[None], -Lam], axis=1)[0]
         rows_b = np.concatenate(
             [qp.h[None] - np.einsum("qz,bz->bq", qp.G, z0), lam0], axis=1)[0]
-        dead = np.linalg.norm(rows_A, axis=1) <= tol.zero_row
-        if (rows_b[dead] < -tol.feasibility).any():
+        dead = np.linalg.norm(rows_A, axis=1) <= DEFAULT_TOL.zero_row
+        if (rows_b[dead] < -DEFAULT_TOL.feasibility).any():
             stats["dead_kills"] += 1
             return None
         # vacuous zero rows are neutralized instead of removed
@@ -479,7 +477,7 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
         rows_A = np.where(dead[:, None], 0.0, rows_A)
         stats["lp_calls"] += 1
         center, radius = chebyshev_center(rows_A, rows_b)
-        if not (radius > tol.cheb_cutoff):
+        if not (radius > DEFAULT_TOL.cheb_cutoff):
             stats["empty" if radius < 0 else "thin"] += 1
             return None
         Ar, br, facets = irredundant_rows(rows_A, rows_b, center=center, stats=stats)
@@ -504,7 +502,7 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
         for step in _FACET_STEPS:
             x = center + step * normal
             try:
-                _, active, lam = solve_qp_oracle(qp, x, tol)
+                _, active, lam = solve_qp_oracle(qp, x)
             except QpInfeasible:
                 stats["boundary_facets"] += 1
                 return
@@ -514,7 +512,8 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
             stats["oracle_steps"] += 1
             for cand in (active, tuple(i for i in active if lam[i] > 1e-9)):
                 rows = visit(cand)
-                if rows is not None and np.all(rows[0] @ x - rows[1] <= tol.feasibility):
+                if rows is not None and np.all(
+                        rows[0] @ x - rows[1] <= DEFAULT_TOL.feasibility):
                     return
         where = f"facet row {facet} of the region of active set {aset}"
         if not converged:
@@ -525,7 +524,7 @@ def enumerate_regions(qp: CondensedQp, tol: Tolerances = DEFAULT_TOL,
     start, radius = chebyshev_center(np.hstack([-qp.E, qp.G]), qp.h)
     if radius < 0:
         raise ConfigError("MPC constraints are infeasible for every state")
-    _, active, _ = solve_qp_oracle(qp, start[:qp.n], tol)
+    _, active, _ = solve_qp_oracle(qp, start[:qp.n])
     visit(active)
     while frontier:
         aset, Ar, br, facets = frontier.popleft()
@@ -566,12 +565,10 @@ def _region_signature(A: np.ndarray, b: np.ndarray,
     return rows, tuple(law)
 
 
-def synthesize(sys: LtiSystem, spec: MpcSpec, tol: Tolerances = DEFAULT_TOL,
-               meta: dict = None, stats: dict = None) -> PwaController:
+def synthesize(sys: LtiSystem, spec: MpcSpec, stats: dict = None) -> PwaController:
     """Condense and explore the regions; returns the explicit controller."""
-    qp = condense(sys, spec, tol)
-    regions = enumerate_regions(qp, tol, stats=stats)
+    qp = condense(sys, spec)
+    regions = enumerate_regions(qp, stats=stats)
     if not regions:
         raise ConfigError("synthesis produced no full-dimensional regions")
-    return PwaController(regions=regions, n=qp.n, m=qp.m, horizon=qp.horizon,
-                         meta=meta or {})
+    return PwaController(regions=regions, n=qp.n, m=qp.m, horizon=qp.horizon)

@@ -134,7 +134,10 @@ for _cand in range(5, 2000, 2):
         _SMALL_PRIMES.append(_cand)
 
 
-def is_probable_prime(n, rng, rounds=40):
+MR_ROUNDS = 40  # Miller-Rabin witnesses per candidate
+
+
+def is_probable_prime(n, rng):
     """Miller-Rabin with trial division by small primes first."""
     if n < 2:
         return False
@@ -148,7 +151,7 @@ def is_probable_prime(n, rng, rounds=40):
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -306,8 +309,8 @@ def gain_bitlen(K_hat):
     return max(longest, 1)
 
 
-def he_eval_pwa(sigma, enc_x, K_hat, enc_b, pk, counters=None):
-    """Encrypted affine law for region sigma: u~_j = b~_j + sum_i K_hat[j][i] (x) x~_i.
+def he_eval_pwa(enc_x, K_hat, enc_b, pk, counters=None):
+    """Encrypted affine law of one region: u~_j = b~_j + sum_i K_hat[j][i] (x) x~_i.
 
     Takes only the public key, so decryption is impossible here by
     construction.  enc_x must be at scale delta and enc_b at scale
@@ -317,8 +320,6 @@ def he_eval_pwa(sigma, enc_x, K_hat, enc_b, pk, counters=None):
     negative gain.  If a counters dict is given, he_mul and he_add are
     incremented once per gain term.
     """
-    if sigma < 0:
-        raise ValueError("region index must be nonnegative")
     if len(K_hat) != len(enc_b):
         raise ValueError("gain rows and offset length disagree")
     out = []

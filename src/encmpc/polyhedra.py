@@ -35,11 +35,9 @@ class Polyhedron:
     def nrows(self) -> int:
         return self.A.shape[0]
 
-    def contains(self, x: np.ndarray, tol: float = None) -> bool:
-        if tol is None:
-            tol = DEFAULT_TOL.feasibility
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(self.A @ x - self.b <= tol))
+        return bool(np.all(self.A @ x - self.b <= DEFAULT_TOL.feasibility))
 
     def chebyshev_center(self):
         return chebyshev_center(self.A, self.b)
@@ -102,6 +100,8 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray):
     return xr[:n], radius
 
 
+REDUNDANCY_TOL = 1e-9  # the tol of irredundant_rows
+
 # rays per dimension that redundancy elimination shoots from the center,
 # along fixed directions drawn once from this seed
 RAYS_PER_DIM = 64
@@ -116,11 +116,11 @@ def _ray_directions(n: int) -> np.ndarray:
     return dirs
 
 
-def irredundant_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-9,
-                     center: np.ndarray = None, stats: dict = None):
+def irredundant_rows(A: np.ndarray, b: np.ndarray, center: np.ndarray = None,
+                     stats: dict = None):
     """Drop rows whose removal does not change the set P = {x : Ax <= b}.
 
-    Row i is redundant iff max a_i'x over the other rows is <= b_i + tol.
+    Row i is redundant iff max a_i'x over the others is <= b_i + tol (REDUNDANCY_TOL).
     One LP per row decides that, removing rows in index order, so of
     rows that give the same facet (positive multiples) the last stays.
     Four stages keep exactly that answer, and spend LPs only on the
@@ -163,13 +163,13 @@ def irredundant_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-9,
     inner = center is not None and idx.size > 0 and bool(np.all(Ai @ center < bi))
     facet = np.zeros(idx.size, dtype=bool)
     if inner:
-        facet[_ray_facets(Ai, bi, center, tol)] = True
+        facet[_ray_facets(Ai, bi, center)] = True
     boxed = np.zeros(idx.size, dtype=bool)
     box_lps = 0
     if inner and not facet.all():
         bounds, box_lps = _bounding_box(Ai, bi)
         if bounds is not None:
-            boxed = ~facet & _below_box(Ai, bi, bounds, tol)
+            boxed = ~facet & _below_box(Ai, bi, bounds)
             if boxed.all():
                 boxed[-1] = False
     # 4. one LP per undecided row, over the rows not yet removed
@@ -183,7 +183,7 @@ def irredundant_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-9,
         if others.size:
             status, _, value = lp.max_linear(A[i], A[others], b[others])
             row_lps += 1
-            if status == lp.OPTIMAL and value <= b[i] + tol:
+            if status == lp.OPTIMAL and value <= b[i] + REDUNDANCY_TOL:
                 continue
         inside[i] = True
     if stats is not None:
@@ -207,8 +207,7 @@ def _first_copies(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _ray_facets(A: np.ndarray, b: np.ndarray, center: np.ndarray,
-                tol: float) -> np.ndarray:
+def _ray_facets(A: np.ndarray, b: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Rows certified irredundant by a witness on one of the fixed rays."""
     dirs = _ray_directions(A.shape[1])
     rate = A @ dirs.T                                    # (rows, rays)
@@ -223,7 +222,7 @@ def _ray_facets(A: np.ndarray, b: np.ndarray, center: np.ndarray,
     first, near, far = first[shot], near[shot], far[shot]
     step = np.where(np.isfinite(far), 0.5 * (near + far), 2.0 * near)
     excess = A @ (center + step[:, None] * dirs[shot]).T - b[:, None]
-    ok = ((excess[first, np.arange(first.size)] > tol)
+    ok = ((excess[first, np.arange(first.size)] > REDUNDANCY_TOL)
           & ((excess > 0).sum(axis=0) == 1))
     return first[ok]
 
@@ -241,10 +240,9 @@ def _bounding_box(A: np.ndarray, b: np.ndarray):
     return bounds, 2 * n
 
 
-def _below_box(A: np.ndarray, b: np.ndarray, bounds: np.ndarray,
-               tol: float) -> np.ndarray:
-    """Rows whose maximum over the box is below b_i by more than tol
-    times the magnitude of the terms that maximum sums."""
+def _below_box(A: np.ndarray, b: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Rows whose maximum over the box is below b_i by more than
+    REDUNDANCY_TOL times the magnitude of the terms that maximum sums."""
     n = A.shape[1]
     hi, lo = bounds[:n], -bounds[n:]
     # a row that rises toward an open side has no finite maximum
@@ -252,4 +250,4 @@ def _below_box(A: np.ndarray, b: np.ndarray, bounds: np.ndarray,
     hi, lo = np.where(np.isinf(hi), 0.0, hi), np.where(np.isinf(lo), 0.0, lo)
     top = np.where(A > 0, A * hi, A * lo).sum(axis=1)
     scale = np.abs(A) @ np.maximum(np.abs(hi), np.abs(lo)) + np.abs(b)
-    return ~open_side & (top < b - tol * (1.0 + scale))
+    return ~open_side & (top < b - REDUNDANCY_TOL * (1.0 + scale))

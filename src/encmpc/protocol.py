@@ -293,8 +293,8 @@ class Cloud:
             vals, off = self.field.decode(msg.body, (n, m), off)
             wire.expect_end(msg.body, off)
             cts = [HeCiphertext(v, self.pk.n_sq) for v in vals]
-            out = he_eval_pwa(sigma, cts[:n], self.gains_encoded[sigma],
-                              cts[n:], self.pk, counters=counts)
+            out = he_eval_pwa(cts[:n], self.gains_encoded[sigma], cts[n:],
+                              self.pk, counters=counts)
             values = [c.value for c in out]
 
         # msg.body[off:] holds the forwarded fields, empty unless qe

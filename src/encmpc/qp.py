@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import lp
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
+
+MAX_ITER = 500  # active-set iterations before QpNoConvergence
 
 
 class QpInfeasible(RuntimeError):
@@ -21,8 +23,7 @@ class QpNoConvergence(RuntimeError):
     pass
 
 
-def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
-             tol: Tolerances = DEFAULT_TOL, max_iter: int = 500):
+def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray):
     """Return (z, lam, active) for the inequality-constrained QP.
 
     Starts with an empty working set from the feasible point that
@@ -45,7 +46,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
     nz = H.shape[0]
     q = G.shape[0]
 
-    feasible, z = lp.feasible_point(G, w, tol=tol.feasibility)
+    feasible, z = lp.feasible_point(G, w)
     if not feasible:
         raise QpInfeasible("constraint set is empty for this parameter")
 
@@ -55,7 +56,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
     work: list = []
     in_work = np.zeros(q, dtype=bool)
     settled = False   # after a full step z minimizes over the working set
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         k = len(work)
         grad = H @ z + g
         kkt[nz:nz + k, :nz] = G[work]
@@ -66,7 +67,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
         lam_w = sol[nz:]
 
         if settled or np.linalg.norm(d) <= 1e-11:
-            neg = [i for i, lv in enumerate(lam_w) if lv < -tol.dual_feas]
+            neg = [i for i, lv in enumerate(lam_w) if lv < -DEFAULT_TOL.dual_feas]
             if not neg:
                 lam = np.zeros(q)
                 lam[work] = np.maximum(lam_w, 0.0)
@@ -95,21 +96,21 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray,
     raise QpNoConvergence("active-set iteration limit reached")
 
 
-def solve_qp_oracle(qp, x, tol: Tolerances = DEFAULT_TOL):
+def solve_qp_oracle(qp, x):
     """(z_star, active_set, multipliers) for the condensed QP at x."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    z, lam, active = solve_qp(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x, tol=tol)
+    z, lam, active = solve_qp(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x)
     return z, active, lam
 
 
-def implicit_control(qp, x, tol: Tolerances = DEFAULT_TOL):
+def implicit_control(qp, x):
     """First input of the optimal horizon at parameter x.
 
     Returns (u0, z, active). qp is a CondensedQp; raising QpInfeasible
     marks x outside the feasible set.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z, lam, active = solve_qp(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x, tol=tol)
+    z, lam, active = solve_qp(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x)
     return z[:qp.m], z, active
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_json
+from .config import ConfigError, load_json
 from .mpqp import (
     LtiSystem,
     MpcSpec,
@@ -171,17 +171,24 @@ def scenario_to_dict(sc):
 
 
 def scenario_from_dict(d):
+    """Scenario from its dict form; r_steps must be nonempty and start at
+    nonnegative, strictly increasing steps, or a value would never be in force."""
     required = {"name", "A", "B", "C_out", "horizon", "Q", "R",
                 "u_lo", "u_hi", "x_lo", "x_hi", "x0"}
     missing = required - set(d)
     if missing:
         raise ConfigError(f"scenario missing fields: {sorted(missing)}")
+    r_steps = tuple((int(k), float(v)) for k, v in d.get("r_steps", [[0, 0.0]]))
+    starts = [k for k, _ in r_steps]
+    if not starts or starts[0] < 0 or any(a >= b for a, b in zip(starts, starts[1:])):
+        raise ConfigError(f"r_steps start steps {starts} must be nonempty, "
+                          "nonnegative and strictly increasing")
     return Scenario(
         name=d["name"], A=d["A"], B=d["B"], C_out=d["C_out"],
         horizon=int(d["horizon"]), Q=d["Q"], R=d["R"],
         u_lo=d["u_lo"], u_hi=d["u_hi"], x_lo=d["x_lo"], x_hi=d["x_hi"],
         x0=d["x0"], T=int(d.get("T", 60)),
-        r_steps=tuple((int(k), float(v)) for k, v in d.get("r_steps", [[0, 0.0]])),
+        r_steps=r_steps,
     )
 
 
@@ -214,8 +221,8 @@ class Trajectory:
         return len(self.records)
 
 
-def run_closed_loop(scenario, backend, cfg=None, controller=None,
-                    keypair=None, log=None, dither=None):
+def run_closed_loop(scenario, backend, cfg, controller, keypair=None, log=None,
+                    dither=None):
     """Simulate the plant under one backend; returns a Trajectory.
 
     The plaintext law of the region the sensor located is evaluated in
@@ -229,9 +236,6 @@ def run_closed_loop(scenario, backend, cfg=None, controller=None,
     the encrypted and plaintext laws identically, so the mismatch
     column is unaffected.
     """
-    cfg = cfg if cfg is not None else RunConfig(backend=backend)
-    if controller is None:
-        controller = scenario.synthesize_controller()
     sys = scenario.system()
     sensor, cloud, actuator = make_parties(controller, backend, cfg,
                                            keypair=keypair)

@@ -66,87 +66,87 @@ def synthetic_linear_data(T=40, seed=0):
 
 def test_fit_recovers_plant_on_exact_data():
     A, B, xs, us = synthetic_linear_data()
-    pred = fit_ls_predictor(xs, us)
-    assert not pred.rank_deficient
-    assert np.max(np.abs(pred.theta - np.hstack([A, B]))) <= 1e-8
-    assert pred.residual <= 1e-8
+    pred = fit_ls_predictor(xs[None], us[None])
+    assert not pred.rank_deficient[0]
+    assert np.max(np.abs(pred.theta[0] - np.hstack([A, B]))) <= 1e-8
+    assert pred.residual[0] <= 1e-8
 
 
 def test_fit_requires_enough_samples():
     xs = np.zeros((3, 2))
     us = np.zeros((3, 1))
     with pytest.raises(ValueError):
-        fit_ls_predictor(xs, us)  # needs n+m+1 = 4
+        fit_ls_predictor(xs[None], us[None])  # needs n+m+1 = 4
 
 
 def test_constant_proxy_flagged_and_useless():
     _, _, xs, us = synthetic_linear_data()
     const = np.ones_like(xs)
-    pred = fit_ls_predictor(const, us)
-    assert pred.rank_deficient
-    xhat, _ = rollout(pred, xs[0], us)
-    score = confidentiality_score(xs, xhat)
-    assert score.value > 0.5
+    pred = fit_ls_predictor(const[None], us[None])
+    assert pred.rank_deficient[0]
+    xhat, steps = rollout(pred, xs[None, 0], us[None])
+    score = confidentiality_score(xs[None], xhat, steps)
+    assert score.value[0] > 0.5
 
 
 def test_rollout_exact_theta_reproduces_truth():
     A, B, xs, us = synthetic_linear_data()
-    pred = fit_ls_predictor(xs, us)
-    pred.theta = np.hstack([A, B])
-    xhat, diverged = rollout(pred, xs[0], us)
-    assert not diverged
-    assert np.allclose(xhat, xs, atol=1e-12)
+    pred = fit_ls_predictor(xs[None], us[None])
+    pred.theta = np.hstack([A, B])[None]
+    xhat, steps = rollout(pred, xs[None, 0], us[None])
+    assert steps[0] == len(us) + 1
+    assert np.allclose(xhat[0], xs, atol=1e-12)
 
 
 def test_rollout_zero_theta_predicts_origin():
     _, _, xs, us = synthetic_linear_data()
-    pred = fit_ls_predictor(xs, us)
+    pred = fit_ls_predictor(xs[None], us[None])
     pred.theta = np.zeros_like(pred.theta)
-    xhat, diverged = rollout(pred, xs[0], us)
-    assert not diverged
-    assert np.allclose(xhat[0], xs[0])
-    assert np.all(xhat[1:] == 0.0)
+    xhat, steps = rollout(pred, xs[None, 0], us[None])
+    assert steps[0] == len(us) + 1
+    assert np.allclose(xhat[0, 0], xs[0])
+    assert np.all(xhat[0, 1:] == 0.0)
 
 
 def test_rollout_truncates_on_divergence():
     _, _, xs, us = synthetic_linear_data()
-    pred = fit_ls_predictor(xs, us)
-    pred.theta = np.hstack([10.0 * np.eye(2), np.zeros((2, 1))])
-    xhat, diverged = rollout(pred, xs[0], us)
-    assert diverged
-    assert len(xhat) < len(us) + 1
+    pred = fit_ls_predictor(xs[None], us[None])
+    pred.theta = np.hstack([10.0 * np.eye(2), np.zeros((2, 1))])[None]
+    xhat, steps = rollout(pred, xs[None, 0], us[None])
+    assert steps[0] < len(us) + 1
+    xhat = xhat[0, : steps[0]]
     assert np.linalg.norm(xhat[-1]) > 1e6
     assert all(np.linalg.norm(row) <= 1e6 for row in xhat[:-1])
 
 
 def test_score_trivia():
-    truth = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
-    assert confidentiality_score(truth, truth).value == 0.0
+    truth = np.array([[[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]])
+    assert confidentiality_score(truth, truth).value[0] == 0.0
     doubled = confidentiality_score(truth, 2.0 * truth)
-    assert doubled.value == pytest.approx(1.0)
+    assert doubled.value[0] == pytest.approx(1.0)
 
 
 def test_score_scale_invariance():
     rng = np.random.default_rng(5)
-    truth = rng.normal(size=(20, 2))
+    truth = rng.normal(size=(20, 2))[None]
     pred = truth + rng.normal(scale=0.1, size=truth.shape)
-    base = confidentiality_score(truth, pred).value
+    base = confidentiality_score(truth, pred).value[0]
     for c in (1e-3, 7.0, 1e4):
-        scaled = confidentiality_score(c * truth, c * pred).value
+        scaled = confidentiality_score(c * truth, c * pred).value[0]
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
 def test_score_skips_zero_norm_steps():
-    truth = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
-    pred = np.array([[1.0, 0.0], [9.0, 9.0], [0.0, 3.0]])
+    truth = np.array([[[1.0, 0.0], [0.0, 0.0], [0.0, 3.0]]])
+    pred = np.array([[[1.0, 0.0], [9.0, 9.0], [0.0, 3.0]]])
     res = confidentiality_score(truth, pred)
-    assert res.counted == 2
-    assert res.skipped == 1
-    assert res.value == 0.0
+    assert res.counted[0] == 2
+    assert res.skipped[0] == 1
+    assert res.value[0] == 0.0
 
-    allzero = confidentiality_score(np.zeros((4, 2)), np.ones((4, 2)))
-    assert not allzero.defined
-    assert math.isnan(allzero.value)
+    allzero = confidentiality_score(np.zeros((1, 4, 2)), np.ones((1, 4, 2)))
+    assert not allzero.defined[0]
+    assert math.isnan(allzero.value[0])
 
 
 def test_apply_noise_shapes_and_scaling():
@@ -235,9 +235,9 @@ def test_noise_free_single_trial_ratios(observations):
     scores = {}
     for backend in BACKENDS:
         feats, inputs, truth = observations[backend]
-        pred = fit_ls_predictor(feats, inputs)
-        xhat, _ = rollout(pred, truth[0], inputs)
-        scores[backend] = confidentiality_score(truth, xhat).value
+        pred = fit_ls_predictor(feats[None], inputs[None])
+        xhat, steps = rollout(pred, truth[None, 0], inputs[None])
+        scores[backend] = confidentiality_score(truth[None], xhat, steps).value[0]
     assert scores["plaintext"] < 1e-3
     for backend in BACKENDS[1:]:
         assert scores[backend] >= 10 * scores["plaintext"]
@@ -401,10 +401,11 @@ def test_table_matches_reference_on_divergent_and_degenerate_cells():
                    for b in ("unstable", "explosive", "distorted", "gapped"))
     # the unstable cell does diverge, and its stacked rollout stops there
     X, U, _ = obs["unstable"]
-    pred = fit_ls_predictor(X, U)
-    xhat, diverged = rollout(pred, X[0], U)
-    assert diverged and len(xhat) < len(U) + 1
-    assert np.array_equal(xhat, reference_rollout(pred.theta, X[0], U))
+    pred = fit_ls_predictor(X[None], U[None])
+    xhat, steps = rollout(pred, X[None, 0], U[None])
+    assert steps[0] < len(U) + 1
+    assert np.array_equal(xhat[0, : steps[0]],
+                          reference_rollout(pred.theta[0], X[0], U))
 
 
 def test_table_blocks_and_cell_shapes_match_reference(observations, monkeypatch):

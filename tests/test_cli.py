@@ -165,6 +165,19 @@ def test_epsilon_q_conflict_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("key_bits", 300), ("attack_trials", 0), ("rho", 1), ("w", 0), ("steps", 0),
+])
+def test_out_of_range_config_exits_2(workdir, tmp_path, capsys, field, value):
+    """A field out of its range is a configuration error, named on stderr,
+    before any command runs."""
+    (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
+    rc = main(["run", "--config", str(tmp_path / "cfg.json"),
+               "--out", str(workdir)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
 def test_parse_sweep():
     assert parse_sweep("") == [{}]
     pts = parse_sweep("key_bits=512,1024;w=8")

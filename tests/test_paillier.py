@@ -258,7 +258,7 @@ def test_he_eval_pwa_zero(kp256):
     codec = FixedPointCodec(2, 4, 2, kp256.n)
     enc_x = [he_enc(fp_encode(1.5, codec), pk, rng)]
     enc_b = [he_enc(fp_encode(0.0, codec, scale_power=2), pk, rng)]
-    out = he_eval_pwa(0, enc_x, [[0]], enc_b, pk)
+    out = he_eval_pwa(enc_x, [[0]], enc_b, pk)
     assert fp_decode(he_dec(out[0], kp256), codec, scale_power=2) == 0.0
 
 
@@ -269,7 +269,7 @@ def test_he_eval_pwa_exact_scalar(kp256):
     codec = FixedPointCodec(2, 4, 2, kp256.n)
     enc_x = [he_enc(fp_encode(3.0, codec), pk, rng)]
     enc_b = [he_enc(fp_encode(1.0, codec, scale_power=2), pk, rng)]
-    out = he_eval_pwa(0, enc_x, encode_gain([[2.0]], codec), enc_b, pk)
+    out = he_eval_pwa(enc_x, encode_gain([[2.0]], codec), enc_b, pk)
     assert fp_decode(he_dec(out[0], kp256), codec, scale_power=2) == 7.0
 
 
@@ -286,7 +286,7 @@ def test_he_eval_pwa_error_budget(kp256):
         b = nprng.uniform(-4, 4, size=m_dim)
         enc_x = [he_enc(fp_encode(v, codec), pk, rng) for v in x]
         enc_b = [he_enc(fp_encode(v, codec, scale_power=2), pk, rng) for v in b]
-        out = he_eval_pwa(0, enc_x, encode_gain(K, codec), enc_b, pk)
+        out = he_eval_pwa(enc_x, encode_gain(K, codec), enc_b, pk)
         u = np.array([fp_decode(he_dec(c, kp256), codec, scale_power=2) for c in out])
         budget = (n_dim * 2.0**4 * np.abs(K).max() + 2) * 2.0**-10
         assert np.abs(u - (K @ x + b)).max() <= budget
@@ -316,7 +316,7 @@ def test_he_eval_pwa_matches_per_term_inverses(kp256):
         K_hat = [[rng.randint(*kinds[(j + n_dim) % 4]) for _ in range(n_dim)]
                  for j in range(m_dim)]
         counters = {"he_mul": 0, "he_add": 0}
-        out = he_eval_pwa(0, enc_x, K_hat, enc_b, pk, counters=counters)
+        out = he_eval_pwa(enc_x, K_hat, enc_b, pk, counters=counters)
         assert [c.value for c in out] == per_term_eval(enc_x, K_hat, enc_b, pk)
         assert all(c.n_sq == pk.n_sq for c in out)
         assert counters == {"he_mul": m_dim * n_dim, "he_add": m_dim * n_dim}
@@ -332,8 +332,8 @@ def test_he_eval_pwa_refuses_non_unit_under_negative_gain(kp256):
     enc_x = [he_enc(5, pk, rng), bad]
     enc_b = [he_enc(0, pk, rng)]
     with pytest.raises(ValueError):
-        he_eval_pwa(0, enc_x, [[3, -2]], enc_b, pk)
-    out = he_eval_pwa(0, enc_x, [[-3, 2]], enc_b, pk)
+        he_eval_pwa(enc_x, [[3, -2]], enc_b, pk)
+    out = he_eval_pwa(enc_x, [[-3, 2]], enc_b, pk)
     assert [c.value for c in out] == per_term_eval(enc_x, [[-3, 2]], enc_b, pk)
 
 
@@ -344,11 +344,9 @@ def test_eval_rejects_shape_mismatch(kp256):
     enc_x = [he_enc(fp_encode(1.0, codec), pk, rng)]
     enc_b = [he_enc(0, pk, rng)]
     with pytest.raises(ValueError):
-        he_eval_pwa(0, enc_x, [[1, 2]], enc_b, pk)
+        he_eval_pwa(enc_x, [[1, 2]], enc_b, pk)
     with pytest.raises(ValueError):
-        he_eval_pwa(-1, enc_x, [[1]], enc_b, pk)
-    with pytest.raises(ValueError):
-        he_eval_pwa(0, enc_x, [[1], [2]], enc_b, pk)
+        he_eval_pwa(enc_x, [[1], [2]], enc_b, pk)
 
 
 def test_cloud_cannot_decrypt():

@@ -545,9 +545,9 @@ def test_predict_cost_degenerate_and_scaling():
 
 
 def test_align_accuracy_examples():
-    assert align_accuracy(2.0**-10, 2) == (10, 10, 10)
-    assert align_accuracy(0.5, 2) == (1, 1, 1)
-    assert align_accuracy(1e-3, 10) == (3, 10, 10)
+    assert align_accuracy(2.0**-10, 2) == (10, 10)
+    assert align_accuracy(0.5, 2) == (1, 1)
+    assert align_accuracy(1e-3, 10) == (3, 10)
     with pytest.raises(ConfigError):
         align_accuracy(1.5, 2)
     with pytest.raises(ConfigError):

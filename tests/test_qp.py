@@ -26,7 +26,7 @@ def reference_solve_qp(H, g, G, w, tol=DEFAULT_TOL, max_iter=500):
     nz = H.shape[0]
     q = G.shape[0]
 
-    feasible, z = lp.feasible_point(G, w, tol=tol.feasibility)
+    feasible, z = lp.feasible_point(G, w)
     if not feasible:
         raise QpInfeasible("constraint set is empty for this parameter")
 

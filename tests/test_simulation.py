@@ -202,6 +202,22 @@ def test_scenario_json_roundtrip(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("r_steps", [
+    [[40, -1.0], [0, 0.0], [20, 1.5]],   # out of order
+    [[-1, 0.0], [20, 1.5]],              # negative start
+    [[0, 0.0], [20, 1.5], [20, -1.0]],   # repeated start
+    [],                                  # no reference at all
+])
+def test_scenario_refuses_unordered_reference_steps(r_steps):
+    """A start step that is negative or not past the one before would
+    silently drop a reference value, and no step leaves no reference, so
+    the scenario is refused."""
+    d = scenario_to_dict(benchmark_scenario())
+    d["r_steps"] = r_steps
+    with pytest.raises(ConfigError, match="r_steps"):
+        scenario_from_dict(d)
+
+
 def test_reference_schedule():
     sc = benchmark_scenario()
     assert sc.reference(0) == [0.0]
