@@ -31,7 +31,7 @@ import numpy as np
 from .config import ConfigError
 from .mpqp import fmt_17g
 from .protocol import EavesdropLog, wire_field
-from .simulation import run_closed_loop
+from .simulation import episode_steps, run_closed_loop
 
 NOISE_KINDS = ("none", "gaussian", "uniform", "impulse")
 
@@ -249,7 +249,7 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None):
             "features come from the wire (x - x_ss) but truth is the "
             f"absolute state, so r_steps {list(scenario.r_steps)} would "
             "score the adversary in mixed frames")
-    dither = probe_dither(scenario.T, controller.m, cfg.seed_attack)
+    dither = probe_dither(episode_steps(scenario, cfg), controller.m, cfg.seed_attack)
     key_bits = keypair.bits if keypair is not None else cfg.key_bits
     obs = {}
     for backend in backends:

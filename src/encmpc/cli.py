@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .attack import (attack_table_csv, default_settings, gather_observations,
                      run_attack_table, NOISE_KINDS)
-from .config import ConfigError, RunConfig, load_json
+from .config import ConfigError, RunConfig, from_dict, load_json
 from .mpqp import PwaController, fmt_17g
 from .paillier import gain_bitlen, keygen
 from .protocol import BACKENDS, COUNT_KEYS, predict_cost
@@ -34,36 +34,17 @@ ATTACK_BACKENDS = ("plaintext", "paillier", "qe", "qe_quantized")
 CONFIG_FIELDS = tuple(f.name for f in dataclass_fields(RunConfig))
 
 
-def runconfig_from_dict(data):
-    unknown = sorted(set(data) - set(CONFIG_FIELDS))
-    if unknown:
-        raise ConfigError(f"unknown config fields: {unknown}")
-    return RunConfig(**data)
-
-
 def build_config(args):
     """Merge defaults, config file, and flags; flags win.
 
     Returns (config, data) where data holds only the fields given
     explicitly, so a derived field can be derived again per sweep point.
     """
-    data = {}
-    if args.config:
-        data = load_json(args.config)
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
-    overrides = {
-        "seed_keys": args.seed_keys,
-        "seed_quant": args.seed_quant,
-        "seed_attack": args.seed_attack,
-        "backend": args.backend,
-        "out_dir": args.out,
-        "epsilon_q": args.epsilon_q,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            data[key] = val
-    cfg = runconfig_from_dict(data)
+    data = load_json(args.config) if args.config else {}
+    if isinstance(data, dict):  # from_dict refuses anything else
+        data.update((key, val) for key, val in vars(args).items()
+                    if key in CONFIG_FIELDS and val is not None)
+    cfg = from_dict(RunConfig, data, args.config or "command line")
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}; "
                           f"choose from {', '.join(BACKENDS)}")
@@ -232,7 +213,7 @@ def cmd_bench(cfg, data, sweep_spec):
     keypairs = {}
     lines = [",".join(BENCH_COLUMNS)]
     for point in points:
-        point_cfg = runconfig_from_dict({**data, **point})
+        point_cfg = from_dict(RunConfig, {**data, **point}, f"sweep point {point}")
         if "backend" in point:
             backends = (point["backend"],)
         elif "backend" in data:
@@ -306,18 +287,19 @@ def build_parser():
                         help="adversary noise seed")
     common.add_argument("--backend", metavar="NAME",
                         help="one of " + ", ".join(BACKENDS))
-    common.add_argument("--out", metavar="DIR", help="output directory")
+    common.add_argument("--out", dest="out_dir", metavar="DIR",
+                        help="output directory")
     common.add_argument("--epsilon-q", type=float, metavar="FLOAT",
                         help="accuracy target; derives delta, w, p")
-    common.add_argument("--sweep", metavar="SPEC", default="",
-                        help="bench grid, e.g. 'key_bits=1024,2048;w=8,12'")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synthesize", parents=[common],
                    help="explore critical regions, write controller.json")
     sub.add_parser("run", parents=[common],
                    help="closed-loop run, write trajectory CSV")
-    sub.add_parser("bench", parents=[common],
-                   help="payload/count/cost table over a parameter sweep")
+    bench = sub.add_parser("bench", parents=[common],
+                           help="payload/count/cost table over a parameter sweep")
+    bench.add_argument("--sweep", metavar="SPEC", default="",
+                       help="bench grid, e.g. 'key_bits=1024,2048;w=8,12'")
     sub.add_parser("attack", parents=[common],
                    help="least-squares eavesdropping table")
     return parser

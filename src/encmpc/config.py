@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .paillier import VALID_KEY_BITS
 
@@ -50,6 +50,24 @@ def load_json(path):
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+
+
+def from_dict(cls, data, what):
+    """cls(**data) from a JSON object keyed by the dataclass's fields; what
+    names the input in the ConfigError for a non-object, an unknown key, a
+    missing field with no default, or a value that cls refuses."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what}: must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise ConfigError(f"{what}: {problem} fields {names}")
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .config import ConfigError, DEFAULT_TOL
+from .config import ConfigError, DEFAULT_TOL, load_json
 from .polyhedra import Polyhedron, chebyshev_center, irredundant_rows
 from .qp import QpInfeasible, QpNoConvergence, solve_qp_oracle
 
@@ -332,22 +332,31 @@ class PwaController:
 
     @staticmethod
     def from_json(text: str) -> "PwaController":
-        obj = json.loads(text)
-        if obj.get("format") != "pwa-controller/1":
-            raise ValueError("unrecognized controller file format")
-        regions = []
-        for r in obj["regions"]:
-            regions.append(Region(
-                active_set=tuple(r["active_set"]),
-                poly=Polyhedron(np.array(r["A_ineq"], dtype=float).reshape(-1, int(obj["n"])),
-                                np.array(r["b_ineq"], dtype=float)),
-                K=np.array(r["K"], dtype=float),
-                b=np.array(r["b"], dtype=float),
-                cheb_center=np.array(r["cheb_center"], dtype=float),
-                cheb_radius=float(r["cheb_radius"]),
-            ))
-        return PwaController(regions=regions, n=int(obj["n"]), m=int(obj["m"]),
-                             horizon=int(obj["horizon"]), meta=obj.get("meta", {}))
+        return PwaController._from_obj(json.loads(text), "controller JSON")
+
+    @staticmethod
+    def _from_obj(obj, what) -> "PwaController":
+        """Controller from to_json's object; anything else is a ConfigError."""
+        if not isinstance(obj, dict) or obj.get("format") != "pwa-controller/1":
+            raise ConfigError(f"{what}: not a pwa-controller/1 object")
+        try:
+            n = int(obj["n"])
+            regions = []
+            for r in obj["regions"]:
+                regions.append(Region(
+                    active_set=tuple(r["active_set"]),
+                    poly=Polyhedron(np.array(r["A_ineq"], dtype=float).reshape(-1, n),
+                                    np.array(r["b_ineq"], dtype=float)),
+                    K=np.array(r["K"], dtype=float),
+                    b=np.array(r["b"], dtype=float),
+                    cheb_center=np.array(r["cheb_center"], dtype=float),
+                    cheb_radius=float(r["cheb_radius"]),
+                ))
+            return PwaController(regions=regions, n=n, m=int(obj["m"]),
+                                 horizon=int(obj["horizon"]),
+                                 meta=obj.get("meta", {}))
+        except KeyError as exc:
+            raise ConfigError(f"{what}: missing key {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -356,8 +365,7 @@ class PwaController:
 
     @staticmethod
     def load(path) -> "PwaController":
-        with open(path) as fh:
-            return PwaController.from_json(fh.read())
+        return PwaController._from_obj(load_json(path), path)
 
 
 def fmt_17g(x: float) -> str:

@@ -14,11 +14,11 @@ representable range stops the loop and records the fault instead of
 raising.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, load_json
+from .config import ConfigError, from_dict, load_json
 from .mpqp import (
     LtiSystem,
     MpcSpec,
@@ -40,7 +40,14 @@ def step_plant(sys, x, u):
 
 @dataclass
 class Scenario:
-    """Plant, MPC design, and reference program for one experiment."""
+    """Plant, MPC design, and reference program for one experiment.
+
+    The file form is a JSON object with one key per field (config.from_dict);
+    T and r_steps, [start step, value] pairs, may be left out.  However a
+    scenario is built (built-in, file or dataclasses.replace), T >= 1 and
+    r_steps starts at step 0 with strictly increasing start steps, or
+    construction raises ConfigError.
+    """
 
     name: str
     A: np.ndarray
@@ -62,6 +69,15 @@ class Scenario:
             setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         for name in ("u_lo", "u_hi", "x_lo", "x_hi", "x0"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float).ravel())
+        self.horizon = int(self.horizon)
+        self.T = int(self.T)
+        if self.T < 1:
+            raise ConfigError(f"T must be >= 1, got {self.T}")
+        self.r_steps = tuple((int(k), float(v)) for k, v in self.r_steps)
+        starts = [k for k, _ in self.r_steps]
+        if starts[:1] != [0] or any(a >= b for a, b in zip(starts, starts[1:])):
+            raise ConfigError(f"r_steps start steps {starts} must begin at 0 "
+                              "and strictly increase")
 
     def system(self):
         return LtiSystem(self.A, self.B, C_out=self.C_out)
@@ -79,11 +95,8 @@ class Scenario:
         return synthesize(self.system(), self.mpc_spec(), stats=stats)
 
     def reference(self, k):
-        """Reference output value active at step k."""
-        r = self.r_steps[0][1]
-        for start, val in self.r_steps:
-            if k >= start:
-                r = val
+        """Reference output value active at step k >= 0."""
+        r = next(val for start, val in reversed(self.r_steps) if k >= start)
         return np.atleast_1d(np.asarray(r, dtype=float))
 
     def steady_state(self, r):
@@ -152,49 +165,22 @@ def attack_scenario():
 
 
 def scenario_to_dict(sc):
-    return {
-        "name": sc.name,
-        "A": sc.A.tolist(),
-        "B": sc.B.tolist(),
-        "C_out": sc.C_out.tolist(),
-        "horizon": sc.horizon,
-        "Q": sc.Q.tolist(),
-        "R": sc.R.tolist(),
-        "u_lo": sc.u_lo.tolist(),
-        "u_hi": sc.u_hi.tolist(),
-        "x_lo": sc.x_lo.tolist(),
-        "x_hi": sc.x_hi.tolist(),
-        "x0": sc.x0.tolist(),
-        "T": sc.T,
-        "r_steps": [[int(k), float(v)] for k, v in sc.r_steps],
-    }
+    """The JSON object form of a scenario: one key per Scenario field."""
+    out = {}
+    for f in fields(sc):
+        val = getattr(sc, f.name)
+        out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
+    return out
 
 
 def scenario_from_dict(d):
-    """Scenario from its dict form; r_steps must be nonempty and start at
-    nonnegative, strictly increasing steps, or a value would never be in force."""
-    required = {"name", "A", "B", "C_out", "horizon", "Q", "R",
-                "u_lo", "u_hi", "x_lo", "x_hi", "x0"}
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"scenario missing fields: {sorted(missing)}")
-    r_steps = tuple((int(k), float(v)) for k, v in d.get("r_steps", [[0, 0.0]]))
-    starts = [k for k, _ in r_steps]
-    if not starts or starts[0] < 0 or any(a >= b for a, b in zip(starts, starts[1:])):
-        raise ConfigError(f"r_steps start steps {starts} must be nonempty, "
-                          "nonnegative and strictly increasing")
-    return Scenario(
-        name=d["name"], A=d["A"], B=d["B"], C_out=d["C_out"],
-        horizon=int(d["horizon"]), Q=d["Q"], R=d["R"],
-        u_lo=d["u_lo"], u_hi=d["u_hi"], x_lo=d["x_lo"], x_hi=d["x_hi"],
-        x0=d["x0"], T=int(d.get("T", 60)),
-        r_steps=r_steps,
-    )
+    """Scenario from its JSON object form (see Scenario)."""
+    return from_dict(Scenario, d, "scenario")
 
 
 def load_scenario(path):
     """Scenario from a JSON file; malformed JSON is a ConfigError."""
-    return scenario_from_dict(load_json(path))
+    return from_dict(Scenario, load_json(path), path)
 
 
 @dataclass
@@ -221,6 +207,11 @@ class Trajectory:
         return len(self.records)
 
 
+def episode_steps(scenario, cfg):
+    """Steps in one episode: cfg.steps when set, else the scenario's T."""
+    return cfg.steps or scenario.T
+
+
 def run_closed_loop(scenario, backend, cfg, controller, keypair=None, log=None,
                     dither=None):
     """Simulate the plant under one backend; returns a Trajectory.
@@ -239,12 +230,10 @@ def run_closed_loop(scenario, backend, cfg, controller, keypair=None, log=None,
     sys = scenario.system()
     sensor, cloud, actuator = make_parties(controller, backend, cfg,
                                            keypair=keypair)
-    T = cfg.steps if cfg.steps else scenario.T
-
     traj = Trajectory(backend=backend)
     x = np.asarray(scenario.x0, dtype=float).ravel()
     steady = {}  # one steady state per distinct reference value
-    for k in range(T):
+    for k in range(episode_steps(scenario, cfg)):
         r = scenario.reference(k)
         key = r.tobytes()
         if key not in steady:

@@ -102,6 +102,54 @@ def test_unknown_backend_and_field_exit_2(tmp_path, capsys):
     assert "keybits" in capsys.readouterr().err
 
 
+BENCH_SCENARIO = scenario_to_dict(benchmark_scenario())
+
+
+@pytest.mark.parametrize("scenario,named", [
+    ({**BENCH_SCENARIO, "T": 0}, "T must be >= 1"),
+    ({**{k: v for k, v in BENCH_SCENARIO.items() if k != "r_steps"},
+      "r_step": [[0, 1.0]]}, "['r_step']"),
+    (5, "JSON object"),
+    ({**BENCH_SCENARIO, "r_steps": [[5, 1.0], [20, 1.5]]}, "r_steps"),
+    ({**BENCH_SCENARIO, "T": "sixty"}, "sixty"),
+], ids=["empty-episode", "typo-key", "not-an-object", "late-reference",
+        "not-a-number"])
+def test_bad_scenario_exits_2(workdir, tmp_path, capsys, scenario, named):
+    """An empty episode, a key that is no field, a file that is no object,
+    a reference program that starts after step 0 and a value of the wrong
+    type are configuration errors that name what is wrong and the file."""
+    (tmp_path / "sc.json").write_text(json.dumps(scenario))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"scenario_path": str(tmp_path / "sc.json")}))
+    rc = main(["run", "--config", str(tmp_path / "cfg.json"),
+               "--out", str(workdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "sc.json" in err
+
+
+@pytest.mark.parametrize("text,named", [
+    ("{", "line 1"),
+    ("[1]", "pwa-controller/1"),
+    ('{"format": "pwa-controller/0"}', "pwa-controller/1"),
+    ('{"format": "pwa-controller/1", "n": 2, "m": 1, "horizon": 5}', "regions"),
+], ids=["malformed", "not-an-object", "other-format", "missing-key"])
+def test_bad_controller_file_exits_2(tmp_path, capsys, text, named):
+    """controller.json is read like every other input: malformed JSON, an
+    object of another format or a missing key is a configuration error."""
+    (tmp_path / "controller.json").write_text(text)
+    assert main(["run", "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run", "attack"])
+def test_sweep_is_a_bench_flag(tmp_path, command):
+    """Only bench sweeps; another command refuses --sweep, not ignores it."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--sweep", "w=3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_run_requires_controller(tmp_path, capsys):
     rc = main(["run", "--backend", "qe", "--out", str(tmp_path / "empty")])
     assert rc == 2
@@ -232,3 +280,15 @@ def test_attack_csv_deterministic(tmp_path, capsys):
     assert plain_none < 1e-3
     assert main(argv) == 0
     assert path.read_bytes() == first
+
+
+def test_attack_runs_steps_beyond_scenario_T(tmp_path, capsys):
+    """The probe dither is as long as the loop: steps above the scenario's
+    T (60) run the whole table."""
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"steps": 100, "attack_trials": 5, "key_bits": 256}))
+    assert main(["attack", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "attack.csv")
+    assert [r[0] for r in rows] == ["none", "gaussian", "uniform", "impulse"]
+    assert float(rows[0][1]) < 1e-3

@@ -1,5 +1,6 @@
 """Closed-loop benchmark runs: exactness, constraints, faults, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -207,6 +208,7 @@ def test_scenario_json_roundtrip(tmp_path):
     [[-1, 0.0], [20, 1.5]],              # negative start
     [[0, 0.0], [20, 1.5], [20, -1.0]],   # repeated start
     [],                                  # no reference at all
+    [[5, 1.0], [20, 1.5]],               # starts after step 0
 ])
 def test_scenario_refuses_unordered_reference_steps(r_steps):
     """A start step that is negative or not past the one before would
@@ -216,6 +218,16 @@ def test_scenario_refuses_unordered_reference_steps(r_steps):
     d["r_steps"] = r_steps
     with pytest.raises(ConfigError, match="r_steps"):
         scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"T": 0}, "T must be >= 1"),
+    ({"r_steps": ((5, 1.0),)}, "r_steps"),
+])
+def test_replaced_scenario_meets_the_same_rules(change, match):
+    """A dataclasses.replace copy is checked like a scenario file."""
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(benchmark_scenario(), **change)
 
 
 def test_reference_schedule():
