@@ -190,20 +190,29 @@ def observe_features(log, backend, field, n):
     return np.array(rows, dtype=float)
 
 
-def apply_noise(features, setting, rng):
-    """Perturb the adversary's recording; the loop itself is untouched."""
+def apply_noise(features, setting, rng, trials):
+    """trials perturbed copies of the adversary's recording, stacked
+    (trials x T x n); the loop itself is untouched.
+
+    The features' rms is taken once per call. Gaussian and uniform noise
+    come from one draw for the whole stack, which is the stream of one
+    draw per trial; impulse noise interleaves its mask and spike signs
+    trial by trial.
+    """
     F = np.asarray(features, dtype=float)
+    shape = (trials,) + F.shape
     if setting.noise_kind == "none":
-        return F.copy()
-    rms = float(np.sqrt(np.mean(F**2)))
-    scale = setting.noise_scale * rms
+        return np.broadcast_to(F, shape).copy()
+    scale = setting.noise_scale * float(np.sqrt(np.mean(F**2)))
     if setting.noise_kind == "gaussian":
-        return F + rng.normal(0.0, scale, size=F.shape)
+        return F + rng.normal(0.0, scale, size=shape)
     if setting.noise_kind == "uniform":
-        return F + rng.uniform(-scale, scale, size=F.shape)
-    mask = rng.random(F.shape) < IMPULSE_RATE
-    spikes = scale * rng.choice([-1.0, 1.0], size=F.shape)
-    return F + mask * spikes
+        return F + rng.uniform(-scale, scale, size=shape)
+    spikes = np.empty(shape)
+    for spike in spikes:
+        mask = rng.random(F.shape) < IMPULSE_RATE
+        spike[...] = mask * (scale * rng.choice([-1.0, 1.0], size=F.shape))
+    return F + spikes
 
 
 def attack_once(noisy, inputs, truth):
@@ -274,8 +283,8 @@ def run_attack_table(observations, settings, seed):
     observations maps backend name to (features, inputs, truth_states).
     Each (setting, backend) cell averages setting.trials independent
     noise realizations from its own seeded generator.  A cell's trials
-    are drawn in order and fitted, rolled out and scored as stacks of at
-    most TRIAL_BLOCK trials, so memory does not grow with the trial count.
+    are drawn, fitted, rolled out and scored as stacks of at most
+    TRIAL_BLOCK trials, so memory does not grow with the trial count.
     """
     table = {}
     for si, setting in enumerate(settings):
@@ -285,8 +294,7 @@ def run_attack_table(observations, settings, seed):
             vals = []
             for start in range(0, setting.trials, TRIAL_BLOCK):
                 k = min(TRIAL_BLOCK, setting.trials - start)
-                noisy = np.stack([apply_noise(features, setting, rng)
-                                  for _ in range(k)])
+                noisy = apply_noise(features, setting, rng, k)
                 scores = attack_once(noisy,
                                      np.broadcast_to(inputs, (k,) + inputs.shape),
                                      np.broadcast_to(truth, (k,) + truth.shape))

@@ -1,14 +1,17 @@
 """Dense simplex solver with Bland's rule.
 
 Small and deterministic: all LPs in this package (Chebyshev centers,
-feasibility phase-1, redundancy tests) have a handful of rows, so a
-textbook dense tableau is adequate and keeps the dependency surface flat.
-`solve_standard` is the general two-phase route, behind `max_linear`;
-`feasible_point` builds an LP that carries its own feasible start basis
-and so runs a single Bland pass on it.  Pivots take reduced costs below
--PIVOT_TOL and column entries above PIVOT_TOL; a pass of MAX_PIVOTS pivots
-has cycled.  `feasible_point` accepts a total violation up to
-config.DEFAULT_TOL.feasibility.
+redundancy tests, the QP oracle's infeasibility certificate) have a
+handful of rows, so a textbook dense tableau is adequate and keeps the
+dependency surface flat.  `solve_standard` is the general two-phase
+route, behind `max_linear`.  `feasible_point` is the certificate: the
+dual QP method of `qp.solve_qp` needs no feasible start, and asks it for
+a verdict only when its own iteration cannot decide.  It builds an LP
+that carries its own feasible start basis and so runs a single Bland
+pass on it, and accepts a total violation up to
+config.DEFAULT_TOL.feasibility.  Pivots take reduced costs below
+-PIVOT_TOL and column entries above PIVOT_TOL; a pass of MAX_PIVOTS
+pivots has cycled.
 """
 from __future__ import annotations
 

@@ -1,18 +1,24 @@
-"""Primal active-set solver for strictly convex QPs.
+"""Dual active-set solver for strictly convex QPs.
 
 Solves min 1/2 z'Hz + g'z s.t. Gz <= w directly for a given right-hand
-side. This is the implicit controller: the explicit PWA law must agree
-with it pointwise, and tests lean on that as an independent route to the
-same optimizer (the two share no code beyond the problem data).
+side, by the dual method of Goldfarb & Idnani (Math. Programming 27,
+1983): start from the unconstrained minimizer and make violated rows
+tight one at a time, so no feasible point is needed. This is the
+implicit controller: the explicit PWA law must agree with it pointwise,
+and tests lean on that as an independent route to the same optimizer
+(the two share no code beyond the problem data).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import lp
-from .config import DEFAULT_TOL
 
-MAX_ITER = 500  # active-set iterations before QpNoConvergence
+MAX_ITER = 500          # dual steps (full or partial) before QpNoConvergence
+VIOLATION_TOL = 1e-12   # normalized violation (G_i z - w_i)/||G_i|| that enters
+TIE_TOL = 1e-12         # violations this close tie, and the lowest row enters
+DEPENDENT_TOL = 1e-10   # K_pp - K_pA r <= this * K_pp: p depends on the active rows
+ROUNDING = 1e-14        # relative rounding of a slack summed from K and lam
 
 
 class QpInfeasible(RuntimeError):
@@ -26,73 +32,136 @@ class QpNoConvergence(RuntimeError):
 def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray):
     """Return (z, lam, active) for the inequality-constrained QP.
 
-    Starts with an empty working set from the feasible point that
-    lp.feasible_point finds by minimizing total violation, in a single
-    simplex pass from that LP's own slack/violation basis. Each added
-    blocking row is automatically independent of the current ones (its
-    inner product with the step is nonzero while working rows are
-    orthogonal to it), so the KKT systems stay nonsingular. With k rows
-    in the working set, the KKT system is the leading (nz + k) block of
-    one (nz + q)-square matrix filled in place. The ratio test keeps a
-    running minimum of max((w_i - G_i z) / (G_i d), 0) over the rows
-    outside the working set with G_i d > 1e-12, in index order; a later
-    row replaces it only when lower by more than 1e-12, so the first index
-    wins ties. Of the rows with a negative multiplier, the lowest leaves.
+    The iteration works on the multipliers alone, of the rows scaled to
+    unit norm. With K = G H^-1 G' and s0 the slacks w - G z at the
+    unconstrained minimizer z0 = -H^-1 g, both formed once per call from
+    H^-1, the slacks at lam are s0 + K lam. Starting from lam = 0 and an
+    empty active set A, each round enters the row p with the largest
+    violation -s_p above VIOLATION_TOL, the lowest index among rows
+    within TIE_TOL of it; a violation within ROUNDING of the magnitudes
+    summed into s_p is left out until the next row enters. A step of
+    length t raises lam_p by t and moves lam_A by -t r, r = K_AA^-1 K_Ap,
+    which keeps the active rows tight while s_p grows by
+    t (K_pp - K_pA r). The step is the shorter of the one that makes p
+    tight (full: p joins A) and the one at which an active multiplier
+    reaches 0 first (partial: that row leaves A, and p stays the
+    entering row). When K_pp - K_pA r <= DEPENDENT_TOL * K_pp, p depends
+    on the active rows and only the partial step exists.
+
+    lp.feasible_point decides the verdict whenever the iteration cannot:
+    when no step exists (the dual is unbounded), or when it ends with
+    rows left out as rounding. Infeasible raises QpInfeasible. A feasible
+    verdict after an unbounded step means the set is empty by no more
+    than that LP's tolerance: the iteration then runs again on the rows
+    relaxed just enough to hold the LP's point. Finally z and lam_A come
+    from the KKT system of the active rows as given.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     g = np.asarray(g, dtype=float).reshape(-1)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     w = np.asarray(w, dtype=float).reshape(-1)
-    nz = H.shape[0]
-    q = G.shape[0]
 
-    feasible, z = lp.feasible_point(G, w)
-    if not feasible:
-        raise QpInfeasible("constraint set is empty for this parameter")
+    # the iteration runs on unit rows (a zero row keeps its raw slack),
+    # so slacks, multipliers and K come in units of ||G_i||
+    norms = np.sqrt(np.vecdot(G, G))
+    norms[norms == 0.0] = 1.0
+    Gu = G / norms[:, None]
+    H_inv = np.linalg.inv(H)
+    K = Gu @ H_inv @ Gu.T
+    z0 = -(H_inv @ g)
+    Gz0 = G @ z0
 
-    kkt = np.zeros((nz + q, nz + q))
+    active, unsure = _dual_steps(K, (w - Gz0) / norms)
+    if active is None or unsure:
+        feasible, x = lp.feasible_point(G, w)
+        if not feasible:
+            raise QpInfeasible("constraint set is empty for this parameter")
+        if active is None:
+            w = np.maximum(w, G @ x)
+            active, _ = _dual_steps(K, (w - Gz0) / norms)
+            if active is None:
+                raise QpNoConvergence("dual step unbounded on a feasible set")
+    nz, rows = H.shape[0], list(active)
+    kkt = np.zeros((nz + len(rows), nz + len(rows)))
     kkt[:nz, :nz] = H
-    rhs = np.zeros(nz + q)
+    kkt[nz:, :nz] = G[rows]
+    kkt[:nz, nz:] = kkt[nz:, :nz].T
+    sol = np.linalg.solve(kkt, np.concatenate([-g, w[rows]]))
+    lam = np.zeros(G.shape[0])
+    lam[rows] = np.maximum(sol[nz:], 0.0)
+    return sol[:nz], lam, active
+
+
+def _dual_steps(K, s0):
+    """solve_qp's iteration from lam = 0: (active, unsure), where active
+    is None when the dual is unbounded and unsure says that rows were
+    left out as rounding at the end.
+
+    The active rows' multipliers, rows of K and block K_AA are kept in
+    entry order in the leading rows of fixed buffers.
+    """
+    q = s0.size
+    KA = np.empty((q, q))
+    KAA = np.empty((q, q))
+    lamA = np.zeros(q)
     work: list = []
-    in_work = np.zeros(q, dtype=bool)
-    settled = False   # after a full step z minimizes over the working set
+    quiet: list = []
+    out = np.zeros(q, dtype=bool)    # active or quiet: not entering
+    p = -1
     for _ in range(MAX_ITER):
         k = len(work)
-        grad = H @ z + g
-        kkt[nz:nz + k, :nz] = G[work]
-        kkt[:nz, nz:nz + k] = kkt[nz:nz + k, :nz].T
-        rhs[:nz] = -grad
-        sol = np.linalg.solve(kkt[:nz + k, :nz + k], rhs[:nz + k])
-        d = sol[:nz]
-        lam_w = sol[nz:]
-
-        if settled or np.linalg.norm(d) <= 1e-11:
-            neg = [i for i, lv in enumerate(lam_w) if lv < -DEFAULT_TOL.dual_feas]
-            if not neg:
-                lam = np.zeros(q)
-                lam[work] = np.maximum(lam_w, 0.0)
-                return z, lam, tuple(sorted(work))
-            drop = min(neg, key=lambda i: work[i])
-            in_work[work.pop(drop)] = False
-            settled = False
-            continue
-
-        # ratio test over rows outside the working set that d moves toward
-        slack = w - G @ z
-        gd = G @ d
-        rows = np.flatnonzero((gd > 1e-12) & ~in_work)
-        alpha = 1.0
-        blocker = -1
-        for i, ratio in zip(rows.tolist(), (slack[rows] / gd[rows]).tolist()):
-            ratio = max(ratio, 0.0)
-            if ratio < alpha - 1e-12:
-                alpha = ratio
-                blocker = i
-        z = z + alpha * d
-        settled = blocker < 0
-        if blocker >= 0:
-            work.append(blocker)
-            in_work[blocker] = True
+        if p < 0:
+            slack = s0 + lamA[:k] @ KA[:k]
+            slack[out] = np.inf
+            worst = slack.min(initial=np.inf)
+            if not worst < -VIOLATION_TOL:
+                return tuple(sorted(work)), bool(quiet)
+            p = int(np.argmax(slack <= worst + TIE_TOL))
+            if -worst <= ROUNDING * (abs(s0[p]) + float(np.abs(KA[:k, p]) @ lamA[:k])):
+                quiet.append(p)
+                out[p] = True
+                p = -1
+                continue
+            lam_p = 0.0
+        Kpp = K[p, p]
+        KAp = KA[:k, p]
+        if k:
+            r = np.linalg.solve(KAA[:k, :k], KAp)
+            gain = Kpp - float(KAp @ r)
+        else:
+            r = lamA[:0]
+            gain = Kpp
+        full = np.inf
+        if gain > DEPENDENT_TOL * Kpp:
+            full = -(s0[p] + float(lamA[:k] @ KAp) + lam_p * Kpp) / gain
+        partial = np.inf
+        drop = -1
+        for i, (li, ri) in enumerate(zip(lamA[:k].tolist(), r.tolist())):
+            if ri > 0.0 and li / ri < partial:
+                partial = li / ri
+                drop = i
+        if drop < 0 and full == np.inf:
+            return None, False
+        t = min(full, partial)
+        lamA[:k] -= t * r
+        lam_p += t
+        if full <= partial:
+            KA[k] = K[p]
+            KAA[k, :k] = KAA[:k, k] = KAp
+            KAA[k, k] = Kpp
+            lamA[k] = lam_p
+            work.append(p)
+            out[p] = True
+            if quiet:
+                out[quiet] = False
+                quiet.clear()
+            p = -1
+        else:
+            out[work.pop(drop)] = False
+            KA[drop:k - 1] = KA[drop + 1:k]
+            lamA[drop:k - 1] = lamA[drop + 1:k]
+            KAA[drop:k - 1, :k] = KAA[drop + 1:k, :k]
+            KAA[:k - 1, drop:k - 1] = KAA[:k - 1, drop + 1:k]
     raise QpNoConvergence("active-set iteration limit reached")
 
 

@@ -44,9 +44,12 @@ class Scenario:
 
     The file form is a JSON object with one key per field (config.from_dict);
     T and r_steps, [start step, value] pairs, may be left out.  However a
-    scenario is built (built-in, file or dataclasses.replace), T >= 1 and
-    r_steps starts at step 0 with strictly increasing start steps, or
-    construction raises ConfigError.
+    scenario is built (built-in, file or dataclasses.replace), construction
+    raises ConfigError unless, with n = rows of A and m = columns of B:
+    A, Q are n x n, B is n x m, R is m x m, C_out is one row of n (each
+    reference value is one number), u_lo, u_hi have m entries and x_lo,
+    x_hi, x0 have n; T >= 1; and r_steps starts at step 0 with strictly
+    increasing start steps.
     """
 
     name: str
@@ -69,6 +72,19 @@ class Scenario:
             setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         for name in ("u_lo", "u_hi", "x_lo", "x_hi", "x0"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float).ravel())
+        n, m = self.A.shape[0], self.B.shape[1]
+        shapes = {"A": (n, n), "B": (n, m), "C_out": (len(self.C_out), n),
+                  "Q": (n, n), "R": (m, m), "u_lo": (m,), "u_hi": (m,),
+                  "x_lo": (n,), "x_hi": (n,), "x0": (n,)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ConfigError(
+                    f"{name} has shape {getattr(self, name).shape}, expected "
+                    f"{shape} for n = {n} states and m = {m} inputs")
+        if len(self.C_out) != 1:
+            raise ConfigError(
+                f"C_out has {len(self.C_out)} rows, but r_steps gives one "
+                "reference value per step, so a scenario has one output")
         self.horizon = int(self.horizon)
         self.T = int(self.T)
         if self.T < 1:

@@ -154,24 +154,38 @@ def test_apply_noise_shapes_and_scaling():
     F = rng.normal(size=(200, 3))
     rms = float(np.sqrt(np.mean(F**2)))
 
-    none = apply_noise(F, AttackSetting("none"), np.random.default_rng(0))
-    assert np.array_equal(none, F)
-    none[0, 0] = 99.0  # returned copy, input untouched
-    assert F[0, 0] != 99.0
+    none = apply_noise(F, AttackSetting("none"), np.random.default_rng(0), 2)
+    assert none.shape == (2, 200, 3)
+    assert np.array_equal(none[0], F) and np.array_equal(none[1], F)
+    none[0, 0, 0] = 99.0  # returned copy, input untouched
+    assert F[0, 0] != 99.0 and none[1, 0, 0] != 99.0
 
-    g = apply_noise(F, AttackSetting("gaussian"), np.random.default_rng(1))
+    g = apply_noise(F, AttackSetting("gaussian"), np.random.default_rng(1), 1)[0]
     dev = g - F
     assert np.std(dev) == pytest.approx(0.01 * rms, rel=0.1)
 
-    u = apply_noise(F, AttackSetting("uniform"), np.random.default_rng(2))
+    u = apply_noise(F, AttackSetting("uniform"), np.random.default_rng(2), 1)[0]
     dev = u - F
     assert np.max(np.abs(dev)) <= 0.02 * rms + 1e-15
 
-    s = apply_noise(F, AttackSetting("impulse"), np.random.default_rng(3))
+    s = apply_noise(F, AttackSetting("impulse"), np.random.default_rng(3), 1)[0]
     dev = s - F
     hit = np.abs(dev) > 0
     assert 0.01 < np.mean(hit) < 0.12  # sparse, around the 5% rate
     assert np.allclose(np.abs(dev[hit]), 0.5 * rms)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_apply_noise_stack_is_one_trial_after_another(kind):
+    """A stack of k trials holds the same floats as k one-trial calls on
+    the same generator, in order: the attack table's stream does not
+    depend on how its trials are blocked."""
+    F = np.random.default_rng(5).normal(size=(60, 2))
+    setting = AttackSetting(kind)
+    stack = apply_noise(F, setting, np.random.default_rng(9), 5)
+    rng = np.random.default_rng(9)
+    one_by_one = np.stack([apply_noise(F, setting, rng, 1)[0] for _ in range(5)])
+    assert stack.tobytes() == one_by_one.tobytes()
 
 
 def test_default_settings_cover_all_kinds():
@@ -332,7 +346,7 @@ def reference_run_attack_table(observations, settings, seed):
             rng = np.random.default_rng(np.random.SeedSequence([seed, si, bi]))
             vals = []
             for _ in range(setting.trials):
-                noisy = apply_noise(features, setting, rng)
+                noisy = apply_noise(features, setting, rng, 1)[0]
                 theta, _, _ = reference_fit(noisy, inputs)
                 value = reference_score(
                     truth, reference_rollout(theta, truth[0], inputs))
@@ -427,7 +441,7 @@ def test_stacked_fit_rollout_score_match_one_trial_each(observations):
     one-trial reference."""
     rng = np.random.default_rng(4)
     feats, inputs, truth = observations["qe"]
-    noisy = np.stack([apply_noise(feats, AttackSetting("gaussian", noise_scale=s), rng)
+    noisy = np.stack([apply_noise(feats, AttackSetting("gaussian", noise_scale=s), rng, 1)[0]
                       for s in (0.0, 0.01, 0.3, 3.0)])
     U = np.broadcast_to(inputs, (4,) + inputs.shape)
     X = np.broadcast_to(truth, (4,) + truth.shape)

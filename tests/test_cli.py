@@ -112,12 +112,15 @@ BENCH_SCENARIO = scenario_to_dict(benchmark_scenario())
     (5, "JSON object"),
     ({**BENCH_SCENARIO, "r_steps": [[5, 1.0], [20, 1.5]]}, "r_steps"),
     ({**BENCH_SCENARIO, "T": "sixty"}, "sixty"),
+    ({**BENCH_SCENARIO, "x0": [1.0]}, "x0 has shape"),
+    ({**BENCH_SCENARIO, "C_out": [[1, 0], [0, 1]]}, "C_out has 2 rows"),
 ], ids=["empty-episode", "typo-key", "not-an-object", "late-reference",
-        "not-a-number"])
+        "not-a-number", "short-x0", "two-outputs"])
 def test_bad_scenario_exits_2(workdir, tmp_path, capsys, scenario, named):
     """An empty episode, a key that is no field, a file that is no object,
-    a reference program that starts after step 0 and a value of the wrong
-    type are configuration errors that name what is wrong and the file."""
+    a reference program that starts after step 0, a value of the wrong
+    type, an array of the wrong shape and a second output are
+    configuration errors that name what is wrong and the file."""
     (tmp_path / "sc.json").write_text(json.dumps(scenario))
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"scenario_path": str(tmp_path / "sc.json")}))

@@ -1,21 +1,31 @@
-"""qp.solve_qp and lp.feasible_point against their loop-by-loop references.
+"""qp.solve_qp against the primal active-set method, and lp.feasible_point
+against its loop-by-loop reference.
 
-`reference_solve_qp` is the primal active-set loop as it was written with
-one dot product per row in the ratio test and a KKT matrix assembled by
-`np.block` on every iteration; `reference_feasible_point` builds the
-phase-1 tableau from `hstack`/`eye`/`vstack` pieces. The program's
-versions must take the same steps: the same verdicts, active sets and
-pivots, with z and the multipliers equal up to the rounding of one
-matrix-vector product in place of per-row dot products.
+`reference_solve_qp` is the primal active-set method the oracle used
+before the dual one: a phase-1 feasible point from lp.feasible_point,
+then a working set grown by a ratio test with one dot product per row
+and a KKT matrix assembled by `np.block` on every iteration. The dual
+method takes another path to the same optimizer, so the two must agree
+on every verdict and active set, with z and the multipliers within
+1e-12 relative. On random QPs with duplicate, scaled, zero and
+hair-shifted rows, the verdict must be lp.feasible_point's and a
+feasible solve must meet the benchmark's KKT bound, with complementarity
+scaled by the largest multiplier.
+`reference_feasible_point` builds the phase-1 tableau from
+`hstack`/`eye`/`vstack` pieces, and lp.feasible_point must match it bit
+for bit.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encmpc import lp
 from encmpc.config import DEFAULT_TOL
 from encmpc.mpqp import LtiSystem, MpcSpec, condense
 from encmpc.polyhedra import box
-from encmpc.qp import QpInfeasible, QpNoConvergence, solve_qp
+from encmpc.qp import QpInfeasible, QpNoConvergence, kkt_residuals, solve_qp
 
 
 def reference_solve_qp(H, g, G, w, tol=DEFAULT_TOL, max_iter=500):
@@ -150,8 +160,7 @@ def solve_at(solver, qp, x):
 def test_solve_qp_matches_reference(name):
     """Same verdict and active set at every seeded state; z and the
     multipliers within 1e-12 relative to 1 + |reference| (multipliers
-    reach ~1e3 on random plant 4 and the 4-state plant), and bit for bit
-    on the benchmark."""
+    reach ~1e3 on random plant 4 and the 4-state plant)."""
     make, half, count, least = PROBLEMS[name]
     qp = make()
     rng = np.random.default_rng(7)
@@ -166,35 +175,134 @@ def test_solve_qp_matches_reference(name):
         feasible += 1
         (z, lam, active), (z_ref, lam_ref, active_ref) = got, ref
         assert active == active_ref, f"active sets differ at {x}"
-        if name == "benchmark":
-            assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref)
-        else:
-            assert np.all(np.abs(z - z_ref) <= 1e-12 * (1 + np.abs(z_ref)))
-            assert np.all(np.abs(lam - lam_ref) <= 1e-12 * (1 + np.abs(lam_ref)))
+        assert np.all(np.abs(z - z_ref) <= 1e-12 * (1 + np.abs(z_ref)))
+        assert np.all(np.abs(lam - lam_ref) <= 1e-12 * (1 + np.abs(lam_ref)))
     assert feasible >= least
 
 
 @pytest.mark.parametrize("rows, w, active", [
-    # rows 0 and 1 block at alpha = 0.5, row 2 at 0.5 + 0.5e-12: row 0
-    # enters, and z = (1, 0) is optimal on it alone
-    ([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]], [1.0, 1.0, 1.0 + 1e-12], (0,)),
-    # the tied pair swapped: x1 + x2 <= 1 enters first, and the walk along
-    # it picks up x1 <= 1 at a zero step
-    ([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0 + 1e-12], (0, 1)),
-    # the late row scanned first keeps the step: the exact rows behind it
-    # block less than 1e-12 sooner, so x1 <= 1 + 1e-12 enters
-    ([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]], [1.0 + 1e-12, 1.0, 1.0], (0,)),
+    # rows 0 and 1 are violated by 1 per unit norm and row 2 by 0.5e-12
+    # less: row 0 enters, though row 1's raw violation is twice as large
+    ([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]], [1.0, 2.0, 1.0 + 0.5e-12], (0,)),
+    # the tied pair swapped: the positive multiple now has the lower index
+    ([[2.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [2.0, 1.0, 1.0], (0,)),
+    # the late row violated by 0.5e-12 more still ties, so row 0 enters,
+    # and the late row is then violated by less than VIOLATION_TOL
+    ([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]], [1.0, 2.0, 1.0 - 0.5e-12], (0,)),
+    # 2e-12 more is no tie: the late row enters and row 0 stays slack
+    ([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]], [1.0, 2.0, 1.0 - 2e-12], (2,)),
 ])
-def test_ratio_test_tie_goes_to_lower_index(rows, w, active):
-    """From z = 0 the step d = (2, 0) hits two rows together and a third
-    0.5e-12 later; of rows blocking within 1e-12 of each other, the lowest
-    index enters the working set."""
+def test_entering_tie_goes_to_lower_index(rows, w, active):
+    """From z = -H^-1 g = (2, 0) every x1 <= 1 row is violated by about 1
+    per unit norm; of rows whose normalized violations lie within TIE_TOL
+    of the largest, the lowest index enters the active set."""
     G, w = np.array(rows), np.array(w)
     H, g = np.eye(2), np.array([-2.0, 0.0])
     z, lam, got = solve_qp(H, g, G, w)
     assert got == active
-    assert got == reference_solve_qp(H, g, G, w)[2]
     assert z == pytest.approx([1.0, 0.0], abs=1e-11)
+    assert z == pytest.approx(reference_solve_qp(H, g, G, w)[0], abs=1e-11)
+
+
+@pytest.mark.parametrize("hair, feasible", [(1e-11, True), (1e-7, False)])
+def test_unbounded_dual_defers_to_certificate(hair, feasible, monkeypatch):
+    """x1 <= 1 and x1 >= 1 + hair: from z = (2, 0) row 0 enters, and then
+    row 1 depends on it with no row to drop, so the dual is unbounded.
+    lp.feasible_point calls the set feasible at a hair of 1e-11, within
+    its tolerance, and the solve then returns z = (1, 0) within that hair;
+    at 1e-7 it calls the set empty, and so does the solve."""
+    calls = []
+    certify = lp.feasible_point
+    monkeypatch.setattr(lp, "feasible_point",
+                        lambda *a: calls.append(a) or certify(*a))
+    G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    w = np.array([1.0, -1.0 - hair])
+    H, g = np.eye(2), np.array([-2.0, 0.0])
+    if not feasible:
+        with pytest.raises(QpInfeasible):
+            solve_qp(H, g, G, w)
+        assert len(calls) == 1
+        return
+    z, lam, active = solve_qp(H, g, G, w)
+    assert len(calls) == 1
+    assert z == pytest.approx([1.0, 0.0], abs=2 * hair)
+    assert lam[list(active)] == pytest.approx([1.0], abs=1e-9)
+    assert np.max(G @ z - w) <= 2 * hair
+
+
+def test_feasible_solves_skip_the_certificate(monkeypatch):
+    """On the benchmark's states lp.feasible_point runs once per
+    infeasible verdict and never for a feasible one."""
+    calls = []
+    certify = lp.feasible_point
+    monkeypatch.setattr(lp, "feasible_point",
+                        lambda *a: calls.append(a) or certify(*a))
+    qp = double_integrator(5)
+    verdicts = []
+    for x in np.random.default_rng(7).uniform([-11.0, -6.0], [11.0, 6.0], (300, 2)):
+        before = len(calls)
+        verdicts.append(solve_at(solve_qp, qp, x) is not None)
+        assert len(calls) - before == (not verdicts[-1])
+    assert any(verdicts) and not all(verdicts)
+
+
+def random_qp(seed):
+    """A strictly convex QP with nz 2-6 and up to 20 rows, built around a
+    point with mostly nonnegative slack. Some rows are then replaced by
+    an exact duplicate or a positive multiple of an earlier plain row, by
+    a zero row, or by the reverse of an earlier plain row shifted by a
+    hair of 1e-14 to 1e-7 either way, which leaves a thin slab or, shifted
+    the other way, a set empty by that hair."""
+    rng = np.random.default_rng(seed)
+    nz = int(rng.integers(2, 7))
+    q = int(rng.integers(1, 21))
+    M = rng.normal(size=(nz, nz))
+    H = M @ M.T + 0.1 * np.eye(nz)
+    g = 3.0 * rng.normal(size=nz)
+    G = rng.normal(size=(q, nz))
+    w = G @ rng.normal(size=nz) + rng.uniform(-0.5, 2.0, size=q)
+    base = [0]
+    for j in range(1, q):
+        i = base[int(rng.integers(0, len(base)))]
+        kind = int(rng.integers(0, 8))
+        if kind < 4:
+            base.append(j)
+        c = float(rng.uniform(0.1, 10.0))
+        if kind == 4:
+            G[j], w[j] = G[i], w[i]
+        elif kind == 5:
+            G[j], w[j] = c * G[i], c * w[i]
+        elif kind == 6:
+            G[j], w[j] = 0.0, rng.choice([1.0, 0.0, -1e-12, -1.0])
+        elif kind == 7:
+            hair = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14, -7)
+            G[j], w[j] = -c * G[i], -c * (w[i] + hair)
+    return H, g, G, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_random_qp_verdict_and_kkt(seed):
+    """The verdict is lp.feasible_point's, and a feasible solve returns a
+    point within the benchmark's KKT bound of 1e-8 on stationarity,
+    primal and dual feasibility. Complementarity is a product with the
+    multiplier, so its bound scales with the largest one: multipliers
+    reach 1e5 here, and the primal reference's residuals then exceed
+    1e-8 as well."""
+    H, g, G, w = random_qp(seed)
+    feasible, _ = lp.feasible_point(G, w)
+    try:
+        z, lam, active = solve_qp(H, g, G, w)
+    except QpInfeasible:
+        assert not feasible
+        return
+    assert feasible
+    problem = SimpleNamespace(H=H, F=g[:, None], G=G, E=w[:, None],
+                              h=np.zeros_like(w))
+    res = kkt_residuals(problem, np.ones(1), z, lam)
+    assert max(res["stationarity"], res["primal"], res["dual"]) <= 1e-8, res
+    assert res["complementarity"] <= 1e-8 * max(1.0, lam.max()), res
+    assert set(np.flatnonzero(lam)) <= set(active)
 
 
 def feasible_point_cases():

@@ -230,6 +230,35 @@ def test_replaced_scenario_meets_the_same_rules(change, match):
         dataclasses.replace(benchmark_scenario(), **change)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("A", [[1.0, 1.0]]),
+    ("B", [[0.5], [1.0], [0.0]]),
+    ("Q", [[1.0]]),
+    ("R", [[0.5, 0.0], [0.0, 0.5]]),
+    ("u_lo", [-1.0, -1.0]),
+    ("u_hi", [1.0, 1.0]),
+    ("x_lo", [-5.0]),
+    ("x_hi", [5.0, 5.0, 5.0]),
+    ("x0", [1.0]),
+    ("C_out", [[1.0, 0.0, 0.0]]),
+])
+def test_scenario_refuses_mismatched_shapes(field, value):
+    """Every array is checked against n = 2 states and m = 1 input of the
+    benchmark plant, and the error names the field."""
+    d = scenario_to_dict(benchmark_scenario())
+    d[field] = value
+    with pytest.raises(ConfigError, match=rf": {field} has shape"):
+        scenario_from_dict(d)
+
+
+def test_scenario_refuses_more_than_one_output():
+    """Reference values are scalars, so a second output row has none."""
+    d = scenario_to_dict(benchmark_scenario())
+    d["C_out"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ConfigError, match="C_out has 2 rows.*r_steps"):
+        scenario_from_dict(d)
+
+
 def test_reference_schedule():
     sc = benchmark_scenario()
     assert sc.reference(0) == [0.0]
