@@ -239,14 +239,16 @@ def probe_dither(T, m, seed):
     return rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(T, m))
 
 
-def gather_observations(scenario, controller, cfg, backends, keypair=None):
+def gather_observations(scenario, controller, cfg, backends):
     """Run the true loop once per backend under an eavesdropper tap.
 
-    Returns {backend: (features, inputs, truth_states)} where inputs are
-    the applied control sequence including the probing dither (granted
-    to the adversary; the plaintext wire carries the state anyway and
-    giving every adversary the true inputs only makes the
-    confidentiality comparison conservative).
+    Each run's parties, and the adversary's reading of their wire, come
+    from cfg (run_closed_loop, wire_field).  Returns {backend: (features,
+    inputs, truth_states)} where inputs are the applied control sequence
+    including the probing dither (granted to the adversary; the
+    plaintext wire carries the state anyway and giving every adversary
+    the true inputs only makes the confidentiality comparison
+    conservative).
 
     The reference program must be 0 at every step: the wire carries the
     shifted state x - x_ss, and the truth and inputs are absolute, so
@@ -259,17 +261,14 @@ def gather_observations(scenario, controller, cfg, backends, keypair=None):
             f"absolute state, so r_steps {list(scenario.r_steps)} would "
             "score the adversary in mixed frames")
     dither = probe_dither(episode_steps(scenario, cfg), controller.m, cfg.seed_attack)
-    key_bits = keypair.bits if keypair is not None else cfg.key_bits
     obs = {}
     for backend in backends:
         log = EavesdropLog()
         traj = run_closed_loop(scenario, backend, cfg, controller=controller,
-                               keypair=keypair if backend == "paillier" else None,
                                log=log, dither=dither)
         if traj.fault:
             raise RuntimeError(f"{backend} observation run faulted: {traj.fault}")
-        features = observe_features(log, backend,
-                                    wire_field(backend, cfg, key_bits),
+        features = observe_features(log, backend, wire_field(backend, cfg),
                                     controller.n)
         inputs = np.array([rec.u for rec in traj.records])
         truth = np.array([rec.x for rec in traj.records])

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 runtime fault, 2 configuration error.
 import argparse
 import logging
 import math
-import random
 import statistics
 import sys
 from dataclasses import fields as dataclass_fields
@@ -20,10 +19,10 @@ from pathlib import Path
 
 from .attack import (attack_table_csv, default_settings, gather_observations,
                      run_attack_table, NOISE_KINDS)
-from .config import ConfigError, RunConfig, from_dict, load_json
+from .config import BACKENDS, ConfigError, RunConfig, from_dict, load_json
 from .mpqp import PwaController, fmt_17g
-from .paillier import gain_bitlen, keygen
-from .protocol import BACKENDS, COUNT_KEYS, predict_cost
+from .paillier import gain_bitlen
+from .protocol import COUNT_KEYS, predict_cost
 from .simulation import (attack_scenario, benchmark_scenario, input_mismatch,
                          load_scenario, run_closed_loop, tracking_rmse,
                          trajectory_csv)
@@ -44,11 +43,7 @@ def build_config(args):
     if isinstance(data, dict):  # from_dict refuses anything else
         data.update((key, val) for key, val in vars(args).items()
                     if key in CONFIG_FIELDS and val is not None)
-    cfg = from_dict(RunConfig, data, args.config or "command line")
-    if cfg.backend not in BACKENDS:
-        raise ConfigError(f"unknown backend {cfg.backend!r}; "
-                          f"choose from {', '.join(BACKENDS)}")
-    return cfg, data
+    return from_dict(RunConfig, data, args.config or "command line"), data
 
 
 def resolve_scenario(cfg, default):
@@ -210,7 +205,6 @@ def cmd_bench(cfg, data, sweep_spec):
     else:
         controller = scenario.synthesize_controller()
     points = parse_sweep(sweep_spec)
-    keypairs = {}
     lines = [",".join(BENCH_COLUMNS)]
     for point in points:
         point_cfg = from_dict(RunConfig, {**data, **point}, f"sweep point {point}")
@@ -221,17 +215,8 @@ def cmd_bench(cfg, data, sweep_spec):
         else:
             backends = BACKENDS
         for backend in backends:
-            if backend not in BACKENDS:
-                raise ConfigError(f"unknown backend {backend!r}")
-            keypair = None
-            if backend == "paillier":
-                bits = point_cfg.key_bits
-                if bits not in keypairs:
-                    keypairs[bits] = keygen(bits,
-                                            random.Random(point_cfg.seed_keys))
-                keypair = keypairs[bits]
             traj = run_closed_loop(scenario, backend, point_cfg,
-                                   controller=controller, keypair=keypair)
+                                   controller=controller)
             lines.append(_bench_row(point_cfg, traj, controller))
             print(f"timing {backend} (L={point_cfg.key_bits} "
                   f"p={point_cfg.p_bits}): per-cycle median "
@@ -251,9 +236,8 @@ def cmd_bench(cfg, data, sweep_spec):
 def cmd_attack(cfg):
     scenario = resolve_scenario(cfg, attack_scenario)
     controller = scenario.synthesize_controller()
-    keypair = keygen(cfg.key_bits, random.Random(cfg.seed_keys))
     observations = gather_observations(scenario, controller, cfg,
-                                       ATTACK_BACKENDS, keypair=keypair)
+                                       ATTACK_BACKENDS)
     settings = default_settings(trials=cfg.attack_trials)
     table = run_attack_table(observations, settings, cfg.seed_attack)
     out = Path(cfg.out_dir) / "attack.csv"

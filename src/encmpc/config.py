@@ -17,7 +17,6 @@ class Tolerances:
                    stored region rows are not unit-normalized
     rank           singular values below this count as zero in LICQ checks
     cheb_cutoff    regions with Chebyshev radius at or below this are dropped
-    dual_feas      multipliers may undershoot zero by this much
     zero_row       region rows with norm below this are degenerate
     spd_min_eig    smallest eigenvalue required of R and of the condensed H
     """
@@ -25,12 +24,13 @@ class Tolerances:
     feasibility: float = 1e-9
     rank: float = 1e-10
     cheb_cutoff: float = 1e-9
-    dual_feas: float = 1e-9
     zero_row: float = 1e-11
     spd_min_eig: float = 1e-10
 
 
 DEFAULT_TOL = Tolerances()
+
+BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
 
 # exp() overflow guard for the exp/log cipher: |z/beta| above this is a
 # configuration error (plant scaling incompatible with key magnitudes)
@@ -95,8 +95,10 @@ class RunConfig:
     align_accuracy, or default to 10 and 16 when epsilon_q is unset.
     With epsilon_q set, p_bits is raised to the derived w and explicit
     delta and w must still meet the target.  A field out of its range
-    (key_bits not a supported Paillier size, attack_trials < 1, rho < 2,
-    w < 1, steps < 1) is a ConfigError.
+    (backend not one of BACKENDS, a seed outside [0, 2^64), w_b outside
+    [2, 62], key_bits not a supported Paillier size, attack_trials < 1,
+    rho < 2, gamma < 0, delta < 1, w < 1, p_bits < 1, steps < 1) is a
+    ConfigError, whichever backend runs.
     """
 
     scenario_path: str = ""
@@ -118,13 +120,20 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, ok, need in (
+                ("backend", self.backend in BACKENDS, f"one of {', '.join(BACKENDS)}"),
+                *((seed, 0 <= getattr(self, seed) < 2**64, "in [0, 2^64)")
+                  for seed in ("seed_keys", "seed_quant", "seed_attack")),
+                ("w_b", 2 <= self.w_b <= 62, "in [2, 62]"),
                 ("key_bits", self.key_bits in VALID_KEY_BITS, f"one of {VALID_KEY_BITS}"),
                 ("attack_trials", self.attack_trials >= 1, ">= 1"),
                 ("rho", self.rho >= 2, ">= 2"),
+                ("gamma", self.gamma >= 0, ">= 0"),
+                ("delta", self.delta is None or self.delta >= 1, ">= 1"),
                 ("w", self.w is None or self.w >= 1, ">= 1"),
+                ("p_bits", self.p_bits >= 1, ">= 1"),
                 ("steps", self.steps is None or self.steps >= 1, ">= 1 or null")):
             if not ok:
-                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
         if self.epsilon_q is None:
             delta, w = 10, 16
         else:

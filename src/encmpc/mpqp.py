@@ -40,10 +40,9 @@ class InvalidRegion(ValueError):
 
 @dataclass
 class LtiSystem:
-    """Discrete-time linear plant x+ = Ax + Bu, y = C_out x."""
+    """Discrete-time linear plant x+ = Ax + Bu (its output map is the scenario's)."""
     A: np.ndarray
     B: np.ndarray
-    C_out: np.ndarray = None
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -53,13 +52,7 @@ class LtiSystem:
             raise ConfigError("A must be square")
         if self.B.shape[0] != n:
             raise ConfigError("B row count must match A")
-        if self.C_out is None:
-            self.C_out = np.eye(n)
-        else:
-            self.C_out = np.atleast_2d(np.asarray(self.C_out, dtype=float))
-            if self.C_out.shape[1] != n:
-                raise ConfigError("C_out column count must match A")
-        for M in (self.A, self.B, self.C_out):
+        for M in (self.A, self.B):
             if not np.all(np.isfinite(M)):
                 raise ConfigError("system matrices must be finite")
 
@@ -76,14 +69,14 @@ class LtiSystem:
 class MpcSpec:
     """Horizon, weights and polyhedral constraint sets.
 
-    U constrains u_0..u_{N-1}, X the predicted states x_1..x_{N-1}, and
-    T_term the terminal state x_N. T_term defaults to X; any set left as
-    None is simply absent. R must be PD, Q and P_term PSD.
+    Q weighs every state x_0..x_N, so Q also weighs the terminal state,
+    and R every input.  U constrains u_0..u_{N-1}, X the predicted states
+    x_1..x_{N-1}, and T_term (default X) the terminal state x_N; a set
+    left as None is absent.  R must be PD, Q PSD.
     """
     horizon: int
     Q: np.ndarray
     R: np.ndarray
-    P_term: np.ndarray = None
     U: Polyhedron = None
     X: Polyhedron = None
     T_term: Polyhedron = None
@@ -93,19 +86,16 @@ class MpcSpec:
             raise ConfigError("horizon must be >= 1")
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        self.P_term = (self.Q if self.P_term is None
-                       else np.atleast_2d(np.asarray(self.P_term, dtype=float)))
         if self.T_term is None:
             self.T_term = self.X
-        for name in ("Q", "R", "P_term"):
+        for name in ("Q", "R"):
             M = getattr(self, name)
             if np.linalg.norm(M - M.T) > 1e-12:
                 raise ConfigError(f"{name} must be symmetric")
         if np.linalg.eigvalsh(self.R).min() <= DEFAULT_TOL.spd_min_eig:
             raise ConfigError("R must be positive definite")
-        for name in ("Q", "P_term"):
-            if np.linalg.eigvalsh(getattr(self, name)).min() < -1e-10:
-                raise ConfigError(f"{name} must be positive semidefinite")
+        if np.linalg.eigvalsh(self.Q).min() < -1e-10:
+            raise ConfigError("Q must be positive semidefinite")
 
 
 @dataclass
@@ -152,15 +142,14 @@ def condense(sys: LtiSystem, spec: MpcSpec) -> CondensedQp:
     indices are reproducible.
     """
     n, m, N = sys.n, sys.m, spec.horizon
-    if spec.Q.shape != (n, n) or spec.P_term.shape != (n, n):
-        raise ConfigError("Q/P_term must be n x n")
+    if spec.Q.shape != (n, n):
+        raise ConfigError("Q must be n x n")
     if spec.R.shape != (m, m):
         raise ConfigError("R must be m x m")
     Sx, Su = prediction_matrices(sys, N)
     Qbar = np.zeros(((N + 1) * n, (N + 1) * n))
-    for k in range(N):
+    for k in range(N + 1):
         Qbar[k * n:(k + 1) * n, k * n:(k + 1) * n] = spec.Q
-    Qbar[N * n:, N * n:] = spec.P_term
     Rbar = np.kron(np.eye(N), spec.R)
     H = Su.T @ Qbar @ Su + Rbar
     H = 0.5 * (H + H.T)

@@ -34,6 +34,10 @@ class KeyMismatch(ValueError):
     """Operands encrypted under different public keys."""
 
 
+class FixedPointOverflow(OverflowError):
+    """A value outside the fixed-point codec's range |x| <= rho^gamma."""
+
+
 @dataclass(frozen=True)
 class PaillierPublicKey:
     """Encryption half of a keypair: modulus only, no trapdoor material."""
@@ -276,7 +280,7 @@ def fp_encode(x, codec, scale_power=1):
     """Round x to the scale grid and reduce mod n (upper half = negative)."""
     x = float(x)
     if abs(x) > codec.rho ** codec.gamma:
-        raise OverflowError(f"|{x}| exceeds rho^gamma = {codec.rho ** codec.gamma}")
+        raise FixedPointOverflow(f"|{x}| exceeds rho^gamma = {codec.rho ** codec.gamma}")
     if scale_power not in (1, 2):
         raise ValueError("scale_power must be 1 or 2")
     q = round(x * codec.rho ** (codec.delta * scale_power))

@@ -20,6 +20,7 @@ Region indices travel in plaintext on the sensor link, which is the
 protocol's documented leak.
 """
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
+from .config import ConfigError
 from .keys import KeyConfig, KeySource, betas
 from .mpqp import InvalidRegion
 from .paillier import (
@@ -42,7 +44,6 @@ from .paillier import (
 )
 from .qe_cipher import con, dec_aggregate, dequantize, enc_state, quantize_stochastic
 
-BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
 QE_BACKENDS = ("qe", "qe_quantized")
 
 COUNT_KEYS = ("enc", "con", "dec", "sums", "he_enc", "he_dec", "he_add", "he_mul")
@@ -56,7 +57,6 @@ def _zero_counts():
 class WireMessage:
     """One transmission: raw bytes plus measured payload bits."""
 
-    cycle: int
     link: str  # "s_to_c" or "c_to_a"
     body: bytes
     payload_bits: int
@@ -81,7 +81,6 @@ class EavesdropLog:
 
 @dataclass
 class CycleMetrics:
-    backend: str
     sigma: int
     counts: dict
     payload_bits: dict
@@ -181,14 +180,14 @@ class HeField:
         return values, off
 
 
-def wire_field(backend, cfg, key_bits, rng=None):
+def wire_field(backend, cfg, rng=None):
     """The field codec of a backend: binary64, cfg.w-bit words rounded
-    with the encoding party's quantizer rng, or residues of a key_bits
-    Paillier key."""
+    with the encoding party's quantizer rng, or residues of a
+    cfg.key_bits Paillier key."""
     if backend == "qe_quantized":
         return WordField(cfg.w, rng)
     if backend == "paillier":
-        return HeField(key_bits)
+        return HeField(cfg.key_bits)
     if backend in ("plaintext", "qe"):
         return F64Field()
     raise ValueError(f"unknown backend {backend!r}")
@@ -245,7 +244,7 @@ class Sensor:
             counts["he_enc"] += self.n + self.m
 
         body = wire.encode_u32(sigma) + self.field.encode(values, sizes)
-        msg = WireMessage(cycle, "s_to_c", body, 32 + sum(sizes) * self.field.bits)
+        msg = WireMessage("s_to_c", body, 32 + sum(sizes) * self.field.bits)
         return msg, counts, time.perf_counter() - t0
 
 
@@ -256,12 +255,10 @@ class Cloud:
     beta vector, Paillier trapdoor, or plaintext state.
     """
 
-    def __init__(self, gains, backend, n, m, offsets=None, field=None,
+    def __init__(self, gains, backend, offsets=None, field=None,
                  pk=None, gains_encoded=None):
         self.backend = backend
         self.gains = [np.atleast_2d(np.asarray(K, dtype=float)) for K in gains]
-        self.n = int(n)
-        self.m = int(m)
         # plaintext only: that cloud applies the offsets itself
         self.offsets = (None if offsets is None else
                         [np.asarray(b, dtype=float).ravel() for b in offsets])
@@ -272,10 +269,10 @@ class Cloud:
     def step(self, msg):
         t0 = time.perf_counter()
         counts = _zero_counts()
-        n, m = self.n, self.m
         sigma, off = wire.decode_u32(msg.body)
         if not 0 <= sigma < len(self.gains):
             raise InvalidRegion(f"region index {sigma} out of range")
+        m, n = self.gains[sigma].shape
 
         forwarded = 0
         if self.backend == "plaintext":
@@ -300,7 +297,7 @@ class Cloud:
         # msg.body[off:] holds the forwarded fields, empty unless qe
         body = self.field.encode(values, (len(values),)) + msg.body[off:]
         bits = (len(values) + forwarded) * self.field.bits
-        out_msg = WireMessage(msg.cycle, "c_to_a", body, bits)
+        out_msg = WireMessage("c_to_a", body, bits)
         return out_msg, counts, time.perf_counter() - t0
 
 
@@ -352,7 +349,6 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
     u, c3, w3 = actuator.step(msg2, cycle)
 
     metrics = CycleMetrics(
-        backend=sensor.backend,
         sigma=sensor.sigma,
         counts={k: c1[k] + c2[k] + c3[k] for k in COUNT_KEYS},
         payload_bits={
@@ -366,44 +362,59 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
     return u, metrics
 
 
+@functools.lru_cache(maxsize=8)
+def _derived_keypair(bits, seed):
+    """The Paillier keypair of (key_bits, seed_keys), generated once per
+    pair in a process."""
+    return keygen(bits, random.Random(seed))
+
+
 def make_parties(controller, backend, cfg, keypair=None):
     """Wire up the three parties for a controller under one RunConfig.
 
     Returns (sensor, cloud, actuator), each with its wire_field codec;
     qe_quantized's sensor and cloud each own a quantizer rng (seeds
-    seed_quant and seed_quant + 1).  For Paillier a keypair is generated
-    from cfg.seed_keys unless one is supplied; the plant-side sensor and
-    actuator hold it, the cloud receives the public key only.
+    seed_quant and seed_quant + 1).  Paillier's keypair is
+    keygen(cfg.key_bits, random.Random(cfg.seed_keys)) unless one of
+    cfg.key_bits bits is supplied; the plant-side sensor and actuator
+    hold it, the cloud the public key only.  A gamma or delta that the
+    key or the gains cannot hold is a ConfigError.
     """
-    if backend == "paillier" and keypair is None:
-        keypair = keygen(cfg.key_bits, random.Random(cfg.seed_keys))
-    key_bits = keypair.bits if backend == "paillier" else None
     rng = np.random.default_rng
-    s_field = wire_field(backend, cfg, key_bits, rng(cfg.seed_quant))
-    c_field = wire_field(backend, cfg, key_bits, rng(cfg.seed_quant + 1))
-    a_field = wire_field(backend, cfg, key_bits)
+    s_field = wire_field(backend, cfg, rng(cfg.seed_quant))
+    c_field = wire_field(backend, cfg, rng(cfg.seed_quant + 1))
+    a_field = wire_field(backend, cfg)
     n, m = controller.n, controller.m
     gains = [r.K for r in controller.regions]
 
     if backend == "plaintext":
         sensor = Sensor(controller, backend, field=s_field)
-        cloud = Cloud(gains, backend, n, m, field=c_field,
+        cloud = Cloud(gains, backend, field=c_field,
                       offsets=[r.b for r in controller.regions])
         actuator = Actuator(backend, n, m, field=a_field)
     elif backend in QE_BACKENDS:
         kc = KeyConfig(n=n, m=m, w_b=cfg.w_b)
         sensor = Sensor(controller, backend, field=s_field,
                         key_source=KeySource(cfg.seed_keys, kc))
-        cloud = Cloud(gains, backend, n, m, field=c_field)
+        cloud = Cloud(gains, backend, field=c_field)
         actuator = Actuator(backend, n, m, field=a_field,
                             key_source=KeySource(cfg.seed_keys, kc))
     else:
-        codec = FixedPointCodec(cfg.rho, cfg.gamma, cfg.delta, keypair.n)
+        if keypair is None:
+            keypair = _derived_keypair(cfg.key_bits, cfg.seed_keys)
+        elif keypair.bits != cfg.key_bits:
+            raise ConfigError(f"supplied Paillier key has {keypair.bits} bits, "
+                              f"but key_bits is {cfg.key_bits}")
+        try:
+            codec = FixedPointCodec(cfg.rho, cfg.gamma, cfg.delta, keypair.n)
+            gains_encoded = [encode_gain(K, codec) for K in gains]
+        except OverflowError as exc:
+            raise ConfigError(f"gamma={cfg.gamma}, delta={cfg.delta} under a "
+                              f"{cfg.key_bits}-bit key: {exc}") from exc
         sensor = Sensor(controller, backend, field=s_field, he_key=keypair,
                         codec=codec, he_rng=random.Random(cfg.seed_keys + 1))
-        cloud = Cloud(gains, backend, n, m, field=c_field, pk=keypair.public,
-                      gains_encoded=[encode_gain(K, codec) for K in gains])
+        cloud = Cloud(gains, backend, field=c_field, pk=keypair.public,
+                      gains_encoded=gains_encoded)
         actuator = Actuator(backend, n, m, field=a_field, keypair=keypair,
                             codec=codec)
     return sensor, cloud, actuator
-

@@ -26,6 +26,7 @@ from .mpqp import (
     fmt_17g,
     synthesize,
 )
+from .paillier import FixedPointOverflow
 from .polyhedra import box
 from .protocol import make_parties, run_cycle
 from .qe_cipher import CiphertextError, MagnitudeError, RangeError
@@ -96,7 +97,7 @@ class Scenario:
                               "and strictly increase")
 
     def system(self):
-        return LtiSystem(self.A, self.B, C_out=self.C_out)
+        return LtiSystem(self.A, self.B)
 
     def mpc_spec(self):
         return MpcSpec(
@@ -228,14 +229,14 @@ def episode_steps(scenario, cfg):
     return cfg.steps or scenario.T
 
 
-def run_closed_loop(scenario, backend, cfg, controller, keypair=None, log=None,
-                    dither=None):
+def run_closed_loop(scenario, backend, cfg, controller, log=None, dither=None):
     """Simulate the plant under one backend; returns a Trajectory.
 
-    The plaintext law of the region the sensor located is evaluated in
-    parallel each step for the mismatch column.  Faults (state outside
-    the partition, ciphertext out of representable range) stop the loop
-    and are recorded.
+    The parties, Paillier's keypair included, derive from cfg
+    (make_parties).  The plaintext law of the region the sensor located
+    is evaluated in parallel each step for the mismatch column.  Faults
+    (state outside the partition, ciphertext or fixed-point value out of
+    representable range) stop the loop and are recorded.
 
     dither, if given, is a (T, m) probing sequence added to the applied
     input at the plant (identification experiments need the input to
@@ -243,9 +244,7 @@ def run_closed_loop(scenario, backend, cfg, controller, keypair=None, log=None,
     the encrypted and plaintext laws identically, so the mismatch
     column is unaffected.
     """
-    sys = scenario.system()
-    sensor, cloud, actuator = make_parties(controller, backend, cfg,
-                                           keypair=keypair)
+    sensor, cloud, actuator = make_parties(controller, backend, cfg)
     traj = Trajectory(backend=backend)
     x = np.asarray(scenario.x0, dtype=float).ravel()
     steady = {}  # one steady state per distinct reference value
@@ -261,7 +260,7 @@ def run_closed_loop(scenario, backend, cfg, controller, keypair=None, log=None,
                                          k, log=log)
             u_plain_tilde = controller.eval_region(metrics.sigma, x_shift)
         except (StateNotCovered, RangeError, MagnitudeError,
-                CiphertextError) as exc:
+                CiphertextError, FixedPointOverflow) as exc:
             traj.fault = f"{type(exc).__name__}: {exc}"
             traj.fault_k = k
             break
@@ -270,12 +269,12 @@ def run_closed_loop(scenario, backend, cfg, controller, keypair=None, log=None,
         if dither is not None:
             u = u + dither[k]
             u_plain = u_plain + dither[k]
-        y = sys.C_out @ x
+        y = scenario.C_out @ x
         traj.records.append(StepRecord(
             k=k, x=x.copy(), sigma=metrics.sigma, u=u, u_plain=u_plain,
             y=y, r=r, payload_bits=metrics.payload_bits["total"]))
         traj.metrics.append(metrics)
-        x = step_plant(sys, x, u)
+        x = step_plant(scenario, x, u)
     return traj
 
 

@@ -12,8 +12,7 @@ def bench_synthesis():
     Synthesized once per test session; tests that need the condensed QP
     matrices rebuild those cheaply themselves.
     """
-    sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]],
-                    C_out=[[1.0, 0.0]])
+    sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]])
     spec = MpcSpec(horizon=5, Q=np.diag([1.0, 0.1]), R=[[0.5]],
                    U=box([-1.0], [1.0]), X=box([-5.0, -5.0], [5.0, 5.0]))
     stats = {}

@@ -51,8 +51,7 @@ def test_criterion_01_qe_exact_recovery(bench_controller):
 
 
 def test_criterion_02_pwa_matches_qp_oracle(bench_controller):
-    sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]],
-                    C_out=[[1.0, 0.0]])
+    sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]])
     spec = MpcSpec(horizon=5, Q=np.diag([1.0, 0.1]), R=[[0.5]],
                    U=box([-1.0], [1.0]), X=box([-5.0, -5.0], [5.0, 5.0]))
     qp = condense(sys, spec)
@@ -187,13 +186,11 @@ def test_criterion_06_payload_ordering(bench_controller):
 
 def test_criterion_07_timing_ordering(bench_controller):
     cfg = RunConfig(key_bits=1024)
-    kp = keygen(1024, random.Random(1))
     scenario = benchmark_scenario()
     walls = {}
     for backend in ("qe", "paillier"):
         traj = run_closed_loop(scenario, backend, cfg,
-                               controller=bench_controller,
-                               keypair=kp if backend == "paillier" else None)
+                               controller=bench_controller)
         walls[backend] = sum(met.wall_time["total"]
                              for met in traj.metrics) / len(traj.metrics)
     ok = walls["qe"] < walls["paillier"]
@@ -228,9 +225,8 @@ def test_criterion_09_confidentiality_ordering():
     scenario = attack_scenario()
     controller = scenario.synthesize_controller()
     cfg = RunConfig(key_bits=512)
-    kp = keygen(512, random.Random(cfg.seed_keys))
     backends = ("plaintext", "paillier", "qe", "qe_quantized")
-    obs = gather_observations(scenario, controller, cfg, backends, keypair=kp)
+    obs = gather_observations(scenario, controller, cfg, backends)
     table = run_attack_table(obs, default_settings(trials=200),
                              cfg.seed_attack)
     worst = math.inf

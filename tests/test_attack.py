@@ -7,7 +7,6 @@ trials as one stack and must give the same floats, bit for bit.
 
 import hashlib
 import math
-import random
 import warnings
 
 import numpy as np
@@ -32,7 +31,6 @@ from encmpc.attack import (
     run_attack_table,
 )
 from encmpc.config import ConfigError, RunConfig
-from encmpc.paillier import keygen
 from encmpc.simulation import attack_scenario, benchmark_scenario
 
 BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
@@ -46,9 +44,8 @@ def probe_controller():
 @pytest.fixture(scope="module")
 def observations(probe_controller):
     cfg = RunConfig(key_bits=512)
-    kp = keygen(512, random.Random(1))
     return gather_observations(attack_scenario(), probe_controller, cfg,
-                               BACKENDS, keypair=kp)
+                               BACKENDS)
 
 
 def synthetic_linear_data(T=40, seed=0):

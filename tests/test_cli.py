@@ -2,6 +2,7 @@
 
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -218,15 +219,45 @@ def test_epsilon_q_conflict_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("key_bits", 300), ("attack_trials", 0), ("rho", 1), ("w", 0), ("steps", 0),
+    ("w_b", 1), ("seed_keys", -1), ("seed_quant", -1), ("seed_attack", -5),
+    ("gamma", -1), ("delta", 0), ("p_bits", 0),
 ])
 def test_out_of_range_config_exits_2(workdir, tmp_path, capsys, field, value):
     """A field out of its range is a configuration error, named on stderr,
-    before any command runs."""
+    before any command runs, whichever backend would run."""
     (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
+    for backend in ("plaintext", "qe", "qe_quantized", "paillier"):
+        rc = main(["run", "--config", str(tmp_path / "cfg.json"),
+                   "--backend", backend, "--out", str(workdir)])
+        assert rc == 2, backend
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sweep", "gamma=0;delta=40;backend=paillier"],
+    ["run", "--backend", "paillier"],
+], ids=["gain-overflow", "key-headroom"])
+def test_paillier_codec_refusal_exits_2(workdir, tmp_path, capsys, argv):
+    """A gamma and delta that the gains overflow (|K| > rho^gamma = 1) or
+    that a 256-bit modulus cannot hold (2 rho^(gamma + 2 delta) >= n) are
+    configuration errors naming gamma and delta."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"key_bits": 256, "delta": 127}))
+    assert main(argv + ["--config", str(tmp_path / "cfg.json"),
+                        "--out", str(workdir)]) == 2
+    err = capsys.readouterr().err
+    assert "gamma=" in err and "delta=" in err
+
+
+def test_run_paillier_overflow_writes_fault_row(workdir, tmp_path, capsys):
+    """A state beyond Paillier's fixed-point range (|x| > rho^gamma = 2) is
+    a recorded fault: exit 1 and a trajectory CSV that ends in its row."""
+    shutil.copy(workdir / "controller.json", tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"gamma": 1, "key_bits": 256}))
     rc = main(["run", "--config", str(tmp_path / "cfg.json"),
-               "--out", str(workdir)])
-    assert rc == 2
-    assert field in capsys.readouterr().err
+               "--backend", "paillier", "--out", str(tmp_path)])
+    assert rc == 1
+    assert (tmp_path / "trajectory_paillier.csv").read_bytes() == (
+        b'k\r\n0,"FixedPointOverflow: |-3.0| exceeds rho^gamma = 2"\r\n')
 
 
 def test_parse_sweep():

@@ -23,8 +23,7 @@ def scalar_problem():
 
 
 def bench_system():
-    return LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]],
-                     C_out=[[1.0, 0.0]])
+    return LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]])
 
 
 def bench_spec():

@@ -221,6 +221,23 @@ def test_cloud_holds_no_secrets(bench_controller, kp256):
                 assert not hasattr(cloud.pk, secret)
 
 
+def test_paillier_keypair_derives_from_key_bits_and_seed(bench_controller, kp256):
+    """Without a supplied key, make_parties takes keygen(key_bits,
+    Random(seed_keys)), one shared keypair per (key_bits, seed_keys); a
+    supplied key of another size than key_bits is a ConfigError."""
+    cfg = RunConfig(key_bits=256, seed_keys=5)
+    first, _, actuator = make_parties(bench_controller, "paillier", cfg)
+    again = make_parties(bench_controller, "paillier", cfg)[0]
+    assert first.he_key is again.he_key is actuator.keypair
+    assert first.he_key == keygen(256, random.Random(5))
+    other = make_parties(bench_controller, "paillier",
+                         RunConfig(key_bits=256, seed_keys=6))[0]
+    assert other.he_key.n != first.he_key.n
+    with pytest.raises(ConfigError, match="256 bits.*key_bits is 512"):
+        make_parties(bench_controller, "paillier", RunConfig(key_bits=512),
+                     keypair=kp256)
+
+
 def test_paillier_sensor_holds_keypair_same_bytes(bench_controller, kp256):
     """The plant-side sensor encrypts with the keypair (CRT r^n); a sensor
     holding only the public key sends the same bytes."""

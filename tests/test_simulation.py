@@ -3,13 +3,11 @@
 import dataclasses
 import hashlib
 import json
-import random
 
 import numpy as np
 import pytest
 
 from encmpc.config import ConfigError, RunConfig
-from encmpc.paillier import keygen
 from encmpc.simulation import (
     Scenario,
     StepRecord,
@@ -24,11 +22,6 @@ from encmpc.simulation import (
     tracking_rmse,
     trajectory_csv,
 )
-
-
-@pytest.fixture(scope="module")
-def kp256():
-    return keygen(256, random.Random(31))
 
 
 def test_step_plant_examples():
@@ -88,16 +81,25 @@ def test_origin_equilibrium(bench_controller):
         assert np.abs(rec.x).max() <= 1e-8
 
 
-def test_paillier_closed_loop_within_budget(bench_controller, kp256):
+def test_paillier_closed_loop_within_budget(bench_controller):
     sc = benchmark_scenario()
     cfg = RunConfig(backend="paillier", key_bits=256)
-    traj = run_closed_loop(sc, "paillier", cfg, controller=bench_controller,
-                           keypair=kp256)
+    traj = run_closed_loop(sc, "paillier", cfg, controller=bench_controller)
     assert len(traj) == 60 and not traj.fault
     K_max = max(abs(r.K).max() for r in bench_controller.regions)
     budget = (2 * 2.0**cfg.gamma * K_max + 2) * float(cfg.rho) ** -cfg.delta
     _, mx = input_mismatch(traj)
     assert mx <= budget
+
+
+def test_paillier_fixed_point_overflow_is_a_recorded_fault(bench_controller):
+    """At gamma = 1 the codec holds |x| <= 2, so the benchmark's x0 =
+    (-3, 0.5) stops the loop at step 0 with a recorded fault, not a raise."""
+    cfg = RunConfig(backend="paillier", key_bits=256, gamma=1)
+    traj = run_closed_loop(benchmark_scenario(), "paillier", cfg,
+                           controller=bench_controller)
+    assert traj.fault_k == 0 and not traj.records
+    assert traj.fault == "FixedPointOverflow: |-3.0| exceeds rho^gamma = 2"
 
 
 def test_rmse_nonincreasing_in_word_budget(bench_controller):
