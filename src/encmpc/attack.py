@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import wire
 from .config import ConfigError
 from .mpqp import fmt_17g
-from .protocol import EavesdropLog, wire_field
+from .protocol import wire_field
 from .simulation import episode_steps, run_closed_loop
 
 NOISE_KINDS = ("none", "gaussian", "uniform", "impulse")
@@ -179,11 +180,12 @@ def confidentiality_score(truth, predicted, steps=None):
 
 
 def observe_features(log, backend, field, n):
-    """Adversary's per-cycle feature vectors from the sensor link: the n
-    state fields past the plaintext region index, read with `field`."""
+    """Adversary's per-cycle feature vectors from the sensor messages in
+    run_cycle's tap `log`: the n state fields past the plaintext region
+    index, read with `field`."""
     rows = []
-    for body in log.bodies("s_to_c"):
-        vals, _ = field.decode(body, (n,), 4)
+    for body in [msg.body for msg in log if msg.link == "s_to_c"]:
+        vals, _ = field.decode(body, (n,), wire.decode_u32(body)[1])
         if backend == "paillier":
             vals = [math.log2(v) if v > 0 else 0.0 for v in vals]
         rows.append(vals)
@@ -252,7 +254,8 @@ def gather_observations(scenario, controller, cfg, backends):
 
     The reference program must be 0 at every step: the wire carries the
     shifted state x - x_ss, and the truth and inputs are absolute, so
-    they share a frame only when x_ss = 0 throughout.
+    they share a frame only when x_ss = 0 throughout.  An episode shorter
+    than the fit's n + m + 1 samples is a ConfigError.
     """
     if any(np.any(np.asarray(r) != 0) for _, r in scenario.r_steps):
         raise ConfigError(
@@ -260,10 +263,15 @@ def gather_observations(scenario, controller, cfg, backends):
             "features come from the wire (x - x_ss) but truth is the "
             f"absolute state, so r_steps {list(scenario.r_steps)} would "
             "score the adversary in mixed frames")
-    dither = probe_dither(episode_steps(scenario, cfg), controller.m, cfg.seed_attack)
+    steps, need = episode_steps(scenario, cfg), controller.n + controller.m + 1
+    if steps < need:
+        name = "steps" if cfg.steps else f"scenario {scenario.name!r} T"
+        raise ConfigError(f"{name} = {steps} is too short: the attack's fit "
+                          f"needs at least n + m + 1 = {need} steps")
+    dither = probe_dither(steps, controller.m, cfg.seed_attack)
     obs = {}
     for backend in backends:
-        log = EavesdropLog()
+        log = []
         traj = run_closed_loop(scenario, backend, cfg, controller=controller,
                                log=log, dither=dither)
         if traj.fault:

@@ -115,10 +115,6 @@ class CondensedQp:
     def q(self) -> int:
         return self.G.shape[0]
 
-    @property
-    def nz(self) -> int:
-        return self.H.shape[0]
-
 
 def prediction_matrices(sys: LtiSystem, N: int):
     """Stacked maps X = Sx x0 + Su U with X = [x0; x1; ...; xN]."""
@@ -227,6 +223,14 @@ class PwaController:
     owner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, m = self.n, self.m
+        for i, r in enumerate(self.regions):
+            got = (np.shape(r.K), np.shape(r.b), r.poly.dim)
+            if got != ((m, n), (m,), n):
+                raise ConfigError(
+                    f"region {i}: K has shape {got[0]}, b {got[1]} and its rows "
+                    f"{got[2]} columns; a controller for n = {n} states and "
+                    f"m = {m} inputs needs ({m}, {n}), ({m},) and {n}")
         # the trailing empty block gives the right shapes with no regions
         polys = [r.poly for r in self.regions]
         self.A_all = np.vstack([p.A for p in polys] + [np.zeros((0, self.n))])
@@ -325,16 +329,19 @@ class PwaController:
 
     @staticmethod
     def _from_obj(obj, what) -> "PwaController":
-        """Controller from to_json's object; anything else is a ConfigError."""
+        """Controller from to_json's object; anything else, a region of
+        the wrong shape included, is a ConfigError naming `what`."""
         if not isinstance(obj, dict) or obj.get("format") != "pwa-controller/1":
             raise ConfigError(f"{what}: not a pwa-controller/1 object")
         try:
             n = int(obj["n"])
             regions = []
             for r in obj["regions"]:
+                A = np.array(r["A_ineq"], dtype=float)
                 regions.append(Region(
                     active_set=tuple(r["active_set"]),
-                    poly=Polyhedron(np.array(r["A_ineq"], dtype=float).reshape(-1, n),
+                    # a region with no rows is written as []
+                    poly=Polyhedron(A if A.size else A.reshape(0, n),
                                     np.array(r["b_ineq"], dtype=float)),
                     K=np.array(r["K"], dtype=float),
                     b=np.array(r["b"], dtype=float),
@@ -346,6 +353,8 @@ class PwaController:
                                  meta=obj.get("meta", {}))
         except KeyError as exc:
             raise ConfigError(f"{what}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -548,15 +557,11 @@ def _facet_center(A: np.ndarray, b: np.ndarray, row: int) -> np.ndarray:
 def _region_signature(A: np.ndarray, b: np.ndarray,
                       K: np.ndarray, off: np.ndarray) -> tuple:
     """Canonical key for (region, law): unit rows, rounded, sorted."""
-    norms = np.linalg.norm(A, axis=1) if len(A) else np.zeros(0)
-    if len(norms):
-        norms[norms == 0] = 1.0
-        M = np.hstack([A / norms[:, None], (b / norms)[:, None]])
-        M = np.round(M, 9)
-        M[M == 0.0] = 0.0  # normalize -0.0
-        rows = tuple(sorted(tuple(row) for row in M))
-    else:
-        rows = ()
+    norms = np.linalg.norm(A, axis=1)
+    norms[norms == 0] = 1.0
+    M = np.round(np.hstack([A / norms[:, None], (b / norms)[:, None]]), 9)
+    M[M == 0.0] = 0.0  # normalize -0.0
+    rows = tuple(sorted(tuple(row) for row in M))
     law = np.round(np.concatenate([K.ravel(), off.ravel()]), 9)
     law[law == 0.0] = 0.0
     return rows, tuple(law)

@@ -313,7 +313,7 @@ def gain_bitlen(K_hat):
     return max(longest, 1)
 
 
-def he_eval_pwa(enc_x, K_hat, enc_b, pk, counters=None):
+def he_eval_pwa(enc_x, K_hat, enc_b, pk):
     """Encrypted affine law of one region: u~_j = b~_j + sum_i K_hat[j][i] (x) x~_i.
 
     Takes only the public key, so decryption is impossible here by
@@ -321,8 +321,8 @@ def he_eval_pwa(enc_x, K_hat, enc_b, pk, counters=None):
     2*delta; the result is at scale 2*delta.  The powers for negative
     gains are taken to |a| and multiplied apart, and their product is
     inverted once per row: the same residue mod n^2 as one inverse per
-    negative gain.  If a counters dict is given, he_mul and he_add are
-    incremented once per gain term.
+    negative gain.  The cycle's counts of these operations are
+    protocol.cycle_counts, in closed form.
     """
     if len(K_hat) != len(enc_b):
         raise ValueError("gain rows and offset length disagree")
@@ -339,8 +339,5 @@ def he_eval_pwa(enc_x, K_hat, enc_b, pk, counters=None):
                 neg = term if neg is None else he_add(neg, term, pk)
         if neg is not None:
             acc = he_add(acc, he_scalar_mul(-1, neg, pk), pk)
-        if counters is not None:
-            counters["he_mul"] += len(row)
-            counters["he_add"] += len(row)
         out.append(acc)
     return out

@@ -1,18 +1,20 @@
-"""Sensor-cloud-actuator protocol over instrumented in-process links.
+"""Sensor-cloud-actuator protocol over in-process byte links.
 
 One control cycle is a strict pipeline: the sensor locates the active
 region and encrypts, the cloud applies the region gain in ciphertext
-space, the actuator decrypts and applies the input.  Messages are real
-byte strings, so an eavesdropper tap sees exactly what a network
-observer would.  The backends differ in how they encrypt and in how a
-ciphertext field is written: binary64 (plaintext, qe), stochastically
-rounded w-bit codes (qe_quantized) or length-prefixed Paillier residues.
-A field codec (F64Field, WordField, HeField), picked by wire_field, owns
-that layout: the parties write and read every field through it, and the
-adversary (attack) reads the sensor link through it too.  A message's
-payload bits are its field count times the codec's bits per field, plus
-the u32 region index on the sensor link; the codecs' framing is not
-payload (see wire).
+space, the actuator decrypts and applies the input.  Each party only
+turns its one input into one output; run_cycle times them, taps both
+links and records sigma and the closed-form counts.  Messages are real
+byte strings, so the tap sees exactly what a network observer would.
+The backends differ in how they encrypt and in how a ciphertext field is
+written: binary64 (plaintext, qe), stochastically rounded w-bit codes
+(qe_quantized) or length-prefixed Paillier residues.  A field codec
+(F64Field, WordField, HeField), picked by wire_field, owns that layout:
+the parties write and read every field through it, and the adversary
+(attack) reads the sensor link through it too.  A message's payload bits
+are its field count times the codec's bits per field, plus the u32
+region index on the sensor link; the codecs' framing is not payload
+(see wire).
 
 The cloud object holds gain matrices and (for Paillier) the public key
 only; it has no field that can carry key material or plaintext state.
@@ -49,8 +51,15 @@ QE_BACKENDS = ("qe", "qe_quantized")
 COUNT_KEYS = ("enc", "con", "dec", "sums", "he_enc", "he_dec", "he_add", "he_mul")
 
 
-def _zero_counts():
-    return dict.fromkeys(COUNT_KEYS, 0)
+def cycle_counts(backend, n, m):
+    """One cycle's primitive operations in closed form, a fresh dict over
+    COUNT_KEYS (Paillier: one scalar product and one addition per gain)."""
+    counts = dict.fromkeys(COUNT_KEYS, 0)
+    if backend in QE_BACKENDS:
+        counts.update(enc=n + m, con=m * n, dec=m * n + m, sums=m * n)
+    elif backend == "paillier":
+        counts.update(he_enc=n + m, he_mul=m * n, he_add=m * n, he_dec=m)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -60,23 +69,6 @@ class WireMessage:
     link: str  # "s_to_c" or "c_to_a"
     body: bytes
     payload_bits: int
-
-
-class EavesdropLog:
-    """Append-only tap of both links; stores bytes only, never keys."""
-
-    def __init__(self):
-        self._entries = []
-
-    def record(self, msg):
-        self._entries.append(msg)
-
-    @property
-    def entries(self):
-        return tuple(self._entries)
-
-    def bodies(self, link):
-        return [m.body for m in self._entries if m.link == link]
 
 
 @dataclass
@@ -201,7 +193,7 @@ class Sensor:
     source synchronized with the actuator's, for Paillier a key and the
     fixed-point codec.  The Paillier key may be the public key or, on the
     plant side, the keypair, which computes the encryption randomizer by
-    CRT (same ciphertexts).  `sigma` is the region the last step located.
+    CRT (same ciphertexts).  step(x, cycle) returns the sensor message.
     """
 
     def __init__(self, controller, backend, key_source=None, field=None,
@@ -217,16 +209,12 @@ class Sensor:
         self.he_key = he_key
         self.codec = codec
         self.he_rng = he_rng
-        self.sigma = None
 
     def step(self, x, cycle):
-        t0 = time.perf_counter()
-        counts = _zero_counts()
         x = np.asarray(x, dtype=float).ravel()
         sigma = self.controller.locate(x)
         if sigma < 0:
             raise self.controller.not_covered(x)
-        self.sigma = sigma
         b_sig = self.offsets[sigma]
 
         sizes = (self.n, self.m)
@@ -235,24 +223,22 @@ class Sensor:
         elif self.backend in QE_BACKENDS:
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
             values = enc_state(x.tolist() + b_sig, bv.beta)
-            counts["enc"] += self.n + self.m
         else:
             key, codec, rng = self.he_key, self.codec, self.he_rng
             values = [he_enc(fp_encode(v, codec), key, rng).value for v in x]
             values += [he_enc(fp_encode(v, codec, scale_power=2), key, rng).value
                        for v in b_sig]
-            counts["he_enc"] += self.n + self.m
 
         body = wire.encode_u32(sigma) + self.field.encode(values, sizes)
-        msg = WireMessage("s_to_c", body, 32 + sum(sizes) * self.field.bits)
-        return msg, counts, time.perf_counter() - t0
+        return WireMessage("s_to_c", body, 32 + sum(sizes) * self.field.bits)
 
 
 class Cloud:
     """Holds the gain library only; applies it in ciphertext space.
 
     By construction there is no attribute that can hold a key source,
-    beta vector, Paillier trapdoor, or plaintext state.
+    beta vector, Paillier trapdoor, or plaintext state.  step(msg)
+    returns the cloud message.
     """
 
     def __init__(self, gains, backend, offsets=None, field=None,
@@ -267,8 +253,6 @@ class Cloud:
         self.gains_encoded = gains_encoded
 
     def step(self, msg):
-        t0 = time.perf_counter()
-        counts = _zero_counts()
         sigma, off = wire.decode_u32(msg.body)
         if not 0 <= sigma < len(self.gains):
             raise InvalidRegion(f"region index {sigma} out of range")
@@ -284,25 +268,24 @@ class Cloud:
             # the m offset ciphertexts: framing checked, forwarded as they are
             wire.expect_end(msg.body, self.field.skip(msg.body, m, off))
             values = con(self.gains[sigma], ct_x).ravel()
-            counts["con"] += m * n
             forwarded = m
         else:
             vals, off = self.field.decode(msg.body, (n, m), off)
             wire.expect_end(msg.body, off)
             cts = [HeCiphertext(v, self.pk.n_sq) for v in vals]
             out = he_eval_pwa(cts[:n], self.gains_encoded[sigma], cts[n:],
-                              self.pk, counters=counts)
+                              self.pk)
             values = [c.value for c in out]
 
         # msg.body[off:] holds the forwarded fields, empty unless qe
         body = self.field.encode(values, (len(values),)) + msg.body[off:]
         bits = (len(values) + forwarded) * self.field.bits
-        out_msg = WireMessage("c_to_a", body, bits)
-        return out_msg, counts, time.perf_counter() - t0
+        return WireMessage("c_to_a", body, bits)
 
 
 class Actuator:
-    """Decrypts the aggregate and applies u = v + offset term."""
+    """Decrypts the aggregate and applies u = v + offset term; step(msg,
+    cycle) returns u."""
 
     def __init__(self, backend, n, m, key_source=None, field=None,
                  keypair=None, codec=None):
@@ -315,8 +298,6 @@ class Actuator:
         self.codec = codec
 
     def step(self, msg, cycle):
-        t0 = time.perf_counter()
-        counts = _zero_counts()
         n, m = self.n, self.m
         qe = self.backend in QE_BACKENDS
         values, off = self.field.decode(msg.body, (m * n, m) if qe else (m,))
@@ -327,30 +308,38 @@ class Actuator:
         elif qe:
             bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
             u = dec_aggregate(values, bv)
-            counts["dec"] += m * n + m
-            counts["sums"] += m * n
         else:
             kp = self.keypair
             u = [fp_decode(he_dec(HeCiphertext(v, kp.n_sq), kp), self.codec,
                            scale_power=2) for v in values]
-            counts["he_dec"] += m
-
-        return np.array(u, dtype=float), counts, time.perf_counter() - t0
+        return np.array(u, dtype=float)
 
 
 def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
-    """Execute one S -> C -> A pipeline; returns (u, CycleMetrics)."""
-    msg1, c1, w1 = sensor.step(x, cycle)
-    if log is not None:
-        log.record(msg1)
-    msg2, c2, w2 = cloud.step(msg1)
-    if log is not None:
-        log.record(msg2)
-    u, c3, w3 = actuator.step(msg2, cycle)
+    """Execute one S -> C -> A pipeline; returns (u, CycleMetrics).
 
-    metrics = CycleMetrics(
-        sigma=sensor.sigma,
-        counts={k: c1[k] + c2[k] + c3[k] for k in COUNT_KEYS},
+    Times each party's call on its own.  log, a list if given, gets each
+    message before the next party runs, so a fault leaves every message
+    that went out.  sigma is the index on the sensor message.
+    """
+    clock = time.perf_counter
+    t0 = clock()
+    msg1 = sensor.step(x, cycle)
+    w1 = clock() - t0
+    if log is not None:
+        log.append(msg1)
+    t0 = clock()
+    msg2 = cloud.step(msg1)
+    w2 = clock() - t0
+    if log is not None:
+        log.append(msg2)
+    t0 = clock()
+    u = actuator.step(msg2, cycle)
+    w3 = clock() - t0
+
+    return u, CycleMetrics(
+        sigma=wire.decode_u32(msg1.body)[0],
+        counts=cycle_counts(sensor.backend, sensor.n, sensor.m),
         payload_bits={
             "s_to_c": msg1.payload_bits,
             "c_to_a": msg2.payload_bits,
@@ -359,7 +348,6 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
         wall_time={"sensor": w1, "cloud": w2, "actuator": w3,
                    "total": w1 + w2 + w3},
     )
-    return u, metrics
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,22 +371,15 @@ def make_parties(controller, backend, cfg, keypair=None):
     rng = np.random.default_rng
     s_field = wire_field(backend, cfg, rng(cfg.seed_quant))
     c_field = wire_field(backend, cfg, rng(cfg.seed_quant + 1))
-    a_field = wire_field(backend, cfg)
     n, m = controller.n, controller.m
     gains = [r.K for r in controller.regions]
-
+    s_kw, c_kw, a_kw = {}, {}, {}
     if backend == "plaintext":
-        sensor = Sensor(controller, backend, field=s_field)
-        cloud = Cloud(gains, backend, field=c_field,
-                      offsets=[r.b for r in controller.regions])
-        actuator = Actuator(backend, n, m, field=a_field)
+        c_kw["offsets"] = [r.b for r in controller.regions]
     elif backend in QE_BACKENDS:
         kc = KeyConfig(n=n, m=m, w_b=cfg.w_b)
-        sensor = Sensor(controller, backend, field=s_field,
-                        key_source=KeySource(cfg.seed_keys, kc))
-        cloud = Cloud(gains, backend, field=c_field)
-        actuator = Actuator(backend, n, m, field=a_field,
-                            key_source=KeySource(cfg.seed_keys, kc))
+        s_kw["key_source"] = KeySource(cfg.seed_keys, kc)
+        a_kw["key_source"] = KeySource(cfg.seed_keys, kc)
     else:
         if keypair is None:
             keypair = _derived_keypair(cfg.key_bits, cfg.seed_keys)
@@ -411,10 +392,10 @@ def make_parties(controller, backend, cfg, keypair=None):
         except OverflowError as exc:
             raise ConfigError(f"gamma={cfg.gamma}, delta={cfg.delta} under a "
                               f"{cfg.key_bits}-bit key: {exc}") from exc
-        sensor = Sensor(controller, backend, field=s_field, he_key=keypair,
-                        codec=codec, he_rng=random.Random(cfg.seed_keys + 1))
-        cloud = Cloud(gains, backend, field=c_field, pk=keypair.public,
-                      gains_encoded=gains_encoded)
-        actuator = Actuator(backend, n, m, field=a_field, keypair=keypair,
-                            codec=codec)
-    return sensor, cloud, actuator
+        s_kw = {"he_key": keypair, "codec": codec,
+                "he_rng": random.Random(cfg.seed_keys + 1)}
+        c_kw = {"pk": keypair.public, "gains_encoded": gains_encoded}
+        a_kw = {"keypair": keypair, "codec": codec}
+    return (Sensor(controller, backend, field=s_field, **s_kw),
+            Cloud(gains, backend, field=c_field, **c_kw),
+            Actuator(backend, n, m, field=wire_field(backend, cfg), **a_kw))

@@ -74,6 +74,8 @@ def dec_vector(cts, beta) -> np.ndarray:
     return np.asarray(beta, dtype=float) * np.log(cts)
 
 
+# a decorator enters a fresh errstate per call, cheaper than a with block
+@np.errstate(over="ignore", under="ignore")
 def con(K, ct_vec) -> np.ndarray:
     """Cloud-side linear-term computation: entry (j,i) = ct_i ** K[j,i].
 
@@ -86,8 +88,7 @@ def con(K, ct_vec) -> np.ndarray:
         raise ValueError("gain/ciphertext dimension mismatch")
     if not _positive_finite(ct_vec.tolist()):
         raise CiphertextError("ciphertext vector has nonpositive or nonfinite entries")
-    with np.errstate(over="ignore", under="ignore"):
-        T = ct_vec ** K
+    T = ct_vec ** K
     if not _positive_finite(T.ravel().tolist()):
         raise CiphertextError("power overflowed or underflowed the positive reals")
     return T

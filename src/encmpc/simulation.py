@@ -233,10 +233,12 @@ def run_closed_loop(scenario, backend, cfg, controller, log=None, dither=None):
     """Simulate the plant under one backend; returns a Trajectory.
 
     The parties, Paillier's keypair included, derive from cfg
-    (make_parties).  The plaintext law of the region the sensor located
-    is evaluated in parallel each step for the mismatch column.  Faults
-    (state outside the partition, ciphertext or fixed-point value out of
-    representable range) stop the loop and are recorded.
+    (make_parties); a controller for other dimensions than the
+    scenario's is a ConfigError.  The plaintext law of the region the
+    sensor located is evaluated in parallel each step for the mismatch
+    column.  Faults (state outside the partition, ciphertext or
+    fixed-point value out of representable range) stop the loop and are
+    recorded.
 
     dither, if given, is a (T, m) probing sequence added to the applied
     input at the plant (identification experiments need the input to
@@ -244,6 +246,11 @@ def run_closed_loop(scenario, backend, cfg, controller, log=None, dither=None):
     the encrypted and plaintext laws identically, so the mismatch
     column is unaffected.
     """
+    n, m = scenario.B.shape
+    if (controller.n, controller.m) != (n, m):
+        raise ConfigError(f"the controller is for n = {controller.n} states and "
+                          f"m = {controller.m} inputs, scenario {scenario.name!r} "
+                          f"has n = {n} and m = {m}")
     sensor, cloud, actuator = make_parties(controller, backend, cfg)
     traj = Trajectory(backend=backend)
     x = np.asarray(scenario.x0, dtype=float).ravel()

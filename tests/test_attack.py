@@ -5,8 +5,10 @@ at a time, with one norm per step; the program evaluates each cell's
 trials as one stack and must give the same floats, bit for bit.
 """
 
+import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -454,6 +456,22 @@ def test_stacked_fit_rollout_score_match_one_trial_each(observations):
         assert steps[i] == len(ref)
         assert np.array_equal(xhat[i, : steps[i]], ref)
         assert score.value[i] == reference_score(truth, ref)
+
+
+@pytest.mark.parametrize("steps, T, named", [(3, 60, "steps = 3"),
+                                             (None, 3, "'attack-probe' T = 3")])
+def test_observations_refuse_too_short_episode(probe_controller, steps, T, named):
+    """Fewer steps than the n + m + 1 = 4 samples of the fit are refused
+    before any loop runs, whether cfg.steps or the scenario's T sets them;
+    4 steps run."""
+    scenario = dataclasses.replace(attack_scenario(), T=T)
+    need = re.escape("at least n + m + 1 = 4 steps")
+    with pytest.raises(ConfigError, match=re.escape(named) + ".*" + need):
+        gather_observations(scenario, probe_controller, RunConfig(steps=steps),
+                            ("plaintext",))
+    obs = gather_observations(scenario, probe_controller, RunConfig(steps=4),
+                              ("plaintext",))
+    assert obs["plaintext"][0].shape == (4, 2)
 
 
 def test_observations_refuse_nonzero_reference(bench_controller):

@@ -132,18 +132,64 @@ def test_bad_scenario_exits_2(workdir, tmp_path, capsys, scenario, named):
     assert named in err and "sc.json" in err
 
 
+def one_region_controller(**region):
+    """controller.json text of one region for n = 2, m = 1, with the
+    given region fields replaced."""
+    reg = {"active_set": [], "A_ineq": [[1.0, 0.0]], "b_ineq": [1.0],
+           "K": [[0.5, 0.5]], "b": [0.0], "cheb_center": [0.0, 0.0],
+           "cheb_radius": 1.0}
+    return json.dumps({"format": "pwa-controller/1", "n": 2, "m": 1,
+                       "horizon": 5, "meta": {}, "regions": [{**reg, **region}]})
+
+
 @pytest.mark.parametrize("text,named", [
     ("{", "line 1"),
     ("[1]", "pwa-controller/1"),
     ('{"format": "pwa-controller/0"}', "pwa-controller/1"),
     ('{"format": "pwa-controller/1", "n": 2, "m": 1, "horizon": 5}', "regions"),
-], ids=["malformed", "not-an-object", "other-format", "missing-key"])
+    (one_region_controller(K=[[1, 2, 3]]), "region 0: K has shape (1, 3)"),
+    (one_region_controller(b=[0, 1]), "b (2,)"),
+    (one_region_controller(A_ineq=[[1.0, 0.0, 0.0]]), "its rows 3 columns"),
+    (one_region_controller(A_ineq=[[1.0, 0.0], [1.0]]), "inhomogeneous"),
+], ids=["malformed", "not-an-object", "other-format", "missing-key",
+        "wide-gain", "long-offset", "wide-rows", "ragged-rows"])
 def test_bad_controller_file_exits_2(tmp_path, capsys, text, named):
     """controller.json is read like every other input: malformed JSON, an
-    object of another format or a missing key is a configuration error."""
+    object of another format, a missing key or a region whose gain,
+    offset or rows do not fit n and m is a configuration error that
+    names the file."""
     (tmp_path / "controller.json").write_text(text)
     assert main(["run", "--out", str(tmp_path)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and "controller.json" in err
+
+
+TWO_INPUTS = {**BENCH_SCENARIO, "B": [[0.5, 0.0], [1.0, 0.5]],
+              "R": [[0.5, 0.0], [0.0, 0.5]], "u_lo": [-1.0, -1.0],
+              "u_hi": [1.0, 1.0]}
+THREE_STATES = {**BENCH_SCENARIO, "A": np.eye(3).tolist(),
+                "B": [[0.5], [1.0], [0.0]], "C_out": [[1.0, 0.0, 0.0]],
+                "Q": np.eye(3).tolist(), "x_lo": [-5.0] * 3,
+                "x_hi": [5.0] * 3, "x0": [-3.0, 0.5, 0.0]}
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("scenario,dims", [(TWO_INPUTS, "n = 2 and m = 2"),
+                                           (THREE_STATES, "n = 3 and m = 1")],
+                         ids=["two-inputs", "three-states"])
+def test_controller_of_other_dimensions_exits_2(workdir, tmp_path, capsys,
+                                                command, scenario, dims):
+    """The benchmark's controller (n = 2, m = 1) under a scenario of other
+    dimensions is a configuration error naming both, not a law broadcast
+    onto two inputs or a crash in the loop."""
+    (tmp_path / "sc.json").write_text(json.dumps(scenario))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"scenario_path": str(tmp_path / "sc.json")}))
+    rc = main([command, "--config", str(tmp_path / "cfg.json"),
+               "--out", str(workdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n = 2 states and m = 1 inputs" in err and dims in err
 
 
 @pytest.mark.parametrize("command", ["synthesize", "run", "attack"])
@@ -314,6 +360,17 @@ def test_attack_csv_deterministic(tmp_path, capsys):
     assert plain_none < 1e-3
     assert main(argv) == 0
     assert path.read_bytes() == first
+
+
+def test_attack_with_too_few_steps_exits_2(tmp_path, capsys):
+    """The fit needs n + m + 1 = 4 samples on the probe: 3 steps are a
+    configuration error naming steps and the minimum."""
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"steps": 3, "attack_trials": 5, "key_bits": 256}))
+    assert main(["attack", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "steps = 3" in err and "at least n + m + 1 = 4 steps" in err
 
 
 def test_attack_runs_steps_beyond_scenario_T(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -602,6 +603,21 @@ def test_locate_without_regions():
     ctl = PwaController(regions=[], n=2, m=1, horizon=1)
     assert ctl.locate([0.0, 0.0]) == -1
     assert str(ctl.not_covered([0.0, 0.0])) == "state [0.0, 0.0] lies in no region"
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"K": np.zeros((1, 3))}, "K has shape (1, 3)"),
+    ({"K": np.zeros(2)}, "K has shape (2,)"),
+    ({"b": np.zeros(2)}, "b (2,)"),
+    ({"poly": box([-1.0] * 3, [1.0] * 3)}, "its rows 3 columns"),
+], ids=["wide-gain", "flat-gain", "long-offset", "wide-rows"])
+def test_controller_refuses_misshapen_region(change, named):
+    """Every region's K is m x n, its b has m entries and its rows have n
+    columns; any other shape is a ConfigError that names the region."""
+    regions = list(zero_row_controller(1).regions)
+    regions[2] = dataclasses.replace(regions[2], **change)
+    with pytest.raises(ConfigError, match=r"region 2: .*" + re.escape(named)):
+        PwaController(regions=regions, n=2, m=1, horizon=1)
 
 
 # inf * 0 in the slack product warns, as the per-region product did

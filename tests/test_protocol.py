@@ -17,9 +17,9 @@ from encmpc.keys import BetaVector, KeyReuseError, KeySource
 from encmpc.mpqp import InvalidRegion, PwaController, Region, StateNotCovered
 from encmpc.paillier import PaillierKeypair, keygen
 from encmpc.polyhedra import Polyhedron, box
-from encmpc.qe_cipher import RangeError
+from encmpc.qe_cipher import CiphertextError, RangeError
 from encmpc.protocol import (
-    EavesdropLog,
+    COUNT_KEYS,
     Sensor,
     make_parties,
     predict_cost,
@@ -124,7 +124,8 @@ def test_counts_on_benchmark(bench_controller, kp256):
 
 
 def test_counts_closed_forms_all_dims(kp256):
-    """Instrumented counters equal the per-step closed forms on (n,m) in [1,6]^2."""
+    """A cycle's counts equal the per-step closed forms on (n,m) in [1,6]^2
+    under every backend: qe_quantized counts as qe, plaintext nothing."""
     rng = np.random.default_rng(9)
     for n, m in itertools.product(range(1, 7), range(1, 7)):
         ctrl = single_region_controller(n, m, rng)
@@ -146,6 +147,15 @@ def test_counts_closed_forms_all_dims(kp256):
         assert mp.counts["he_add"] == m * n
         assert mp.counts["he_dec"] == m
 
+        # half the state: every exponent stays inside the fold window
+        sensor, cloud, actuator = make_parties(ctrl, "qe_quantized", cfg)
+        _, mz = run_cycle(x / 2, sensor, cloud, actuator, 0)
+        assert mz.counts == mq.counts
+
+        sensor, cloud, actuator = make_parties(ctrl, "plaintext", cfg)
+        _, m0 = run_cycle(x, sensor, cloud, actuator, 0)
+        assert m0.counts == dict.fromkeys(COUNT_KEYS, 0)
+
 
 def test_payload_bits(bench_controller, kp256):
     n, m = 2, 1
@@ -160,9 +170,9 @@ def test_payload_bits(bench_controller, kp256):
 
     sensor, cloud, actuator = make_parties(
         bench_controller, "paillier", cfg, keypair=kp256)
-    msg1, _, _ = sensor.step(x, 0)
+    msg1 = sensor.step(x, 0)
     assert len(msg1.body) == 4 + (n + m) * (4 + 2 * 256 // 8)
-    msg2, _, _ = cloud.step(msg1)
+    msg2 = cloud.step(msg1)
     assert msg1.payload_bits == 32 + (n + m) * 2 * 256
     assert msg2.payload_bits == m * 2 * 256
 
@@ -179,8 +189,8 @@ def test_fresh_keys_per_cycle(bench_controller):
     cfg = RunConfig()
     sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
     x = np.array([-1.0, 0.2])
-    msg_a, _, _ = sensor.step(x, 0)
-    msg_b, _, _ = sensor.step(x, 1)
+    msg_a = sensor.step(x, 0)
+    msg_b = sensor.step(x, 1)
     assert msg_a.body != msg_b.body
     with pytest.raises(KeyReuseError):
         sensor.step(x, 1)
@@ -189,8 +199,8 @@ def test_fresh_keys_per_cycle(bench_controller):
 def test_offset_forwarded_byte_identical(bench_controller):
     cfg = RunConfig()
     sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
-    msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
-    msg2, _, _ = cloud.step(msg1)
+    msg1 = sensor.step(np.array([-1.0, 0.2]), 0)
+    msg2 = cloud.step(msg1)
     m, n = 1, 2
     assert msg2.body[8 * m * n:] == msg1.body[4 + 8 * n:]
 
@@ -200,7 +210,7 @@ def test_error_paths(bench_controller):
     sensor, cloud, actuator = make_parties(bench_controller, "qe", cfg)
     with pytest.raises(StateNotCovered):
         sensor.step(np.array([50.0, 50.0]), 0)
-    msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 1)
+    msg1 = sensor.step(np.array([-1.0, 0.2]), 1)
     forged = wire.encode_u32(10_000) + msg1.body[4:]
     with pytest.raises(InvalidRegion):
         cloud.step(with_body(msg1, forged))
@@ -249,7 +259,7 @@ def test_paillier_sensor_holds_keypair_same_bytes(bench_controller, kp256):
                          field=sensor.field, codec=sensor.codec,
                          he_rng=random.Random(cfg.seed_keys + 1))
     for k, x in enumerate(sample_feasible(bench_controller, 5, 8)):
-        assert sensor.step(x, k)[0].body == public_only.step(x, k)[0].body
+        assert sensor.step(x, k).body == public_only.step(x, k).body
 
 
 def with_body(msg, body):
@@ -280,8 +290,8 @@ def test_paillier_framing_is_strict(bench_controller, kp256):
     cfg = RunConfig(key_bits=256)
     sensor, cloud, actuator = make_parties(
         bench_controller, "paillier", cfg, keypair=kp256)
-    msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
-    msg2, _, _ = cloud.step(msg1)
+    msg1 = sensor.step(np.array([-1.0, 0.2]), 0)
+    msg2 = cloud.step(msg1)
     actuator.step(msg2, 0)
     n, m = bench_controller.n, bench_controller.m
     for body, text in malformed_he_bodies(msg1.body, 4, n + m, 256):
@@ -303,8 +313,8 @@ def framed_messages(bench_controller, kp256):
     for backend in BACKEND_NAMES:
         sensor, cloud, actuator = make_parties(
             bench_controller, backend, cfg, keypair=kp256)
-        msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
-        msg2, _, _ = cloud.step(msg1)
+        msg1 = sensor.step(np.array([-1.0, 0.2]), 0)
+        msg2 = cloud.step(msg1)
         out[backend] = (cloud, actuator, msg1, msg2)
     return out
 
@@ -318,7 +328,7 @@ def test_junk_suffix_raises_on_every_backend(framed_messages, backend):
         actuator.step(with_body(msg2, msg2.body + b"junk"), 0)
     # the unaltered cloud message still decodes (wire errors come
     # before the actuator derives cycle 0's keys)
-    u, _, _ = actuator.step(msg2, 0)
+    u = actuator.step(msg2, 0)
     assert np.all(np.isfinite(u))
 
 
@@ -377,14 +387,14 @@ def test_quantized_pad_bits_refused(bench_controller):
     refuses a sensor body and the actuator a cloud body with any set."""
     cfg = RunConfig(w=12, w_b=4)
     sensor, cloud, actuator = make_parties(bench_controller, "qe_quantized", cfg)
-    msg1, _, _ = sensor.step(np.array([-1.0, 0.2]), 0)
-    msg2, _, _ = cloud.step(msg1)
+    msg1 = sensor.step(np.array([-1.0, 0.2]), 0)
+    msg2 = cloud.step(msg1)
     assert msg1.body[-1] & 0x0F == 0 and msg2.body[-1] & 0x0F == 0
     with pytest.raises(wire.WireError, match="pad bits"):
         cloud.step(with_body(msg1, msg1.body[:-1] + b"\x0f"))
     with pytest.raises(wire.WireError, match="pad bits"):
         actuator.step(with_body(msg2, msg2.body[:-1] + bytes([msg2.body[-1] | 1])), 0)
-    u, _, _ = actuator.step(msg2, 0)
+    u = actuator.step(msg2, 0)
     assert np.all(np.isfinite(u))
 
 
@@ -399,8 +409,8 @@ def test_payload_bits_are_body_bits_less_framing(bench_controller, kp256,
     sensor, cloud, _ = make_parties(bench_controller, backend, cfg,
                                     keypair=kp256)
     n, m = bench_controller.n, bench_controller.m
-    msg1, _, _ = sensor.step(np.array([-0.4, 0.2]), 0)
-    msg2, _, _ = cloud.step(msg1)
+    msg1 = sensor.step(np.array([-0.4, 0.2]), 0)
+    msg2 = cloud.step(msg1)
     for msg, off, fields in ((msg1, 4, (n, m)), (msg2, 0, (m * n, m))):
         framing = 0
         if backend == "qe_quantized":
@@ -428,17 +438,17 @@ def test_quantized_wire_stream_pinned(bench_controller):
     carries on across faults exactly as before."""
     parties = make_parties(bench_controller, "qe_quantized",
                            RunConfig(w=12, w_b=5))
-    log = EavesdropLog()
+    log = []
     rng = np.random.default_rng(12)
     faults = []
     for k in range(400):
-        sent = len(log.entries)
+        sent = len(log)
         try:
             run_cycle(rng.uniform([-6.0, -3.0], [6.0, 3.0]), *parties, k, log=log)
         except (RangeError, StateNotCovered) as exc:
-            faults.append((k, type(exc).__name__, len(log.entries) - sent))
+            faults.append((k, type(exc).__name__, len(log) - sent))
     digest = hashlib.sha256(repr(faults).encode())
-    for msg in log.entries:
+    for msg in log:
         digest.update(msg.body)
     kinds = collections.Counter((name, sent) for _, name, sent in faults)
     assert kinds == {("RangeError", 0): 105, ("RangeError", 1): 3,
@@ -451,21 +461,21 @@ def wire_stream_digest(parties, count):
     """Run one set of parties over `count` seeded states, some of them
     outside the partition; return (faults, messages sent, SHA-256 of the
     faults, the inputs and every body on both links)."""
-    log = EavesdropLog()
+    log = []
     rng = np.random.default_rng(12)
     faults, inputs = [], []
     for k in range(count):
-        sent = len(log.entries)
+        sent = len(log)
         try:
             u, _ = run_cycle(rng.uniform([-6.0, -3.0], [6.0, 3.0]), *parties,
                              k, log=log)
             inputs.append(u.tobytes())
         except StateNotCovered as exc:
-            faults.append((k, type(exc).__name__, len(log.entries) - sent))
+            faults.append((k, type(exc).__name__, len(log) - sent))
     digest = hashlib.sha256(repr(faults).encode())
-    for data in inputs + [msg.body for msg in log.entries]:
+    for data in inputs + [msg.body for msg in log]:
         digest.update(data)
-    return faults, len(log.entries), digest.hexdigest()
+    return faults, len(log), digest.hexdigest()
 
 
 def test_qe_wire_stream_pinned(bench_controller):
@@ -513,19 +523,37 @@ def test_paillier_wire_stream_pinned(bench_controller, kp256):
         "3d358658aa3ced7c2b3906398bc14cf63c5bdd926021c51f0949e22565f8c0eb")
 
 
+def test_cloud_fault_leaves_sensor_message_in_tap():
+    """The tap gets the sensor message before the cloud runs: a gain of
+    1e9 takes every power ct ** K out of the positive reals, and the
+    tap then holds exactly the message the sensor sent."""
+    ctrl = single_region_controller(2, 1, np.random.default_rng(0))
+    ctrl.regions[0].K[:] = 1e9
+    x = np.ones(2)
+    log = []
+    with pytest.raises(CiphertextError):
+        run_cycle(x, *make_parties(ctrl, "qe", RunConfig()), 0, log=log)
+    sent = make_parties(ctrl, "qe", RunConfig())[0].step(x, 0)
+    assert log == [sent]
+
+
 def test_eavesdrop_log_and_leak_audit(bench_controller):
     """What the adversary reads off the sensor link: qe features never
-    equal the states, plaintext features are the states."""
+    equal the states, plaintext features are the states.  Each cycle's
+    sigma is the region index on its sensor message."""
     cfg = RunConfig()
     states = sample_feasible(bench_controller, 10, 6)
     feats = {}
     for backend in ("qe", "plaintext"):
-        log = EavesdropLog()
+        log = []
         sensor, cloud, actuator = make_parties(bench_controller, backend, cfg)
         for k, x in enumerate(states):
-            run_cycle(x, sensor, cloud, actuator, k, log=log)
-        assert len(log.entries) == 20
-        assert all(isinstance(e.body, bytes) for e in log.entries)
+            _, met = run_cycle(x, sensor, cloud, actuator, k, log=log)
+            assert log[-2].link == "s_to_c"
+            assert met.sigma == wire.decode_u32(log[-2].body)[0]
+            assert met.sigma == bench_controller.locate(x)
+        assert len(log) == 20
+        assert all(isinstance(e.body, bytes) for e in log)
         feats[backend] = observe_features(log, backend, sensor.field,
                                           bench_controller.n)
     assert feats["plaintext"].shape == (10, bench_controller.n)
