@@ -68,15 +68,6 @@ def default_settings(trials=200, T=60):
     return tuple(AttackSetting(kind, trials=trials, T=T) for kind in NOISE_KINDS)
 
 
-@dataclass
-class LsPredictor:
-    """A stack's fit, one entry per trial."""
-
-    theta: np.ndarray  # trials x n x (n+m)
-    residual: np.ndarray
-    rank_deficient: np.ndarray
-
-
 def _norms(V):
     """Euclidean norm of each row along the last axis, as np.linalg.norm
     takes it of one vector (sqrt of its dot product with itself)."""
@@ -86,10 +77,10 @@ def _norms(V):
 def fit_ls_predictor(proxies, inputs):
     """Theta = argmin sum ||proxy(k+1) - Theta [proxy(k); u(k)]||^2.
 
-    Solved through the ridge-regularized normal equations; a feature
-    matrix without full column rank is still solved but flagged.
-    proxies (trials, T, n) and inputs (trials, T or T-1, m) fit every
-    trial at once.
+    Solved through the ridge-regularized normal equations, so a feature
+    matrix without full column rank is still solved.  proxies (trials,
+    T, n) and inputs (trials, T or T-1, m) fit every trial at once;
+    returns Theta, trials x n x (n+m).
     """
     P = np.asarray(proxies, dtype=float)
     U = np.asarray(inputs, dtype=float)
@@ -105,23 +96,18 @@ def fit_ls_predictor(proxies, inputs):
     G = Zt @ Z + RIDGE * np.eye(n + m)
     # each trial's theta is the F-ordered transpose of its solve, the
     # layout every later product of the rollout is rounded in
-    theta = np.linalg.solve(G, Zt @ Y).transpose(0, 2, 1)
-    R = (Y - Z @ theta.transpose(0, 2, 1)).reshape(len(P), -1)
-    residual = _norms(R)
-    deficient = np.linalg.matrix_rank(Z) < n + m
-    return LsPredictor(theta=theta, residual=residual, rank_deficient=deficient)
+    return np.linalg.solve(G, Zt @ Y).transpose(0, 2, 1)
 
 
-def rollout(pred, x0, inputs):
+def rollout(theta, x0, inputs):
     """Iterate xhat(k+1) = Theta [xhat(k); u(k)] from the true x(0).
 
-    theta is trials x n x (n+m), x0 trials x n and inputs trials x T x m;
-    every trial steps with one product per step.  Returns (xhat, steps):
-    trial i's rollout is xhat[i, :steps[i]], truncated after its first
-    row over the divergence cap, and a diverged trial stays frozen at
-    that row after it.
+    theta is fit_ls_predictor's trials x n x (n+m), x0 trials x n and
+    inputs trials x T x m; every trial steps with one product per step.
+    Returns (xhat, steps): trial i's rollout is xhat[i, :steps[i]],
+    truncated after its first row over the divergence cap, and a
+    diverged trial stays frozen at that row after it.
     """
-    theta = pred.theta
     U = np.asarray(inputs, dtype=float)
     x = np.asarray(x0, dtype=float)
     N, T, m = U.shape
@@ -148,7 +134,6 @@ class ScoreResult:
 
     value: np.ndarray
     counted: np.ndarray
-    skipped: np.ndarray
 
     @property
     def defined(self):
@@ -158,7 +143,7 @@ class ScoreResult:
 def confidentiality_score(truth, predicted, steps=None):
     """Average over steps of ||xhat(k) - x(k)|| / ||x(k)||.
 
-    Steps with ||x(k)|| at numerical zero are skipped and counted; an
+    Steps with ||x(k)|| at numerical zero are skipped; an
     all-skipped comparison is undefined (value nan).  Terms accumulate
     with compensated summation so trial order cannot change the result.
     Stacks of trials (trials x T x n) are scored at once, each over its
@@ -170,13 +155,12 @@ def confidentiality_score(truth, predicted, steps=None):
     X, Xh = X[:, :K], Xh[:, :K]
     rows = np.arange(K) < (K if steps is None else np.asarray(steps)[:, None])
     nrm = _norms(X)
-    skip = rows & (nrm <= NORM_FLOOR)
-    keep = rows & ~skip
+    keep = rows & ~(nrm <= NORM_FLOOR)
     terms = np.divide(_norms(Xh - X), nrm, out=np.zeros_like(nrm), where=keep)
     counted = keep.sum(axis=1)
     value = np.array([math.fsum(t[k].tolist()) / c if c else float("nan")
                       for t, k, c in zip(terms, keep, counted.tolist())])
-    return ScoreResult(value=value, counted=counted, skipped=skip.sum(axis=1))
+    return ScoreResult(value=value, counted=counted)
 
 
 def observe_features(log, backend, field, n):
@@ -220,8 +204,8 @@ def apply_noise(features, setting, rng, trials):
 def attack_once(noisy, inputs, truth):
     """One adversary pass over a stack of trials (trials x T x .):
     fit, roll out and score every noisy recording at once."""
-    pred = fit_ls_predictor(noisy, inputs)
-    xhat, steps = rollout(pred, truth[:, 0], inputs)
+    theta = fit_ls_predictor(noisy, inputs)
+    xhat, steps = rollout(theta, truth[:, 0], inputs)
     return confidentiality_score(truth, xhat, steps)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 from .paillier import VALID_KEY_BITS
@@ -39,6 +40,12 @@ EXP_ARG_LIMIT = 700.0
 
 class ConfigError(ValueError):
     """Raised when a run configuration is internally inconsistent."""
+
+
+def is_int(v) -> bool:
+    """True for a Python or NumPy integer; a bool, a float (16.0
+    included) or a string is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def load_json(path):
@@ -97,8 +104,9 @@ class RunConfig:
     delta and w must still meet the target.  A field out of its range
     (backend not one of BACKENDS, a seed outside [0, 2^64), w_b outside
     [2, 62], key_bits not a supported Paillier size, attack_trials < 1,
-    rho < 2, gamma < 0, delta < 1, w < 1, p_bits < 1, steps < 1) is a
-    ConfigError, whichever backend runs.
+    rho < 2, gamma < 0, delta < 1, w < 1, p_bits < 1, steps < 1), or an
+    integer field holding a non-integer (is_int), is a ConfigError,
+    whichever backend runs.
     """
 
     scenario_path: str = ""
@@ -120,19 +128,23 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, ok, need in (
-                ("backend", self.backend in BACKENDS, f"one of {', '.join(BACKENDS)}"),
-                *((seed, 0 <= getattr(self, seed) < 2**64, "in [0, 2^64)")
+                ("backend", lambda v: v in BACKENDS, f"one of {', '.join(BACKENDS)}"),
+                *((seed, lambda v: is_int(v) and 0 <= v < 2**64,
+                   "an integer in [0, 2^64)")
                   for seed in ("seed_keys", "seed_quant", "seed_attack")),
-                ("w_b", 2 <= self.w_b <= 62, "in [2, 62]"),
-                ("key_bits", self.key_bits in VALID_KEY_BITS, f"one of {VALID_KEY_BITS}"),
-                ("attack_trials", self.attack_trials >= 1, ">= 1"),
-                ("rho", self.rho >= 2, ">= 2"),
-                ("gamma", self.gamma >= 0, ">= 0"),
-                ("delta", self.delta is None or self.delta >= 1, ">= 1"),
-                ("w", self.w is None or self.w >= 1, ">= 1"),
-                ("p_bits", self.p_bits >= 1, ">= 1"),
-                ("steps", self.steps is None or self.steps >= 1, ">= 1 or null")):
-            if not ok:
+                ("w_b", lambda v: is_int(v) and 2 <= v <= 62, "an integer in [2, 62]"),
+                ("key_bits", lambda v: is_int(v) and v in VALID_KEY_BITS,
+                 f"one of {VALID_KEY_BITS}"),
+                ("attack_trials", lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+                ("rho", lambda v: is_int(v) and v >= 2, "an integer >= 2"),
+                ("gamma", lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+                ("delta", lambda v: v is None or is_int(v) and v >= 1,
+                 "an integer >= 1"),
+                ("w", lambda v: v is None or is_int(v) and v >= 1, "an integer >= 1"),
+                ("p_bits", lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+                ("steps", lambda v: v is None or is_int(v) and v >= 1,
+                 "an integer >= 1 or null")):
+            if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
         if self.epsilon_q is None:
             delta, w = 10, 16

@@ -21,7 +21,7 @@ class KeyLengthError(ValueError):
 
 
 class KeyReuseError(RuntimeError):
-    """A cycle's key stream was requested out of monotone order."""
+    """A cycle's key was requested out of monotone order."""
 
 
 @dataclass(frozen=True)
@@ -51,34 +51,22 @@ class KeyConfig:
 
 
 @dataclass(frozen=True)
-class KeyStream:
-    k: int
-    words: list  # n_words 64-bit ints whose first w_q bits, MSB-first, are the stream
-
-
-@dataclass(frozen=True)
 class BetaVector:
     beta: tuple  # d = n + m nonzero ints: n state, then m offset coefficients
     n: int
     m: int
 
-    @property
-    def state_part(self) -> tuple:
-        return self.beta[:self.n]
-
-    @property
-    def offset_part(self) -> tuple:
-        return self.beta[self.n:]
-
 
 class KeySource:
-    """One endpoint's view of the shared randomness.
+    """One endpoint's view of the shared randomness, and the one place
+    key bits are drawn.
 
-    stream(k) is a pure function of (seed, k) so two sources with the
-    same seed agree bit for bit, but each source also enforces strictly
-    increasing cycle indices: key material is never reused.  A cycle
-    index outside 64 bits is refused before it counts as used.  Each
-    source re-keys one Philox per cycle instead of building a new one.
+    betas(k) is cycle k's beta vector, betas(generate_key(seed, k, cfg),
+    cfg), a pure function of (seed, k), so two sources with the same seed
+    agree bit for bit; but each source also enforces strictly increasing
+    cycle indices: key material is never reused.  A cycle index outside
+    64 bits is refused before it counts as used.  Each source re-keys one
+    Philox per cycle instead of building a new one.
     """
 
     def __init__(self, seed: int, cfg: KeyConfig):
@@ -89,13 +77,13 @@ class KeySource:
         self._last_k = -1
         self._bitgen = np.random.Philox(key=self.seed << 64)
 
-    def stream(self, k: int) -> KeyStream:
+    def betas(self, k: int) -> BetaVector:
         _check_cycle(k)
         if k <= self._last_k:
             raise KeyReuseError(
-                f"cycle {k} requested after cycle {self._last_k}; key streams are single-use")
+                f"cycle {k} requested after cycle {self._last_k}; keys are single-use")
         self._last_k = k
-        return generate_key(self.seed, k, self.cfg, self._bitgen)
+        return betas(generate_key(self.seed, k, self.cfg, self._bitgen), self.cfg)
 
 
 def _check_cycle(k):
@@ -103,8 +91,9 @@ def _check_cycle(k):
         raise ConfigError("cycle index must fit in 64 bits")
 
 
-def generate_key(seed: int, k: int, cfg: KeyConfig, bitgen=None) -> KeyStream:
-    """w_q uniform bits for cycle k, reproducible from (seed, k).
+def generate_key(seed: int, k: int, cfg: KeyConfig, bitgen=None) -> list:
+    """Cycle k's key: cfg.n_words 64-bit ints whose first w_q bits,
+    MSB-first, are uniform and reproducible from (seed, k).
 
     Philox is counter-based, so keying it on the 128-bit value
     (seed << 64) | k gives independent streams per cycle with no
@@ -120,7 +109,7 @@ def generate_key(seed: int, k: int, cfg: KeyConfig, bitgen=None) -> KeyStream:
                     "state": {"counter": (0, 0, 0, 0), "key": (int(k), int(seed))},
                     "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                     "has_uint32": 0, "uinteger": 0}
-    return KeyStream(k=int(k), words=bitgen.random_raw(cfg.n_words).tolist())
+    return bitgen.random_raw(cfg.n_words).tolist()
 
 
 def beta_from_bits(group: int, w_b: int) -> int:
@@ -133,12 +122,13 @@ def beta_from_bits(group: int, w_b: int) -> int:
     return (group & (half - 1)) + 1 - (half + 1) * (group >> (w_b - 1))
 
 
-def betas(key: KeyStream, cfg: KeyConfig) -> BetaVector:
-    """Split the stream's w_q bits into d groups and map each to its beta."""
-    w_q, w_b, words = cfg.w_q, cfg.w_b, key.words
+def betas(words: list, cfg: KeyConfig) -> BetaVector:
+    """Split the first w_q bits of generate_key's words into d groups
+    and map each to its beta."""
+    w_q, w_b = cfg.w_q, cfg.w_b
     if len(words) != cfg.n_words:
         raise KeyLengthError(
-            f"stream has {len(words)} words, config requires {cfg.n_words}")
+            f"key has {len(words)} words, config requires {cfg.n_words}")
     acc = 0
     for word in words:
         acc = acc << 64 | word

@@ -100,13 +100,12 @@ class MpcSpec:
 
 @dataclass
 class CondensedQp:
-    """Parametric QP data plus the selector picking u_0 out of z."""
+    """Parametric QP data; u_0 is the first m entries of z."""
     H: np.ndarray
     F: np.ndarray
     G: np.ndarray
     E: np.ndarray
     h: np.ndarray
-    selector: np.ndarray
     n: int
     m: int
     horizon: int
@@ -189,10 +188,7 @@ def condense(sys: LtiSystem, spec: MpcSpec) -> CondensedQp:
         G = np.zeros((0, N * m))
         E = np.zeros((0, n))
         h = np.zeros(0)
-    selector = np.zeros((m, N * m))
-    selector[:, :m] = np.eye(m)
-    return CondensedQp(H=H, F=F, G=G, E=E, h=h, selector=selector,
-                       n=n, m=m, horizon=N)
+    return CondensedQp(H=H, F=F, G=G, E=E, h=h, n=n, m=m, horizon=N)
 
 
 @dataclass
@@ -212,15 +208,24 @@ class Region:
 
 @dataclass
 class PwaController:
+    """The explicit law u = K_s x + b_s over the regions of a partition.
+
+    The regions are read once, when the controller is built: their rows
+    stack into A_all/b_all (owner[i] is row i's region), which locate
+    scans, and their laws into gains (nreg, m, n) and offsets (nreg, m),
+    which eval_region and the protocol's parties read.  With no regions
+    every stack keeps its shape, with 0 leading.
+    """
     regions: list
     n: int
     m: int
     horizon: int
     meta: dict = field(default_factory=dict)
-    # every region's rows stacked in region order; owner[i] is row i's region
     A_all: np.ndarray = field(init=False, repr=False, compare=False)
     b_all: np.ndarray = field(init=False, repr=False, compare=False)
     owner: np.ndarray = field(init=False, repr=False, compare=False)
+    gains: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.n, self.m
@@ -236,6 +241,9 @@ class PwaController:
         self.A_all = np.vstack([p.A for p in polys] + [np.zeros((0, self.n))])
         self.b_all = np.concatenate([p.b for p in polys] + [np.zeros(0)])
         self.owner = np.repeat(np.arange(len(polys)), [p.nrows for p in polys])
+        nreg = len(self.regions)
+        self.gains = np.array([r.K for r in self.regions], dtype=float).reshape(nreg, m, n)
+        self.offsets = np.array([r.b for r in self.regions], dtype=float).reshape(nreg, m)
 
     @property
     def nregions(self) -> int:
@@ -264,8 +272,8 @@ class PwaController:
         """Affine law of region sigma applied to x."""
         if not 0 <= sigma < len(self.regions):
             raise InvalidRegion(f"region index {sigma} out of range")
-        reg = self.regions[sigma]
-        return reg.K @ np.asarray(x, dtype=float).reshape(-1) + reg.b
+        return (self.gains[sigma] @ np.asarray(x, dtype=float).reshape(-1)
+                + self.offsets[sigma])
 
     def evaluate(self, x):
         """Return (u, sigma) at state x; raises outside the partition."""
@@ -294,12 +302,6 @@ class PwaController:
             text += (f"; nearest is region {sigma}, whose row {row} is "
                      f"violated by {own[row]:.3e}")
         return StateNotCovered(text)
-
-    def gain_table(self):
-        """Stacked gains (nreg, m, n) and offsets (nreg, m)."""
-        K = np.stack([r.K for r in self.regions])
-        b = np.stack([r.b for r in self.regions])
-        return K, b
 
     def to_json(self) -> str:
         obj = {
@@ -450,30 +452,29 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
     frontier = deque()
 
     def visit(aset: tuple):
-        """Rows of aset's region, or None. The KKT algebra runs as a (1, k)
-        batch: its float rounding is what controller.json pins."""
+        """Rows of aset's region, or None: LICQ on the active rows G_A,
+        the KKT law z = Z x + z0 with multipliers lam = Lam x + lam0, and
+        the region's rows, primal (all q rows, the active ones 0 <= 0)
+        then multiplier.  The products after the solves are einsums,
+        whose rounding is what controller.json pins."""
         if aset in found:
             return found[aset]
         found[aset] = None
         stats["candidates"] += 1
-        cands = np.array([aset], dtype=int).reshape(1, len(aset))
-        GA = qp.G[cands]                      # (1, k, nz)
+        idx = list(aset)
+        GA = qp.G[idx]                         # (k, nz)
         sv = np.linalg.svd(GA, compute_uv=False)
-        M = GA @ Hinv @ GA.transpose(0, 2, 1)
-        if not ((sv > DEFAULT_TOL.rank * np.maximum(sv[:, :1], 1.0)).all()
-                and np.linalg.slogdet(M)[0][0] > 0):
+        M = GA @ Hinv @ GA.T
+        if not ((sv > DEFAULT_TOL.rank * sv.max(initial=1.0)).all()
+                and np.linalg.slogdet(M)[0] > 0):
             stats["rank_fails"] += 1
             return None
-        Lam = -np.linalg.solve(M, qp.E[cands] + GA @ HinvF)         # (1, k, n)
-        lam0 = -np.linalg.solve(M, qp.h[cands][..., None])[..., 0]  # (1, k)
-        GAT = GA.transpose(0, 2, 1)
-        Z = -(HinvF[None] + np.einsum("bzk,bkn->bzn", Hinv[None] @ GAT, Lam))
-        z0 = -np.einsum("zj,bjk,bk->bz", Hinv, GAT, lam0)
-        # primal rows of all q constraints (active: 0 <= 0), multiplier rows
-        rows_A = np.concatenate(
-            [np.einsum("qz,bzn->bqn", qp.G, Z) - qp.E[None], -Lam], axis=1)[0]
-        rows_b = np.concatenate(
-            [qp.h[None] - np.einsum("qz,bz->bq", qp.G, z0), lam0], axis=1)[0]
+        Lam = -np.linalg.solve(M, qp.E[idx] + GA @ HinvF)   # (k, n)
+        lam0 = -np.linalg.solve(M, qp.h[idx])                # (k,)
+        Z = -(HinvF + np.einsum("zk,kn->zn", Hinv @ GA.T, Lam))
+        z0 = -np.einsum("zj,jk,k->z", Hinv, GA.T, lam0)
+        rows_A = np.vstack([np.einsum("qz,zn->qn", qp.G, Z) - qp.E, -Lam])
+        rows_b = np.concatenate([qp.h - np.einsum("qz,z->q", qp.G, z0), lam0])
         dead = np.linalg.norm(rows_A, axis=1) <= DEFAULT_TOL.zero_row
         if (rows_b[dead] < -DEFAULT_TOL.feasibility).any():
             stats["dead_kills"] += 1
@@ -490,7 +491,7 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
         found[aset] = Ar, br
         frontier.append((aset, Ar, br, facets.tolist()))
         region = Region(active_set=aset, poly=Polyhedron(Ar, br),
-                        K=Z[0][:qp.m].copy(), b=z0[0][:qp.m].copy(),
+                        K=Z[:qp.m].copy(), b=z0[:qp.m].copy(),
                         cheb_center=center, cheb_radius=float(radius))
         key = _region_signature(Ar, br, region.K, region.b)
         old = kept.get(key)

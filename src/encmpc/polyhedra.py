@@ -39,9 +39,6 @@ class Polyhedron:
         x = np.asarray(x, dtype=float).reshape(-1)
         return bool(np.all(self.A @ x - self.b <= DEFAULT_TOL.feasibility))
 
-    def chebyshev_center(self):
-        return chebyshev_center(self.A, self.b)
-
 
 def box(lower, upper) -> Polyhedron:
     """Axis-aligned box as [I; -I] x <= [upper; -lower].

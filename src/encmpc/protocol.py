@@ -31,7 +31,7 @@ import numpy as np
 
 from . import wire
 from .config import ConfigError
-from .keys import KeyConfig, KeySource, betas
+from .keys import KeyConfig, KeySource
 from .mpqp import InvalidRegion
 from .paillier import (
     FixedPointCodec,
@@ -155,7 +155,8 @@ class WordField:
 class HeField:
     """Paillier ciphertext fields: each residue mod n^2 as a 2L-bit
     string after its u32 length prefix, which is framing, not payload; a
-    prefix other than the key's L/4 bytes is refused.  Values are ints."""
+    prefix other than the key's L/4 bytes is refused.  Values are ints,
+    which the parties holding n^2 check with he_residues."""
 
     def __init__(self, key_bits):
         self.key_bits = key_bits
@@ -170,6 +171,15 @@ class HeField:
             v, off = wire.decode_he_ct(data, off, self.key_bits)
             values.append(v)
         return values, off
+
+
+def he_residues(values, n_sq):
+    """Paillier ciphertexts of the residues read off the wire; one
+    outside [1, n^2) is a WireError before any arithmetic touches it."""
+    for i, v in enumerate(values):
+        if not 0 < v < n_sq:
+            raise wire.WireError(f"ciphertext field {i} is outside [1, n^2)")
+    return [HeCiphertext(v, n_sq) for v in values]
 
 
 def wire_field(backend, cfg, rng=None):
@@ -188,12 +198,13 @@ def wire_field(backend, cfg, rng=None):
 class Sensor:
     """Measures, locates the region, encrypts state and region offset.
 
-    Holds the partition for point location, all region offsets in
-    plaintext and its link's field codec; for QE backends also a key
-    source synchronized with the actuator's, for Paillier a key and the
-    fixed-point codec.  The Paillier key may be the public key or, on the
-    plant side, the keypair, which computes the encryption randomizer by
-    CRT (same ciphertexts).  step(x, cycle) returns the sensor message.
+    Holds the controller, whose partition it locates x in and whose
+    offsets it encrypts, and its link's field codec; for QE backends
+    also a key source synchronized with the actuator's, for Paillier a
+    key and the fixed-point codec.  The Paillier key may be the public
+    key or, on the plant side, the keypair, which computes the
+    encryption randomizer by CRT (same ciphertexts).  step(x, cycle)
+    returns the sensor message.
     """
 
     def __init__(self, controller, backend, key_source=None, field=None,
@@ -202,8 +213,6 @@ class Sensor:
         self.controller = controller
         self.n = controller.n
         self.m = controller.m
-        self.offsets = [np.asarray(r.b, dtype=float).ravel().tolist()
-                        for r in controller.regions]
         self.key_source = key_source
         self.field = field
         self.he_key = he_key
@@ -215,13 +224,13 @@ class Sensor:
         sigma = self.controller.locate(x)
         if sigma < 0:
             raise self.controller.not_covered(x)
-        b_sig = self.offsets[sigma]
+        b_sig = self.controller.offsets[sigma].tolist()
 
         sizes = (self.n, self.m)
         if self.backend == "plaintext":
             values, sizes = x, (self.n,)
         elif self.backend in QE_BACKENDS:
-            bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
+            bv = self.key_source.betas(cycle)
             values = enc_state(x.tolist() + b_sig, bv.beta)
         else:
             key, codec, rng = self.he_key, self.codec, self.he_rng
@@ -236,18 +245,17 @@ class Sensor:
 class Cloud:
     """Holds the gain library only; applies it in ciphertext space.
 
-    By construction there is no attribute that can hold a key source,
-    beta vector, Paillier trapdoor, or plaintext state.  step(msg)
-    returns the cloud message.
+    gains is the controller's stack (nreg, m, n), and so are the offsets
+    (nreg, m) a plaintext cloud applies itself.  By construction there
+    is no attribute that can hold a key source, beta vector, Paillier
+    trapdoor, or plaintext state.  step(msg) returns the cloud message.
     """
 
     def __init__(self, gains, backend, offsets=None, field=None,
                  pk=None, gains_encoded=None):
         self.backend = backend
-        self.gains = [np.atleast_2d(np.asarray(K, dtype=float)) for K in gains]
-        # plaintext only: that cloud applies the offsets itself
-        self.offsets = (None if offsets is None else
-                        [np.asarray(b, dtype=float).ravel() for b in offsets])
+        self.gains = gains
+        self.offsets = offsets
         self.field = field
         self.pk = pk
         self.gains_encoded = gains_encoded
@@ -256,7 +264,7 @@ class Cloud:
         sigma, off = wire.decode_u32(msg.body)
         if not 0 <= sigma < len(self.gains):
             raise InvalidRegion(f"region index {sigma} out of range")
-        m, n = self.gains[sigma].shape
+        _, m, n = self.gains.shape
 
         forwarded = 0
         if self.backend == "plaintext":
@@ -272,7 +280,7 @@ class Cloud:
         else:
             vals, off = self.field.decode(msg.body, (n, m), off)
             wire.expect_end(msg.body, off)
-            cts = [HeCiphertext(v, self.pk.n_sq) for v in vals]
+            cts = he_residues(vals, self.pk.n_sq)
             out = he_eval_pwa(cts[:n], self.gains_encoded[sigma], cts[n:],
                               self.pk)
             values = [c.value for c in out]
@@ -306,12 +314,12 @@ class Actuator:
         if self.backend == "plaintext":
             u = values
         elif qe:
-            bv = betas(self.key_source.stream(cycle), self.key_source.cfg)
+            bv = self.key_source.betas(cycle)
             u = dec_aggregate(values, bv)
         else:
             kp = self.keypair
-            u = [fp_decode(he_dec(HeCiphertext(v, kp.n_sq), kp), self.codec,
-                           scale_power=2) for v in values]
+            u = [fp_decode(he_dec(c, kp), self.codec, scale_power=2)
+                 for c in he_residues(values, kp.n_sq)]
         return np.array(u, dtype=float)
 
 
@@ -372,10 +380,9 @@ def make_parties(controller, backend, cfg, keypair=None):
     s_field = wire_field(backend, cfg, rng(cfg.seed_quant))
     c_field = wire_field(backend, cfg, rng(cfg.seed_quant + 1))
     n, m = controller.n, controller.m
-    gains = [r.K for r in controller.regions]
     s_kw, c_kw, a_kw = {}, {}, {}
     if backend == "plaintext":
-        c_kw["offsets"] = [r.b for r in controller.regions]
+        c_kw["offsets"] = controller.offsets
     elif backend in QE_BACKENDS:
         kc = KeyConfig(n=n, m=m, w_b=cfg.w_b)
         s_kw["key_source"] = KeySource(cfg.seed_keys, kc)
@@ -388,7 +395,7 @@ def make_parties(controller, backend, cfg, keypair=None):
                               f"but key_bits is {cfg.key_bits}")
         try:
             codec = FixedPointCodec(cfg.rho, cfg.gamma, cfg.delta, keypair.n)
-            gains_encoded = [encode_gain(K, codec) for K in gains]
+            gains_encoded = [encode_gain(K, codec) for K in controller.gains]
         except OverflowError as exc:
             raise ConfigError(f"gamma={cfg.gamma}, delta={cfg.delta} under a "
                               f"{cfg.key_bits}-bit key: {exc}") from exc
@@ -397,5 +404,5 @@ def make_parties(controller, backend, cfg, keypair=None):
         c_kw = {"pk": keypair.public, "gains_encoded": gains_encoded}
         a_kw = {"keypair": keypair, "codec": codec}
     return (Sensor(controller, backend, field=s_field, **s_kw),
-            Cloud(gains, backend, field=c_field, **c_kw),
+            Cloud(controller.gains, backend, field=c_field, **c_kw),
             Actuator(backend, n, m, field=wire_field(backend, cfg), **a_kw))

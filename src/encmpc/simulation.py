@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, from_dict, load_json
+from .config import ConfigError, from_dict, is_int, load_json
 from .mpqp import (
     LtiSystem,
     MpcSpec,
@@ -49,8 +49,9 @@ class Scenario:
     raises ConfigError unless, with n = rows of A and m = columns of B:
     A, Q are n x n, B is n x m, R is m x m, C_out is one row of n (each
     reference value is one number), u_lo, u_hi have m entries and x_lo,
-    x_hi, x0 have n; T >= 1; and r_steps starts at step 0 with strictly
-    increasing start steps.
+    x_hi, x0 have n; horizon, T and the start steps are integers (is_int);
+    T >= 1; and r_steps starts at step 0 with strictly increasing start
+    steps.
     """
 
     name: str
@@ -86,12 +87,15 @@ class Scenario:
             raise ConfigError(
                 f"C_out has {len(self.C_out)} rows, but r_steps gives one "
                 "reference value per step, so a scenario has one output")
-        self.horizon = int(self.horizon)
-        self.T = int(self.T)
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
+        for name, value in (("horizon", self.horizon), ("T", self.T),
+                            *(("r_steps start step", k) for k, _ in self.r_steps)):
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        self.horizon, self.T = int(self.horizon), int(self.T)
         self.r_steps = tuple((int(k), float(v)) for k, v in self.r_steps)
         starts = [k for k, _ in self.r_steps]
+        if self.T < 1:
+            raise ConfigError(f"T must be >= 1, got {self.T}")
         if starts[:1] != [0] or any(a >= b for a, b in zip(starts, starts[1:])):
             raise ConfigError(f"r_steps start steps {starts} must begin at 0 "
                               "and strictly increase")

@@ -132,6 +132,37 @@ def test_bad_scenario_exits_2(workdir, tmp_path, capsys, scenario, named):
     assert named in err and "sc.json" in err
 
 
+@pytest.mark.parametrize("config,scenario,named", [
+    ({"steps": 2.5}, {}, "steps"),
+    ({"w_b": 16.0}, {}, "w_b"),
+    ({"key_bits": 512.0, "backend": "paillier"}, {}, "key_bits"),
+    ({"seed_quant": 2.5, "backend": "qe_quantized"}, {}, "seed_quant"),
+    ({"seed_keys": 1.5}, {}, "seed_keys"),
+    ({"rho": 2.5, "backend": "paillier"}, {}, "rho"),
+    ({"delta": 10.5, "backend": "paillier"}, {}, "delta"),
+    ({"attack_trials": True}, {}, "attack_trials"),
+    ({"gamma": "4"}, {}, "gamma"),
+    ({}, {"T": 2.5}, "T must be an integer"),
+    ({}, {"horizon": 4.7}, "horizon must be an integer"),
+    ({}, {"r_steps": [[0, 0.0], [20.9, 1.0]]}, "start step must be an integer"),
+    ({}, {"T": True}, "T must be an integer"),
+], ids=["steps-float", "w_b-16.0", "key_bits-512.0", "seed_quant-float",
+        "seed_keys-float", "rho-float", "delta-float", "attack_trials-bool",
+        "gamma-string", "T-float", "horizon-float", "r_steps-float", "T-bool"])
+def test_integer_field_refuses_non_integer_exits_2(workdir, tmp_path, capsys,
+                                                    config, scenario, named):
+    """An integer field of the run config or the scenario holding a float
+    (16.0 included), a bool or a string is a configuration error naming
+    the field, not a crash in the loop, a truncation or a run."""
+    shutil.copy(workdir / "controller.json", tmp_path)
+    (tmp_path / "sc.json").write_text(json.dumps({**BENCH_SCENARIO, **scenario}))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"scenario_path": str(tmp_path / "sc.json"), **config}))
+    assert main(["run", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def one_region_controller(**region):
     """controller.json text of one region for n = 2, m = 1, with the
     given region fields replaced."""
@@ -227,8 +258,7 @@ def test_run_paillier_small_delta_within_budget(workdir, tmp_path, capsys):
     u = np.array(column(header, rows, "u0"))
     u_plain = np.array(column(header, rows, "u_plain0"))
     ctrl = PwaController.load(workdir / "controller.json")
-    K, _ = ctrl.gain_table()
-    budget = (2 * 2**4 * np.max(np.abs(K)) + 2) * 2.0**-6
+    budget = (2 * 2**4 * np.max(np.abs(ctrl.gains)) + 2) * 2.0**-6
     assert np.max(np.abs(u - u_plain)) <= budget
 
 

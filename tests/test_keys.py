@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from encmpc.config import ConfigError
 from encmpc.keys import (KeyConfig, KeyLengthError, KeyReuseError, KeySource,
-                         KeyStream, beta_from_bits, betas, generate_key)
+                         beta_from_bits, betas, generate_key)
 
 
-def stream_bits(stream, cfg):
-    """The stream's w_q bits as a uint8 array, MSB-first."""
-    raw = np.array(stream.words, dtype=">u8")
+def stream_bits(words, cfg):
+    """A key's w_q bits as a uint8 array, MSB-first."""
+    raw = np.array(words, dtype=">u8")
     return np.unpackbits(np.frombuffer(raw.tobytes(), dtype=np.uint8))[:cfg.w_q]
 
 
@@ -18,10 +18,8 @@ def test_shared_randomness_contract():
     a = KeySource(seed=99, cfg=cfg)
     b = KeySource(seed=99, cfg=cfg)
     for k in (0, 1, 7):
-        sa = a.stream(k)
-        sb = b.stream(k)
-        assert sa.words == sb.words
-        assert stream_bits(sa, cfg).size == cfg.w_q == 48
+        assert a.betas(k) == b.betas(k) == betas(generate_key(99, k, cfg), cfg)
+        assert stream_bits(generate_key(99, k, cfg), cfg).size == cfg.w_q == 48
 
 
 def test_distinct_cycles_differ():
@@ -49,12 +47,12 @@ def test_bit_mean_near_half():
 def test_key_reuse_rejected():
     cfg = KeyConfig(n=1, m=1, w_b=8)
     src = KeySource(seed=0, cfg=cfg)
-    src.stream(0)
-    src.stream(3)
+    src.betas(0)
+    src.betas(3)
     with pytest.raises(KeyReuseError):
-        src.stream(3)
+        src.betas(3)
     with pytest.raises(KeyReuseError):
-        src.stream(1)
+        src.betas(1)
 
 
 def test_beta_from_bits_examples():
@@ -66,24 +64,21 @@ def test_beta_from_bits_examples():
 
 def test_betas_grouping():
     cfg = KeyConfig(n=1, m=1, w_b=4)
-    # the stream's first 8 bits are 0000 0111; the rest of the word is unused
-    stream = KeyStream(k=0, words=[0b00000111 << 56 | 0xFFFF])
-    bv = betas(stream, cfg)
+    # the key's first 8 bits are 0000 0111; the rest of the word is unused
+    bv = betas([0b00000111 << 56 | 0xFFFF], cfg)
     assert list(bv.beta) == [1, 8]
-    assert list(bv.state_part) == [1]
-    assert list(bv.offset_part) == [8]
 
 
 def test_betas_all_zero_bits():
     cfg = KeyConfig(n=2, m=2, w_b=6)
-    bv = betas(KeyStream(k=0, words=[0]), cfg)
+    bv = betas([0], cfg)
     assert list(bv.beta) == [1, 1, 1, 1]
 
 
 def test_betas_length_mismatch():
     cfg = KeyConfig(n=2, m=1, w_b=8)
     with pytest.raises(KeyLengthError):
-        betas(KeyStream(k=0, words=[0, 0]), cfg)
+        betas([0, 0], cfg)
 
 
 def test_beta_image_exhaustive_w3():
@@ -144,24 +139,24 @@ def test_rekeyed_generator_matches_fresh_philox(cfg):
     dirty = np.random.Generator(bitgen)
     for seed in seeds:
         for k in cycles:
-            stream = generate_key(seed, k, cfg, bitgen)
+            key = generate_key(seed, k, cfg, bitgen)
             words, beta, patterns = reference_betas(seed, k, cfg)
-            assert stream.words == words and len(words) == cfg.n_words
-            bv = betas(stream, cfg)
+            assert key == words and len(words) == cfg.n_words
+            bv = betas(key, cfg)
             assert list(bv.beta) == beta
             assert list(bv.beta) == [beta_from_bits(p, cfg.w_b) for p in patterns]
-            assert generate_key(seed, k, cfg).words == words
+            assert generate_key(seed, k, cfg) == words
             dirty.integers(0, 2 ** 32, size=int(rng.integers(1, 4)), dtype=np.uint32)
 
 
 def test_key_source_words_match_fresh_philox():
-    """A KeySource's streams over increasing cycles are those of a fresh
+    """A KeySource's betas over increasing cycles are those of a fresh
     Philox per cycle, at every seed."""
     cfg = KeyConfig(n=5, m=3, w_b=40)
     for seed in EDGE_SEEDS:
         src = KeySource(seed, cfg)
         for k in sorted(EDGE_CYCLES + [5, 6, 2 ** 40]):
-            assert src.stream(k).words == reference_betas(seed, k, cfg)[0]
+            assert list(src.betas(k).beta) == reference_betas(seed, k, cfg)[1]
 
 
 def test_bad_cycle_index_burns_nothing():
@@ -169,15 +164,15 @@ def test_bad_cycle_index_burns_nothing():
     cfg = KeyConfig(n=1, m=1, w_b=8)
     src = KeySource(seed=0, cfg=cfg)
     with pytest.raises(ConfigError):
-        src.stream(-1)
+        src.betas(-1)
     with pytest.raises(ConfigError):
-        src.stream(2 ** 64)
-    assert src.stream(5).words == generate_key(0, 5, cfg).words
+        src.betas(2 ** 64)
+    assert src.betas(5) == betas(generate_key(0, 5, cfg), cfg)
     with pytest.raises(ConfigError):
-        src.stream(2 ** 64)
-    src.stream(6)
+        src.betas(2 ** 64)
+    src.betas(6)
     with pytest.raises(KeyReuseError):
-        src.stream(6)
+        src.betas(6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -185,7 +180,7 @@ def test_bad_cycle_index_burns_nothing():
        k=st.integers(min_value=0, max_value=2 ** 32))
 def test_generate_key_pure(seed, k):
     cfg = KeyConfig(n=2, m=1, w_b=8)
-    assert generate_key(seed, k, cfg).words == generate_key(seed, k, cfg).words
+    assert generate_key(seed, k, cfg) == generate_key(seed, k, cfg)
 
 
 def test_config_validation():

@@ -156,7 +156,7 @@ def test_feasible_point_unbounded_by_rounding_at_zero_objective():
 
 def test_chebyshev_unit_box():
     P = box([-1.0, -1.0], [1.0, 1.0])
-    c, r = P.chebyshev_center()
+    c, r = chebyshev_center(P.A, P.b)
     assert r == pytest.approx(1.0, abs=1e-9)
     assert c == pytest.approx([0.0, 0.0], abs=1e-9)
 

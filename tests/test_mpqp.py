@@ -39,13 +39,6 @@ def test_condense_scalar_matrices():
     assert qp.G == pytest.approx(np.array([[1.0], [-1.0]]))
     assert qp.h == pytest.approx(np.array([1.0, 1.0]))
     assert qp.E == pytest.approx(np.zeros((2, 1)))
-    assert qp.selector == pytest.approx(np.array([[1.0]]))
-
-
-def test_selector_extracts_first_input():
-    qp = condense(bench_system(), bench_spec())
-    z = np.arange(1.0, 6.0)
-    assert qp.selector @ z == pytest.approx(z[:1])
 
 
 def test_scalar_explicit_law():
@@ -601,6 +594,7 @@ def test_locate_zero_row_region(at, expect):
 
 def test_locate_without_regions():
     ctl = PwaController(regions=[], n=2, m=1, horizon=1)
+    assert ctl.gains.shape == (0, 1, 2) and ctl.offsets.shape == (0, 1)
     assert ctl.locate([0.0, 0.0]) == -1
     assert str(ctl.not_covered([0.0, 0.0])) == "state [0.0, 0.0] lies in no region"
 
@@ -635,14 +629,24 @@ def test_non_finite_state_not_covered(bench_controller, x):
 
 
 def test_stacked_rows_stay_out_of_json(bench_controller):
+    """The stacked rows and laws are each region's own, in region order,
+    and a JSON round trip rebuilds them from the regions alone."""
     ctl = bench_controller
     assert ctl.A_all.shape == (sum(r.poly.nrows for r in ctl.regions), 2)
     assert np.array_equal(ctl.b_all, np.concatenate([r.poly.b for r in ctl.regions]))
+    assert ctl.gains.shape == (ctl.nregions, 1, 2)
+    assert ctl.offsets.shape == (ctl.nregions, 1)
+    for i, r in enumerate(ctl.regions):
+        assert ctl.gains[i].tobytes() == r.K.tobytes()
+        assert ctl.offsets[i].tobytes() == r.b.tobytes()
     text = ctl.to_json()
-    assert "A_all" not in text and "owner" not in text
+    assert not any(name in text for name in ("A_all", "owner", "gains", "offsets"))
     again = PwaController.from_json(text)
     assert np.array_equal(again.A_all, ctl.A_all)
     assert np.array_equal(again.owner, ctl.owner)
+    # equal values; JSON writes -0.0 as 0
+    assert np.array_equal(again.gains, ctl.gains)
+    assert np.array_equal(again.offsets, ctl.offsets)
 
 
 def test_serialization_roundtrip(bench_controller, tmp_path):

@@ -302,6 +302,48 @@ def test_paillier_framing_is_strict(bench_controller, kp256):
             actuator.step(with_body(msg2, body), 0)
 
 
+def with_residue(msg, head, index, value, L):
+    """msg with Paillier field `index` after `head` header bytes set to
+    value, framed as the key's fields are."""
+    off = head
+    for _ in range(index):
+        _, off = wire.decode_he_ct(msg.body, off, L)
+    _, end = wire.decode_he_ct(msg.body, off, L)
+    return with_body(msg, msg.body[:off] + wire.encode_he_ct(value, L)
+                     + msg.body[end:])
+
+
+# residues outside [1, n^2), as functions of n^2
+OFF_RANGE = {"zero": lambda n_sq: 0, "n_sq": lambda n_sq: n_sq,
+             "n_sq+7": lambda n_sq: n_sq + 7}
+
+
+@pytest.mark.parametrize("bad", list(OFF_RANGE))
+def test_cloud_refuses_residue_outside_range(bench_controller, kp256, bad):
+    """A sensor-link ciphertext field outside [1, n^2), in any position,
+    is a WireError at the cloud."""
+    sensor, cloud, _ = make_parties(bench_controller, "paillier",
+                                    RunConfig(key_bits=256), keypair=kp256)
+    msg1 = sensor.step(np.array([-1.0, 0.2]), 0)
+    value = OFF_RANGE[bad](kp256.n_sq)
+    for i in range(bench_controller.n + bench_controller.m):
+        with pytest.raises(wire.WireError, match=f"field {i} is outside"):
+            cloud.step(with_residue(msg1, 4, i, value, 256))
+
+
+@pytest.mark.parametrize("bad", list(OFF_RANGE))
+def test_actuator_refuses_residue_outside_range(bench_controller, kp256, bad):
+    """A cloud-link ciphertext field outside [1, n^2) is a WireError at
+    the actuator, not a decryption of it."""
+    sensor, cloud, actuator = make_parties(
+        bench_controller, "paillier", RunConfig(key_bits=256), keypair=kp256)
+    msg2 = cloud.step(sensor.step(np.array([-1.0, 0.2]), 0))
+    value = OFF_RANGE[bad](kp256.n_sq)
+    for i in range(bench_controller.m):
+        with pytest.raises(wire.WireError, match=f"field {i} is outside"):
+            actuator.step(with_residue(msg2, 0, i, value, 256), 0)
+
+
 BACKEND_NAMES = ("plaintext", "qe", "qe_quantized", "paillier")
 
 
@@ -527,8 +569,9 @@ def test_cloud_fault_leaves_sensor_message_in_tap():
     """The tap gets the sensor message before the cloud runs: a gain of
     1e9 takes every power ct ** K out of the positive reals, and the
     tap then holds exactly the message the sensor sent."""
-    ctrl = single_region_controller(2, 1, np.random.default_rng(0))
-    ctrl.regions[0].K[:] = 1e9
+    base = single_region_controller(2, 1, np.random.default_rng(0))
+    region = dataclasses.replace(base.regions[0], K=np.full((1, 2), 1e9))
+    ctrl = dataclasses.replace(base, regions=[region])
     x = np.ones(2)
     log = []
     with pytest.raises(CiphertextError):

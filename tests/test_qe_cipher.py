@@ -51,10 +51,10 @@ def test_enc_state_offset_split():
     bv = betas(generate_key(3, 0, cfg), cfg)
     x = np.array([0.4, -1.2])
     b = np.array([0.7])
-    ct_x = enc_state(x, bv.state_part)
-    ct_b = enc_offset(b, bv.offset_part)
-    assert dec_vector(ct_x, bv.state_part) == pytest.approx(x, abs=1e-12)
-    assert dec_vector(ct_b, bv.offset_part) == pytest.approx(b, abs=1e-12)
+    ct_x = enc_state(x, bv.beta[:bv.n])
+    ct_b = enc_offset(b, bv.beta[bv.n:])
+    assert dec_vector(ct_x, bv.beta[:bv.n]) == pytest.approx(x, abs=1e-12)
+    assert dec_vector(ct_b, bv.beta[bv.n:]) == pytest.approx(b, abs=1e-12)
     # the sensor's one call over (x, b) gives the same bytes
     both = enc_state([0.4, -1.2, 0.7], bv.beta)
     assert both.tobytes() == ct_x.tobytes() + ct_b.tobytes()
@@ -117,8 +117,8 @@ def test_exact_recovery_chain_random():
         bv = betas(generate_key(21, trial, cfg), cfg)
         x = rng.uniform(-5, 5, size=3)
         K = rng.uniform(-3, 3, size=(2, 3))
-        T = con(K, enc_state(x, bv.state_part))
-        v = dec_aggregate(received(T, enc_offset([0.0, 0.0], bv.offset_part)), bv)
+        T = con(K, enc_state(x, bv.beta[:bv.n]))
+        v = dec_aggregate(received(T, enc_offset([0.0, 0.0], bv.beta[bv.n:])), bv)
         worst = max(worst, np.abs(v - K @ x).max())
     assert worst <= 1e-9
 
@@ -131,8 +131,8 @@ def test_exact_recovery_with_offset():
         x = rng.uniform(-4, 4, size=4)
         b = rng.uniform(-2, 2, size=2)
         K = rng.uniform(-2, 2, size=(2, 4))
-        u = dec_aggregate(received(con(K, enc_state(x, bv.state_part)),
-                                   enc_offset(b, bv.offset_part)), bv)
+        u = dec_aggregate(received(con(K, enc_state(x, bv.beta[:bv.n])),
+                                   enc_offset(b, bv.beta[bv.n:])), bv)
         assert u == pytest.approx(K @ x + b, abs=1e-9)
 
 
@@ -153,8 +153,8 @@ def test_wrong_key_garbles():
         x = rng.uniform(-5, 5, size=3)
         K = rng.uniform(-3, 3, size=(1, 3))
         ref = K @ x
-        v_bad = dec_aggregate(received(con(K, enc_state(x, bv.state_part)),
-                                       enc_offset([0.0], bv.offset_part)), wrong)
+        v_bad = dec_aggregate(received(con(K, enc_state(x, bv.beta[:bv.n])),
+                                       enc_offset([0.0], bv.beta[bv.n:])), wrong)
         rel[trial] = np.linalg.norm(v_bad - ref) / max(np.linalg.norm(ref), 1e-9)
     assert np.median(rel) > 0.5
     assert np.mean(rel < 0.1) <= 0.10

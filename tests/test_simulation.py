@@ -1,8 +1,12 @@
 """Closed-loop benchmark runs: exactness, constraints, faults, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -268,3 +272,27 @@ def test_reference_schedule():
     assert sc.reference(20) == [1.5]
     assert sc.reference(40) == [-1.0]
     assert sc.reference(59) == [-1.0]
+
+def test_integer_fields_take_numpy_integers():
+    """NumPy integers pass the integer checks of the run config and the
+    scenario, which stores Python ints."""
+    cfg = RunConfig(steps=np.int64(3), w_b=np.int32(16), seed_keys=np.uint64(7),
+                    key_bits=np.int64(512), delta=np.int16(10))
+    assert (cfg.steps, cfg.w_b, cfg.seed_keys, cfg.key_bits) == (3, 16, 7, 512)
+    sc = dataclasses.replace(benchmark_scenario(), T=np.int64(5),
+                             horizon=np.int16(5), r_steps=((np.int64(0), 0.0),))
+    assert (sc.T, sc.horizon, sc.r_steps) == (5, 5, ((0, 0.0),))
+    assert all(type(v) is int for v in (sc.T, sc.horizon, sc.r_steps[0][0]))
+
+
+def test_readme_library_sketch_runs():
+    """The README's python block runs, and gives the 39 regions and the
+    sub-1e-11 input mismatch that its comments state."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert "# 39 regions" in block and "~1e-12" in block
+    out, env = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        exec(block, env)
+    assert env["controller"].nregions == 39
+    assert 0.0 <= float(out.getvalue()) <= 1e-11
