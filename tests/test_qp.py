@@ -15,6 +15,7 @@ scaled by the largest multiplier.
 `hstack`/`eye`/`vstack` pieces, and lp.feasible_point must match it bit
 for bit.
 """
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 from encmpc import lp
 from encmpc.mpqp import LtiSystem, MpcSpec, condense
 from encmpc.polyhedra import box
-from encmpc.qp import QpInfeasible, QpNoConvergence, kkt_residuals, solve_qp
+from encmpc.qp import (QpInfeasible, QpNoConvergence, kkt_residuals, solve_qp,
+                       solve_qp_oracle)
 
 
 def reference_solve_qp(H, g, G, w, max_iter=500):
@@ -242,6 +244,33 @@ def test_feasible_solves_skip_the_certificate(monkeypatch):
         verdicts.append(solve_at(solve_qp, qp, x) is not None)
         assert len(calls) - before == (not verdicts[-1])
     assert any(verdicts) and not all(verdicts)
+
+
+ORACLE_SHA256 = "2f3004fdabcc6f92b78b8780c9706cc7c1aa8e551c49819a944a29371314e1a1"
+
+
+def test_oracle_bytes_pinned():
+    """SHA-256 of solve_qp_oracle's z, multipliers and active set, or
+    its QpInfeasible verdict, at 1,000 seeded states of the benchmark QP
+    (H 5x5, G 30x5): 340 feasible and 660 infeasible. Like the other pins
+    it holds only under this host's default BLAS kernels and NumPy SIMD
+    dispatch (ROADMAP item 1)."""
+    qp = double_integrator(5)
+    digest = hashlib.sha256()
+    verdicts = []
+    for x in np.random.default_rng(2024).uniform([-11.0, -6.0], [11.0, 6.0], (1000, 2)):
+        try:
+            z, active, lam = solve_qp_oracle(qp, x)
+        except QpInfeasible:
+            digest.update(b"infeasible;")
+            verdicts.append(False)
+            continue
+        digest.update(np.asarray(z, dtype="<f8").tobytes())
+        digest.update(np.asarray(lam, dtype="<f8").tobytes())
+        digest.update(repr(active).encode() + b";")
+        verdicts.append(True)
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert digest.hexdigest() == ORACLE_SHA256
 
 
 def random_qp(seed):
