@@ -25,7 +25,7 @@ import numpy as np
 from . import lp
 from .config import ConfigError, DEFAULT_TOL, load_json
 from .polyhedra import Polyhedron, chebyshev_center, irredundant_rows
-from .qp import QpInfeasible, QpNoConvergence, solve_qp_oracle
+from .qp import DualQp, QpInfeasible, QpNoConvergence, solve_qp_oracle
 
 log = logging.getLogger(__name__)
 
@@ -100,7 +100,9 @@ class MpcSpec:
 
 @dataclass
 class CondensedQp:
-    """Parametric QP data; u_0 is the first m entries of z."""
+    """Parametric QP data; u_0 is the first m entries of z. dual, the
+    factor of (H, G) that qp.solve_qp takes, is built once with the QP,
+    since no state changes it."""
     H: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -109,6 +111,10 @@ class CondensedQp:
     n: int
     m: int
     horizon: int
+    dual: DualQp = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.dual = DualQp(self.H, self.G)
 
     @property
     def q(self) -> int:

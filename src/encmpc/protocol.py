@@ -23,6 +23,7 @@ protocol's documented leak.
 """
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -175,10 +176,14 @@ class HeField:
 
 def he_residues(values, n_sq):
     """Paillier ciphertexts of the residues read off the wire; one
-    outside [1, n^2) is a WireError before any arithmetic touches it."""
+    outside [1, n^2), or one that shares a factor with n (no unit mod
+    n^2, so no ciphertext of any message), is a WireError before any
+    arithmetic touches it."""
     for i, v in enumerate(values):
         if not 0 < v < n_sq:
             raise wire.WireError(f"ciphertext field {i} is outside [1, n^2)")
+        if math.gcd(v, n_sq) != 1:
+            raise wire.WireError(f"ciphertext field {i} is not a unit mod n^2")
     return [HeCiphertext(v, n_sq) for v in values]
 
 

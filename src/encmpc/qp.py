@@ -7,8 +7,16 @@ tight one at a time, so no feasible point is needed. This is the
 implicit controller: the explicit PWA law must agree with it pointwise,
 and tests lean on that as an independent route to the same optimizer
 (the two share no code beyond the problem data).
+
+In a parametric QP only g and w depend on the state, so what the method
+needs of H and G (unit rows, H^-1 and the dual Hessian K) is a DualQp,
+computed once per QP; mpqp.CondensedQp builds its own, and a state pays
+only for its slacks, its dual steps and one KKT solve.
 """
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,13 +37,42 @@ class QpNoConvergence(RuntimeError):
     pass
 
 
-def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray):
-    """Return (z, lam, active) for the inequality-constrained QP.
+@dataclass(frozen=True)
+class DualQp:
+    """The part of min 1/2 z'Hz + g'z s.t. Gz <= w that solve_qp needs
+    and no right-hand side (g, w) changes, as read-only arrays: H and G
+    as floats, the row norms, H^-1, and the dual Hessian K = Gu H^-1 Gu'
+    of the unit rows Gu = G / norms. The iteration runs on unit rows (a
+    zero row keeps norm 1 and its raw slack), so its slacks, multipliers
+    and K come in units of ||G_i||."""
+    H: np.ndarray
+    G: np.ndarray
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
+    H_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    K: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        H = np.array(self.H, dtype=float, ndmin=2)
+        G = np.array(self.G, dtype=float, ndmin=2)
+        norms = np.sqrt(np.vecdot(G, G))
+        norms[norms == 0.0] = 1.0
+        Gu = G / norms[:, None]
+        H_inv = np.linalg.inv(H)
+        K = Gu @ H_inv @ Gu.T
+        for name, value in (("H", H), ("G", G), ("norms", norms),
+                            ("H_inv", H_inv), ("K", K)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+
+def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
+    """Return (z, lam, active) for the inequality-constrained QP whose
+    H and G dual holds, at the right-hand side (g, w).
 
     The iteration works on the multipliers alone, of the rows scaled to
-    unit norm. With K = G H^-1 G' and s0 the slacks w - G z at the
-    unconstrained minimizer z0 = -H^-1 g, both formed once per call from
-    H^-1, the slacks at lam are s0 + K lam. Starting from lam = 0 and an
+    unit norm. With K = G H^-1 G', computed once per QP in dual, and s0
+    the slacks w - G z at the unconstrained minimizer z0 = -H^-1 g, the
+    slacks at lam are s0 + K lam. Starting from lam = 0 and an
     empty active set A, each round enters the row p with the largest
     violation -s_p above VIOLATION_TOL, the lowest index among rows
     within TIE_TOL of it; a violation within ROUNDING of the magnitudes
@@ -56,29 +93,20 @@ def solve_qp(H: np.ndarray, g: np.ndarray, G: np.ndarray, w: np.ndarray):
     relaxed just enough to hold the LP's point. Finally z and lam_A come
     from the KKT system of the active rows as given.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
     g = np.asarray(g, dtype=float).reshape(-1)
-    G = np.atleast_2d(np.asarray(G, dtype=float))
     w = np.asarray(w, dtype=float).reshape(-1)
-
-    # the iteration runs on unit rows (a zero row keeps its raw slack),
-    # so slacks, multipliers and K come in units of ||G_i||
-    norms = np.sqrt(np.vecdot(G, G))
-    norms[norms == 0.0] = 1.0
-    Gu = G / norms[:, None]
-    H_inv = np.linalg.inv(H)
-    K = Gu @ H_inv @ Gu.T
-    z0 = -(H_inv @ g)
+    H, G, norms = dual.H, dual.G, dual.norms
+    z0 = -(dual.H_inv @ g)
     Gz0 = G @ z0
 
-    active, unsure = _dual_steps(K, (w - Gz0) / norms)
+    active, unsure = _dual_steps(dual.K, (w - Gz0) / norms)
     if active is None or unsure:
         feasible, x = lp.feasible_point(G, w)
         if not feasible:
             raise QpInfeasible("constraint set is empty for this parameter")
         if active is None:
             w = np.maximum(w, G @ x)
-            active, _ = _dual_steps(K, (w - Gz0) / norms)
+            active, _ = _dual_steps(dual.K, (w - Gz0) / norms)
             if active is None:
                 raise QpNoConvergence("dual step unbounded on a feasible set")
     nz, rows = H.shape[0], list(active)
@@ -110,14 +138,16 @@ def _dual_steps(K, s0):
     p = -1
     for _ in range(MAX_ITER):
         k = len(work)
+        # with no active rows the empty products are skipped
         if p < 0:
-            slack = s0 + lamA[:k] @ KA[:k]
+            slack = s0 + lamA[:k] @ KA[:k] if k else s0.copy()
             slack[out] = np.inf
             worst = slack.min(initial=np.inf)
             if not worst < -VIOLATION_TOL:
                 return tuple(sorted(work)), bool(quiet)
             p = int(np.argmax(slack <= worst + TIE_TOL))
-            if -worst <= ROUNDING * (abs(s0[p]) + float(np.abs(KA[:k, p]) @ lamA[:k])):
+            summed = float(np.abs(KA[:k, p]) @ lamA[:k]) if k else 0.0
+            if -worst <= ROUNDING * (abs(s0[p]) + summed):
                 quiet.append(p)
                 out[p] = True
                 p = -1
@@ -128,12 +158,12 @@ def _dual_steps(K, s0):
         if k:
             r = np.linalg.solve(KAA[:k, :k], KAp)
             gain = Kpp - float(KAp @ r)
+            s_p = s0[p] + float(lamA[:k] @ KAp) + lam_p * Kpp
         else:
-            r = lamA[:0]
-            gain = Kpp
+            r, gain, s_p = KAp, Kpp, s0[p] + lam_p * Kpp
         full = np.inf
         if gain > DEPENDENT_TOL * Kpp:
-            full = -(s0[p] + float(lamA[:k] @ KAp) + lam_p * Kpp) / gain
+            full = -s_p / gain
         partial = np.inf
         drop = -1
         for i, (li, ri) in enumerate(zip(lamA[:k].tolist(), r.tolist())):
@@ -143,7 +173,8 @@ def _dual_steps(K, s0):
         if drop < 0 and full == np.inf:
             return None, False
         t = min(full, partial)
-        lamA[:k] -= t * r
+        if k:
+            lamA[:k] -= t * r
         lam_p += t
         if full <= partial:
             KA[k] = K[p]
@@ -165,10 +196,19 @@ def _dual_steps(K, s0):
     raise QpNoConvergence("active-set iteration limit reached")
 
 
+def _state(x):
+    """x as a float vector; a NaN or infinite entry is a ValueError
+    naming the state, raised before any arithmetic."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"state {x.tolist()} is not finite")
+    return x
+
+
 def solve_qp_oracle(qp, x):
     """(z_star, active_set, multipliers) for the condensed QP at x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z, lam, active = solve_qp(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x)
+    x = _state(x)
+    z, lam, active = solve_qp(qp.dual, qp.F @ x, qp.h + qp.E @ x)
     return z, active, lam
 
 
@@ -176,10 +216,10 @@ def implicit_control(qp, x):
     """First input of the optimal horizon at parameter x.
 
     Returns (u0, z, active). qp is a CondensedQp; raising QpInfeasible
-    marks x outside the feasible set.
+    marks x outside the feasible set, and a non-finite x is a ValueError.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z, lam, active = solve_qp(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x)
+    x = _state(x)
+    z, lam, active = solve_qp(qp.dual, qp.F @ x, qp.h + qp.E @ x)
     return z[:qp.m], z, active
 
 

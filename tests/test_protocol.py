@@ -344,6 +344,38 @@ def test_actuator_refuses_residue_outside_range(bench_controller, kp256, bad):
             actuator.step(with_residue(msg2, 0, i, value, 256), 0)
 
 
+# residues in [1, n^2) that share a factor with n, so are no units mod n^2
+NON_UNITS = {"n": lambda kp: kp.n, "p": lambda kp: kp.p,
+             "q_sq": lambda kp: kp.q ** 2}
+
+
+@pytest.mark.parametrize("bad", list(NON_UNITS))
+def test_cloud_refuses_residue_not_a_unit(bench_controller, kp256, bad):
+    """A sensor-link ciphertext field that is no unit mod n^2, in any
+    position, is a WireError at the cloud naming the field."""
+    sensor, cloud, _ = make_parties(bench_controller, "paillier",
+                                    RunConfig(key_bits=256), keypair=kp256)
+    msg1 = sensor.step(np.array([-1.0, 0.2]), 0)
+    value = NON_UNITS[bad](kp256)
+    for i in range(bench_controller.n + bench_controller.m):
+        with pytest.raises(wire.WireError, match=f"field {i} is not a unit"):
+            cloud.step(with_residue(msg1, 4, i, value, 256))
+
+
+@pytest.mark.parametrize("bad", list(NON_UNITS))
+def test_actuator_refuses_residue_not_a_unit(bench_controller, kp256, bad):
+    """A cloud-link ciphertext field that is no unit mod n^2 is a
+    WireError at the actuator, not a decryption of it (a field holding n
+    decrypted to u of about -3.7e70)."""
+    sensor, cloud, actuator = make_parties(
+        bench_controller, "paillier", RunConfig(key_bits=256), keypair=kp256)
+    msg2 = cloud.step(sensor.step(np.array([-1.0, 0.2]), 0))
+    value = NON_UNITS[bad](kp256)
+    for i in range(bench_controller.m):
+        with pytest.raises(wire.WireError, match=f"field {i} is not a unit"):
+            actuator.step(with_residue(msg2, 0, i, value, 256), 0)
+
+
 BACKEND_NAMES = ("plaintext", "qe", "qe_quantized", "paillier")
 
 

@@ -15,6 +15,7 @@ scaled by the largest multiplier.
 `hstack`/`eye`/`vstack` pieces, and lp.feasible_point must match it bit
 for bit.
 """
+import dataclasses
 import hashlib
 from types import SimpleNamespace
 
@@ -25,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 from encmpc import lp
 from encmpc.mpqp import LtiSystem, MpcSpec, condense
 from encmpc.polyhedra import box
-from encmpc.qp import (QpInfeasible, QpNoConvergence, kkt_residuals, solve_qp,
-                       solve_qp_oracle)
+from encmpc.qp import (DualQp, QpInfeasible, QpNoConvergence, implicit_control,
+                       kkt_residuals, solve_qp, solve_qp_oracle)
 
 
 def reference_solve_qp(H, g, G, w, max_iter=500):
@@ -151,6 +152,8 @@ PROBLEMS = {
 
 def solve_at(solver, qp, x):
     try:
+        if solver is solve_qp:
+            return solve_qp(qp.dual, qp.F @ x, qp.h + qp.E @ x)
         return solver(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x)
     except QpInfeasible:
         return None
@@ -198,7 +201,7 @@ def test_entering_tie_goes_to_lower_index(rows, w, active):
     of the largest, the lowest index enters the active set."""
     G, w = np.array(rows), np.array(w)
     H, g = np.eye(2), np.array([-2.0, 0.0])
-    z, lam, got = solve_qp(H, g, G, w)
+    z, lam, got = solve_qp(DualQp(H, G), g, w)
     assert got == active
     assert z == pytest.approx([1.0, 0.0], abs=1e-11)
     assert z == pytest.approx(reference_solve_qp(H, g, G, w)[0], abs=1e-11)
@@ -220,10 +223,10 @@ def test_unbounded_dual_defers_to_certificate(hair, feasible, monkeypatch):
     H, g = np.eye(2), np.array([-2.0, 0.0])
     if not feasible:
         with pytest.raises(QpInfeasible):
-            solve_qp(H, g, G, w)
+            solve_qp(DualQp(H, G), g, w)
         assert len(calls) == 1
         return
-    z, lam, active = solve_qp(H, g, G, w)
+    z, lam, active = solve_qp(DualQp(H, G), g, w)
     assert len(calls) == 1
     assert z == pytest.approx([1.0, 0.0], abs=2 * hair)
     assert lam[list(active)] == pytest.approx([1.0], abs=1e-9)
@@ -273,6 +276,66 @@ def test_oracle_bytes_pinned():
     assert digest.hexdigest() == ORACLE_SHA256
 
 
+FACTOR = ("H", "G", "norms", "H_inv", "K")
+
+
+def test_factor_is_read_only_data_of_the_qp():
+    """The factor condense builds with the QP is read-only, copied from
+    the QP's H and G (which stay writeable), and replacing G builds a new
+    one. Doubling G doubles the row norms and leaves the unit rows, and
+    so K, bit for bit."""
+    qp = double_integrator(5)
+    for name in FACTOR:
+        value = getattr(qp.dual, name)
+        assert not value.flags.writeable, name
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+    assert qp.H.flags.writeable and qp.G.flags.writeable
+    assert np.array_equal(qp.dual.H, qp.H) and np.array_equal(qp.dual.G, qp.G)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        qp.dual.K = qp.dual.K
+    doubled = dataclasses.replace(qp, G=2.0 * qp.G)
+    assert doubled.dual is not qp.dual
+    assert np.array_equal(doubled.dual.G, 2.0 * qp.G)
+    assert np.array_equal(doubled.dual.norms, 2.0 * qp.dual.norms)
+    assert doubled.dual.K.tobytes() == qp.dual.K.tobytes()
+    assert np.array_equal(qp.dual.G, qp.G)
+
+
+def test_fresh_factor_solves_bit_for_bit_as_the_oracle():
+    """solve_qp on a DualQp built anew from the QP's H and G gives the
+    oracle's z, multipliers and active set to the last bit, and the same
+    verdict, at seeded benchmark states."""
+    qp = double_integrator(5)
+    fresh = DualQp(qp.H, qp.G)
+    verdicts = []
+    for x in np.random.default_rng(31).uniform([-11.0, -6.0], [11.0, 6.0], (200, 2)):
+        try:
+            z, active, lam = solve_qp_oracle(qp, x)
+        except QpInfeasible:
+            with pytest.raises(QpInfeasible):
+                solve_qp(fresh, qp.F @ x, qp.h + qp.E @ x)
+            verdicts.append(False)
+            continue
+        z2, lam2, active2 = solve_qp(fresh, qp.F @ x, qp.h + qp.E @ x)
+        assert z2.tobytes() == z.tobytes() and lam2.tobytes() == lam.tobytes()
+        assert active2 == active
+        verdicts.append(True)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+def test_oracle_refuses_non_finite_state(x, monkeypatch):
+    """A NaN or infinite state is a ValueError naming it, raised before
+    the QP is touched (at the parent [nan, 0] gave u = [nan] and an empty
+    active set)."""
+    qp = double_integrator(5)
+    monkeypatch.setattr("encmpc.qp.solve_qp", None)
+    for oracle in (implicit_control, solve_qp_oracle):
+        with pytest.raises(ValueError, match=r"state \[.*\] is not finite"):
+            oracle(qp, x)
+
+
 def random_qp(seed):
     """A strictly convex QP with nz 2-6 and up to 20 rows, built around a
     point with mostly nonnegative slack. Some rows are then replaced by
@@ -319,7 +382,7 @@ def test_random_qp_verdict_and_kkt(seed):
     H, g, G, w = random_qp(seed)
     feasible, _ = lp.feasible_point(G, w)
     try:
-        z, lam, active = solve_qp(H, g, G, w)
+        z, lam, active = solve_qp(DualQp(H, G), g, w)
     except QpInfeasible:
         assert not feasible
         return
