@@ -54,6 +54,15 @@ def _controller_path(cfg):
     return Path(cfg.out_dir) / "controller.json"
 
 
+def _load_controller(cfg):
+    """The controller `encmpc synthesize` wrote, which run and bench need."""
+    path = _controller_path(cfg)
+    if not path.exists():
+        raise ConfigError(f"controller file {path} not found; "
+                          f"run `encmpc synthesize` first")
+    return PwaController.load(path)
+
+
 def _write_text(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -79,11 +88,7 @@ def cmd_synthesize(cfg):
 
 def cmd_run(cfg):
     scenario = resolve_scenario(cfg, benchmark_scenario)
-    path = _controller_path(cfg)
-    if not path.exists():
-        raise ConfigError(f"controller file {path} not found; "
-                          f"run `encmpc synthesize` first")
-    controller = PwaController.load(path)
+    controller = _load_controller(cfg)
     traj = run_closed_loop(scenario, cfg.backend, cfg, controller=controller)
     out = Path(cfg.out_dir) / f"trajectory_{cfg.backend}.csv"
     _write_text(out, trajectory_csv(traj))
@@ -199,11 +204,7 @@ def _median_wall(traj, part):
 
 def cmd_bench(cfg, data, sweep_spec):
     scenario = resolve_scenario(cfg, benchmark_scenario)
-    path = _controller_path(cfg)
-    if path.exists():
-        controller = PwaController.load(path)
-    else:
-        controller = scenario.synthesize_controller()
+    controller = _load_controller(cfg)
     points = parse_sweep(sweep_spec)
     lines = [",".join(BENCH_COLUMNS)]
     for point in points:

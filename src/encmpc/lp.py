@@ -73,7 +73,8 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray):
 
     Returns (status, y, value, pi) where pi are the equality-row
     multipliers (dual solution) at optimality, indexed against the
-    original rows of A (redundant rows get multiplier 0).
+    original rows of A (redundant rows get multiplier 0; when every row
+    is redundant, the kept basis is empty and so is its solve).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float)).copy()
     b = np.asarray(b, dtype=float).copy()
@@ -122,7 +123,7 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     # then scatter back (sign-restoring the flipped rows)
     B = A[keep_rows][:, basis]
     try:
-        pi_kept = np.linalg.solve(B.T, c[basis]) if mr else np.zeros(0)
+        pi_kept = np.linalg.solve(B.T, c[basis])
     except np.linalg.LinAlgError:
         raise LpError(f"singular simplex basis {basis.tolist()}") from None
     pi = np.zeros(m)
@@ -162,12 +163,11 @@ def feasible_point(A_ub: np.ndarray, b_ub: np.ndarray):
     Bland pass from that basis solves it, with no artificial columns.
     Returns (feasible, x), feasible iff the violation is within tol =
     DEFAULT_TOL.feasibility; raises LpError when the pass ends UNBOUNDED above it.
+    With no rows the tableau is its objective row alone: feasible, x = 0.
     """
     A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
     b_ub = np.asarray(b_ub, dtype=float)
     m, n = A_ub.shape
-    if m == 0:
-        return True, np.zeros(n)
     # columns: x+ (n), x- (n), violation s (m), slack t (m), rhs; rows
     # with b_i < 0 are negated so that every right-hand side is >= 0
     flip = b_ub < 0

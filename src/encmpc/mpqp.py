@@ -70,24 +70,21 @@ class MpcSpec:
     """Horizon, weights and polyhedral constraint sets.
 
     Q weighs every state x_0..x_N, so Q also weighs the terminal state,
-    and R every input.  U constrains u_0..u_{N-1}, X the predicted states
-    x_1..x_{N-1}, and T_term (default X) the terminal state x_N; a set
-    left as None is absent.  R must be PD, Q PSD.
+    and R every input.  U constrains the inputs u_0..u_{N-1} and X the
+    predicted states x_1..x_N; a set left as None is absent.  R must be
+    PD, Q PSD.
     """
     horizon: int
     Q: np.ndarray
     R: np.ndarray
     U: Polyhedron = None
     X: Polyhedron = None
-    T_term: Polyhedron = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        if self.T_term is None:
-            self.T_term = self.X
         for name in ("Q", "R"):
             M = getattr(self, name)
             if np.linalg.norm(M - M.T) > 1e-12:
@@ -98,11 +95,12 @@ class MpcSpec:
             raise ConfigError("Q must be positive semidefinite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CondensedQp:
     """Parametric QP data; u_0 is the first m entries of z. dual, the
     factor of (H, G) that qp.solve_qp takes, is built once with the QP,
-    since no state changes it."""
+    since no state changes it; the fields are frozen so that it cannot
+    go stale (dataclasses.replace builds a new QP and factor)."""
     H: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -114,7 +112,7 @@ class CondensedQp:
     dual: DualQp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.dual = DualQp(self.H, self.G)
+        object.__setattr__(self, "dual", DualQp(self.H, self.G))
 
     @property
     def q(self) -> int:
@@ -138,15 +136,21 @@ def prediction_matrices(sys: LtiSystem, N: int):
 def condense(sys: LtiSystem, spec: MpcSpec) -> CondensedQp:
     """Eliminate the state sequence to get the parametric QP in U alone.
 
-    Constraint rows are stacked in a fixed order: inputs for steps
-    0..N-1, states for steps 1..N-1, then the terminal set, so active-set
-    indices are reproducible.
+    Constraint rows are stacked in a fixed order: U's rows for inputs
+    0..N-1, then X's rows for states 1..N, so active-set indices are
+    reproducible.  An absent set is a polyhedron with no rows.
     """
     n, m, N = sys.n, sys.m, spec.horizon
     if spec.Q.shape != (n, n):
         raise ConfigError("Q must be n x n")
     if spec.R.shape != (m, m):
         raise ConfigError("R must be m x m")
+    U = Polyhedron(np.zeros((0, m)), np.zeros(0)) if spec.U is None else spec.U
+    X = Polyhedron(np.zeros((0, n)), np.zeros(0)) if spec.X is None else spec.X
+    if U.dim != m:
+        raise ConfigError("U polyhedron dimension must equal m")
+    if X.dim != n:
+        raise ConfigError("X polyhedron dimension must equal n")
     Sx, Su = prediction_matrices(sys, N)
     Qbar = np.zeros(((N + 1) * n, (N + 1) * n))
     for k in range(N + 1):
@@ -160,41 +164,18 @@ def condense(sys: LtiSystem, spec: MpcSpec) -> CondensedQp:
         raise ConfigError(f"condensed Hessian is not positive definite (min eig {eigmin:.3e})")
 
     G_rows, E_rows, h_rows = [], [], []
-    if spec.U is not None:
-        if spec.U.dim != m:
-            raise ConfigError("U polyhedron dimension must equal m")
-        for k in range(N):
-            sel = np.zeros((m, N * m))
-            sel[:, k * m:(k + 1) * m] = np.eye(m)
-            G_rows.append(spec.U.A @ sel)
-            E_rows.append(np.zeros((spec.U.nrows, n)))
-            h_rows.append(spec.U.b)
-    if spec.X is not None:
-        if spec.X.dim != n:
-            raise ConfigError("X polyhedron dimension must equal n")
-        for k in range(1, N):
-            Sxk = Sx[k * n:(k + 1) * n]
-            Suk = Su[k * n:(k + 1) * n]
-            G_rows.append(spec.X.A @ Suk)
-            E_rows.append(-spec.X.A @ Sxk)
-            h_rows.append(spec.X.b)
-    if spec.T_term is not None:
-        if spec.T_term.dim != n:
-            raise ConfigError("terminal polyhedron dimension must equal n")
-        SxN = Sx[N * n:]
-        SuN = Su[N * n:]
-        G_rows.append(spec.T_term.A @ SuN)
-        E_rows.append(-spec.T_term.A @ SxN)
-        h_rows.append(spec.T_term.b)
-    if G_rows:
-        G = np.vstack(G_rows)
-        E = np.vstack(E_rows)
-        h = np.concatenate(h_rows)
-    else:
-        G = np.zeros((0, N * m))
-        E = np.zeros((0, n))
-        h = np.zeros(0)
-    return CondensedQp(H=H, F=F, G=G, E=E, h=h, n=n, m=m, horizon=N)
+    for k in range(N):
+        sel = np.zeros((m, N * m))
+        sel[:, k * m:(k + 1) * m] = np.eye(m)
+        G_rows.append(U.A @ sel)
+        E_rows.append(np.zeros((U.nrows, n)))
+        h_rows.append(U.b)
+    for k in range(1, N + 1):
+        G_rows.append(X.A @ Su[k * n:(k + 1) * n])
+        E_rows.append(-X.A @ Sx[k * n:(k + 1) * n])
+        h_rows.append(X.b)
+    return CondensedQp(H=H, F=F, G=np.vstack(G_rows), E=np.vstack(E_rows),
+                       h=np.concatenate(h_rows), n=n, m=m, horizon=N)
 
 
 @dataclass

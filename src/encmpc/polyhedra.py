@@ -65,14 +65,13 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray):
     Returns (center, radius). radius < 0 flags an empty interior (the
     optimal ball has negative radius), radius = +inf an unbounded set.
     Zero rows of A act as pure sign conditions on b: a zero row with
-    b_i < 0 makes the set empty outright.
+    b_i < 0 makes the set empty outright.  With no other row (A may have
+    none at all) the set is R^n, returned as (zeros(n), inf).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
-    m, n = A.shape
+    n = A.shape[1]
     norms = np.linalg.norm(A, axis=1)
-    if m == 0:
-        return np.zeros(n), np.inf
     dead = norms <= 1e-300
     if np.any(b[dead] < 0):
         return None, -np.inf

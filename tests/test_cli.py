@@ -237,6 +237,16 @@ def test_run_requires_controller(tmp_path, capsys):
     assert "synthesize" in capsys.readouterr().err
 
 
+def test_bench_requires_controller(tmp_path, capsys):
+    """bench reads controller.json through run's door: without one it
+    exits 2 with run's message, not a controller of its own making."""
+    rc = main(["bench", "--out", str(tmp_path / "empty"), "--sweep",
+               "steps=1;backend=plaintext"])
+    assert rc == 2
+    assert "run `encmpc synthesize` first" in capsys.readouterr().err
+    assert not (tmp_path / "empty" / "bench.csv").exists()
+
+
 def test_run_qe_mismatch_and_determinism(workdir, capsys):
     assert main(["run", "--backend", "qe", "--out", str(workdir)]) == 0
     path = workdir / "trajectory_qe.csv"

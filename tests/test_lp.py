@@ -49,6 +49,16 @@ def test_standard_form_redundant_rows():
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_standard_form_empty_kept_basis():
+    # the only row is 0 = 0: its artificial stays basic and the row is
+    # dropped, so phase 2 and the multiplier solve run on no rows
+    status, y, value, pi = lp.solve_standard(np.array([1.0, 1.0]),
+                                             np.zeros((1, 2)), np.array([0.0]))
+    assert status == lp.OPTIMAL
+    assert y.tolist() == [0.0, 0.0] and pi.tolist() == [0.0]
+    assert value == 0.0 and np.signbit(value)
+
+
 def test_max_linear_square():
     # maximize x + y over the unit square
     A = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
@@ -170,6 +180,9 @@ def test_chebyshev_empty():
 def test_chebyshev_unbounded():
     c, r = chebyshev_center(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert r == np.inf
+    # no rows at all: the set is R^n
+    c, r = chebyshev_center(np.zeros((0, 3)), np.zeros(0))
+    assert r == np.inf and c.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_chebyshev_zero_row_infeasible():

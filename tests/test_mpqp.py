@@ -92,6 +92,25 @@ def test_unconstrained_single_region():
     assert z == pytest.approx(-np.linalg.solve(qp.H, qp.F @ np.array([2.0, 1.0])), abs=1e-9)
 
 
+@pytest.mark.parametrize("system, spec", [
+    (bench_system(), MpcSpec(horizon=3, Q=np.eye(2), R=[[1.0]])),
+    scalar_problem(),
+], ids=["unconstrained", "u-only-scalar"])
+def test_absent_set_is_a_set_with_no_rows(system, spec):
+    """An absent U or X condenses to the bytes of a box with no finite
+    bound, which has no rows."""
+    open_u = box([-np.inf] * system.m, [np.inf] * system.m)
+    open_x = box([-np.inf] * system.n, [np.inf] * system.n)
+    got = condense(system, spec)
+    want = condense(system, dataclasses.replace(
+        spec, U=open_u if spec.U is None else spec.U,
+        X=open_x if spec.X is None else spec.X))
+    assert open_u.nrows == open_x.nrows == 0
+    for name in ("H", "F", "G", "E", "h"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def test_zero_state_weight_single_region():
     # with Q = P = 0 the optimum is u = 0 everywhere: every region row
     # degenerates to the neutralized 0 <= 1, which is no facet to cross
@@ -178,11 +197,11 @@ def test_benchmark_synthesis_funnel(bench_synthesis):
 
 
 def test_everywhere_infeasible_constraints_raise():
-    # the terminal set asks for x_1 <= 2 and x_1 >= 3 at once, so no
+    # the state set asks for x_1 <= 2 and x_1 >= 3 at once, so no
     # state admits a feasible input
     sys = LtiSystem(A=[[1.0]], B=[[1.0]])
     spec = MpcSpec(horizon=1, Q=[[1.0]], R=[[1.0]], U=box([-1.0], [1.0]),
-                   T_term=Polyhedron([[1.0], [-1.0]], [2.0, -3.0]))
+                   X=Polyhedron([[1.0], [-1.0]], [2.0, -3.0]))
     with pytest.raises(ConfigError, match="infeasible for every state"):
         synthesize(sys, spec)
 
