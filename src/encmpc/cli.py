@@ -22,7 +22,7 @@ from .attack import (attack_table_csv, default_settings, gather_observations,
 from .config import BACKENDS, ConfigError, RunConfig, from_dict, load_json
 from .mpqp import PwaController, fmt_17g
 from .paillier import gain_bitlen
-from .protocol import COUNT_KEYS, predict_cost
+from .protocol import COUNT_KEYS, F64Field, predict_cost
 from .simulation import (attack_scenario, benchmark_scenario, input_mismatch,
                          load_scenario, run_closed_loop, tracking_rmse,
                          trajectory_csv)
@@ -151,17 +151,17 @@ BENCH_COLUMNS = (
 
 
 def _model_cost(controller, cfg):
-    """predict_cost for one bench row; b_K from the fixed-point gains."""
+    """predict_cost for one bench row: b_K from the fixed-point gains, p
+    the binary64 that the qe parties compute in."""
     scale = cfg.rho ** cfg.delta
-    b_K = gain_bitlen([[round(float(v) * scale)
-                        for r in controller.regions for v in r.K.flat]])
+    b_K = gain_bitlen([[round(float(v) * scale) for v in controller.gains.flat]])
     return predict_cost(controller.n, controller.m, cfg.key_bits,
-                        cfg.p_bits, b_K)
+                        F64Field.bits, b_K)
 
 
 def _bench_row(cfg, traj, controller):
     if traj.records:
-        met = traj.metrics[0]
+        met = traj.records[0].cycle
         counts = met.counts
         payload = met.payload_bits
         cost = _model_cost(controller, cfg)
@@ -175,7 +175,7 @@ def _bench_row(cfg, traj, controller):
         "backend": traj.backend,
         "steps": len(traj.records),
         "key_bits": cfg.key_bits,
-        "p_bits": cfg.p_bits,
+        "p_bits": F64Field.bits,
         "w_b": cfg.w_b,
         "w": cfg.w,
         "rho": cfg.rho,
@@ -197,9 +197,9 @@ def _bench_row(cfg, traj, controller):
 
 def _median_wall(traj, part):
     """Median per-cycle wall time: a cold first cycle would skew a mean."""
-    if not traj.metrics:
+    if not traj.records:
         return float("nan")
-    return statistics.median(met.wall_time[part] for met in traj.metrics)
+    return statistics.median(rec.cycle.wall_time[part] for rec in traj.records)
 
 
 def cmd_bench(cfg, data, sweep_spec):
@@ -219,8 +219,7 @@ def cmd_bench(cfg, data, sweep_spec):
             traj = run_closed_loop(scenario, backend, point_cfg,
                                    controller=controller)
             lines.append(_bench_row(point_cfg, traj, controller))
-            print(f"timing {backend} (L={point_cfg.key_bits} "
-                  f"p={point_cfg.p_bits}): per-cycle median "
+            print(f"timing {backend} (L={point_cfg.key_bits}): per-cycle median "
                   f"sensor {_median_wall(traj, 'sensor'):.3e}s "
                   f"cloud {_median_wall(traj, 'cloud'):.3e}s "
                   f"actuator {_median_wall(traj, 'actuator'):.3e}s "
@@ -275,7 +274,7 @@ def build_parser():
     common.add_argument("--out", dest="out_dir", metavar="DIR",
                         help="output directory")
     common.add_argument("--epsilon-q", type=float, metavar="FLOAT",
-                        help="accuracy target; derives delta, w, p")
+                        help="accuracy target; derives delta and w")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synthesize", parents=[common],
                    help="explore critical regions, write controller.json")
@@ -304,7 +303,7 @@ def main(argv=None):
         if args.command == "attack":
             return cmd_attack(cfg)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime fault, not a config problem

@@ -33,6 +33,10 @@ DEFAULT_TOL = Tolerances()
 
 BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
 
+# range of the key's bits per beta coefficient, which RunConfig and
+# keys.KeyConfig both check
+W_B_RANGE = (2, 62)
+
 # exp() overflow guard for the exp/log cipher: |z/beta| above this is a
 # configuration error (plant scaling incompatible with key magnitudes)
 EXP_ARG_LIMIT = 700.0
@@ -49,14 +53,18 @@ def is_int(v) -> bool:
 
 
 def load_json(path):
-    """json.load with the parse location attached to any failure."""
+    """json.load of a UTF-8 file; a file that cannot be read or decoded,
+    or malformed JSON (with its parse location), is a ConfigError naming
+    the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
 
 
 def from_dict(cls, data, what):
@@ -81,8 +89,7 @@ def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int]:
     """Matched-accuracy parameters (delta, w) for a target epsilon_q.
 
     delta is the smallest integer with rho**-delta <= epsilon_q and w the
-    smallest with 2**-w <= epsilon_q; w is also the least internal
-    precision p_bits for ciphertext arithmetic.
+    smallest with 2**-w <= epsilon_q.
     """
     if not 0.0 < epsilon_q < 1.0:
         raise ConfigError(f"epsilon_q must be in (0, 1), got {epsilon_q}")
@@ -100,13 +107,12 @@ class RunConfig:
 
     delta and w left as None are derived from epsilon_q via
     align_accuracy, or default to 10 and 16 when epsilon_q is unset.
-    With epsilon_q set, p_bits is raised to the derived w and explicit
-    delta and w must still meet the target.  A field out of its range
-    (backend not one of BACKENDS, a seed outside [0, 2^64), w_b outside
-    [2, 62], key_bits not a supported Paillier size, attack_trials < 1,
-    rho < 2, gamma < 0, delta < 1, w < 1, p_bits < 1, steps < 1), or an
-    integer field holding a non-integer (is_int), is a ConfigError,
-    whichever backend runs.
+    With epsilon_q set, explicit delta and w must still meet the target.
+    A field out of its range (backend not one of BACKENDS, a seed outside
+    [0, 2^64), w_b outside W_B_RANGE, key_bits not a supported Paillier
+    size, attack_trials < 1, rho < 2, gamma < 0, delta < 1, w < 1,
+    steps < 1), or an integer field holding a non-integer (is_int), is a
+    ConfigError, whichever backend runs.
     """
 
     scenario_path: str = ""
@@ -116,7 +122,6 @@ class RunConfig:
     seed_attack: int = 3
     w_b: int = 16
     w: int | None = None
-    p_bits: int = 64
     rho: int = 2
     gamma: int = 4
     delta: int | None = None
@@ -132,7 +137,8 @@ class RunConfig:
                 *((seed, lambda v: is_int(v) and 0 <= v < 2**64,
                    "an integer in [0, 2^64)")
                   for seed in ("seed_keys", "seed_quant", "seed_attack")),
-                ("w_b", lambda v: is_int(v) and 2 <= v <= 62, "an integer in [2, 62]"),
+                ("w_b", lambda v: is_int(v) and W_B_RANGE[0] <= v <= W_B_RANGE[1],
+                 "an integer in [{}, {}]".format(*W_B_RANGE)),
                 ("key_bits", lambda v: is_int(v) and v in VALID_KEY_BITS,
                  f"one of {VALID_KEY_BITS}"),
                 ("attack_trials", lambda v: is_int(v) and v >= 1, "an integer >= 1"),
@@ -141,7 +147,6 @@ class RunConfig:
                 ("delta", lambda v: v is None or is_int(v) and v >= 1,
                  "an integer >= 1"),
                 ("w", lambda v: v is None or is_int(v) and v >= 1, "an integer >= 1"),
-                ("p_bits", lambda v: is_int(v) and v >= 1, "an integer >= 1"),
                 ("steps", lambda v: v is None or is_int(v) and v >= 1,
                  "an integer >= 1 or null")):
             if not ok(getattr(self, name)):
@@ -150,7 +155,6 @@ class RunConfig:
             delta, w = 10, 16
         else:
             delta, w = align_accuracy(self.epsilon_q, self.rho)
-            self.p_bits = max(self.p_bits, w)
         if self.delta is None:
             self.delta = delta
         if self.w is None:
@@ -169,6 +173,3 @@ class RunConfig:
             raise ConfigError(
                 f"w={self.w} gives quantizer RMS bound {2.0 ** -self.w} "
                 f"> epsilon_q={eps}")
-        if self.p_bits < self.w:
-            raise ConfigError(
-                f"p_bits={self.p_bits} below quantizer budget w={self.w}")

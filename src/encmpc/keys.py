@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, W_B_RANGE
 
 
 class KeyLengthError(ValueError):
@@ -33,8 +33,8 @@ class KeyConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError("dimensions must be positive")
-        if not 2 <= self.w_b <= 62:
-            raise ConfigError("w_b must be in [2, 62]")
+        if not W_B_RANGE[0] <= self.w_b <= W_B_RANGE[1]:
+            raise ConfigError("w_b must be in [{}, {}]".format(*W_B_RANGE))
 
     @property
     def d(self) -> int:

@@ -96,23 +96,17 @@ class MpcSpec:
 
 
 @dataclass(frozen=True)
-class CondensedQp:
-    """Parametric QP data; u_0 is the first m entries of z. dual, the
-    factor of (H, G) that qp.solve_qp takes, is built once with the QP,
-    since no state changes it; the fields are frozen so that it cannot
-    go stale (dataclasses.replace builds a new QP and factor)."""
-    H: np.ndarray
+class CondensedQp(DualQp):
+    """Parametric QP data; u_0 is the first m entries of z. The QP is
+    its own factor: H and G are the DualQp's read-only arrays, beside
+    the unit-row norms, H^-1 and K that qp.solve_qp takes, so the two
+    cannot disagree (dataclasses.replace builds a new QP and factor)."""
     F: np.ndarray
-    G: np.ndarray
     E: np.ndarray
     h: np.ndarray
     n: int
     m: int
     horizon: int
-    dual: DualQp = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dual", DualQp(self.H, self.G))
 
     @property
     def q(self) -> int:
@@ -427,7 +421,7 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
     center, adds redundancy_lps and the rows each of its stages settled
     (rows_duplicate, rows_ray, rows_box, rows_lp; see irredundant_rows).
     """
-    Hinv = np.linalg.inv(qp.H)
+    Hinv = qp.H_inv
     HinvF = Hinv @ qp.F
     stats = {} if stats is None else stats
     stats.update(dict.fromkeys(

@@ -216,8 +216,6 @@ class Sensor:
                  he_key=None, codec=None, he_rng=None):
         self.backend = backend
         self.controller = controller
-        self.n = controller.n
-        self.m = controller.m
         self.key_source = key_source
         self.field = field
         self.he_key = he_key
@@ -231,9 +229,9 @@ class Sensor:
             raise self.controller.not_covered(x)
         b_sig = self.controller.offsets[sigma].tolist()
 
-        sizes = (self.n, self.m)
+        sizes = (self.controller.n, self.controller.m)
         if self.backend == "plaintext":
-            values, sizes = x, (self.n,)
+            values, sizes = x, sizes[:1]
         elif self.backend in QE_BACKENDS:
             bv = self.key_source.betas(cycle)
             values = enc_state(x.tolist() + b_sig, bv.beta)
@@ -352,7 +350,8 @@ def run_cycle(x, sensor, cloud, actuator, cycle, log=None):
 
     return u, CycleMetrics(
         sigma=wire.decode_u32(msg1.body)[0],
-        counts=cycle_counts(sensor.backend, sensor.n, sensor.m),
+        counts=cycle_counts(sensor.backend, sensor.controller.n,
+                            sensor.controller.m),
         payload_bits={
             "s_to_c": msg1.payload_bits,
             "c_to_a": msg2.payload_bits,

@@ -10,8 +10,8 @@ and tests lean on that as an independent route to the same optimizer
 
 In a parametric QP only g and w depend on the state, so what the method
 needs of H and G (unit rows, H^-1 and the dual Hessian K) is a DualQp,
-computed once per QP; mpqp.CondensedQp builds its own, and a state pays
-only for its slacks, its dual steps and one KKT solve.
+computed once per QP; mpqp.CondensedQp is one, and a state pays only for
+its slacks, its dual steps and one KKT solve.
 """
 from __future__ import annotations
 
@@ -208,7 +208,7 @@ def _state(x):
 def solve_qp_oracle(qp, x):
     """(z_star, active_set, multipliers) for the condensed QP at x."""
     x = _state(x)
-    z, lam, active = solve_qp(qp.dual, qp.F @ x, qp.h + qp.E @ x)
+    z, lam, active = solve_qp(qp, qp.F @ x, qp.h + qp.E @ x)
     return z, active, lam
 
 
@@ -219,7 +219,7 @@ def implicit_control(qp, x):
     marks x outside the feasible set, and a non-finite x is a ValueError.
     """
     x = _state(x)
-    z, lam, active = solve_qp(qp.dual, qp.F @ x, qp.h + qp.E @ x)
+    z, lam, active = solve_qp(qp, qp.F @ x, qp.h + qp.E @ x)
     return z[:qp.m], z, active
 
 

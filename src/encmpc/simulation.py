@@ -28,7 +28,7 @@ from .mpqp import (
 )
 from .paillier import FixedPointOverflow
 from .polyhedra import box
-from .protocol import make_parties, run_cycle
+from .protocol import CycleMetrics, make_parties, run_cycle
 from .qe_cipher import CiphertextError, MagnitudeError, RangeError
 
 
@@ -206,21 +206,20 @@ def load_scenario(path):
 
 @dataclass
 class StepRecord:
+    """One completed step; cycle is the CycleMetrics run_cycle returned."""
     k: int
     x: np.ndarray
-    sigma: int
     u: np.ndarray
     u_plain: np.ndarray
     y: np.ndarray
     r: np.ndarray
-    payload_bits: int
+    cycle: CycleMetrics
 
 
 @dataclass
 class Trajectory:
     backend: str
     records: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
     fault: str = ""
     fault_k: int = -1
 
@@ -281,10 +280,8 @@ def run_closed_loop(scenario, backend, cfg, controller, log=None, dither=None):
             u = u + dither[k]
             u_plain = u_plain + dither[k]
         y = scenario.C_out @ x
-        traj.records.append(StepRecord(
-            k=k, x=x.copy(), sigma=metrics.sigma, u=u, u_plain=u_plain,
-            y=y, r=r, payload_bits=metrics.payload_bits["total"]))
-        traj.metrics.append(metrics)
+        traj.records.append(StepRecord(k=k, x=x.copy(), u=u, u_plain=u_plain,
+                                       y=y, r=r, cycle=metrics))
         x = step_plant(scenario, x, u)
     return traj
 
@@ -336,10 +333,10 @@ def trajectory_csv(traj):
             + ["payload_bits"])
     lines = [",".join(cols)]
     for rec in traj.records:
-        vals = ([str(rec.k)] + [fmt_17g(v) for v in rec.x] + [str(rec.sigma)]
+        vals = ([str(rec.k)] + [fmt_17g(v) for v in rec.x] + [str(rec.cycle.sigma)]
                 + [fmt_17g(v) for v in rec.u] + [fmt_17g(v) for v in rec.u_plain]
                 + [fmt_17g(v) for v in rec.y] + [fmt_17g(v) for v in rec.r]
-                + [str(rec.payload_bits)])
+                + [str(rec.cycle.payload_bits["total"])])
         lines.append(",".join(vals))
     if traj.fault:
         lines.append(f"{traj.fault_k},{_csv_quote(traj.fault)}")

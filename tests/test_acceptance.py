@@ -168,7 +168,7 @@ def test_criterion_05_primitive_counts():
 
 
 def test_criterion_06_payload_ordering(bench_controller):
-    cfg = RunConfig(epsilon_q=2.0**-10, key_bits=2048, p_bits=64)
+    cfg = RunConfig(epsilon_q=2.0**-10, key_bits=2048)
     x = np.asarray(benchmark_scenario().x0, dtype=float)
     kp = keygen(2048, random.Random(1))
     qe_parties = make_parties(bench_controller, "qe", cfg)
@@ -191,8 +191,8 @@ def test_criterion_07_timing_ordering(bench_controller):
     for backend in ("qe", "paillier"):
         traj = run_closed_loop(scenario, backend, cfg,
                                controller=bench_controller)
-        walls[backend] = sum(met.wall_time["total"]
-                             for met in traj.metrics) / len(traj.metrics)
+        walls[backend] = sum(rec.cycle.wall_time["total"]
+                             for rec in traj.records) / len(traj.records)
     ok = walls["qe"] < walls["paillier"]
     report(7, ok, f"L=1024 per-cycle mean wall: qe {walls['qe']:.3e}s vs "
                   f"paillier {walls['paillier']:.3e}s "

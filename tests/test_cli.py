@@ -96,11 +96,28 @@ def test_malformed_scenario_exits_2_with_location(tmp_path, capsys):
 
 
 def test_unknown_backend_and_field_exit_2(tmp_path, capsys):
+    """p_bits is no field either: the cost model's p is the binary64 that
+    the qe parties compute in."""
     assert main(["run", "--backend", "rot13", "--out", str(tmp_path)]) == 2
-    (tmp_path / "cfg.json").write_text(json.dumps({"keybits": 512}))
-    assert main(["run", "--config", str(tmp_path / "cfg.json"),
-                 "--out", str(tmp_path)]) == 2
-    assert "keybits" in capsys.readouterr().err
+    for name, value in (("keybits", 512), ("p_bits", 64)):
+        (tmp_path / "cfg.json").write_text(json.dumps({name: value}))
+        assert main(["run", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path)]) == 2
+        assert f"unknown fields ['{name}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_bytes(b"\xff\xfe{}"),
+    lambda path: path.mkdir(),
+    lambda path: None,
+], ids=["not-utf8", "directory", "missing"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make):
+    """A --config that cannot be read or decoded is a configuration error
+    naming the file, like malformed JSON, not a runtime fault."""
+    path = tmp_path / "cfg.json"
+    make(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read")
 
 
 BENCH_SCENARIO = scenario_to_dict(benchmark_scenario())
@@ -182,14 +199,16 @@ def one_region_controller(**region):
     (one_region_controller(b=[0, 1]), "b (2,)"),
     (one_region_controller(A_ineq=[[1.0, 0.0, 0.0]]), "its rows 3 columns"),
     (one_region_controller(A_ineq=[[1.0, 0.0], [1.0]]), "inhomogeneous"),
+    (b'{"format": "\xff"}', "cannot read"),
 ], ids=["malformed", "not-an-object", "other-format", "missing-key",
-        "wide-gain", "long-offset", "wide-rows", "ragged-rows"])
+        "wide-gain", "long-offset", "wide-rows", "ragged-rows", "not-utf8"])
 def test_bad_controller_file_exits_2(tmp_path, capsys, text, named):
-    """controller.json is read like every other input: malformed JSON, an
-    object of another format, a missing key or a region whose gain,
-    offset or rows do not fit n and m is a configuration error that
-    names the file."""
-    (tmp_path / "controller.json").write_text(text)
+    """controller.json is read like every other input: bytes that are not
+    UTF-8, malformed JSON, an object of another format, a missing key or
+    a region whose gain, offset or rows do not fit n and m is a
+    configuration error that names the file."""
+    (tmp_path / "controller.json").write_bytes(
+        text if isinstance(text, bytes) else text.encode())
     assert main(["run", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert named in err and "controller.json" in err

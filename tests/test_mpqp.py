@@ -468,7 +468,7 @@ def test_implicit_solution_kkt_certified():
     while checked < 40:
         x = rng.uniform([-11, -6], [11, 6])
         try:
-            z, lam, active = solve_qp(qp.dual, qp.F @ x, qp.h + qp.E @ x)
+            z, lam, active = solve_qp(qp, qp.F @ x, qp.h + qp.E @ x)
         except QpInfeasible:
             continue
         res = kkt_residuals(qp, x, z, lam)

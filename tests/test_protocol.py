@@ -675,8 +675,8 @@ def test_align_accuracy_examples():
 
 
 def test_runconfig_derives_accuracy_params():
-    cfg = RunConfig(epsilon_q=2.0**-10, p_bits=64)
+    cfg = RunConfig(epsilon_q=2.0**-10)
     assert (cfg.delta, cfg.w) == (10, 10)
-    assert cfg.p_bits == 64
-    tight = RunConfig(epsilon_q=2.0**-20, p_bits=8)
-    assert tight.p_bits >= 20
+    tight = RunConfig(epsilon_q=2.0**-20)
+    assert (tight.delta, tight.w) == (20, 20)
+    assert not hasattr(cfg, "p_bits")

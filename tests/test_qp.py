@@ -153,7 +153,7 @@ PROBLEMS = {
 def solve_at(solver, qp, x):
     try:
         if solver is solve_qp:
-            return solve_qp(qp.dual, qp.F @ x, qp.h + qp.E @ x)
+            return solve_qp(qp, qp.F @ x, qp.h + qp.E @ x)
         return solver(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x)
     except QpInfeasible:
         return None
@@ -280,32 +280,30 @@ FACTOR = ("H", "G", "norms", "H_inv", "K")
 
 
 def test_factor_is_read_only_data_of_the_qp():
-    """The factor condense builds with the QP is read-only, copied from
-    the QP's H and G (which stay writeable), and replacing G builds a new
-    one. Doubling G doubles the row norms and leaves the unit rows, and
-    so K, bit for bit."""
+    """The QP condense builds is its own factor: H, G and what solve_qp
+    derives from them are read-only, and replacing G builds a new one.
+    Doubling G doubles the row norms and leaves the unit rows, and so K,
+    bit for bit."""
     qp = double_integrator(5)
+    assert isinstance(qp, DualQp) and not hasattr(qp, "dual")
     for name in FACTOR:
-        value = getattr(qp.dual, name)
+        value = getattr(qp, name)
         assert not value.flags.writeable, name
         with pytest.raises(ValueError):
             value[0] = 0.0
-    assert qp.H.flags.writeable and qp.G.flags.writeable
-    assert np.array_equal(qp.dual.H, qp.H) and np.array_equal(qp.dual.G, qp.G)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        qp.dual.K = qp.dual.K
+        qp.K = qp.K
     doubled = dataclasses.replace(qp, G=2.0 * qp.G)
-    assert doubled.dual is not qp.dual
-    assert np.array_equal(doubled.dual.G, 2.0 * qp.G)
-    assert np.array_equal(doubled.dual.norms, 2.0 * qp.dual.norms)
-    assert doubled.dual.K.tobytes() == qp.dual.K.tobytes()
-    assert np.array_equal(qp.dual.G, qp.G)
+    assert np.array_equal(doubled.G, 2.0 * qp.G)
+    assert np.array_equal(doubled.norms, 2.0 * qp.norms)
+    assert doubled.K.tobytes() == qp.K.tobytes()
+    assert np.array_equal(doubled.F, qp.F) and np.array_equal(doubled.h, qp.h)
 
 
 def test_condensed_qp_is_frozen():
-    """A field of the QP cannot be assigned, so qp.dual, built from its
-    H and G, cannot go stale and leave the oracle solving constraints
-    the QP no longer holds."""
+    """A field of the QP cannot be assigned, so its factor, built from
+    its H and G, cannot go stale and leave the oracle solving
+    constraints the QP no longer holds."""
     qp = double_integrator(5)
     for field in dataclasses.fields(qp):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from encmpc.config import ConfigError, RunConfig
+from encmpc.protocol import CycleMetrics
 from encmpc.simulation import (
     Scenario,
     StepRecord,
@@ -183,9 +184,11 @@ def test_qe_trajectory_bytes_pinned(bench_controller, overrides, digest):
 
 
 def test_rmse_and_mismatch_trivia():
-    rec = StepRecord(k=0, x=np.zeros(2), sigma=0, u=np.array([0.3]),
+    cycle = CycleMetrics(sigma=0, counts={}, payload_bits={"total": 416},
+                         wall_time={})
+    rec = StepRecord(k=0, x=np.zeros(2), u=np.array([0.3]),
                      u_plain=np.array([0.3]), y=np.array([1.0]),
-                     r=np.array([1.0]), payload_bits=416)
+                     r=np.array([1.0]), cycle=cycle)
     traj = Trajectory(backend="qe", records=[rec])
     assert tracking_rmse(traj) == 0.0
     assert input_mismatch(traj) == (0.0, 0.0)
