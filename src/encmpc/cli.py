@@ -64,8 +64,8 @@ def _load_controller(cfg):
 
 
 def _write_text(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    """The one writer of every output file: UTF-8, line ends as given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -76,8 +76,7 @@ def cmd_synthesize(cfg):
     logging.getLogger("encmpc").info("synthesis funnel: %s", ", ".join(
         f"{key} {val}" for key, val in stats.items()))
     path = _controller_path(cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    controller.save(path)
+    _write_text(path, controller.to_json() + "\n")
     radii = sorted(reg.cheb_radius for reg in controller.regions)
     mid = radii[len(radii) // 2]
     print(f"scenario {scenario.name}: {controller.nregions} regions -> {path}")
@@ -205,10 +204,11 @@ def _median_wall(traj, part):
 def cmd_bench(cfg, data, sweep_spec):
     scenario = resolve_scenario(cfg, benchmark_scenario)
     controller = _load_controller(cfg)
-    points = parse_sweep(sweep_spec)
+    # every point is judged before the first loop runs
+    points = [(point, from_dict(RunConfig, {**data, **point}, f"sweep point {point}"))
+              for point in parse_sweep(sweep_spec)]
     lines = [",".join(BENCH_COLUMNS)]
-    for point in points:
-        point_cfg = from_dict(RunConfig, {**data, **point}, f"sweep point {point}")
+    for point, point_cfg in points:
         if "backend" in point:
             backends = (point["backend"],)
         elif "backend" in data:
@@ -294,6 +294,11 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     try:
         cfg, data = build_config(args)
+        try:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {cfg.out_dir} cannot be made: "
+                              f"{exc}") from exc
         if args.command == "synthesize":
             return cmd_synthesize(cfg)
         if args.command == "run":

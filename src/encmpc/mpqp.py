@@ -195,7 +195,9 @@ class PwaController:
     stack into A_all/b_all (owner[i] is row i's region), which locate
     scans, and their laws into gains (nreg, m, n) and offsets (nreg, m),
     which eval_region and the protocol's parties read.  With no regions
-    every stack keeps its shape, with 0 leading.
+    every stack keeps its shape, with 0 leading.  A region whose K, b or
+    rows do not fit n and m, or that holds a NaN or an inf (a cheb_radius
+    of +inf, an unbounded region, excepted), is a ConfigError.
     """
     regions: list
     n: int
@@ -217,6 +219,14 @@ class PwaController:
                     f"region {i}: K has shape {got[0]}, b {got[1]} and its rows "
                     f"{got[2]} columns; a controller for n = {n} states and "
                     f"m = {m} inputs needs ({m}, {n}), ({m},) and {n}")
+            for name, val in (("A_ineq", r.poly.A), ("b_ineq", r.poly.b), ("K", r.K),
+                              ("b", r.b), ("cheb_center", r.cheb_center),
+                              ("cheb_radius", r.cheb_radius)):
+                # a radius of +inf is an unbounded region
+                radius = name == "cheb_radius"
+                if np.isnan(val).any() or not radius and np.isinf(val).any():
+                    raise ConfigError(f"region {i}: {name} must "
+                                      f"{'not be NaN' if radius else 'be finite'}")
         # the trailing empty block gives the right shapes with no regions
         polys = [r.poly for r in self.regions]
         self.A_all = np.vstack([p.A for p in polys] + [np.zeros((0, self.n))])
@@ -338,11 +348,6 @@ class PwaController:
             raise ConfigError(f"{what}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{what}: {exc}") from exc
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
 
     @staticmethod
     def load(path) -> "PwaController":

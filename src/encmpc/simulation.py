@@ -49,9 +49,13 @@ class Scenario:
     raises ConfigError unless, with n = rows of A and m = columns of B:
     A, Q are n x n, B is n x m, R is m x m, C_out is one row of n (each
     reference value is one number), u_lo, u_hi have m entries and x_lo,
-    x_hi, x0 have n; horizon, T and the start steps are integers (is_int);
-    T >= 1; and r_steps starts at step 0 with strictly increasing start
-    steps.
+    x_hi, x0 have n; no array holds a NaN, and only the bounds u_lo, u_hi,
+    x_lo, x_hi hold an inf (an open side, as polyhedra.box reads it);
+    u_lo <= u_hi and x_lo <= x_hi; horizon, T and the start steps are
+    integers (is_int); T >= 1; r_steps starts at step 0 with strictly
+    increasing start steps and finite values; and system() and mpc_spec()
+    accept it (horizon >= 1, Q, R symmetric, R PD, Q PSD), so every
+    command that reads a scenario judges it by synthesis's rules.
     """
 
     name: str
@@ -79,10 +83,20 @@ class Scenario:
                   "Q": (n, n), "R": (m, m), "u_lo": (m,), "u_hi": (m,),
                   "x_lo": (n,), "x_hi": (n,), "x0": (n,)}
         for name, shape in shapes.items():
-            if getattr(self, name).shape != shape:
+            val = getattr(self, name)
+            if val.shape != shape:
                 raise ConfigError(
-                    f"{name} has shape {getattr(self, name).shape}, expected "
+                    f"{name} has shape {val.shape}, expected "
                     f"{shape} for n = {n} states and m = {m} inputs")
+            # +-inf in a bound is an open side, as polyhedra.box reads it
+            bound = name in ("u_lo", "u_hi", "x_lo", "x_hi")
+            if np.isnan(val).any() or not bound and np.isinf(val).any():
+                raise ConfigError(f"{name} must be {'free of NaN' if bound else 'finite'}, "
+                                  f"got {val.tolist()}")
+        for lo, hi in (("u_lo", "u_hi"), ("x_lo", "x_hi")):
+            if np.any(getattr(self, lo) > getattr(self, hi)):
+                raise ConfigError(f"{lo} {getattr(self, lo).tolist()} exceeds "
+                                  f"{hi} {getattr(self, hi).tolist()}")
         if len(self.C_out) != 1:
             raise ConfigError(
                 f"C_out has {len(self.C_out)} rows, but r_steps gives one "
@@ -99,6 +113,12 @@ class Scenario:
         if starts[:1] != [0] or any(a >= b for a, b in zip(starts, starts[1:])):
             raise ConfigError(f"r_steps start steps {starts} must begin at 0 "
                               "and strictly increase")
+        values = [v for _, v in self.r_steps]
+        if not np.isfinite(values).all():
+            raise ConfigError(f"r_steps reference values {values} must be finite")
+        # synthesis's own checks, for every command; neither result is kept
+        self.system()
+        self.mpc_spec()
 
     def system(self):
         return LtiSystem(self.A, self.B)
@@ -192,11 +212,6 @@ def scenario_to_dict(sc):
         val = getattr(sc, f.name)
         out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
     return out
-
-
-def scenario_from_dict(d):
-    """Scenario from its JSON object form (see Scenario)."""
-    return from_dict(Scenario, d, "scenario")
 
 
 def load_scenario(path):

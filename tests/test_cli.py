@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import shutil
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from encmpc.cli import main, parse_sweep, BENCH_COLUMNS
 from encmpc.config import ConfigError
 from encmpc.mpqp import PwaController
-from encmpc.simulation import benchmark_scenario, scenario_to_dict
+from encmpc.simulation import attack_scenario, benchmark_scenario, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +38,8 @@ def column(header, rows, name, cast=float):
 def test_synthesize_writes_controller(workdir, capsys):
     ctrl = PwaController.load(workdir / "controller.json")
     assert ctrl.nregions >= 3
-    # resave must reproduce the file byte for byte
-    text = (workdir / "controller.json").read_text()
-    ctrl.save(workdir / "resaved.json")
-    assert (workdir / "resaved.json").read_text() == text
+    # writing the loaded controller again must reproduce the file byte for byte
+    assert (ctrl.to_json() + "\n").encode() == (workdir / "controller.json").read_bytes()
 
 
 def test_synthesize_logs_funnel(tmp_path, capsys, caplog):
@@ -132,21 +131,45 @@ BENCH_SCENARIO = scenario_to_dict(benchmark_scenario())
     ({**BENCH_SCENARIO, "T": "sixty"}, "sixty"),
     ({**BENCH_SCENARIO, "x0": [1.0]}, "x0 has shape"),
     ({**BENCH_SCENARIO, "C_out": [[1, 0], [0, 1]]}, "C_out has 2 rows"),
+    ({**BENCH_SCENARIO, "horizon": 0}, "horizon must be >= 1"),
+    ({**BENCH_SCENARIO, "Q": [[1.0, 0.5], [0.0, 0.1]]}, "Q must be symmetric"),
+    ({**BENCH_SCENARIO, "R": [[-1.0]]}, "R must be positive definite"),
+    ({**BENCH_SCENARIO, "u_lo": [2.0]}, "u_lo [2.0] exceeds u_hi [1.0]"),
+    ({**BENCH_SCENARIO, "x_lo": [-5.0, 6.0]}, "x_lo [-5.0, 6.0] exceeds x_hi"),
+    ({**BENCH_SCENARIO, "A": [[1.0, math.inf], [0.0, 1.0]]}, "A must be finite"),
+    ({**BENCH_SCENARIO, "R": [[math.inf]]}, "R must be finite"),
+    ({**BENCH_SCENARIO, "Q": [[math.nan, 0.0], [0.0, 0.1]]}, "Q must be finite"),
+    ({**BENCH_SCENARIO, "C_out": [[math.nan, 0.0]]}, "C_out must be finite"),
+    ({**BENCH_SCENARIO, "x0": [math.nan, 0.5]}, "x0 must be finite"),
+    ({**BENCH_SCENARIO, "x0": [math.inf, 0.5]}, "x0 must be finite"),
+    ({**BENCH_SCENARIO, "x_lo": [math.nan, -5.0]}, "x_lo must be free of NaN"),
+    ({**BENCH_SCENARIO, "r_steps": [[0, 0.0], [20, math.nan]]},
+     "r_steps reference values [0.0, nan] must be finite"),
+    ({**BENCH_SCENARIO, "r_steps": [[0, math.inf]]},
+     "r_steps reference values [inf] must be finite"),
 ], ids=["empty-episode", "typo-key", "not-an-object", "late-reference",
-        "not-a-number", "short-x0", "two-outputs"])
+        "not-a-number", "short-x0", "two-outputs", "zero-horizon",
+        "asymmetric-Q", "negative-R", "inverted-u", "inverted-x", "inf-in-A",
+        "inf-in-R", "nan-in-Q", "nan-in-C_out", "nan-in-x0", "inf-in-x0",
+        "nan-in-x_lo", "nan-reference", "inf-reference"])
 def test_bad_scenario_exits_2(workdir, tmp_path, capsys, scenario, named):
     """An empty episode, a key that is no field, a file that is no object,
     a reference program that starts after step 0, a value of the wrong
-    type, an array of the wrong shape and a second output are
-    configuration errors that name what is wrong and the file."""
+    type, an array of the wrong shape, a second output, a design that
+    synthesis refuses (horizon 0, Q not symmetric, R not PD), inverted
+    bounds, a NaN anywhere, an inf outside the bounds and a non-finite
+    reference are configuration errors that name what is wrong and the
+    file, with one verdict under every command that reads a scenario."""
+    shutil.copy(workdir / "controller.json", tmp_path)
     (tmp_path / "sc.json").write_text(json.dumps(scenario))
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"scenario_path": str(tmp_path / "sc.json")}))
-    rc = main(["run", "--config", str(tmp_path / "cfg.json"),
-               "--out", str(workdir)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert named in err and "sc.json" in err
+    for command in ("synthesize", "run", "bench", "attack"):
+        rc = main([command, "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 2, command
+        err = capsys.readouterr().err
+        assert named in err and "sc.json" in err, command
 
 
 @pytest.mark.parametrize("config,scenario,named", [
@@ -200,18 +223,33 @@ def one_region_controller(**region):
     (one_region_controller(A_ineq=[[1.0, 0.0, 0.0]]), "its rows 3 columns"),
     (one_region_controller(A_ineq=[[1.0, 0.0], [1.0]]), "inhomogeneous"),
     (b'{"format": "\xff"}', "cannot read"),
+    (one_region_controller(K=[[math.nan, 0.5]]), "region 0: K must be finite"),
+    (one_region_controller(b=[math.inf]), "region 0: b must be finite"),
+    (one_region_controller(A_ineq=[[math.nan, 0.0]]),
+     "region 0: A_ineq must be finite"),
+    (one_region_controller(b_ineq=[math.nan]), "region 0: b_ineq must be finite"),
+    (one_region_controller(b_ineq=[math.inf]), "region 0: b_ineq must be finite"),
+    (one_region_controller(cheb_center=[0.0, math.nan]),
+     "region 0: cheb_center must be finite"),
+    (one_region_controller(cheb_radius=math.nan),
+     "region 0: cheb_radius must not be NaN"),
 ], ids=["malformed", "not-an-object", "other-format", "missing-key",
-        "wide-gain", "long-offset", "wide-rows", "ragged-rows", "not-utf8"])
+        "wide-gain", "long-offset", "wide-rows", "ragged-rows", "not-utf8",
+        "nan-gain", "inf-offset", "nan-row", "nan-bound", "inf-bound",
+        "nan-center", "nan-radius"])
 def test_bad_controller_file_exits_2(tmp_path, capsys, text, named):
     """controller.json is read like every other input: bytes that are not
-    UTF-8, malformed JSON, an object of another format, a missing key or
-    a region whose gain, offset or rows do not fit n and m is a
-    configuration error that names the file."""
+    UTF-8, malformed JSON, an object of another format, a missing key, a
+    region whose gain, offset or rows do not fit n and m, or a region
+    with a non-finite number (a cheb_radius of +inf, an unbounded region,
+    is legal) is a configuration error that names the file, under both
+    commands that read it."""
     (tmp_path / "controller.json").write_bytes(
         text if isinstance(text, bytes) else text.encode())
-    assert main(["run", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert named in err and "controller.json" in err
+    for command in ("run", "bench"):
+        assert main([command, "--out", str(tmp_path)]) == 2, command
+        err = capsys.readouterr().err
+        assert named in err and "controller.json" in err, command
 
 
 TWO_INPUTS = {**BENCH_SCENARIO, "B": [[0.5, 0.0], [1.0, 0.5]],
@@ -264,6 +302,67 @@ def test_bench_requires_controller(tmp_path, capsys):
     assert rc == 2
     assert "run `encmpc synthesize` first" in capsys.readouterr().err
     assert not (tmp_path / "empty" / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run", "bench", "attack"])
+def test_unusable_out_exits_2_before_work(tmp_path, capsys, caplog, command):
+    """An --out that is a file, or lies under one, is a configuration
+    error naming it, found before any work: no synthesis is logged and
+    no controller is read."""
+    caplog.set_level(logging.INFO, logger="encmpc")
+    (tmp_path / "taken").write_text("")
+    for out in (tmp_path / "taken", tmp_path / "taken" / "sub"):
+        assert main([command, "--out", str(out)]) == 2
+        assert f"error: output directory {out} cannot be made" in capsys.readouterr().err
+    assert not caplog.records
+
+
+def test_bench_checks_every_sweep_point_before_the_first_run(workdir, capsys):
+    """A sweep point out of range is refused before any point runs."""
+    assert main(["bench", "--out", str(workdir), "--sweep", "w=8,0"]) == 2
+    out, err = capsys.readouterr()
+    assert "timing" not in out
+    assert "sweep point {'w': 0}: w must be an integer >= 1" in err
+
+
+def test_bench_row_of_a_point_faulted_at_step_0(workdir, tmp_path, capsys):
+    """A state outside the partition faults the first step: the point's
+    row has 0 steps, zero counts and infinite rmse and mismatch, and its
+    timing line carries the fault."""
+    shutil.copy(workdir / "controller.json", tmp_path)
+    (tmp_path / "sc.json").write_text(json.dumps({**BENCH_SCENARIO, "x0": [40.0, 40.0]}))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"scenario_path": str(tmp_path / "sc.json")}))
+    assert main(["bench", "--config", str(tmp_path / "cfg.json"), "--out",
+                 str(tmp_path), "--sweep", "backend=plaintext"]) == 0
+    assert (tmp_path / "bench.csv").read_bytes().split(b"\r\n")[1] == (
+        b"plaintext,0,512,64,16,16,2,4,10,,1e400,1e400,0,0,0,0,0,0,0,0,0,0,0,0,0")
+    assert "total nans [fault at 0: StateNotCovered" in capsys.readouterr().out
+
+
+def test_bench_backend_flag_holds_across_a_sweep_without_one(workdir, tmp_path, capsys):
+    """--backend picks the one backend of every point of a sweep that
+    names none."""
+    shutil.copy(workdir / "controller.json", tmp_path)
+    assert main(["bench", "--backend", "qe", "--out", str(tmp_path),
+                 "--sweep", "steps=1,2"]) == 0
+    header, rows = read_csv(tmp_path / "bench.csv")
+    assert [(r[0], r[1]) for r in rows] == [("qe", "1"), ("qe", "2")]
+
+
+def test_attack_observation_fault_exits_1(tmp_path, capsys):
+    """A probe that starts outside its partition faults the plaintext
+    observation run: a runtime fault, exit 1, and no attack.csv."""
+    d = scenario_to_dict(attack_scenario())
+    d["x0"] = [40.0, 40.0]
+    (tmp_path / "sc.json").write_text(json.dumps(d))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"scenario_path": str(tmp_path / "sc.json"), "attack_trials": 5}))
+    assert main(["attack", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: RuntimeError: plaintext observation run faulted: StateNotCovered")
+    assert not (tmp_path / "attack.csv").exists()
 
 
 def test_run_qe_mismatch_and_determinism(workdir, capsys):

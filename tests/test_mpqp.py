@@ -670,7 +670,7 @@ def test_stacked_rows_stay_out_of_json(bench_controller):
 
 def test_serialization_roundtrip(bench_controller, tmp_path):
     path = tmp_path / "ctl.json"
-    bench_controller.save(path)
+    path.write_text(bench_controller.to_json() + "\n", encoding="utf-8")
     again = PwaController.load(path)
     assert again.nregions == bench_controller.nregions
     assert again.n == 2 and again.m == 1 and again.horizon == 5

@@ -207,6 +207,31 @@ def test_entering_tie_goes_to_lower_index(rows, w, active):
     assert z == pytest.approx(reference_solve_qp(H, g, G, w)[0], abs=1e-11)
 
 
+def test_quiet_row_is_readmitted_after_a_full_step():
+    """Rows 0 and 1 enter in turn, violated by 1000 and 1. Row 2 is then
+    violated by 1e-11 per unit norm, within ROUNDING of the ~1414 summed
+    into its slack, so it is left out as rounding. Row 3, nearly parallel
+    to row 1 and violated by 5e-12, enters with a full step of 5e-6 (its
+    gain is eps^2), which moves z_3 by 5e-9 and leaves row 2 violated by
+    about 3.5e-9. Row 2 enters only because quiet rows are let back in
+    after a full step; without that the solve stops at active set
+    (0, 1, 3) with row 2 violated by 5e-9. The reference's z is 8e-11 off
+    the exact optimizer here, so z is compared to it within 1e-10."""
+    eps = 1e-3
+    H, g = np.eye(3), np.zeros(3)
+    G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                  [0.0, 1.0, -eps]])
+    w = np.array([-1000.0, -1.0, -1000.0 - np.sqrt(2) * 1e-11, -1.0 - 5e-12])
+    z, lam, active = solve_qp(DualQp(H, G), g, w)
+    z_ref, lam_ref, active_ref = reference_solve_qp(H, g, G, w)
+    assert active == active_ref == (0, 2, 3)
+    assert z == pytest.approx(z_ref, rel=1e-12, abs=1e-10)
+    assert lam == pytest.approx(lam_ref, rel=1e-12, abs=1e-10)
+    problem = SimpleNamespace(H=H, F=g[:, None], G=G, E=w[:, None],
+                              h=np.zeros_like(w))
+    assert max(kkt_residuals(problem, np.ones(1), z, lam).values()) <= 1e-12
+
+
 @pytest.mark.parametrize("hair, feasible", [(1e-11, True), (1e-7, False)])
 def test_unbounded_dual_defers_to_certificate(hair, feasible, monkeypatch):
     """x1 <= 1 and x1 >= 1 + hair: from z = (2, 0) row 0 enters, and then

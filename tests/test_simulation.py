@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from encmpc.config import ConfigError, RunConfig
+from encmpc.config import ConfigError, RunConfig, from_dict
 from encmpc.protocol import CycleMetrics
 from encmpc.simulation import (
     Scenario,
@@ -21,7 +21,6 @@ from encmpc.simulation import (
     input_mismatch,
     load_scenario,
     run_closed_loop,
-    scenario_from_dict,
     scenario_to_dict,
     step_plant,
     tracking_rmse,
@@ -206,7 +205,7 @@ def test_scenario_json_roundtrip(tmp_path):
     assert back.r_steps == sc.r_steps
     assert back.T == 60
     with pytest.raises(ConfigError):
-        scenario_from_dict({"name": "broken", "A": [[1]]})
+        from_dict(Scenario, {"name": "broken", "A": [[1]]}, "scenario")
     path.write_text('{\n  "name": "broken",\n  "A": [[1]\n}')
     with pytest.raises(ConfigError, match="line 4 column 1"):
         load_scenario(path)
@@ -226,7 +225,7 @@ def test_scenario_refuses_unordered_reference_steps(r_steps):
     d = scenario_to_dict(benchmark_scenario())
     d["r_steps"] = r_steps
     with pytest.raises(ConfigError, match="r_steps"):
-        scenario_from_dict(d)
+        from_dict(Scenario, d, "scenario")
 
 
 @pytest.mark.parametrize("change,match", [
@@ -257,7 +256,7 @@ def test_scenario_refuses_mismatched_shapes(field, value):
     d = scenario_to_dict(benchmark_scenario())
     d[field] = value
     with pytest.raises(ConfigError, match=rf": {field} has shape"):
-        scenario_from_dict(d)
+        from_dict(Scenario, d, "scenario")
 
 
 def test_scenario_refuses_more_than_one_output():
@@ -265,7 +264,7 @@ def test_scenario_refuses_more_than_one_output():
     d = scenario_to_dict(benchmark_scenario())
     d["C_out"] = [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ConfigError, match="C_out has 2 rows.*r_steps"):
-        scenario_from_dict(d)
+        from_dict(Scenario, d, "scenario")
 
 
 def test_reference_schedule():
