@@ -24,14 +24,14 @@ alone, bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import wire
 from .config import ConfigError
 from .mpqp import fmt_17g
-from .protocol import wire_field
+from .protocol import make_parties, wire_field
 from .simulation import episode_steps, run_closed_loop
 
 NOISE_KINDS = ("none", "gaussian", "uniform", "impulse")
@@ -225,16 +225,9 @@ def probe_dither(T, m, seed):
     return rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(T, m))
 
 
-def gather_observations(scenario, controller, cfg, backends):
-    """Run the true loop once per backend under an eavesdropper tap.
-
-    Each run's parties, and the adversary's reading of their wire, come
-    from cfg (run_closed_loop, wire_field).  Returns {backend: (features,
-    inputs, truth_states)} where inputs are the applied control sequence
-    including the probing dither (granted to the adversary; the
-    plaintext wire carries the state anyway and giving every adversary
-    the true inputs only makes the confidentiality comparison
-    conservative).
+def check_episode(scenario, cfg):
+    """Refuse an episode the attack cannot score, before any controller
+    exists; n and m are the scenario's.
 
     The reference program must be 0 at every step: the wire carries the
     shifted state x - x_ss, and the truth and inputs are absolute, so
@@ -247,24 +240,43 @@ def gather_observations(scenario, controller, cfg, backends):
             "features come from the wire (x - x_ss) but truth is the "
             f"absolute state, so r_steps {list(scenario.r_steps)} would "
             "score the adversary in mixed frames")
-    steps, need = episode_steps(scenario, cfg), controller.n + controller.m + 1
+    n, m = scenario.B.shape
+    steps, need = episode_steps(scenario, cfg), n + m + 1
     if steps < need:
         name = "steps" if cfg.steps else f"scenario {scenario.name!r} T"
         raise ConfigError(f"{name} = {steps} is too short: the attack's fit "
                           f"needs at least n + m + 1 = {need} steps")
-    dither = probe_dither(steps, controller.m, cfg.seed_attack)
+
+
+def gather_observations(scenario, controller, cfg, backends):
+    """Run the true loop once per backend under an eavesdropper tap.
+
+    Each run's parties, and the adversary's reading of their wire, come
+    from cfg with that backend (run_closed_loop, wire_field); the episode
+    and every run's parties are judged before the first loop runs.
+    Returns {backend: (features, inputs, truth_states)} where inputs are
+    the applied control sequence including the probing dither (granted
+    to the adversary; the plaintext wire carries the state anyway and
+    giving every adversary the true inputs only makes the
+    confidentiality comparison conservative).
+    """
+    check_episode(scenario, cfg)
+    dither = probe_dither(episode_steps(scenario, cfg), controller.m, cfg.seed_attack)
+    runs = [replace(cfg, backend=backend) for backend in backends]
+    for run in runs:
+        make_parties(controller, run.backend, run)
     obs = {}
-    for backend in backends:
+    for run in runs:
         log = []
-        traj = run_closed_loop(scenario, backend, cfg, controller=controller,
+        traj = run_closed_loop(scenario, run, controller=controller,
                                log=log, dither=dither)
         if traj.fault:
-            raise RuntimeError(f"{backend} observation run faulted: {traj.fault}")
-        features = observe_features(log, backend, wire_field(backend, cfg),
+            raise RuntimeError(f"{run.backend} observation run faulted: {traj.fault}")
+        features = observe_features(log, run.backend, wire_field(run.backend, run),
                                     controller.n)
         inputs = np.array([rec.u for rec in traj.records])
         truth = np.array([rec.x for rec in traj.records])
-        obs[backend] = (features[: len(truth)], inputs, truth)
+        obs[run.backend] = (features[: len(truth)], inputs, truth)
     return obs
 
 

@@ -17,12 +17,12 @@ import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .attack import (attack_table_csv, default_settings, gather_observations,
-                     run_attack_table, NOISE_KINDS)
+from .attack import (attack_table_csv, check_episode, default_settings,
+                     gather_observations, run_attack_table, NOISE_KINDS)
 from .config import BACKENDS, ConfigError, RunConfig, from_dict, load_json
 from .mpqp import PwaController, fmt_17g
 from .paillier import gain_bitlen
-from .protocol import COUNT_KEYS, F64Field, predict_cost
+from .protocol import COUNT_KEYS, F64Field, make_parties, predict_cost
 from .simulation import (attack_scenario, benchmark_scenario, input_mismatch,
                          load_scenario, run_closed_loop, tracking_rmse,
                          trajectory_csv)
@@ -88,7 +88,7 @@ def cmd_synthesize(cfg):
 def cmd_run(cfg):
     scenario = resolve_scenario(cfg, benchmark_scenario)
     controller = _load_controller(cfg)
-    traj = run_closed_loop(scenario, cfg.backend, cfg, controller=controller)
+    traj = run_closed_loop(scenario, cfg, controller=controller)
     out = Path(cfg.out_dir) / f"trajectory_{cfg.backend}.csv"
     _write_text(out, trajectory_csv(traj))
     if traj.records:
@@ -113,11 +113,18 @@ def _coerce(text):
     return text
 
 
+# the fields bench reads per point; the scenario, the output directory
+# and the attack's settings hold for the whole command
+SWEEP_FIELDS = tuple(name for name in CONFIG_FIELDS if name not in (
+    "scenario_path", "out_dir", "seed_attack", "attack_trials"))
+
+
 def parse_sweep(spec):
     """Parse "field=v1,v2;field2=v3" into a list of override dicts.
 
     The empty spec is the single empty point.  Clauses cross-multiply in
-    the order given, so row order is deterministic.
+    the order given, so row order is deterministic.  A field that is not
+    one of SWEEP_FIELDS, or is named twice, is a ConfigError.
     """
     points = [{}]
     if not spec:
@@ -131,8 +138,11 @@ def parse_sweep(spec):
         if not sep or not name:
             raise ConfigError(f"bad sweep clause {clause!r}; "
                               f"expected field=value[,value...]")
-        if name not in CONFIG_FIELDS:
-            raise ConfigError(f"unknown sweep field {name!r}")
+        if name not in SWEEP_FIELDS:
+            raise ConfigError(f"{name!r} is no sweep field; a sweep may name "
+                              f"{', '.join(SWEEP_FIELDS)}")
+        if name in points[0]:
+            raise ConfigError(f"sweep field {name!r} is named twice")
         vals = [_coerce(v.strip()) for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"sweep clause {clause!r} lists no values")
@@ -204,28 +214,26 @@ def _median_wall(traj, part):
 def cmd_bench(cfg, data, sweep_spec):
     scenario = resolve_scenario(cfg, benchmark_scenario)
     controller = _load_controller(cfg)
-    # every point is judged before the first loop runs
-    points = [(point, from_dict(RunConfig, {**data, **point}, f"sweep point {point}"))
-              for point in parse_sweep(sweep_spec)]
+    # one run per (point, backend), its parties built before the first loop
+    # runs; a point and a config that name no backend run every backend
+    runs = []
+    for point in parse_sweep(sweep_spec):
+        merged = {**data, **point}
+        runs += [from_dict(RunConfig, {**merged, "backend": backend}, f"sweep point {point}")
+                 for backend in ([merged["backend"]] if "backend" in merged else BACKENDS)]
+    for run in runs:
+        make_parties(controller, run.backend, run)
     lines = [",".join(BENCH_COLUMNS)]
-    for point, point_cfg in points:
-        if "backend" in point:
-            backends = (point["backend"],)
-        elif "backend" in data:
-            backends = (cfg.backend,)
-        else:
-            backends = BACKENDS
-        for backend in backends:
-            traj = run_closed_loop(scenario, backend, point_cfg,
-                                   controller=controller)
-            lines.append(_bench_row(point_cfg, traj, controller))
-            print(f"timing {backend} (L={point_cfg.key_bits}): per-cycle median "
-                  f"sensor {_median_wall(traj, 'sensor'):.3e}s "
-                  f"cloud {_median_wall(traj, 'cloud'):.3e}s "
-                  f"actuator {_median_wall(traj, 'actuator'):.3e}s "
-                  f"total {_median_wall(traj, 'total'):.3e}s"
-                  + (f" [fault at {traj.fault_k}: {traj.fault}]"
-                     if traj.fault else ""))
+    for run in runs:
+        traj = run_closed_loop(scenario, run, controller=controller)
+        lines.append(_bench_row(run, traj, controller))
+        print(f"timing {run.backend} (L={run.key_bits}): per-cycle median "
+              f"sensor {_median_wall(traj, 'sensor'):.3e}s "
+              f"cloud {_median_wall(traj, 'cloud'):.3e}s "
+              f"actuator {_median_wall(traj, 'actuator'):.3e}s "
+              f"total {_median_wall(traj, 'total'):.3e}s"
+              + (f" [fault at {traj.fault_k}: {traj.fault}]"
+                 if traj.fault else ""))
     out = Path(cfg.out_dir) / "bench.csv"
     _write_text(out, "\r\n".join(lines) + "\r\n")
     print(f"{len(lines) - 1} rows -> {out} "
@@ -235,6 +243,7 @@ def cmd_bench(cfg, data, sweep_spec):
 
 def cmd_attack(cfg):
     scenario = resolve_scenario(cfg, attack_scenario)
+    check_episode(scenario, cfg)  # before the synthesis it would waste
     controller = scenario.synthesize_controller()
     observations = gather_observations(scenario, controller, cfg,
                                        ATTACK_BACKENDS)

@@ -53,9 +53,10 @@ class Scenario:
     x_lo, x_hi hold an inf (an open side, as polyhedra.box reads it);
     u_lo <= u_hi and x_lo <= x_hi; horizon, T and the start steps are
     integers (is_int); T >= 1; r_steps starts at step 0 with strictly
-    increasing start steps and finite values; and system() and mpc_spec()
+    increasing start steps and finite values; system() and mpc_spec()
     accept it (horizon >= 1, Q, R symmetric, R PD, Q PSD), so every
-    command that reads a scenario judges it by synthesis's rules.
+    command that reads a scenario judges it by synthesis's rules; and
+    every reference value has a steady state (steady_state).
     """
 
     name: str
@@ -116,9 +117,12 @@ class Scenario:
         values = [v for _, v in self.r_steps]
         if not np.isfinite(values).all():
             raise ConfigError(f"r_steps reference values {values} must be finite")
-        # synthesis's own checks, for every command; neither result is kept
+        # synthesis's own checks and the reference program's, for every
+        # command; no result is kept
         self.system()
         self.mpc_spec()
+        for start in starts:
+            self.steady_state(self.reference(start))
 
     def system(self):
         return LtiSystem(self.A, self.B)
@@ -247,16 +251,16 @@ def episode_steps(scenario, cfg):
     return cfg.steps or scenario.T
 
 
-def run_closed_loop(scenario, backend, cfg, controller, log=None, dither=None):
-    """Simulate the plant under one backend; returns a Trajectory.
+def run_closed_loop(scenario, cfg, controller, log=None, dither=None):
+    """Simulate the plant under cfg.backend; returns a Trajectory.
 
-    The parties, Paillier's keypair included, derive from cfg
-    (make_parties); a controller for other dimensions than the
-    scenario's is a ConfigError.  The plaintext law of the region the
-    sensor located is evaluated in parallel each step for the mismatch
-    column.  Faults (state outside the partition, ciphertext or
-    fixed-point value out of representable range) stop the loop and are
-    recorded.
+    Before the first cycle it builds the parties from cfg (make_parties)
+    and each reference value's steady state, and refuses a controller
+    for other dimensions than the scenario's (ConfigError).  The
+    plaintext law of the region the sensor located is evaluated in
+    parallel each step for the mismatch column.  Faults (state outside
+    the partition, ciphertext or fixed-point value out of representable
+    range) stop the loop and are recorded.
 
     dither, if given, is a (T, m) probing sequence added to the applied
     input at the plant (identification experiments need the input to
@@ -269,16 +273,14 @@ def run_closed_loop(scenario, backend, cfg, controller, log=None, dither=None):
         raise ConfigError(f"the controller is for n = {controller.n} states and "
                           f"m = {controller.m} inputs, scenario {scenario.name!r} "
                           f"has n = {n} and m = {m}")
-    sensor, cloud, actuator = make_parties(controller, backend, cfg)
-    traj = Trajectory(backend=backend)
+    sensor, cloud, actuator = make_parties(controller, cfg.backend, cfg)
+    steady = {r.tobytes(): scenario.steady_state(r)  # one per reference value
+              for r in (scenario.reference(start) for start, _ in scenario.r_steps)}
+    traj = Trajectory(backend=cfg.backend)
     x = np.asarray(scenario.x0, dtype=float).ravel()
-    steady = {}  # one steady state per distinct reference value
     for k in range(episode_steps(scenario, cfg)):
         r = scenario.reference(k)
-        key = r.tobytes()
-        if key not in steady:
-            steady[key] = scenario.steady_state(r)
-        x_ss, u_ss = steady[key]
+        x_ss, u_ss = steady[r.tobytes()]
         x_shift = x - x_ss
         try:
             u_tilde, metrics = run_cycle(x_shift, sensor, cloud, actuator,

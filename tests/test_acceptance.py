@@ -35,7 +35,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_qe_exact_recovery(bench_controller):
     t0 = time.perf_counter()
-    traj = run_closed_loop(benchmark_scenario(), "qe", RunConfig(),
+    traj = run_closed_loop(benchmark_scenario(), RunConfig(backend="qe"),
                            controller=bench_controller)
     dt = time.perf_counter() - t0
     gaps = np.array([np.abs(r.u - r.u_plain).max() for r in traj.records])
@@ -185,11 +185,10 @@ def test_criterion_06_payload_ordering(bench_controller):
 
 
 def test_criterion_07_timing_ordering(bench_controller):
-    cfg = RunConfig(key_bits=1024)
     scenario = benchmark_scenario()
     walls = {}
     for backend in ("qe", "paillier"):
-        traj = run_closed_loop(scenario, backend, cfg,
+        traj = run_closed_loop(scenario, RunConfig(backend=backend, key_bits=1024),
                                controller=bench_controller)
         walls[backend] = sum(rec.cycle.wall_time["total"]
                              for rec in traj.records) / len(traj.records)

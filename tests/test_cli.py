@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, CSV schemas, determinism."""
 
+import hashlib
 import json
 import logging
 import math
@@ -8,9 +9,11 @@ import shutil
 import numpy as np
 import pytest
 
+from encmpc import simulation
 from encmpc.cli import main, parse_sweep, BENCH_COLUMNS
 from encmpc.config import ConfigError
-from encmpc.mpqp import PwaController
+from encmpc.mpqp import PwaController, synthesize
+from encmpc.protocol import run_cycle
 from encmpc.simulation import attack_scenario, benchmark_scenario, scenario_to_dict
 
 
@@ -119,6 +122,19 @@ def test_unreadable_config_exits_2(tmp_path, capsys, make):
     assert capsys.readouterr().err.startswith(f"error: {path}: cannot read")
 
 
+@pytest.fixture
+def cycles(monkeypatch):
+    """Counts the cycles every closed loop runs (a spy on run_cycle)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[4])
+        return run_cycle(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "run_cycle", spy)
+    return calls
+
+
 BENCH_SCENARIO = scenario_to_dict(benchmark_scenario())
 
 
@@ -147,19 +163,21 @@ BENCH_SCENARIO = scenario_to_dict(benchmark_scenario())
      "r_steps reference values [0.0, nan] must be finite"),
     ({**BENCH_SCENARIO, "r_steps": [[0, math.inf]]},
      "r_steps reference values [inf] must be finite"),
+    ({**BENCH_SCENARIO, "C_out": [[0.0, 1.0]]}, "no steady state for reference [1.5]"),
 ], ids=["empty-episode", "typo-key", "not-an-object", "late-reference",
         "not-a-number", "short-x0", "two-outputs", "zero-horizon",
         "asymmetric-Q", "negative-R", "inverted-u", "inverted-x", "inf-in-A",
         "inf-in-R", "nan-in-Q", "nan-in-C_out", "nan-in-x0", "inf-in-x0",
-        "nan-in-x_lo", "nan-reference", "inf-reference"])
-def test_bad_scenario_exits_2(workdir, tmp_path, capsys, scenario, named):
+        "nan-in-x_lo", "nan-reference", "inf-reference", "unreachable-reference"])
+def test_bad_scenario_exits_2(workdir, tmp_path, capsys, cycles, scenario, named):
     """An empty episode, a key that is no field, a file that is no object,
     a reference program that starts after step 0, a value of the wrong
     type, an array of the wrong shape, a second output, a design that
     synthesis refuses (horizon 0, Q not symmetric, R not PD), inverted
-    bounds, a NaN anywhere, an inf outside the bounds and a non-finite
-    reference are configuration errors that name what is wrong and the
-    file, with one verdict under every command that reads a scenario."""
+    bounds, a NaN anywhere, an inf outside the bounds, a non-finite
+    reference and one that no steady state reaches are configuration
+    errors that name what is wrong and the file, with one verdict under
+    every command that reads a scenario, before any cycle runs."""
     shutil.copy(workdir / "controller.json", tmp_path)
     (tmp_path / "sc.json").write_text(json.dumps(scenario))
     (tmp_path / "cfg.json").write_text(json.dumps(
@@ -170,6 +188,7 @@ def test_bad_scenario_exits_2(workdir, tmp_path, capsys, scenario, named):
         assert rc == 2, command
         err = capsys.readouterr().err
         assert named in err and "sc.json" in err, command
+    assert cycles == [] and not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("config,scenario,named", [
@@ -323,6 +342,87 @@ def test_bench_checks_every_sweep_point_before_the_first_run(workdir, capsys):
     out, err = capsys.readouterr()
     assert "timing" not in out
     assert "sweep point {'w': 0}: w must be an integer >= 1" in err
+
+
+def test_bench_judges_every_run_before_the_first_cycle(workdir, tmp_path, capsys,
+                                                       cycles):
+    """A Paillier codec refusal of a later point (gamma = 0: a gain
+    exceeds rho^gamma = 1) exits 2 before any point's loop runs: no
+    cycle, no timing line and no bench.csv."""
+    shutil.copy(workdir / "controller.json", tmp_path)
+    assert main(["bench", "--out", str(tmp_path), "--sweep",
+                 "gamma=4,0;backend=paillier"]) == 2
+    out, err = capsys.readouterr()
+    assert "gamma=0, delta=10 under a 512-bit key: gain entry exceeds rho^gamma" in err
+    assert cycles == [] and "timing" not in out
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_attack_judges_every_backend_before_the_first_cycle(tmp_path, capsys, cycles):
+    """gamma = 0 is refused by Paillier's codec before the plaintext
+    observation loop runs."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"gamma": 0, "attack_trials": 5}))
+    assert main(["attack", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 2
+    assert "gamma=0" in capsys.readouterr().err
+    assert cycles == [] and not (tmp_path / "attack.csv").exists()
+
+
+@pytest.mark.parametrize("reference,steps,named", [
+    (0.0, 3, "steps = 3"),
+    (0.5, None, "reference program that is 0"),
+], ids=["too-short", "nonzero-reference"])
+def test_attack_judges_its_episode_before_synthesis(tmp_path, capsys, monkeypatch,
+                                                    reference, steps, named):
+    """An episode the attack cannot score exits 2 before the probe
+    controller is synthesized (a spy on synthesize)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "synthesize", spy)
+    (tmp_path / "probe.json").write_text(json.dumps(
+        {**scenario_to_dict(attack_scenario()), "r_steps": [[0, reference]]}))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"scenario_path": str(tmp_path / "probe.json"), "steps": steps}))
+    assert main(["attack", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec,named", [
+    ("w=8,12;backend=qe;w=16", "sweep field 'w' is named twice"),
+    ("steps=2;backend=qe;scenario_path=/nonexistent.json,x.json",
+     "'scenario_path' is no sweep field"),
+    ("steps=2;out_dir=a,b", "'out_dir' is no sweep field"),
+    ("seed_attack=1,2", "'seed_attack' is no sweep field"),
+    ("attack_trials=5", "'attack_trials' is no sweep field"),
+], ids=["twice", "scenario_path", "out_dir", "seed_attack", "attack_trials"])
+def test_sweep_refuses_what_bench_cannot_honour(workdir, tmp_path, capsys, cycles,
+                                                spec, named):
+    """A sweep that names a field twice, or a field bench holds for the
+    whole command, exits 2 naming the field before any run."""
+    shutil.copy(workdir / "controller.json", tmp_path)
+    assert main(["bench", "--out", str(tmp_path), "--sweep", spec]) == 2
+    assert named in capsys.readouterr().err
+    assert cycles == [] and not (tmp_path / "bench.csv").exists()
+
+
+# SHA-256 of bench.csv for --sweep "steps=3;w=8,16", recorded before
+# bench built its runs up front: 8 rows, each point under all four backends
+BENCH_CSV_SHA256 = "51eed5efdc3fa85ada70fca8338f4083103962c2992e2cc3e8ddbe82e2657858"
+
+
+def test_bench_csv_bytes_pinned(workdir, tmp_path, capsys):
+    shutil.copy(workdir / "controller.json", tmp_path)
+    assert main(["bench", "--out", str(tmp_path), "--sweep", "steps=3;w=8,16"]) == 0
+    text = (tmp_path / "bench.csv").read_bytes()
+    assert [row.split(b",")[0] for row in text.split(b"\r\n")[1:-1]] == [
+        b"plaintext", b"qe", b"qe_quantized", b"paillier"] * 2
+    assert hashlib.sha256(text).hexdigest() == BENCH_CSV_SHA256
 
 
 def test_bench_row_of_a_point_faulted_at_step_0(workdir, tmp_path, capsys):

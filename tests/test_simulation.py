@@ -11,8 +11,9 @@ import re
 import numpy as np
 import pytest
 
+from encmpc import simulation
 from encmpc.config import ConfigError, RunConfig, from_dict
-from encmpc.protocol import CycleMetrics
+from encmpc.protocol import CycleMetrics, run_cycle
 from encmpc.simulation import (
     Scenario,
     StepRecord,
@@ -56,9 +57,34 @@ def test_steady_state_shift():
         bad.steady_state(1.0)  # no equilibrium holds x2 at a nonzero value
 
 
+def test_closed_loop_settles_before_its_first_cycle(bench_controller, monkeypatch):
+    """The parties and every reference's steady state are built before
+    step 0: a reference that no steady state reaches is refused when the
+    scenario is built, and, when C_out changes after that, by the loop
+    with no cycle run.  The loop's backend is the config's."""
+    with pytest.raises(ConfigError, match=r"no steady state for reference \[1.5\]"):
+        dataclasses.replace(benchmark_scenario(), C_out=[[0.0, 1.0]])
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return run_cycle(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "run_cycle", spy)
+    sc = benchmark_scenario()
+    sc.C_out = np.array([[0.0, 1.0]])
+    with pytest.raises(ConfigError, match=r"no steady state for reference \[1.5\]"):
+        run_closed_loop(sc, RunConfig(backend="plaintext"), controller=bench_controller)
+    assert calls == []
+    traj = run_closed_loop(benchmark_scenario(), RunConfig(backend="plaintext", steps=2),
+                           controller=bench_controller)
+    assert traj.backend == "plaintext" and len(calls) == 2
+    assert {args[1].backend for args in calls} == {"plaintext"}
+
+
 def test_qe_closed_loop_exact(bench_controller):
     sc = benchmark_scenario()
-    traj = run_closed_loop(sc, "qe", RunConfig(), controller=bench_controller)
+    traj = run_closed_loop(sc, RunConfig(backend="qe"), controller=bench_controller)
     assert len(traj) == 60 and not traj.fault
     mean, mx = input_mismatch(traj)
     assert mean <= 1e-10
@@ -70,7 +96,7 @@ def test_qe_closed_loop_exact(bench_controller):
 
 def test_plaintext_mismatch_is_zero(bench_controller):
     sc = benchmark_scenario()
-    traj = run_closed_loop(sc, "plaintext", RunConfig(), controller=bench_controller)
+    traj = run_closed_loop(sc, RunConfig(backend="plaintext"), controller=bench_controller)
     assert input_mismatch(traj) == (0.0, 0.0)
 
 
@@ -78,7 +104,7 @@ def test_origin_equilibrium(bench_controller):
     sc = benchmark_scenario()
     sc.x0 = np.array([0.0, 0.0])
     sc.r_steps = ((0, 0.0),)
-    traj = run_closed_loop(sc, "qe", RunConfig(steps=10),
+    traj = run_closed_loop(sc, RunConfig(backend="qe", steps=10),
                            controller=bench_controller)
     for rec in traj.records:
         assert np.abs(rec.u).max() <= 1e-9
@@ -88,7 +114,7 @@ def test_origin_equilibrium(bench_controller):
 def test_paillier_closed_loop_within_budget(bench_controller):
     sc = benchmark_scenario()
     cfg = RunConfig(backend="paillier", key_bits=256)
-    traj = run_closed_loop(sc, "paillier", cfg, controller=bench_controller)
+    traj = run_closed_loop(sc, cfg, controller=bench_controller)
     assert len(traj) == 60 and not traj.fault
     K_max = max(abs(r.K).max() for r in bench_controller.regions)
     budget = (2 * 2.0**cfg.gamma * K_max + 2) * float(cfg.rho) ** -cfg.delta
@@ -100,8 +126,7 @@ def test_paillier_fixed_point_overflow_is_a_recorded_fault(bench_controller):
     """At gamma = 1 the codec holds |x| <= 2, so the benchmark's x0 =
     (-3, 0.5) stops the loop at step 0 with a recorded fault, not a raise."""
     cfg = RunConfig(backend="paillier", key_bits=256, gamma=1)
-    traj = run_closed_loop(benchmark_scenario(), "paillier", cfg,
-                           controller=bench_controller)
+    traj = run_closed_loop(benchmark_scenario(), cfg, controller=bench_controller)
     assert traj.fault_k == 0 and not traj.records
     assert traj.fault == "FixedPointOverflow: |-3.0| exceeds rho^gamma = 2"
 
@@ -113,9 +138,8 @@ def test_rmse_nonincreasing_in_word_budget(bench_controller):
     for w in (4, 8, 12, 16, 20):
         vals = []
         for seed_q in (2, 12, 22):
-            cfg = RunConfig(w=w, seed_quant=seed_q)
-            traj = run_closed_loop(sc, "qe_quantized", cfg,
-                                   controller=bench_controller)
+            cfg = RunConfig(backend="qe_quantized", w=w, seed_quant=seed_q)
+            traj = run_closed_loop(sc, cfg, controller=bench_controller)
             vals.append(tracking_rmse(traj))
         finite = [v for v in vals if np.isfinite(v)]
         means.append(np.mean(finite) if finite else float("inf"))
@@ -127,7 +151,7 @@ def test_rmse_nonincreasing_in_word_budget(bench_controller):
 def test_fault_recorded_not_raised(bench_controller):
     sc = benchmark_scenario()
     sc.x0 = np.array([40.0, 40.0])
-    traj = run_closed_loop(sc, "qe", RunConfig(), controller=bench_controller)
+    traj = run_closed_loop(sc, RunConfig(backend="qe"), controller=bench_controller)
     assert traj.fault.startswith("StateNotCovered")
     assert traj.fault_k == 0
     assert len(traj) == 0
@@ -136,7 +160,7 @@ def test_fault_recorded_not_raised(bench_controller):
 
 def test_trajectory_csv_shape_and_determinism(bench_controller):
     sc = benchmark_scenario()
-    run = lambda: run_closed_loop(sc, "qe", RunConfig(),
+    run = lambda: run_closed_loop(sc, RunConfig(backend="qe"),
                                   controller=bench_controller)
     a, b = trajectory_csv(run()), trajectory_csv(run())
     assert a == b
@@ -159,8 +183,7 @@ QUANTIZED_CSV_SHA256 = [
 @pytest.mark.parametrize("overrides,digest", QUANTIZED_CSV_SHA256)
 def test_quantized_trajectory_bytes_pinned(bench_controller, overrides, digest):
     cfg = RunConfig(backend="qe_quantized", **overrides)
-    traj = run_closed_loop(benchmark_scenario(), "qe_quantized", cfg,
-                           controller=bench_controller)
+    traj = run_closed_loop(benchmark_scenario(), cfg, controller=bench_controller)
     text = trajectory_csv(traj)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -176,7 +199,7 @@ QE_CSV_SHA256 = [
 
 @pytest.mark.parametrize("overrides,digest", QE_CSV_SHA256)
 def test_qe_trajectory_bytes_pinned(bench_controller, overrides, digest):
-    traj = run_closed_loop(benchmark_scenario(), "qe", RunConfig(**overrides),
+    traj = run_closed_loop(benchmark_scenario(), RunConfig(backend="qe", **overrides),
                            controller=bench_controller)
     text = trajectory_csv(traj)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
