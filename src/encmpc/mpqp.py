@@ -99,8 +99,8 @@ class MpcSpec:
 class CondensedQp(DualQp):
     """Parametric QP data; u_0 is the first m entries of z. The QP is
     its own factor: H and G are the DualQp's read-only arrays, beside
-    the unit-row norms, H^-1 and K that qp.solve_qp takes, so the two
-    cannot disagree (dataclasses.replace builds a new QP and factor)."""
+    what qp.solve_qp derives from them (unit-row norms, H^-1, K and the
+    KKT matrix), so the two cannot disagree (dataclasses.replace builds a new QP and factor)."""
     F: np.ndarray
     E: np.ndarray
     h: np.ndarray

@@ -9,14 +9,18 @@ and tests lean on that as an independent route to the same optimizer
 (the two share no code beyond the problem data).
 
 In a parametric QP only g and w depend on the state, so what the method
-needs of H and G (unit rows, H^-1 and the dual Hessian K) is a DualQp,
-computed once per QP; mpqp.CondensedQp is one, and a state pays only for
-its slacks, its dual steps and one KKT solve.
+needs of H and G (unit rows, H^-1, the dual Hessian K, K's rows as
+floats and the KKT matrix of every row) is a DualQp, computed once per
+QP; mpqp.CondensedQp is one, and a state pays only for its slacks, its
+dual steps and one KKT solve. Only the slacks of all rows are arrays: a
+dual step works in floats on the active set, its multipliers and a
+Cholesky factor of its block of K, which each step updates in place.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -40,16 +44,20 @@ class QpNoConvergence(RuntimeError):
 @dataclass(frozen=True)
 class DualQp:
     """The part of min 1/2 z'Hz + g'z s.t. Gz <= w that solve_qp needs
-    and no right-hand side (g, w) changes, as read-only arrays: H and G
-    as floats, the row norms, H^-1, and the dual Hessian K = Gu H^-1 Gu'
-    of the unit rows Gu = G / norms. The iteration runs on unit rows (a
-    zero row keeps norm 1 and its raw slack), so its slacks, multipliers
-    and K come in units of ||G_i||."""
+    and no right-hand side (g, w) changes: H and G as floats, the row
+    norms, H^-1, the dual Hessian K = Gu H^-1 Gu' of the unit rows
+    Gu = G / norms, and the KKT matrix [[H, G'], [G, 0]] of every row,
+    as read-only arrays, with K's rows also as a tuple of tuples of
+    floats for the iteration's scalar steps. The iteration runs on unit
+    rows (a zero row keeps norm 1 and its raw slack), so its slacks,
+    multipliers and K come in units of ||G_i||."""
     H: np.ndarray
     G: np.ndarray
     norms: np.ndarray = field(init=False, repr=False, compare=False)
     H_inv: np.ndarray = field(init=False, repr=False, compare=False)
     K: np.ndarray = field(init=False, repr=False, compare=False)
+    K_rows: tuple = field(init=False, repr=False, compare=False)
+    KKT: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.array(self.H, dtype=float, ndmin=2)
@@ -59,15 +67,18 @@ class DualQp:
         Gu = G / norms[:, None]
         H_inv = np.linalg.inv(H)
         K = Gu @ H_inv @ Gu.T
+        KKT = np.block([[H, G.T], [G, np.zeros((G.shape[0],) * 2)]])
         for name, value in (("H", H), ("G", G), ("norms", norms),
-                            ("H_inv", H_inv), ("K", K)):
+                            ("H_inv", H_inv), ("K", K), ("KKT", KKT)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "K_rows", tuple(map(tuple, K.tolist())))
 
 
 def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
     """Return (z, lam, active) for the inequality-constrained QP whose
-    H and G dual holds, at the right-hand side (g, w).
+    H and G dual holds, at the right-hand side (g, w); a g that is not
+    of length nz or a w that is not of length q is a ValueError.
 
     The iteration works on the multipliers alone, of the rows scaled to
     unit norm. With K = G H^-1 G', computed once per QP in dual, and s0
@@ -83,7 +94,10 @@ def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
     tight (full: p joins A) and the one at which an active multiplier
     reaches 0 first (partial: that row leaves A, and p stays the
     entering row). When K_pp - K_pA r <= DEPENDENT_TOL * K_pp, p depends
-    on the active rows and only the partial step exists.
+    on the active rows and only the partial step exists. r comes from a
+    lower Cholesky factor L of K_AA that each step updates: a row
+    appended when p joins A, a row deleted and the triangle restored by
+    Givens rotations when a row leaves.
 
     lp.feasible_point decides the verdict whenever the iteration cannot:
     when no step exists (the dual is unbounded), or when it ends with
@@ -91,109 +105,138 @@ def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
     verdict after an unbounded step means the set is empty by no more
     than that LP's tolerance: the iteration then runs again on the rows
     relaxed just enough to hold the LP's point. Finally z and lam_A come
-    from the KKT system of the active rows as given.
+    from the KKT system of the active rows as given, taken from dual's
+    KKT matrix.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    H, G, norms = dual.H, dual.G, dual.norms
+    G, norms = dual.G, dual.norms
+    nz, q = dual.H.shape[0], G.shape[0]
+    g = np.asarray(g, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if g.size != nz or w.size != q:
+        raise ValueError(f"g of shape {g.shape} and w of shape {w.shape} do "
+                         f"not fit a QP of {nz} variables and {q} rows")
+    g, w = g.reshape(-1), w.reshape(-1)
     z0 = -(dual.H_inv @ g)
     Gz0 = G @ z0
 
-    active, unsure = _dual_steps(dual.K, (w - Gz0) / norms)
+    active, unsure = _dual_steps(dual, (w - Gz0) / norms)
     if active is None or unsure:
         feasible, x = lp.feasible_point(G, w)
         if not feasible:
             raise QpInfeasible("constraint set is empty for this parameter")
         if active is None:
             w = np.maximum(w, G @ x)
-            active, _ = _dual_steps(dual.K, (w - Gz0) / norms)
+            active, _ = _dual_steps(dual, (w - Gz0) / norms)
             if active is None:
                 raise QpNoConvergence("dual step unbounded on a feasible set")
-    nz, rows = H.shape[0], list(active)
-    kkt = np.zeros((nz + len(rows), nz + len(rows)))
-    kkt[:nz, :nz] = H
-    kkt[nz:, :nz] = G[rows]
-    kkt[:nz, nz:] = kkt[nz:, :nz].T
-    sol = np.linalg.solve(kkt, np.concatenate([-g, w[rows]]))
-    lam = np.zeros(G.shape[0])
+    rows = list(active)
+    idx = np.array([*range(nz), *(nz + i for i in rows)])
+    sol = np.linalg.solve(dual.KKT[idx[:, None], idx],
+                          np.concatenate([-g, w[rows]]))
+    lam = np.zeros(q)
     lam[rows] = np.maximum(sol[nz:], 0.0)
     return sol[:nz], lam, active
 
 
-def _dual_steps(K, s0):
+def _dual_steps(dual, s0):
     """solve_qp's iteration from lam = 0: (active, unsure), where active
     is None when the dual is unbounded and unsure says that rows were
     left out as rounding at the end.
 
-    The active rows' multipliers, rows of K and block K_AA are kept in
-    entry order in the leading rows of fixed buffers.
+    Only the slacks of all q rows are computed as an array. The active
+    rows, their multipliers and the factor L of K_AA (row i holds i + 1
+    floats) are lists in entry order. K is symmetric only to rounding,
+    and K_Ap is read off the active rows of K, so the K_AA that L
+    factors takes each pair of active rows from the row that entered
+    first.
     """
-    q = s0.size
-    KA = np.empty((q, q))
-    KAA = np.empty((q, q))
-    lamA = np.zeros(q)
+    K, K_rows, s0_rows = dual.K, dual.K_rows, s0.tolist()
     work: list = []
+    lam: list = []
+    L: list = []
     quiet: list = []
-    out = np.zeros(q, dtype=bool)    # active or quiet: not entering
     p = -1
     for _ in range(MAX_ITER):
-        k = len(work)
-        # with no active rows the empty products are skipped
         if p < 0:
-            slack = s0 + lamA[:k] @ KA[:k] if k else s0.copy()
-            slack[out] = np.inf
-            worst = slack.min(initial=np.inf)
+            slack = (s0 + np.dot(lam, K.take(work, 0))).tolist() if work else s0_rows[:]
+            for i in work + quiet:    # not entering
+                slack[i] = math.inf
+            worst = min(slack, default=math.inf)
             if not worst < -VIOLATION_TOL:
                 return tuple(sorted(work)), bool(quiet)
-            p = int(np.argmax(slack <= worst + TIE_TOL))
-            summed = float(np.abs(KA[:k, p]) @ lamA[:k]) if k else 0.0
-            if -worst <= ROUNDING * (abs(s0[p]) + summed):
+            tie = worst + TIE_TOL
+            p = next(i for i, s in enumerate(slack) if s <= tie)
+            KAp = [K_rows[i][p] for i in work]
+            summed = sum(map(mul, map(abs, KAp), lam))
+            if -worst <= ROUNDING * (abs(s0_rows[p]) + summed):
                 quiet.append(p)
-                out[p] = True
                 p = -1
                 continue
             lam_p = 0.0
-        Kpp = K[p, p]
-        KAp = KA[:k, p]
-        if k:
-            r = np.linalg.solve(KAA[:k, :k], KAp)
-            gain = Kpp - float(KAp @ r)
-            s_p = s0[p] + float(lamA[:k] @ KAp) + lam_p * Kpp
         else:
-            r, gain, s_p = KAp, Kpp, s0[p] + lam_p * Kpp
-        full = np.inf
+            KAp = [K_rows[i][p] for i in work]
+        Kpp = K_rows[p][p]
+        l, r, gain = _factor_solve(L, KAp, Kpp)
+        s_p = s0_rows[p] + sum(map(mul, lam, KAp)) + lam_p * Kpp
+        full = math.inf
         if gain > DEPENDENT_TOL * Kpp:
             full = -s_p / gain
-        partial = np.inf
+        partial = math.inf
         drop = -1
-        for i, (li, ri) in enumerate(zip(lamA[:k].tolist(), r.tolist())):
+        for i, (li, ri) in enumerate(zip(lam, r)):
             if ri > 0.0 and li / ri < partial:
                 partial = li / ri
                 drop = i
-        if drop < 0 and full == np.inf:
+        if drop < 0 and full == math.inf:
             return None, False
         t = min(full, partial)
-        if k:
-            lamA[:k] -= t * r
+        lam = [li - t * ri for li, ri in zip(lam, r)]
         lam_p += t
         if full <= partial:
-            KA[k] = K[p]
-            KAA[k, :k] = KAA[:k, k] = KAp
-            KAA[k, k] = Kpp
-            lamA[k] = lam_p
+            L.append(l + [math.sqrt(gain)])
+            lam.append(lam_p)
             work.append(p)
-            out[p] = True
-            if quiet:
-                out[quiet] = False
-                quiet.clear()
+            quiet.clear()
             p = -1
         else:
-            out[work.pop(drop)] = False
-            KA[drop:k - 1] = KA[drop + 1:k]
-            lamA[drop:k - 1] = lamA[drop + 1:k]
-            KAA[drop:k - 1, :k] = KAA[drop + 1:k, :k]
-            KAA[:k - 1, drop:k - 1] = KAA[:k - 1, drop + 1:k]
+            del work[drop], lam[drop]
+            _factor_drop(L, drop)
     raise QpNoConvergence("active-set iteration limit reached")
+
+
+def _factor_solve(L, KAp, Kpp):
+    """(l, r, gain) with l = L^-1 K_Ap, r = L^-T l = K_AA^-1 K_Ap and
+    gain = K_pp - l'l = K_pp - K_pA r, for the lower factor
+    L = [[L_00], [L_10, L_11], ...] of K_AA = L L'. When p joins A,
+    [l, sqrt(gain)] is the new last row of L."""
+    l: list = []
+    for row, b in zip(L, KAp):
+        l.append((b - sum(map(mul, row, l))) / row[-1])
+    r = l[:]
+    for i in range(len(L) - 1, -1, -1):
+        row = L[i]
+        ri = r[i] = r[i] / row[i]
+        for j in range(i):
+            r[j] -= row[j] * ri
+    return l, r, Kpp - sum(map(mul, l, l))
+
+
+def _factor_drop(L, d):
+    """Make L the factor of K_AA without row and column d: deleting row
+    d of L leaves each later row one entry past the diagonal, and a
+    Givens rotation of columns i and i + 1 clears that entry of row i,
+    for i = d, d + 1, ..."""
+    del L[d]
+    for i in range(d, len(L)):
+        row = L[i]
+        a, b = row[i], row.pop()
+        h = math.hypot(a, b)
+        c, s = a / h, b / h
+        row[i] = h
+        for below in L[i + 1:]:
+            x, y = below[i], below[i + 1]
+            below[i] = c * x + s * y
+            below[i + 1] = c * y - s * x
 
 
 def _state(x):

@@ -14,9 +14,17 @@ scaled by the largest multiplier.
 `reference_feasible_point` builds the phase-1 tableau from
 `hstack`/`eye`/`vstack` pieces, and lp.feasible_point must match it bit
 for bit.
+`exact_kkt` solves the KKT system of an active set in rationals, from
+the binary64 data: it certifies the active set a solve reports, and
+measures z and the multipliers against the exact solution, with no
+rounding on the reference's side. Its tests (named `*exact*`) decide
+verdicts that must not depend on the BLAS kernel or SIMD dispatch.
 """
 import dataclasses
 import hashlib
+import math
+from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +34,9 @@ from hypothesis import given, settings, strategies as st
 from encmpc import lp
 from encmpc.mpqp import LtiSystem, MpcSpec, condense
 from encmpc.polyhedra import box
-from encmpc.qp import (DualQp, QpInfeasible, QpNoConvergence, implicit_control,
+from encmpc import qp as qp_module
+from encmpc.qp import (DEPENDENT_TOL, DualQp, QpInfeasible, QpNoConvergence,
+                       _factor_drop, _factor_solve, implicit_control,
                        kkt_residuals, solve_qp, solve_qp_oracle)
 
 
@@ -110,6 +120,49 @@ def reference_feasible_point(A_ub, b_ub, tol=1e-9):
     y[basis] = T[:m, -1]
     x = y[:n] - y[n:2 * n]
     return -T[-1, -1] <= tol, x
+
+
+def exact_kkt(H, g, G, w, active):
+    """The KKT system of min 1/2 z'Hz + g'z s.t. Gz <= w with the rows
+    in active tight, solved by Gauss-Jordan elimination in Fractions
+    from the binary64 H, g, G and w, so nothing in it is rounded.
+    Returns z, lam (zero off the active rows) and every row's slack as
+    Fractions, and the exact certificate that the active set is
+    optimal: primal (every slack >= 0), dual (lam >= 0) and
+    complementarity (every lam_i times its slack is 0). Stationarity
+    holds by construction."""
+    H, G = (np.atleast_2d(np.asarray(a, dtype=float)).tolist() for a in (H, G))
+    g, w = (np.asarray(a, dtype=float).reshape(-1).tolist() for a in (g, w))
+    nz, rows = len(H), list(active)
+    n = nz + len(rows)
+    M = [[Fraction(v) for v in row] for row in (
+        [H[i] + [G[j][i] for j in rows] + [-g[i]] for i in range(nz)]
+        + [G[j] + [0.0] * len(rows) + [w[j]] for j in rows])]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if M[i][c])
+        M[c], M[pivot] = M[pivot], M[c]
+        for i in range(n):
+            if i != c and M[i][c]:
+                f = M[i][c] / M[c][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    sol = [M[i][n] / M[i][i] for i in range(n)]
+    z = sol[:nz]
+    lam = [Fraction(0)] * len(G)
+    for j, v in zip(rows, sol[nz:]):
+        lam[j] = v
+    slack = [Fraction(wj) - sum(map(mul, map(Fraction, Gj), z))
+             for Gj, wj in zip(G, w)]
+    return SimpleNamespace(
+        z=z, lam=lam, slack=slack,
+        primal=all(s >= 0 for s in slack), dual=all(v >= 0 for v in lam),
+        complementarity=all(v * s == 0 for v, s in zip(lam, slack)))
+
+
+def exact_relative_error(got, exact):
+    """max |got - exact| / max |exact| (absolute where exact is 0),
+    computed in Fractions."""
+    diff = max(abs(Fraction(a) - b) for a, b in zip(np.ravel(got).tolist(), exact))
+    return float(diff / (max(map(abs, exact)) or 1))
 
 
 def double_integrator(horizon):
@@ -207,6 +260,15 @@ def test_entering_tie_goes_to_lower_index(rows, w, active):
     assert z == pytest.approx(reference_solve_qp(H, g, G, w)[0], abs=1e-11)
 
 
+def quiet_row_qp():
+    """(H, g, G, w) of test_quiet_row_is_readmitted_after_a_full_step."""
+    eps = 1e-3
+    G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                  [0.0, 1.0, -eps]])
+    w = np.array([-1000.0, -1.0, -1000.0 - np.sqrt(2) * 1e-11, -1.0 - 5e-12])
+    return np.eye(3), np.zeros(3), G, w
+
+
 def test_quiet_row_is_readmitted_after_a_full_step():
     """Rows 0 and 1 enter in turn, violated by 1000 and 1. Row 2 is then
     violated by 1e-11 per unit norm, within ROUNDING of the ~1414 summed
@@ -217,11 +279,7 @@ def test_quiet_row_is_readmitted_after_a_full_step():
     after a full step; without that the solve stops at active set
     (0, 1, 3) with row 2 violated by 5e-9. The reference's z is 8e-11 off
     the exact optimizer here, so z is compared to it within 1e-10."""
-    eps = 1e-3
-    H, g = np.eye(3), np.zeros(3)
-    G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
-                  [0.0, 1.0, -eps]])
-    w = np.array([-1000.0, -1.0, -1000.0 - np.sqrt(2) * 1e-11, -1.0 - 5e-12])
+    H, g, G, w = quiet_row_qp()
     z, lam, active = solve_qp(DualQp(H, G), g, w)
     z_ref, lam_ref, active_ref = reference_solve_qp(H, g, G, w)
     assert active == active_ref == (0, 2, 3)
@@ -230,6 +288,135 @@ def test_quiet_row_is_readmitted_after_a_full_step():
     problem = SimpleNamespace(H=H, F=g[:, None], G=G, E=w[:, None],
                               h=np.zeros_like(w))
     assert max(kkt_residuals(problem, np.ones(1), z, lam).values()) <= 1e-12
+
+
+def test_dual_solver_is_exact_on_the_quiet_row_qp():
+    """On the quiet-row QP, where the primal reference is 8e-11 off, the
+    exact solution of the reported active set (0, 2, 3) is feasible,
+    dual feasible and complementary, and the dual solver's z and
+    multipliers are within 1e-15 relative of it."""
+    H, g, G, w = quiet_row_qp()
+    z, lam, active = solve_qp(DualQp(H, G), g, w)
+    exact = exact_kkt(H, g, G, w, active)
+    assert active == (0, 2, 3)
+    assert exact.primal and exact.dual and exact.complementarity
+    assert exact_relative_error(z, exact.z) <= 1e-15
+    assert exact_relative_error(lam, exact.lam) <= 1e-15
+
+
+def test_oracle_active_sets_are_exactly_optimal():
+    """At 150 of test_oracle_bytes_pinned's 1,000 states, drawn by seed,
+    every active set the oracle reports at a feasible one (54 of them)
+    is optimal for the binary64 QP by the exact certificate, and z and
+    the multipliers are within test_solve_qp_matches_reference's 1e-12
+    relative of the exact solution."""
+    qp = double_integrator(5)
+    states = np.random.default_rng(2024).uniform([-11.0, -6.0], [11.0, 6.0], (1000, 2))
+    certified = 0
+    for x in states[np.random.default_rng(5).choice(1000, 150, replace=False)]:
+        try:
+            z, active, lam = solve_qp_oracle(qp, x)
+        except QpInfeasible:
+            continue
+        exact = exact_kkt(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x, active)
+        assert exact.primal and exact.dual and exact.complementarity, x
+        assert exact_relative_error(z, exact.z) <= 1e-12, x
+        assert exact_relative_error(lam, exact.lam) <= 1e-12, x
+        certified += 1
+    assert certified >= 40
+
+
+def entry_order_block(K, A):
+    """K_AA as the dual iteration factors it: A in entry order, and each
+    pair of rows taken from the row that entered first (K is symmetric
+    only to rounding: 2e-14 relative on horizon 10)."""
+    return np.array([[K[A[min(a, b)], A[max(a, b)]] for b in range(len(A))]
+                     for a in range(len(A))]).reshape(len(A), len(A))
+
+
+@pytest.mark.parametrize("name", ["benchmark", "horizon10", "coupled4x2"])
+def test_factor_updates_match_a_fresh_solve(name):
+    """A seeded walk of 150 steps on the QP's K: a row enters when its
+    gain exceeds DEPENDENT_TOL * K_pp, as in the dual iteration, and
+    the first, a middle or the last active row leaves in turn (at most
+    nz rows are active). After each step, for every inactive row p, the
+    updated factor's r and gain match np.linalg.solve(K_AA, K_Ap) to
+    1e-12 relative; where K_AA is worse conditioned than 1e4 the bound
+    is 1e-16 cond(K_AA), since any backward-stable solve, LAPACK's
+    included, is good only to about cond * eps."""
+    qp = PROBLEMS[name][0]()
+    K, nz, q = qp.K, qp.H.shape[0], qp.G.shape[0]
+    rng = np.random.default_rng(17)
+    L, A, drops, dependent = [], [], set(), 0
+    for step in range(150):
+        k = len(A)
+        if k and (k == nz or rng.random() < 0.4):
+            d = (0, k // 2, k - 1)[step % 3]
+            if k >= 3:
+                drops.add("first" if d == 0 else "last" if d == k - 1 else "middle")
+            _factor_drop(L, d)
+            del A[d]
+        else:
+            p = int(rng.choice([i for i in range(q) if i not in A]))
+            l, _, gain = _factor_solve(L, K[A, p].tolist(), K[p, p])
+            if gain > DEPENDENT_TOL * K[p, p]:
+                L.append(l + [math.sqrt(gain)])
+                A.append(p)
+            else:
+                dependent += 1
+        KAA = entry_order_block(K, A)
+        tol = max(1e-12, 1e-16 * np.linalg.cond(KAA)) if A else 1e-12
+        for p in range(q):
+            if p in A:
+                continue
+            _, r, gain = _factor_solve(L, K[A, p].tolist(), K[p, p])
+            r_ref = np.linalg.solve(KAA, K[A, p]) if A else np.zeros(0)
+            gain_ref = K[p, p] - K[A, p] @ r_ref
+            assert np.all(np.abs(np.array(r) - r_ref) <= tol * np.abs(r_ref).max(initial=0.0))
+            assert abs(gain - gain_ref) <= tol * K[p, p]
+    assert drops == {"first", "middle", "last"} and dependent > 0
+
+
+def test_dependent_entering_row_takes_only_the_partial_step(monkeypatch):
+    """From z0 = (2, 2), x1 <= 0 and then x2 <= 0.5 enter with full
+    steps. Row 2, -x1 + x2 <= -0.1, is then violated but lies in the
+    span of both active rows (its gain is 0 to rounding), so the step
+    is partial: x2 <= 0.5, the one active row whose multiplier falls,
+    leaves, and row 2 then enters against x1 <= 0 alone, at the
+    optimizer (0, -0.1)."""
+    steps = []
+    solve, drop = qp_module._factor_solve, qp_module._factor_drop
+
+    def spy_solve(L, KAp, Kpp):
+        out = solve(L, KAp, Kpp)
+        steps.append(("enter", len(L), out[2] > DEPENDENT_TOL * Kpp))
+        return out
+
+    def spy_drop(L, d):
+        steps.append(("drop", d))
+        drop(L, d)
+
+    monkeypatch.setattr(qp_module, "_factor_solve", spy_solve)
+    monkeypatch.setattr(qp_module, "_factor_drop", spy_drop)
+    H, g = np.eye(2), np.array([-2.0, -2.0])
+    G, w = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]), np.array([0.0, 0.5, -0.1])
+    z, lam, active = solve_qp(DualQp(H, G), g, w)
+    assert steps == [("enter", 0, True), ("enter", 1, True),
+                     ("enter", 2, False), ("drop", 1), ("enter", 1, True)]
+    assert active == (0, 2) == reference_solve_qp(H, g, G, w)[2]
+    assert z == pytest.approx([0.0, -0.1], abs=1e-14)
+
+
+@pytest.mark.parametrize("g_len, w_len", [(5, 1), (5, 31), (6, 30), (4, 30)])
+def test_solve_qp_refuses_a_right_hand_side_of_the_wrong_length(g_len, w_len, monkeypatch):
+    """On the benchmark QP (nz 5, q 30) a g not of length 5 or a w not of
+    length 30 is a ValueError naming both shapes, raised before the
+    iteration (unchecked, a length-1 w broadcast over every row and
+    returned active set (), and the others died inside numpy)."""
+    qp = double_integrator(5)
+    monkeypatch.setattr(qp_module, "_dual_steps", None)
+    with pytest.raises(ValueError, match=rf"g of shape \({g_len},\) and w of shape \({w_len},\)"):
+        solve_qp(qp, np.zeros(g_len), np.ones(w_len))
 
 
 @pytest.mark.parametrize("hair, feasible", [(1e-11, True), (1e-7, False)])
@@ -301,14 +488,15 @@ def test_oracle_bytes_pinned():
     assert digest.hexdigest() == ORACLE_SHA256
 
 
-FACTOR = ("H", "G", "norms", "H_inv", "K")
+FACTOR = ("H", "G", "norms", "H_inv", "K", "KKT")
 
 
 def test_factor_is_read_only_data_of_the_qp():
     """The QP condense builds is its own factor: H, G and what solve_qp
-    derives from them are read-only, and replacing G builds a new one.
-    Doubling G doubles the row norms and leaves the unit rows, and so K,
-    bit for bit."""
+    derives from them are read-only, K's rows are tuples of its floats,
+    and replacing G builds a new factor. Doubling G doubles the row
+    norms and the KKT matrix's G blocks, and leaves the unit rows, and
+    so K and its rows, bit for bit."""
     qp = double_integrator(5)
     assert isinstance(qp, DualQp) and not hasattr(qp, "dual")
     for name in FACTOR:
@@ -316,12 +504,23 @@ def test_factor_is_read_only_data_of_the_qp():
         assert not value.flags.writeable, name
         with pytest.raises(ValueError):
             value[0] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        qp.K = qp.K
+    for value in (qp.K_rows, qp.K_rows[0]):
+        with pytest.raises(TypeError):
+            value[0] = 0.0
+    assert np.array(qp.K_rows).tobytes() == qp.K.tobytes()
+    nz = qp.H.shape[0]
+    assert np.array_equal(qp.KKT, np.block([[qp.H, qp.G.T], [qp.G, np.zeros((qp.q, qp.q))]]))
+    for name in ("K", "K_rows", "KKT"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(qp, name, getattr(qp, name))
     doubled = dataclasses.replace(qp, G=2.0 * qp.G)
     assert np.array_equal(doubled.G, 2.0 * qp.G)
     assert np.array_equal(doubled.norms, 2.0 * qp.norms)
     assert doubled.K.tobytes() == qp.K.tobytes()
+    assert doubled.K_rows == qp.K_rows and doubled.K_rows is not qp.K_rows
+    assert np.array_equal(doubled.KKT[nz:, :nz], 2.0 * qp.G)
+    assert np.array_equal(doubled.KKT[:nz, nz:], 2.0 * qp.G.T)
+    assert np.array_equal(doubled.KKT[:nz, :nz], qp.H)
     assert np.array_equal(doubled.F, qp.F) and np.array_equal(doubled.h, qp.h)
 
 
