@@ -10,6 +10,8 @@ integer coefficient beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,22 +38,33 @@ class KeyConfig:
         if not W_B_RANGE[0] <= self.w_b <= W_B_RANGE[1]:
             raise ConfigError("w_b must be in [{}, {}]".format(*W_B_RANGE))
 
-    @property
+    # the sizes and bit-split constants are read every cycle, so each is
+    # computed once per config (cached_property writes the instance dict)
+    @cached_property
     def d(self) -> int:
         return self.n + self.m
 
-    @property
+    @cached_property
     def w_q(self) -> int:
         return self.d * self.w_b
 
-    @property
+    @cached_property
     def n_words(self) -> int:
         """64-bit words that hold the w_q bits of one cycle."""
         return -(-self.w_q // 64)
 
+    @cached_property
+    def split(self) -> tuple:
+        """betas' constants: (the bits of the words past w_q, the group
+        mask, each group's shift, first group first, and beta_from_bits'
+        low mask, half + 1 and sign-bit shift)."""
+        w_b, half = self.w_b, 1 << (self.w_b - 1)
+        return (64 * self.n_words - self.w_q, (1 << w_b) - 1,
+                tuple(range(self.w_q - w_b, -1, -w_b)), half - 1, half + 1,
+                w_b - 1)
 
-@dataclass(frozen=True)
-class BetaVector:
+
+class BetaVector(NamedTuple):
     beta: tuple  # d = n + m nonzero ints: n state, then m offset coefficients
     n: int
     m: int
@@ -124,16 +137,16 @@ def beta_from_bits(group: int, w_b: int) -> int:
 
 def betas(words: list, cfg: KeyConfig) -> BetaVector:
     """Split the first w_q bits of generate_key's words into d groups
-    and map each to its beta."""
-    w_q, w_b = cfg.w_q, cfg.w_b
+    and map each to its beta: beta_from_bits, which the tests hold it
+    to, inlined on cfg.split's constants."""
     if len(words) != cfg.n_words:
         raise KeyLengthError(
             f"key has {len(words)} words, config requires {cfg.n_words}")
+    drop, mask, shifts, low, half1, sign = cfg.split
     acc = 0
     for word in words:
         acc = acc << 64 | word
-    acc >>= 64 * len(words) - w_q
-    mask = (1 << w_b) - 1
-    beta = tuple([beta_from_bits(acc >> shift & mask, w_b)
-                  for shift in range(w_q - w_b, -1, -w_b)])
-    return BetaVector(beta=beta, n=cfg.n, m=cfg.m)
+    acc >>= drop
+    groups = [acc >> shift & mask for shift in shifts]
+    return BetaVector(tuple([(g & low) + 1 - half1 * (g >> sign) for g in groups]),
+                      cfg.n, cfg.m)

@@ -26,7 +26,9 @@ import functools
 import math
 import random
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,15 +54,17 @@ QE_BACKENDS = ("qe", "qe_quantized")
 COUNT_KEYS = ("enc", "con", "dec", "sums", "he_enc", "he_dec", "he_add", "he_mul")
 
 
+@functools.lru_cache(maxsize=16)
 def cycle_counts(backend, n, m):
-    """One cycle's primitive operations in closed form, a fresh dict over
-    COUNT_KEYS (Paillier: one scalar product and one addition per gain)."""
+    """One cycle's primitive operations in closed form, a read-only
+    mapping over COUNT_KEYS built once per (backend, n, m) (Paillier: one
+    scalar product and one addition per gain)."""
     counts = dict.fromkeys(COUNT_KEYS, 0)
     if backend in QE_BACKENDS:
         counts.update(enc=n + m, con=m * n, dec=m * n + m, sums=m * n)
     elif backend == "paillier":
         counts.update(he_enc=n + m, he_mul=m * n, he_add=m * n, he_dec=m)
-    return counts
+    return MappingProxyType(counts)
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class WireMessage:
 @dataclass
 class CycleMetrics:
     sigma: int
-    counts: dict
+    counts: Mapping
     payload_bits: dict
     wall_time: dict
 
@@ -135,7 +139,7 @@ class WordField:
         self.rng = rng
 
     def encode(self, values, sizes):
-        codes = quantize_stochastic(values.tolist(), self.bits, self.rng)
+        codes = quantize_stochastic(values, self.bits, self.rng)
         parts, start = [], 0
         for size in sizes:
             parts.append(wire.pack_words(codes[start:start + size], self.bits))
@@ -231,7 +235,7 @@ class Sensor:
 
         sizes = (self.controller.n, self.controller.m)
         if self.backend == "plaintext":
-            values, sizes = x, sizes[:1]
+            values, sizes = x.tolist(), sizes[:1]
         elif self.backend in QE_BACKENDS:
             bv = self.key_source.betas(cycle)
             values = enc_state(x.tolist() + b_sig, bv.beta)
@@ -273,12 +277,12 @@ class Cloud:
         if self.backend == "plaintext":
             x, off = self.field.decode(msg.body, (n,), off)
             wire.expect_end(msg.body, off)
-            values = self.gains[sigma] @ x + self.offsets[sigma]
+            values = (self.gains[sigma] @ x + self.offsets[sigma]).tolist()
         elif self.backend in QE_BACKENDS:
             ct_x, off = self.field.decode(msg.body, (n,), off)
             # the m offset ciphertexts: framing checked, forwarded as they are
             wire.expect_end(msg.body, self.field.skip(msg.body, m, off))
-            values = con(self.gains[sigma], ct_x).ravel()
+            values = con(self.gains[sigma], ct_x)
             forwarded = m
         else:
             vals, off = self.field.decode(msg.body, (n, m), off)

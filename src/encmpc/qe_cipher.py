@@ -10,13 +10,18 @@ exactly, in real arithmetic. A stochastic rounding quantizer with the
 domain fold g (values below 1 reflected by 2 - 1/v) turns ciphertexts
 into the w-bit integer codes of the quantized backend's wire format.
 
-exp, log and power are numpy ufuncs applied once per message: math's
-versions differ from them in the last bit on some arguments, and a
-ufunc's value for one element does not depend on the array's length.
+A cycle handles n + m values, so the cipher works on Python floats, one
+libm call per value: math.exp, float ** float (C pow) and math.log, and
+each decrypted input is the math.fsum of its rounded beta-weighted
+logarithms, a correctly rounded sum whatever the order of its terms.
+Its bits then depend on the platform's libm alone, not on which SIMD
+loops NumPy dispatches to (whose exp, log and power differ from libm's,
+and from each other, in the last bit).  Every function returns a list.
 """
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -42,12 +47,11 @@ class RangeError(ValueError):
 
 
 def _positive_finite(values) -> bool:
-    # on Python floats: cheaper than numpy reductions over a few values
     return all(0.0 < v < math.inf for v in values)
 
 
-def enc_vector(values, beta) -> np.ndarray:
-    """exp(z_i / beta_i) for each component, in one np.exp.
+def enc_vector(values, beta) -> list:
+    """[exp(z_i / beta_i)] for each component, by math.exp.
 
     The guard comes first: the first component with |z/beta| above
     EXP_ARG_LIMIT raises MagnitudeError before any exp is taken.  The
@@ -58,7 +62,7 @@ def enc_vector(values, beta) -> np.ndarray:
         if not abs(arg) <= EXP_ARG_LIMIT:
             raise MagnitudeError(
                 f"component {i}: |z/beta| = {abs(arg):.3g} exceeds {EXP_ARG_LIMIT}")
-    return np.exp(args)
+    return list(map(math.exp, args))
 
 
 # the sensor encrypts the state and the offset in one call, so both
@@ -66,50 +70,52 @@ def enc_vector(values, beta) -> np.ndarray:
 enc_state = enc_offset = enc_vector
 
 
-def dec_vector(cts, beta) -> np.ndarray:
-    """beta_i * ln(ct_i) for each component; inverts enc_vector."""
-    cts = np.asarray(cts, dtype=float).reshape(-1)
-    if not _positive_finite(cts.tolist()):
+def dec_vector(cts, beta) -> list:
+    """[beta_i * ln(ct_i)] for each component; inverts enc_vector."""
+    if not _positive_finite(cts):
         raise CiphertextError("ciphertext vector has nonpositive or nonfinite entries")
-    return np.asarray(beta, dtype=float) * np.log(cts)
+    return [b * math.log(ct) for ct, b in zip(cts, beta, strict=True)]
 
 
-# a decorator enters a fresh errstate per call, cheaper than a with block
-@np.errstate(over="ignore", under="ignore")
-def con(K, ct_vec) -> np.ndarray:
-    """Cloud-side linear-term computation: entry (j,i) = ct_i ** K[j,i].
+def con(K, ct_vec) -> list:
+    """Cloud-side linear-term computation: the m*n powers ct_i ** K[j,i],
+    row-major (entry j*n + i), for an (m, n) gain K.
 
-    Takes no key material by construction; raises if any power over- or
-    underflows out of the positive reals.
+    Takes no key material by construction; raises CiphertextError if a
+    ciphertext is not a positive finite float, or if any power overflows
+    (Python's OverflowError) or underflows to 0.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    ct_vec = np.asarray(ct_vec, dtype=float).reshape(-1)
-    if K.shape[1] != ct_vec.size:
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[1] != len(ct_vec):
         raise ValueError("gain/ciphertext dimension mismatch")
-    if not _positive_finite(ct_vec.tolist()):
+    if not _positive_finite(ct_vec):
         raise CiphertextError("ciphertext vector has nonpositive or nonfinite entries")
-    T = ct_vec ** K
-    if not _positive_finite(T.ravel().tolist()):
-        raise CiphertextError("power overflowed or underflowed the positive reals")
-    return T
+    try:
+        T = [ct ** k for row in K.tolist() for ct, k in zip(ct_vec, row)]
+        if _positive_finite(T):
+            return T
+    except OverflowError:
+        pass
+    raise CiphertextError("power overflowed or underflowed the positive reals")
 
 
-def dec_aggregate(cts, bv: BetaVector) -> np.ndarray:
-    """The actuator's decryption, in one np.log: u = K x + b.
+def dec_aggregate(cts, bv: BetaVector) -> list:
+    """The actuator's decryption: u = K x + b, one math.log per value.
 
     cts are the m*n + m ciphertexts the actuator receives, T = con(K,
-    enc(x)) row-major and then enc(b); u_j = sum_i beta_i ln T[j,i] +
-    beta_{n+j} ln enc(b)_j.
+    enc(x)) row-major and then enc(b); u_j is the math.fsum of
+    beta_i ln T[j,i] over i and beta_{n+j} ln enc(b)_j.
     """
     n, m = bv.n, bv.m
-    cts = np.asarray(cts, dtype=float).reshape(-1)
-    if cts.size != m * n + m:
-        raise ValueError(f"{cts.size} ciphertexts, expected {m * n + m}")
-    if not _positive_finite(cts.tolist()):
+    if len(cts) != m * n + m:
+        raise ValueError(f"{len(cts)} ciphertexts, expected {m * n + m}")
+    if not _positive_finite(cts):
         raise CiphertextError("received ciphertexts have nonpositive or nonfinite entries")
-    logs = np.log(cts)
-    beta = np.asarray(bv.beta, dtype=float)
-    return logs[:m * n].reshape(m, n) @ beta[:n] + beta[n:] * logs[m * n:]
+    logs = list(map(math.log, cts))
+    beta_x, beta_b = bv.beta[:n], bv.beta[n:]
+    return [math.fsum([*map(mul, beta_x, logs[j * n:j * n + n]),
+                       beta_b[j] * logs[m * n + j]])
+            for j in range(m)]
 
 
 # domain fold and stochastic quantizer
@@ -152,7 +158,7 @@ def quantize_stochastic(values, w: int, rng: np.random.Generator) -> list:
     return codes
 
 
-def dequantize(codes, w: int) -> np.ndarray:
+def dequantize(codes, w: int) -> list:
     """Positive reals back from w-bit codes: g_inv of I * 2^(1-w)."""
     scale = 2.0 ** (1 - w)
-    return np.array([g_inv(code * scale) for code in codes])
+    return [g_inv(code * scale) for code in codes]

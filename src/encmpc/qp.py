@@ -78,7 +78,8 @@ class DualQp:
 def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
     """Return (z, lam, active) for the inequality-constrained QP whose
     H and G dual holds, at the right-hand side (g, w); a g that is not
-    of length nz or a w that is not of length q is a ValueError.
+    of length nz or a w that is not of length q, or one with an entry
+    that is NaN or infinite, is a ValueError.
 
     The iteration works on the multipliers alone, of the rows scaled to
     unit norm. With K = G H^-1 G', computed once per QP in dual, and s0
@@ -116,6 +117,12 @@ def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
         raise ValueError(f"g of shape {g.shape} and w of shape {w.shape} do "
                          f"not fit a QP of {nz} variables and {q} rows")
     g, w = g.reshape(-1), w.reshape(-1)
+    for name, v in (("g", g), ("w", w)):
+        # the sum is finite when every entry is, bar an overflow of huge ones
+        if not math.isfinite(sum(v.tolist())):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] = {v[bad[0]]} is not finite")
     z0 = -(dual.H_inv @ g)
     Gz0 = G @ z0
 

@@ -18,8 +18,7 @@ are read and written only through the protocol's field codecs
 """
 
 import struct
-
-import numpy as np
+from array import array
 
 
 class WireError(ValueError):
@@ -40,7 +39,8 @@ def decode_u32(data, off=0):
 
 
 def encode_f64_vec(values):
-    return np.asarray(values, dtype="<f8").tobytes()
+    """The values as consecutive little-endian binary64."""
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def f64_end(data, count, off=0):
@@ -52,9 +52,10 @@ def f64_end(data, count, off=0):
 
 
 def decode_f64_vec(data, count, off=0):
-    """(values, end): `count` binary64 values at off, a read-only view of data."""
+    """(values, end): the `count` binary64 values at off, unpacked into
+    a new array('d'), whose items are Python floats."""
     end = f64_end(data, count, off)
-    return np.frombuffer(data, dtype="<f8", count=count, offset=off), end
+    return array("d", struct.unpack_from(f"<{count}d", data, off)), end
 
 
 def pack_words(codes, w):

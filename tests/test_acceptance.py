@@ -10,6 +10,8 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -33,20 +35,48 @@ def report(num, ok, detail):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def exact_law(K, b, x):
+    """K x + b in Fractions, from the binary64 K, b and x as given."""
+    xs = [Fraction(v) for v in np.ravel(x).tolist()]
+    return [sum(map(mul, map(Fraction, row), xs), Fraction(bj))
+            for row, bj in zip(np.atleast_2d(K).tolist(), np.ravel(b).tolist())]
+
+
 def test_criterion_01_qe_exact_recovery(bench_controller):
+    """qe's u against the float plaintext law, and against the exact
+    rational law at every step: K x + b of the region sent, at the
+    shifted state the cycle saw, plus the steady-state input u_ss, all
+    taken as the binary64 numbers the loop used."""
+    scenario = benchmark_scenario()
     t0 = time.perf_counter()
-    traj = run_closed_loop(benchmark_scenario(), RunConfig(backend="qe"),
+    traj = run_closed_loop(scenario, RunConfig(backend="qe"),
                            controller=bench_controller)
     dt = time.perf_counter() - t0
     gaps = np.array([np.abs(r.u - r.u_plain).max() for r in traj.records])
+    exact_gaps = []
+    for rec in traj.records:
+        x_ss, u_ss = scenario.steady_state(rec.r)
+        sigma = rec.cycle.sigma
+        law = exact_law(bench_controller.gains[sigma],
+                        bench_controller.offsets[sigma], rec.x - x_ss)
+        exact_gaps.append(max(float(abs(Fraction(u) - v - Fraction(us)))
+                              for u, v, us in zip(rec.u.tolist(), law,
+                                                  u_ss.tolist())))
+    exact_gaps = np.array(exact_gaps)
     ok = (not traj.fault and len(traj.records) == 60
-          and gaps.mean() <= 1e-10 and gaps.max() <= 1e-9 and dt < 5.0)
-    report(1, ok, f"qe vs plaintext over 60 steps: mismatch mean "
+          and gaps.mean() <= 1e-10 and gaps.max() <= 1e-9
+          and exact_gaps.mean() <= 1e-10 and exact_gaps.max() <= 1e-9
+          and dt < 5.0)
+    report(1, ok, f"qe over 60 steps: vs plaintext mismatch mean "
                   f"{gaps.mean():.3e} (<=1e-10), max {gaps.max():.3e} "
-                  f"(<=1e-9), {dt:.2f}s (<5s)")
+                  f"(<=1e-9); vs exact K x + b mean {exact_gaps.mean():.3e} "
+                  f"(<=1e-10), max {exact_gaps.max():.3e} (<=1e-9); "
+                  f"{dt:.2f}s (<5s)")
     assert not traj.fault and len(traj.records) == 60
     assert gaps.mean() <= 1e-10
     assert gaps.max() <= 1e-9
+    assert exact_gaps.mean() <= 1e-10
+    assert exact_gaps.max() <= 1e-9
     assert dt < 5.0
 
 

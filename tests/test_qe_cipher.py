@@ -55,9 +55,40 @@ def test_enc_state_offset_split():
     ct_b = enc_offset(b, bv.beta[bv.n:])
     assert dec_vector(ct_x, bv.beta[:bv.n]) == pytest.approx(x, abs=1e-12)
     assert dec_vector(ct_b, bv.beta[bv.n:]) == pytest.approx(b, abs=1e-12)
-    # the sensor's one call over (x, b) gives the same bytes
+    # the sensor's one call over (x, b) gives the same floats
     both = enc_state([0.4, -1.2, 0.7], bv.beta)
-    assert both.tobytes() == ct_x.tobytes() + ct_b.tobytes()
+    assert hexes(both) == hexes(ct_x + ct_b)
+
+
+def hexes(values):
+    """Each float's exact bits, as float.hex (which tells -0.0 from 0.0)."""
+    return [float(v).hex() for v in values]
+
+
+def test_cipher_is_libm_bit_for_bit():
+    """On seeded draws, enc is math.exp(z / beta), con is ct ** k on
+    Python floats (C pow), and dec is math.fsum of the rounded
+    beta * math.log(ct) terms, bit for bit: the cipher's bits rest on
+    the platform's libm alone."""
+    rng = np.random.default_rng(27)
+    n, m = 3, 2
+    cfg = KeyConfig(n=n, m=m, w_b=16)
+    for trial in range(2000):
+        beta = betas(generate_key(27, trial, cfg), cfg).beta
+        z = rng.uniform(-50, 50, size=n + m).tolist()
+        K = rng.uniform(-4, 4, size=(m, n)).tolist()
+        ct = enc_vector(z, beta)
+        assert hexes(ct) == hexes([math.exp(v / b) for v, b in zip(z, beta)])
+        T = con(K, ct[:n])
+        assert hexes(T) == hexes([ct[i] ** K[j][i] for j in range(m)
+                                  for i in range(n)])
+        logs = [math.log(c) for c in T + ct[n:]]
+        want = [math.fsum([beta[i] * logs[j * n + i] for i in range(n)]
+                          + [beta[n + j] * logs[m * n + j]]) for j in range(m)]
+        got = dec_aggregate(T + ct[n:], BetaVector(beta=beta, n=n, m=m))
+        assert hexes(got) == hexes(want)
+        assert hexes(dec_vector(ct, beta)) == hexes(
+            [b * math.log(c) for b, c in zip(beta, ct)])
 
 
 def received(T, ct_b):
@@ -76,6 +107,8 @@ def test_con_rejects_bad_inputs():
         con([[1.0]], [-2.0])
     with pytest.raises(CiphertextError):
         con([[4000.0]], [math.exp(0.7) * 4])  # overflows float range
+    with pytest.raises(CiphertextError):
+        con([[-4000.0]], [math.exp(0.7) * 4])  # underflows to 0
     with pytest.raises(ValueError):
         con([[1.0, 2.0]], [1.0])
 
@@ -193,7 +226,7 @@ def test_quantize_grid_aligned_deterministic():
     for _ in range(50):
         codes = quantize_stochastic([1.5], 4, rng)
         assert codes == [12]
-        assert dequantize(codes, 4).tolist() == [1.5]
+        assert dequantize(codes, 4) == [1.5]
 
 
 def test_quantize_w1_coin():
@@ -243,7 +276,7 @@ def test_quantized_word_bits_string():
     # codes go on the wire MSB-first, the last byte zero-padded
     assert wire.pack_words([0b10, 0b01], 2) == b"\x90"
     assert wire.unpack_words(b"\x90", 2, 2) == ([0b10, 0b01], 1)
-    assert dequantize([0b10], 2).tolist() == [1.0]  # 2 * 2^(1-2)
+    assert dequantize([0b10], 2) == [1.0]  # 2 * 2^(1-2)
 
 
 # words drawn by the quantizer before its hot path was trimmed; the
@@ -287,7 +320,8 @@ def test_quantized_word_range_checked():
 
 def test_quantized_roundtrip_error_decays():
     rng = np.random.default_rng(4)
-    roundtrip = lambda v, w, k: dequantize(quantize_stochastic([v] * k, w, rng), w)
+    roundtrip = lambda v, w, k: np.array(
+        dequantize(quantize_stochastic([v] * k, w, rng), w))
     errs24 = np.abs(roundtrip(1.3, 24, 200) - 1.3)
     assert max(errs24) <= 2.0 ** -22
     errs16 = np.abs(roundtrip(0.75, 16, 10_000) - 0.75)

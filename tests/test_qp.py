@@ -419,6 +419,22 @@ def test_solve_qp_refuses_a_right_hand_side_of_the_wrong_length(g_len, w_len, mo
         solve_qp(qp, np.zeros(g_len), np.ones(w_len))
 
 
+@pytest.mark.parametrize("arg, entry, value", [("w", 3, np.nan), ("g", 0, np.inf),
+                                                ("w", 29, -np.inf), ("g", 4, np.nan)])
+def test_solve_qp_refuses_a_non_finite_right_hand_side(arg, entry, value, monkeypatch):
+    """On the benchmark QP at x = (1, 0.5), a NaN or infinite entry of g
+    or w is a ValueError naming the argument, raised before the
+    iteration (unchecked, w_3 = NaN returned active set (1,), and g_0 =
+    inf an all-NaN z)."""
+    qp = double_integrator(5)
+    x = np.array([1.0, 0.5])
+    rhs = {"g": qp.F @ x, "w": qp.h + qp.E @ x}
+    rhs[arg][entry] = value
+    monkeypatch.setattr(qp_module, "_dual_steps", None)
+    with pytest.raises(ValueError, match=rf"^{arg}\[{entry}\] = {value} is not finite"):
+        solve_qp(qp, rhs["g"], rhs["w"])
+
+
 @pytest.mark.parametrize("hair, feasible", [(1e-11, True), (1e-7, False)])
 def test_unbounded_dual_defers_to_certificate(hair, feasible, monkeypatch):
     """x1 <= 1 and x1 >= 1 + hair: from z = (2, 0) row 0 enters, and then

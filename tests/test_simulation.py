@@ -170,11 +170,12 @@ def test_trajectory_csv_shape_and_determinism(bench_controller):
     assert lines[1].split(",")[0] == "0"
 
 
-# SHA-256 of trajectory_csv for qe_quantized, recorded from the earlier
+# SHA-256 of trajectory_csv for qe_quantized: the first recorded when
+# the cipher moved to libm on Python floats, the second from the earlier
 # word-object implementation of the quantized wire; the second config
 # faults with StateNotCovered at step 1
 QUANTIZED_CSV_SHA256 = [
-    ({}, "d208bb99d510e79353a6eda479d1dd6e1c9ca8945b09e22909058de6befd21a5"),
+    ({}, "b570b8db7da9d91d44bdea76880020c53319556a35eb787e75f1888b27036e92"),
     ({"epsilon_q": 0.001},
      "da9c693811c107fa431c32e35da66f3ba781bd3a570366fed001cc7260e24064"),
 ]
@@ -188,12 +189,12 @@ def test_quantized_trajectory_bytes_pinned(bench_controller, overrides, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# SHA-256 of trajectory_csv for qe, recorded before the cycle's key
-# derivation and cipher were rewritten; seed_keys moves every ciphertext
+# SHA-256 of trajectory_csv for qe, recorded when the cipher moved to
+# libm on Python floats; seed_keys moves every ciphertext
 QE_CSV_SHA256 = [
-    ({}, "8a520b93a059ee27b176e2c3c02d9b08ac1bba36eef45b65a84261ff7e739cb8"),
+    ({}, "8b60c2155eac70c0cf76d76f43bb3c5a94955523b225007b8a9d47da728932a4"),
     ({"seed_keys": 7},
-     "4542c5d8570c4fd24191b6414fbdffcc64876c9229f84da184fe5f02709418e7"),
+     "9cd1383ddae0496537d5cf7e4738b63a00db37886a3f2f73fbfa2a913bcf9dee"),
 ]
 
 
