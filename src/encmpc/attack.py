@@ -14,13 +14,14 @@ bigger is better for the defender.
 Observation noise (gaussian, uniform, or sparse impulses, scaled by the
 feature RMS) perturbs only what the adversary records, never the loop.
 
-A table runs each cell's trials as one batch (blocks of TRIAL_BLOCK):
-the cell draws its noise trial by trial from its own seeded generator,
-as a one-trial loop would, and then one fit, one rollout (one stacked
-product per step) and one score handle the whole stack.  Fit, rollout
-and score take stacks of trials only (trials x T x .; one trial is a
-stack of one), and every trial's result equals that of the trial run
-alone, bit for bit.
+A table runs its trials in stacked blocks of TRIAL_BLOCK that span
+cells: each cell draws its noise trial by trial from its own seeded
+generator, as a one-trial loop would, its trials join the block of its
+observations' shape, and one fit, one rollout (one stacked product per
+step, the divergence cap applied after the last step) and one score
+handle each block.  Fit, rollout and score take stacks of trials only
+(trials x T x .; one trial is a stack of one), and every trial's result
+equals that of the trial run alone, bit for bit.
 """
 
 import math
@@ -106,26 +107,26 @@ def rollout(theta, x0, inputs):
     inputs trials x T x m; every trial steps with one product per step.
     Returns (xhat, steps): trial i's rollout is xhat[i, :steps[i]],
     truncated after its first row over the divergence cap, and a
-    diverged trial stays frozen at that row after it.
+    diverged trial stays frozen at that row after it.  The cap is
+    applied once, after the loop: a diverged trial steps on to inf or
+    NaN, silently, and only the rows it keeps are returned.
     """
     U = np.asarray(inputs, dtype=float)
-    x = np.asarray(x0, dtype=float)
     N, T, m = U.shape
-    n = x.shape[1]
-    out = np.empty((N, T + 1, n))
-    out[:, 0] = x
-    z = np.empty((N, n + m, 1))
-    live = np.ones(N, dtype=bool)
-    steps = np.full(N, T + 1)
-    for k in range(T):
-        z[:, :n, 0] = out[:, k]
-        z[:, n:, 0] = U[:, k]
-        x = np.matmul(theta, z)[:, :, 0]
-        out[:, k + 1] = np.where(live[:, None], x, out[:, k])
-        over = live & (_norms(x) > DIVERGENCE_CAP)
-        steps[over] = k + 2
-        live &= ~over
-    return out, steps
+    n = theta.shape[1]
+    # z[k] = [xhat(k); u(k)], one trials x (n+m) x 1 operand per step
+    z = np.empty((T + 1, N, n + m, 1))
+    z[0, :, :n, 0] = x0
+    z[:T, :, n:, 0] = U.transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T):
+            z[k + 1, :, :n] = np.matmul(theta, z[k])
+        xhat = z[:, :, :n, 0].transpose(1, 0, 2)
+        over = _norms(xhat[:, 1:]) > DIVERGENCE_CAP
+    steps = np.where(over.any(axis=1), over.argmax(axis=1) + 2, T + 1)
+    kept = np.arange(T + 1) < steps[:, None]
+    last = xhat[np.arange(N), steps - 1]
+    return np.where(kept[:, :, None], xhat, last[:, None]), steps
 
 
 @dataclass
@@ -280,31 +281,60 @@ def gather_observations(scenario, controller, cfg, backends):
     return obs
 
 
+def _score_block(block):
+    """One attack_once over a block's pieces (a cell's score list, its
+    noisy trials, inputs, truth), stacked in the order they were drawn;
+    each piece's defined scores go to its cell's list, and the block is
+    left empty."""
+    scores = attack_once(
+        np.concatenate([noisy for _, noisy, _, _ in block]),
+        np.concatenate([np.broadcast_to(inputs, (len(noisy),) + inputs.shape)
+                        for _, noisy, inputs, _ in block]),
+        np.concatenate([np.broadcast_to(truth, (len(noisy),) + truth.shape)
+                        for _, noisy, _, truth in block]))
+    start = 0
+    for vals, noisy, _, _ in block:
+        part = slice(start, start + len(noisy))
+        vals += scores.value[part][scores.defined[part]].tolist()
+        start = part.stop
+    block.clear()
+
+
 def run_attack_table(observations, settings, seed):
     """Mean confidentiality score per (setting, backend).
 
     observations maps backend name to (features, inputs, truth_states).
     Each (setting, backend) cell averages setting.trials independent
-    noise realizations from its own seeded generator.  A cell's trials
-    are drawn, fitted, rolled out and scored as stacks of at most
-    TRIAL_BLOCK trials, so memory does not grow with the trial count.
+    noise realizations from its own seeded generator.  Walking the
+    cells in order, the trials fill blocks of TRIAL_BLOCK that span
+    cells (a cell may split across blocks), one block per shape of the
+    observations; each full block, and each partial one at the end, is
+    fitted, rolled out and scored as one stack, so memory does not grow
+    with the trial count.
     """
-    table = {}
+    cells, blocks = [], {}
     for si, setting in enumerate(settings):
         for bi, (backend, (features, inputs, truth)) in enumerate(
                 observations.items()):
             rng = np.random.default_rng(np.random.SeedSequence([seed, si, bi]))
             vals = []
-            for start in range(0, setting.trials, TRIAL_BLOCK):
-                k = min(TRIAL_BLOCK, setting.trials - start)
-                noisy = apply_noise(features, setting, rng, k)
-                scores = attack_once(noisy,
-                                     np.broadcast_to(inputs, (k,) + inputs.shape),
-                                     np.broadcast_to(truth, (k,) + truth.shape))
-                vals += scores.value[scores.defined].tolist()
-            table[(setting.noise_kind, backend)] = (
-                math.fsum(vals) / len(vals) if vals else float("nan"))
-    return table
+            cells.append(((setting.noise_kind, backend), vals))
+            block = blocks.setdefault(
+                (features.shape, inputs.shape, truth.shape), [])
+            left = setting.trials
+            while left:
+                room = TRIAL_BLOCK - sum(len(noisy) for _, noisy, _, _ in block)
+                k = min(room, left)
+                block.append((vals, apply_noise(features, setting, rng, k),
+                              inputs, truth))
+                left -= k
+                if k == room:
+                    _score_block(block)
+    for block in blocks.values():
+        if block:
+            _score_block(block)
+    return {cell: math.fsum(vals) / len(vals) if vals else float("nan")
+            for cell, vals in cells}
 
 
 def attack_table_csv(table, backends):

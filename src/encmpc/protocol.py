@@ -277,7 +277,8 @@ class Cloud:
         if self.backend == "plaintext":
             x, off = self.field.decode(msg.body, (n,), off)
             wire.expect_end(msg.body, off)
-            values = (self.gains[sigma] @ x + self.offsets[sigma]).tolist()
+            values = (self.gains[sigma] @ np.frombuffer(x)
+                      + self.offsets[sigma]).tolist()
         elif self.backend in QE_BACKENDS:
             ct_x, off = self.field.decode(msg.body, (n,), off)
             # the m offset ciphertexts: framing checked, forwarded as they are

@@ -39,7 +39,7 @@ def step_plant(sys, x, u):
     return sys.A @ x + sys.B @ u
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Plant, MPC design, and reference program for one experiment.
 
@@ -75,10 +75,13 @@ class Scenario:
     r_steps: tuple = ((0, 0.0),)  # (start step, reference value) pairs
 
     def __post_init__(self):
-        for name in ("A", "B", "C_out", "Q", "R"):
-            setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        for name in ("u_lo", "u_hi", "x_lo", "x_hi", "x0"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float).ravel())
+        # the scenario's own read-only copies: a caller's array stays writable
+        matrices = ("A", "B", "C_out", "Q", "R")
+        for name in matrices + ("u_lo", "u_hi", "x_lo", "x_hi", "x0"):
+            val = np.array(getattr(self, name), dtype=float)
+            val = np.atleast_2d(val) if name in matrices else val.ravel()
+            val.flags.writeable = False
+            object.__setattr__(self, name, val)
         n, m = self.A.shape[0], self.B.shape[1]
         shapes = {"A": (n, n), "B": (n, m), "C_out": (len(self.C_out), n),
                   "Q": (n, n), "R": (m, m), "u_lo": (m,), "u_hi": (m,),
@@ -106,8 +109,10 @@ class Scenario:
                             *(("r_steps start step", k) for k, _ in self.r_steps)):
             if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        self.horizon, self.T = int(self.horizon), int(self.T)
-        self.r_steps = tuple((int(k), float(v)) for k, v in self.r_steps)
+        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "r_steps",
+                           tuple((int(k), float(v)) for k, v in self.r_steps))
         starts = [k for k, _ in self.r_steps]
         if self.T < 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")

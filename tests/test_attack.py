@@ -1,8 +1,9 @@
 """Least-squares adversary: fit, rollout, score, and the ordering table.
 
 `reference_run_attack_table` is the table as it was computed one trial
-at a time, with one norm per step; the program evaluates each cell's
-trials as one stack and must give the same floats, bit for bit.
+at a time, with one norm per step; the program evaluates the table's
+trials in stacked blocks that span cells and must give the same floats,
+bit for bit.
 """
 
 import dataclasses
@@ -426,6 +427,53 @@ def test_table_blocks_and_cell_shapes_match_reference(observations, monkeypatch)
     assert_same_table(run_attack_table(obs, settings, 11),
                       reference_run_attack_table(obs, settings, 11))
     assert run_attack_table(obs, (), 11) == {}
+
+
+def test_benchmark_shaped_table_is_one_stacked_pass(observations, monkeypatch):
+    """Twelve cells of equal length and 8 trials each (the benchmark's
+    reduced experiment: 4 noise kinds x 3 backends) make one block: one
+    fit and one rollout of all 96 trials, with the reference floats."""
+    obs = {b: observations[b] for b in BACKENDS[:3]}
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append((name, len(args[0])))
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(attack, "fit_ls_predictor", spy("fit", fit_ls_predictor))
+    monkeypatch.setattr(attack, "rollout", spy("rollout", rollout))
+    settings = default_settings(trials=8)
+    table = run_attack_table(obs, settings, 21)
+    assert calls == [("fit", 96), ("rollout", 96)]
+    assert_same_table(table, reference_run_attack_table(obs, settings, 21))
+
+
+def test_overflowing_trial_in_a_stack_keeps_its_reference_rows(monkeypatch):
+    """A trial that passes the cap and then steps on to inf and NaN
+    shares its stack with a steady trial and one that diverges slowly:
+    each keeps its one-trial reference's steps and rows, is frozen at
+    its last row after them, and no RuntimeWarning is raised."""
+    A, B, xs, us = synthetic_linear_data(T=60)
+    thetas = np.stack([np.hstack([A, B]),
+                       np.hstack([1e8 * np.eye(2), np.ones((2, 1))]),
+                       np.hstack([10.0 * np.eye(2), np.zeros((2, 1))])])
+    x0 = np.stack([xs[0], [1e-10, -1e-10], xs[0]])
+    U = np.broadcast_to(us, (3,) + us.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        xhat, steps = rollout(thetas, x0, U)
+        # without the cap the second trial's rows reach inf, then NaN
+        monkeypatch.setattr(attack, "DIVERGENCE_CAP", np.inf)
+        uncapped, _ = rollout(thetas, x0, U)
+    assert np.isinf(uncapped[1]).any() and np.isnan(uncapped[1, -1]).all()
+    assert steps.tolist() == [len(us) + 1, 3, 7]
+    for i in range(3):
+        ref = reference_rollout(thetas[i], x0[i], us)
+        assert steps[i] == len(ref)
+        assert np.array_equal(xhat[i, : steps[i]], ref)
+        assert np.all(xhat[i, steps[i]:] == ref[-1])
 
 
 def test_stacked_fit_rollout_score_match_one_trial_each(observations):

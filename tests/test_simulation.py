@@ -51,8 +51,9 @@ def test_steady_state_shift():
     x_ss, u_ss = sc.steady_state(1.5)
     assert np.allclose(x_ss, [1.5, 0.0])
     assert np.allclose(u_ss, [0.0])
-    bad = benchmark_scenario()
-    bad.C_out = np.array([[0.0, 1.0]])
+    # a reference of 0 is the only one this output's steady state reaches
+    bad = dataclasses.replace(benchmark_scenario(), C_out=[[0.0, 1.0]],
+                              r_steps=((0, 0.0),))
     with pytest.raises(ConfigError):
         bad.steady_state(1.0)  # no equilibrium holds x2 at a nonzero value
 
@@ -60,8 +61,9 @@ def test_steady_state_shift():
 def test_closed_loop_settles_before_its_first_cycle(bench_controller, monkeypatch):
     """The parties and every reference's steady state are built before
     step 0: a reference that no steady state reaches is refused when the
-    scenario is built, and, when C_out changes after that, by the loop
-    with no cycle run.  The loop's backend is the config's."""
+    scenario is built, and, when the step-20 reference's steady state
+    fails in the loop, by the loop with no cycle run.  The loop's
+    backend is the config's."""
     with pytest.raises(ConfigError, match=r"no steady state for reference \[1.5\]"):
         dataclasses.replace(benchmark_scenario(), C_out=[[0.0, 1.0]])
     calls = []
@@ -70,11 +72,18 @@ def test_closed_loop_settles_before_its_first_cycle(bench_controller, monkeypatc
         calls.append(args)
         return run_cycle(*args, **kwargs)
 
-    monkeypatch.setattr(simulation, "run_cycle", spy)
+    def unsettled(self, r):
+        if r[0] == 1.5:
+            raise ConfigError(f"no steady state for reference {r}")
+        return settle(self, r)
+
+    settle = Scenario.steady_state
     sc = benchmark_scenario()
-    sc.C_out = np.array([[0.0, 1.0]])
-    with pytest.raises(ConfigError, match=r"no steady state for reference \[1.5\]"):
-        run_closed_loop(sc, RunConfig(backend="plaintext"), controller=bench_controller)
+    monkeypatch.setattr(simulation, "run_cycle", spy)
+    with monkeypatch.context() as patch:
+        patch.setattr(Scenario, "steady_state", unsettled)
+        with pytest.raises(ConfigError, match=r"no steady state for reference \[1.5\]"):
+            run_closed_loop(sc, RunConfig(backend="plaintext"), controller=bench_controller)
     assert calls == []
     traj = run_closed_loop(benchmark_scenario(), RunConfig(backend="plaintext", steps=2),
                            controller=bench_controller)
@@ -101,9 +110,7 @@ def test_plaintext_mismatch_is_zero(bench_controller):
 
 
 def test_origin_equilibrium(bench_controller):
-    sc = benchmark_scenario()
-    sc.x0 = np.array([0.0, 0.0])
-    sc.r_steps = ((0, 0.0),)
+    sc = dataclasses.replace(benchmark_scenario(), x0=[0.0, 0.0], r_steps=((0, 0.0),))
     traj = run_closed_loop(sc, RunConfig(backend="qe", steps=10),
                            controller=bench_controller)
     for rec in traj.records:
@@ -149,8 +156,7 @@ def test_rmse_nonincreasing_in_word_budget(bench_controller):
 
 
 def test_fault_recorded_not_raised(bench_controller):
-    sc = benchmark_scenario()
-    sc.x0 = np.array([40.0, 40.0])
+    sc = dataclasses.replace(benchmark_scenario(), x0=[40.0, 40.0])
     traj = run_closed_loop(sc, RunConfig(backend="qe"), controller=bench_controller)
     assert traj.fault.startswith("StateNotCovered")
     assert traj.fault_k == 0
@@ -289,6 +295,22 @@ def test_scenario_refuses_more_than_one_output():
     d["C_out"] = [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ConfigError, match="C_out has 2 rows.*r_steps"):
         from_dict(Scenario, d, "scenario")
+
+
+def test_scenario_is_frozen():
+    """A scenario is checked once, when it is built, so it cannot be
+    changed after: assigning a field raises, its arrays are read-only
+    copies, and the caller's array stays writable."""
+    x0 = np.array([1.0, -1.0])
+    sc = dataclasses.replace(benchmark_scenario(), x0=x0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.r_steps = ((5, 1.0),)
+    with pytest.raises(ValueError, match="read-only"):
+        sc.x0[0] = 40.0
+    for name in ("A", "B", "C_out", "Q", "R", "u_lo", "u_hi", "x_lo", "x_hi", "x0"):
+        assert not getattr(sc, name).flags.writeable, name
+    x0[0] = 2.0
+    assert sc.x0.tolist() == [1.0, -1.0]
 
 
 def test_reference_schedule():
