@@ -6,6 +6,8 @@ import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
 
+import numpy as np
+
 from .paillier import VALID_KEY_BITS
 
 
@@ -50,6 +52,16 @@ def is_int(v) -> bool:
     """True for a Python or NumPy integer; a bool, a float (16.0
     included) or a string is not one."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def set_readonly(obj, name: str, value, ndim: int = 0, dtype=float) -> np.ndarray:
+    """Set the field name of the frozen dataclass obj to a read-only copy
+    of value as dtype, at least 2-D for ndim=2 and flat for ndim=1 (the
+    caller's array stays writable); returns the copy."""
+    arr = np.array(np.ravel(value) if ndim == 1 else value, dtype=dtype, ndmin=ndim)
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
 
 
 def load_json(path):
@@ -101,18 +113,20 @@ def align_accuracy(epsilon_q: float, rho: int) -> tuple[int, int]:
     return max(delta, 1), max(w, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a CLI command needs to be reproducible.
 
-    delta and w left as None are derived from epsilon_q via
-    align_accuracy, or default to 10 and 16 when epsilon_q is unset.
-    With epsilon_q set, explicit delta and w must still meet the target.
-    A field out of its range (backend not one of BACKENDS, a seed outside
-    [0, 2^64), w_b outside W_B_RANGE, key_bits not a supported Paillier
-    size, attack_trials < 1, rho < 2, gamma < 0, delta < 1, w < 1,
-    steps < 1), or an integer field holding a non-integer (is_int), is a
-    ConfigError, whichever backend runs.
+    delta and w left as None are derived once, at construction, from
+    epsilon_q via align_accuracy, or default to 10 and 16 when epsilon_q
+    is unset.  With epsilon_q set, explicit delta and w must still meet
+    the target.  A field out of its range (backend not one of BACKENDS, a
+    seed outside [0, 2^64), w_b outside W_B_RANGE, key_bits not a
+    supported Paillier size, attack_trials < 1, rho < 2, gamma < 0,
+    delta < 1, w < 1, steps < 1), an integer field holding a non-integer
+    (is_int), a path that is not a string, or an epsilon_q that is not a
+    real number, is a ConfigError, whichever backend runs.  It is frozen,
+    so dataclasses.replace, which runs every check again, makes a variant.
     """
 
     scenario_path: str = ""
@@ -133,6 +147,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, ok, need in (
+                *((path, lambda v: isinstance(v, str), "a string")
+                  for path in ("scenario_path", "out_dir")),
                 ("backend", lambda v: v in BACKENDS, f"one of {', '.join(BACKENDS)}"),
                 *((seed, lambda v: is_int(v) and 0 <= v < 2**64,
                    "an integer in [0, 2^64)")
@@ -148,23 +164,18 @@ class RunConfig:
                  "an integer >= 1"),
                 ("w", lambda v: v is None or is_int(v) and v >= 1, "an integer >= 1"),
                 ("steps", lambda v: v is None or is_int(v) and v >= 1,
-                 "an integer >= 1 or null")):
+                 "an integer >= 1 or null"),
+                ("epsilon_q", lambda v: v is None or isinstance(v, numbers.Real)
+                 and not isinstance(v, bool), "a real number or null")):
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
-        if self.epsilon_q is None:
-            delta, w = 10, 16
-        else:
-            delta, w = align_accuracy(self.epsilon_q, self.rho)
-        if self.delta is None:
-            self.delta = delta
-        if self.w is None:
-            self.w = w
-        self.validate_accuracy()
-
-    def validate_accuracy(self) -> None:
-        if self.epsilon_q is None:
-            return
         eps = self.epsilon_q
+        derived = (10, 16) if eps is None else align_accuracy(eps, self.rho)
+        for name, value in zip(("delta", "w"), derived):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if eps is None:
+            return
         if self.rho ** -self.delta > eps * (1 + 1e-12):
             raise ConfigError(
                 f"delta={self.delta} gives spacing {self.rho ** -self.delta} "

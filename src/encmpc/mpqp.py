@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lp
-from .config import ConfigError, DEFAULT_TOL, load_json
+from .config import ConfigError, DEFAULT_TOL, is_int, load_json, set_readonly
 from .polyhedra import Polyhedron, chebyshev_center, irredundant_rows
 from .qp import DualQp, QpInfeasible, QpNoConvergence, solve_qp_oracle
 
@@ -38,21 +38,21 @@ class InvalidRegion(ValueError):
     """Region index outside the controller's partition."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LtiSystem:
     """Discrete-time linear plant x+ = Ax + Bu (its output map is the scenario's)."""
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
+        A = set_readonly(self, "A", self.A, 2)
+        B = set_readonly(self, "B", self.B, 2)
+        n = A.shape[0]
+        if A.shape != (n, n):
             raise ConfigError("A must be square")
-        if self.B.shape[0] != n:
+        if B.shape[0] != n:
             raise ConfigError("B row count must match A")
-        for M in (self.A, self.B):
+        for M in (A, B):
             if not np.all(np.isfinite(M)):
                 raise ConfigError("system matrices must be finite")
 
@@ -65,14 +65,14 @@ class LtiSystem:
         return self.B.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MpcSpec:
     """Horizon, weights and polyhedral constraint sets.
 
     Q weighs every state x_0..x_N, so Q also weighs the terminal state,
     and R every input.  U constrains the inputs u_0..u_{N-1} and X the
     predicted states x_1..x_N; a set left as None is absent.  R must be
-    PD, Q PSD.
+    PD, Q PSD; Q and R are read-only copies.
     """
     horizon: int
     Q: np.ndarray
@@ -83,10 +83,8 @@ class MpcSpec:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
         for name in ("Q", "R"):
-            M = getattr(self, name)
+            M = set_readonly(self, name, getattr(self, name), 2)
             if np.linalg.norm(M - M.T) > 1e-12:
                 raise ConfigError(f"{name} must be symmetric")
         if np.linalg.eigvalsh(self.R).min() <= DEFAULT_TOL.spd_min_eig:
@@ -107,6 +105,11 @@ class CondensedQp(DualQp):
     n: int
     m: int
     horizon: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("F", "E", "h"):
+            set_readonly(self, name, getattr(self, name))
 
     @property
     def q(self) -> int:
@@ -172,7 +175,7 @@ def condense(sys: LtiSystem, spec: MpcSpec) -> CondensedQp:
                        h=np.concatenate(h_rows), n=n, m=m, horizon=N)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
     """One critical region of the explicit solution.
 
@@ -186,8 +189,22 @@ class Region:
     cheb_center: np.ndarray
     cheb_radius: float
 
+    def __post_init__(self):
+        for name in ("K", "b", "cheb_center"):
+            set_readonly(self, name, getattr(self, name))
 
-@dataclass
+
+class _ReadOnlyList(list):
+    """A list that refuses in-place changes; its slices are plain lists."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a controller's regions are read-only")
+
+    (__setitem__, __delitem__, __iadd__, __imul__, append, extend, insert,
+     pop, remove, clear, sort, reverse) = (_refuse,) * 12
+
+
+@dataclass(frozen=True)
 class PwaController:
     """The explicit law u = K_s x + b_s over the regions of a partition.
 
@@ -195,9 +212,15 @@ class PwaController:
     stack into A_all/b_all (owner[i] is row i's region), which locate
     scans, and their laws into gains (nreg, m, n) and offsets (nreg, m),
     which eval_region and the protocol's parties read.  With no regions
-    every stack keeps its shape, with 0 leading.  A region whose K, b or
-    rows do not fit n and m, or that holds a NaN or an inf (a cheb_radius
-    of +inf, an unbounded region, excepted), is a ConfigError.
+    every stack keeps its shape, with 0 leading.  The controller and its
+    Regions are frozen, their arrays and the stacks read-only, and the
+    region list refuses in-place changes: a variant is a
+    dataclasses.replace, which stacks and checks again.  It is a
+    ConfigError when n, m or horizon is not an integer >= 1, meta is not
+    a dict, or a region's active_set is not strictly increasing
+    non-negative integers, its K, b or rows do not fit n and m, or it
+    holds a NaN or an inf (a cheb_radius of +inf, an unbounded region,
+    excepted).
     """
     regions: list
     n: int
@@ -212,7 +235,18 @@ class PwaController:
 
     def __post_init__(self):
         n, m = self.n, self.m
-        for i, r in enumerate(self.regions):
+        for name, value in (("n", n), ("m", m), ("horizon", self.horizon)):
+            if not (is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.meta, dict):
+            raise ConfigError(f"meta must be a JSON object, got {self.meta!r}")
+        object.__setattr__(self, "regions", regions := _ReadOnlyList(self.regions))
+        for i, r in enumerate(regions):
+            aset = r.active_set
+            if not (isinstance(aset, tuple) and all(is_int(j) and j >= 0 for j in aset)
+                    and list(aset) == sorted(set(aset))):
+                raise ConfigError(f"region {i}: active_set must be strictly "
+                                  f"increasing non-negative integers, got {aset!r}")
             got = (np.shape(r.K), np.shape(r.b), r.poly.dim)
             if got != ((m, n), (m,), n):
                 raise ConfigError(
@@ -228,13 +262,14 @@ class PwaController:
                     raise ConfigError(f"region {i}: {name} must "
                                       f"{'not be NaN' if radius else 'be finite'}")
         # the trailing empty block gives the right shapes with no regions
-        polys = [r.poly for r in self.regions]
-        self.A_all = np.vstack([p.A for p in polys] + [np.zeros((0, self.n))])
-        self.b_all = np.concatenate([p.b for p in polys] + [np.zeros(0)])
-        self.owner = np.repeat(np.arange(len(polys)), [p.nrows for p in polys])
-        nreg = len(self.regions)
-        self.gains = np.array([r.K for r in self.regions], dtype=float).reshape(nreg, m, n)
-        self.offsets = np.array([r.b for r in self.regions], dtype=float).reshape(nreg, m)
+        polys = [r.poly for r in regions]
+        set_readonly(self, "A_all", np.vstack([p.A for p in polys] + [np.zeros((0, n))]))
+        set_readonly(self, "b_all", np.concatenate([p.b for p in polys] + [np.zeros(0)]))
+        set_readonly(self, "owner", np.repeat(np.arange(len(polys)),
+                                              [p.nrows for p in polys]), dtype=int)
+        nreg = len(polys)
+        set_readonly(self, "gains", np.reshape([r.K for r in regions], (nreg, m, n)))
+        set_readonly(self, "offsets", np.reshape([r.b for r in regions], (nreg, m)))
 
     @property
     def nregions(self) -> int:
@@ -327,23 +362,19 @@ class PwaController:
         if not isinstance(obj, dict) or obj.get("format") != "pwa-controller/1":
             raise ConfigError(f"{what}: not a pwa-controller/1 object")
         try:
-            n = int(obj["n"])
+            # the header is checked first, since a region with no rows needs n
+            empty = PwaController(regions=[], n=obj["n"], m=obj["m"],
+                                  horizon=obj["horizon"], meta=obj.get("meta", {}))
             regions = []
             for r in obj["regions"]:
                 A = np.array(r["A_ineq"], dtype=float)
                 regions.append(Region(
                     active_set=tuple(r["active_set"]),
                     # a region with no rows is written as []
-                    poly=Polyhedron(A if A.size else A.reshape(0, n),
-                                    np.array(r["b_ineq"], dtype=float)),
-                    K=np.array(r["K"], dtype=float),
-                    b=np.array(r["b"], dtype=float),
-                    cheb_center=np.array(r["cheb_center"], dtype=float),
-                    cheb_radius=float(r["cheb_radius"]),
-                ))
-            return PwaController(regions=regions, n=n, m=int(obj["m"]),
-                                 horizon=int(obj["horizon"]),
-                                 meta=obj.get("meta", {}))
+                    poly=Polyhedron(A if A.size else A.reshape(0, empty.n), r["b_ineq"]),
+                    K=r["K"], b=r["b"], cheb_center=r["cheb_center"],
+                    cheb_radius=float(r["cheb_radius"])))
+            return replace(empty, regions=regions)
         except KeyError as exc:
             raise ConfigError(f"{what}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -477,7 +508,7 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
         found[aset] = Ar, br
         frontier.append((aset, Ar, br, facets.tolist()))
         region = Region(active_set=aset, poly=Polyhedron(Ar, br),
-                        K=Z[:qp.m].copy(), b=z0[:qp.m].copy(),
+                        K=Z[:qp.m], b=z0[:qp.m],
                         cheb_center=center, cheb_radius=float(radius))
         key = _region_signature(Ar, br, region.K, region.b)
         old = kept.get(key)

@@ -9,21 +9,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, set_readonly
 
 # sentinel bound on the Chebyshev radius; optima at or above half of it
 # are reported as unbounded
 RADIUS_CAP = 1e8
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polyhedron:
+    """{x : Ax <= b}; frozen, A and b read-only copies, A at least 2-D."""
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
+        set_readonly(self, "A", self.A, 2)
+        set_readonly(self, "b", self.b, 1)
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("row count mismatch between A and b")
 

@@ -25,6 +25,7 @@ from operator import mul
 import numpy as np
 
 from . import lp
+from .config import set_readonly
 
 MAX_ITER = 500          # dual steps (full or partial) before QpNoConvergence
 VIOLATION_TOL = 1e-12   # normalized violation (G_i z - w_i)/||G_i|| that enters
@@ -60,18 +61,14 @@ class DualQp:
     KKT: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        H = np.array(self.H, dtype=float, ndmin=2)
-        G = np.array(self.G, dtype=float, ndmin=2)
+        H = set_readonly(self, "H", self.H, 2)
+        G = set_readonly(self, "G", self.G, 2)
         norms = np.sqrt(np.vecdot(G, G))
         norms[norms == 0.0] = 1.0
-        Gu = G / norms[:, None]
-        H_inv = np.linalg.inv(H)
-        K = Gu @ H_inv @ Gu.T
-        KKT = np.block([[H, G.T], [G, np.zeros((G.shape[0],) * 2)]])
-        for name, value in (("H", H), ("G", G), ("norms", norms),
-                            ("H_inv", H_inv), ("K", K), ("KKT", KKT)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        Gu = G / set_readonly(self, "norms", norms)[:, None]
+        H_inv = set_readonly(self, "H_inv", np.linalg.inv(H))
+        K = set_readonly(self, "K", Gu @ H_inv @ Gu.T)
+        set_readonly(self, "KKT", np.block([[H, G.T], [G, np.zeros((G.shape[0],) * 2)]]))
         object.__setattr__(self, "K_rows", tuple(map(tuple, K.tolist())))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, from_dict, is_int, load_json
+from .config import ConfigError, from_dict, is_int, load_json, set_readonly
 from .mpqp import (
     LtiSystem,
     MpcSpec,
@@ -78,10 +78,7 @@ class Scenario:
         # the scenario's own read-only copies: a caller's array stays writable
         matrices = ("A", "B", "C_out", "Q", "R")
         for name in matrices + ("u_lo", "u_hi", "x_lo", "x_hi", "x0"):
-            val = np.array(getattr(self, name), dtype=float)
-            val = np.atleast_2d(val) if name in matrices else val.ravel()
-            val.flags.writeable = False
-            object.__setattr__(self, name, val)
+            set_readonly(self, name, getattr(self, name), 2 if name in matrices else 1)
         n, m = self.A.shape[0], self.B.shape[1]
         shapes = {"A": (n, n), "B": (n, m), "C_out": (len(self.C_out), n),
                   "Q": (n, n), "R": (m, m), "u_lo": (m,), "u_hi": (m,),
@@ -282,7 +279,7 @@ def run_closed_loop(scenario, cfg, controller, log=None, dither=None):
     steady = {r.tobytes(): scenario.steady_state(r)  # one per reference value
               for r in (scenario.reference(start) for start, _ in scenario.r_steps)}
     traj = Trajectory(backend=cfg.backend)
-    x = np.asarray(scenario.x0, dtype=float).ravel()
+    x = scenario.x0
     for k in range(episode_steps(scenario, cfg)):
         r = scenario.reference(k)
         x_ss, u_ss = steady[r.tobytes()]
@@ -302,7 +299,7 @@ def run_closed_loop(scenario, cfg, controller, log=None, dither=None):
             u = u + dither[k]
             u_plain = u_plain + dither[k]
         y = scenario.C_out @ x
-        traj.records.append(StepRecord(k=k, x=x.copy(), u=u, u_plain=u_plain,
+        traj.records.append(StepRecord(k=k, x=x, u=u, u_plain=u_plain,
                                        y=y, r=r, cycle=metrics))
         x = step_plant(scenario, x, u)
     return traj

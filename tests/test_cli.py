@@ -222,14 +222,15 @@ def test_integer_field_refuses_non_integer_exits_2(workdir, tmp_path, capsys,
     assert named in capsys.readouterr().err
 
 
-def one_region_controller(**region):
+def one_region_controller(header=(), **region):
     """controller.json text of one region for n = 2, m = 1, with the
-    given region fields replaced."""
+    given header and region fields replaced."""
     reg = {"active_set": [], "A_ineq": [[1.0, 0.0]], "b_ineq": [1.0],
            "K": [[0.5, 0.5]], "b": [0.0], "cheb_center": [0.0, 0.0],
            "cheb_radius": 1.0}
     return json.dumps({"format": "pwa-controller/1", "n": 2, "m": 1,
-                       "horizon": 5, "meta": {}, "regions": [{**reg, **region}]})
+                       "horizon": 5, "meta": {}, **dict(header),
+                       "regions": [{**reg, **region}]})
 
 
 @pytest.mark.parametrize("text,named", [
@@ -252,17 +253,31 @@ def one_region_controller(**region):
      "region 0: cheb_center must be finite"),
     (one_region_controller(cheb_radius=math.nan),
      "region 0: cheb_radius must not be NaN"),
+    (one_region_controller({"n": 2.5}), "n must be an integer >= 1, got 2.5"),
+    (one_region_controller({"n": 2.5}, A_ineq=[], b_ineq=[]),
+     "n must be an integer >= 1, got 2.5"),
+    (one_region_controller({"horizon": "5"}), "horizon must be an integer >= 1, got '5'"),
+    (one_region_controller({"m": True}), "m must be an integer >= 1, got True"),
+    (one_region_controller({"horizon": -3}), "horizon must be an integer >= 1, got -3"),
+    (one_region_controller(active_set=[1.5, "a"]), "region 0: active_set must be"),
+    (one_region_controller(active_set=[3, 1]), "region 0: active_set must be"),
+    (one_region_controller(active_set=[-1]), "region 0: active_set must be"),
+    (one_region_controller({"meta": []}), "meta must be a JSON object, got []"),
 ], ids=["malformed", "not-an-object", "other-format", "missing-key",
         "wide-gain", "long-offset", "wide-rows", "ragged-rows", "not-utf8",
         "nan-gain", "inf-offset", "nan-row", "nan-bound", "inf-bound",
-        "nan-center", "nan-radius"])
+        "nan-center", "nan-radius", "float-n", "float-n-no-rows",
+        "string-horizon", "bool-m", "negative-horizon", "non-integer-active-set",
+        "unsorted-active-set", "negative-active-set", "list-meta"])
 def test_bad_controller_file_exits_2(tmp_path, capsys, text, named):
     """controller.json is read like every other input: bytes that are not
     UTF-8, malformed JSON, an object of another format, a missing key, a
     region whose gain, offset or rows do not fit n and m, or a region
     with a non-finite number (a cheb_radius of +inf, an unbounded region,
-    is legal) is a configuration error that names the file, under both
-    commands that read it."""
+    is legal), an n, m or horizon that is not an integer >= 1, an
+    active_set that is not strictly increasing non-negative integers, or
+    a meta that is not a JSON object, is a configuration error that names
+    the file, under both commands that read it."""
     (tmp_path / "controller.json").write_bytes(
         text if isinstance(text, bytes) else text.encode())
     for command in ("run", "bench"):
@@ -536,6 +551,28 @@ def test_out_of_range_config_exits_2(workdir, tmp_path, capsys, field, value):
                    "--backend", backend, "--out", str(workdir)])
         assert rc == 2, backend
         assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"scenario_path": 7}, "scenario_path must be a string, got 7"),
+    ({"scenario_path": 0}, "scenario_path must be a string, got 0"),
+    ({"scenario_path": ["a"]}, "scenario_path must be a string, got ['a']"),
+    ({"out_dir": 5}, "out_dir must be a string, got 5"),
+    ({"epsilon_q": "0.01"}, "epsilon_q must be a real number or null, got '0.01'"),
+    ({"epsilon_q": True}, "epsilon_q must be a real number or null, got True"),
+], ids=["path-int", "path-zero", "path-list", "out-int", "epsilon-string",
+        "epsilon-bool"])
+def test_config_field_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
+                                            config, named):
+    """A scenario_path or out_dir that is not a string, or an epsilon_q
+    that is not a real number, is a configuration error naming the field,
+    before any work: not a read of file descriptor 7, a silent run of the
+    built-in scenario, or a TypeError that exits 1."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["synthesize", "--config", "cfg.json"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -139,10 +139,10 @@ def test_spec_validation():
 
 def test_condense_rejects_indefinite_hessian():
     sys = LtiSystem(A=[[1.0]], B=[[1.0]])
-    # R barely PD but Q=P=0 leaves H=R; shrink R below the SPD floor
-    with pytest.raises(ConfigError):
-        spec = MpcSpec(horizon=1, Q=[[0.0]], R=[[1.0]], U=box([-1.0], [1.0]))
-        spec.R = np.array([[0.0]])  # bypass spec validation to hit condense's check
+    # the spec passes its own floors (R PD above 1e-10, Q PSD within -1e-10),
+    # but H = Q + R = 5e-11 is below the SPD floor: condense's own check
+    spec = MpcSpec(horizon=1, Q=[[-1e-10]], R=[[1.5e-10]], U=box([-1.0], [1.0]))
+    with pytest.raises(ConfigError, match="condensed Hessian is not positive definite"):
         condense(sys, spec)
 
 
@@ -365,8 +365,7 @@ def certify_partition(ctl, qp):
 
 @pytest.fixture(scope="module")
 def horizon10():
-    spec = bench_spec()
-    spec.horizon = 10
+    spec = dataclasses.replace(bench_spec(), horizon=10)
     return synthesize(bench_system(), spec), condense(bench_system(), spec)
 
 
@@ -394,9 +393,7 @@ def pinned_problem(name):
     if name == "benchmark":
         return bench_system(), bench_spec()
     if name == "horizon10":
-        spec = bench_spec()
-        spec.horizon = 10
-        return bench_system(), spec
+        return bench_system(), dataclasses.replace(bench_spec(), horizon=10)
     if name == "duplicate_row":
         return bench_system(), duplicate_row_spec()
     return random_plant(int(name.removeprefix("random")))
@@ -623,10 +620,15 @@ def test_locate_without_regions():
     ({"K": np.zeros(2)}, "K has shape (2,)"),
     ({"b": np.zeros(2)}, "b (2,)"),
     ({"poly": box([-1.0] * 3, [1.0] * 3)}, "its rows 3 columns"),
-], ids=["wide-gain", "flat-gain", "long-offset", "wide-rows"])
+    ({"active_set": (4, 2)}, "active_set must be strictly increasing"),
+    ({"active_set": (1, 1)}, "active_set must be strictly increasing"),
+    ({"active_set": (0.0,)}, "active_set must be strictly increasing"),
+], ids=["wide-gain", "flat-gain", "long-offset", "wide-rows", "unsorted-set",
+        "repeated-row", "float-row"])
 def test_controller_refuses_misshapen_region(change, named):
-    """Every region's K is m x n, its b has m entries and its rows have n
-    columns; any other shape is a ConfigError that names the region."""
+    """Every region's K is m x n, its b has m entries, its rows have n
+    columns and its active set is a tuple of strictly increasing row
+    indices; anything else is a ConfigError that names the region."""
     regions = list(zero_row_controller(1).regions)
     regions[2] = dataclasses.replace(regions[2], **change)
     with pytest.raises(ConfigError, match=r"region 2: .*" + re.escape(named)):

@@ -540,16 +540,6 @@ def test_factor_is_read_only_data_of_the_qp():
     assert np.array_equal(doubled.F, qp.F) and np.array_equal(doubled.h, qp.h)
 
 
-def test_condensed_qp_is_frozen():
-    """A field of the QP cannot be assigned, so its factor, built from
-    its H and G, cannot go stale and leave the oracle solving
-    constraints the QP no longer holds."""
-    qp = double_integrator(5)
-    for field in dataclasses.fields(qp):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(qp, field.name, getattr(qp, field.name))
-
-
 def test_fresh_factor_solves_bit_for_bit_as_the_oracle():
     """solve_qp on a DualQp built anew from the QP's H and G gives the
     oracle's z, multipliers and active set to the last bit, and the same

@@ -13,6 +13,8 @@ import pytest
 
 from encmpc import simulation
 from encmpc.config import ConfigError, RunConfig, from_dict
+from encmpc.mpqp import LtiSystem, condense
+from encmpc.polyhedra import Polyhedron
 from encmpc.protocol import CycleMetrics, run_cycle
 from encmpc.simulation import (
     Scenario,
@@ -34,7 +36,6 @@ def test_step_plant_examples():
     sys = sc.system()
     assert np.allclose(step_plant(sys, [0.0, 1.0], [0.0]), [1.0, 1.0])
 
-    from encmpc.mpqp import LtiSystem
     ident = LtiSystem(np.eye(2), [[0.5], [1.0]])
     assert np.allclose(step_plant(ident, [3.0, -2.0], [0.0]), [3.0, -2.0])
 
@@ -297,20 +298,67 @@ def test_scenario_refuses_more_than_one_output():
         from_dict(Scenario, d, "scenario")
 
 
-def test_scenario_is_frozen():
-    """A scenario is checked once, when it is built, so it cannot be
-    changed after: assigning a field raises, its arrays are read-only
-    copies, and the caller's array stays writable."""
-    x0 = np.array([1.0, -1.0])
-    sc = dataclasses.replace(benchmark_scenario(), x0=x0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sc.r_steps = ((5, 1.0),)
-    with pytest.raises(ValueError, match="read-only"):
-        sc.x0[0] = 40.0
-    for name in ("A", "B", "C_out", "Q", "R", "u_lo", "u_hi", "x_lo", "x_hi", "x0"):
-        assert not getattr(sc, name).flags.writeable, name
-    x0[0] = 2.0
-    assert sc.x0.tolist() == [1.0, -1.0]
+def frozen_case(name, ctrl):
+    """An instance of the class name built from a writable array of the
+    caller's, the instance's arrays (and the controller's region list)
+    to write into, the caller's array and the instance's copy of it."""
+    sc = benchmark_scenario()
+    if name == "RunConfig":
+        return RunConfig(epsilon_q=1e-3), [], None, None
+    if name == "Scenario":
+        mine = np.array([1.0, -1.0])
+        obj = dataclasses.replace(sc, x0=mine)
+        return obj, [obj.x0, obj.A], mine, obj.x0
+    if name == "LtiSystem":
+        mine = np.array(sc.A)
+        obj = LtiSystem(mine, sc.B)
+        return obj, [obj.A, obj.B], mine, obj.A
+    if name == "MpcSpec":
+        mine = np.array(sc.Q)
+        obj = dataclasses.replace(sc.mpc_spec(), Q=mine)
+        return obj, [obj.Q, obj.R, obj.U.A], mine, obj.Q
+    if name == "Polyhedron":
+        mine = np.array([[1.0, 0.0]])
+        obj = Polyhedron(mine, [1.0])
+        return obj, [obj.A, obj.b], mine, obj.A
+    if name == "CondensedQp":
+        qp = condense(sc.system(), sc.mpc_spec())
+        mine = np.array(qp.E)
+        obj = dataclasses.replace(qp, E=mine)
+        return obj, [obj.E, obj.F, obj.h, obj.H], mine, obj.E
+    mine = np.array(ctrl.regions[33].K)
+    if name == "Region":
+        obj = dataclasses.replace(ctrl.regions[33], K=mine)
+        return obj, [obj.K, obj.b, obj.cheb_center, obj.poly.A], mine, obj.K
+    obj = dataclasses.replace(ctrl, regions=[
+        dataclasses.replace(r, K=mine) if i == 33 else r for i, r in enumerate(ctrl.regions)])
+    return (obj, [obj.gains, obj.regions[33].K, obj.regions[33].b, obj.regions],
+            mine, obj.gains[33])
+
+
+@pytest.mark.parametrize("name", ["Scenario", "CondensedQp", "Region", "PwaController",
+                                  "RunConfig", "LtiSystem", "MpcSpec", "Polyhedron"])
+def test_frozen_data(bench_controller, name):
+    """Inputs, the QP and the law are checked once, when they are built,
+    so none can be changed after: assigning any field raises, every
+    array field is read-only, so are the arrays (and the controller's
+    region list) reached through one, and the arrays are copies, so the
+    caller's array stays writable and its writes do not reach them."""
+    obj, writes, mine, seen = frozen_case(name, bench_controller)
+    assert type(obj).__name__ == name
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field.name, value)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, field.name
+    for target in writes:
+        with pytest.raises((ValueError, TypeError), match="read-only"):
+            target[0] = target[0]
+    if mine is not None:
+        before = seen.copy()
+        mine[0] = 40.0
+        assert np.array_equal(seen, before) and not np.array_equal(mine, before)
 
 
 def test_reference_schedule():
