@@ -54,11 +54,11 @@ def is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def set_readonly(obj, name: str, value, ndim: int = 0, dtype=float) -> np.ndarray:
-    """Set the field name of the frozen dataclass obj to a read-only copy
-    of value as dtype, at least 2-D for ndim=2 and flat for ndim=1 (the
+def set_readonly(obj, name: str, value, ndim: int = 0) -> np.ndarray:
+    """Set the field name of the frozen dataclass obj to a read-only float
+    copy of value, at least 2-D for ndim=2 and flat for ndim=1 (the
     caller's array stays writable); returns the copy."""
-    arr = np.array(np.ravel(value) if ndim == 1 else value, dtype=dtype, ndmin=ndim)
+    arr = np.array(np.ravel(value) if ndim == 1 else value, dtype=float, ndmin=ndim)
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr

@@ -55,13 +55,12 @@ class KeyConfig:
 
     @cached_property
     def split(self) -> tuple:
-        """betas' constants: (the bits of the words past w_q, the group
-        mask, each group's shift, first group first, and beta_from_bits'
-        low mask, half + 1 and sign-bit shift)."""
-        w_b, half = self.w_b, 1 << (self.w_b - 1)
-        return (64 * self.n_words - self.w_q, (1 << w_b) - 1,
-                tuple(range(self.w_q - w_b, -1, -w_b)), half - 1, half + 1,
-                w_b - 1)
+        """betas' constants: the group mask, each group's shift in the
+        words, first group first, and beta_from_bits' sign-bit value
+        2^(w_b-1) and range 2^w_b."""
+        w_b, drop = self.w_b, 64 * self.n_words - self.w_q
+        return ((1 << w_b) - 1, tuple(range(self.w_q - w_b + drop, drop - 1, -w_b)),
+                1 << (w_b - 1), 1 << w_b)
 
 
 class BetaVector(NamedTuple):
@@ -91,17 +90,20 @@ class KeySource:
         self._bitgen = np.random.Philox(key=self.seed << 64)
 
     def betas(self, k: int) -> BetaVector:
-        _check_cycle(k)
+        # generate_key refuses a k outside 64 bits before it counts as used
+        words = generate_key(self.seed, k, self.cfg, self._bitgen)
         if k <= self._last_k:
             raise KeyReuseError(
                 f"cycle {k} requested after cycle {self._last_k}; keys are single-use")
         self._last_k = k
-        return betas(generate_key(self.seed, k, self.cfg, self._bitgen), self.cfg)
+        return betas(words, self.cfg)
 
 
-def _check_cycle(k):
-    if not 0 <= k < 2 ** 64:
-        raise ConfigError("cycle index must fit in 64 bits")
+# a Philox state with its counter at zero and its buffer empty; only the
+# key differs from cycle to cycle
+_ZEROS = (0, 0, 0, 0)
+_PHILOX_AT_ZERO = {"bit_generator": "Philox", "buffer": _ZEROS, "buffer_pos": 4,
+                   "has_uint32": 0, "uinteger": 0}
 
 
 def generate_key(seed: int, k: int, cfg: KeyConfig, bitgen=None) -> list:
@@ -115,13 +117,11 @@ def generate_key(seed: int, k: int, cfg: KeyConfig, bitgen=None) -> list:
     at zero and its buffer empty, so its words are those of a fresh
     Philox(key=(seed << 64) | k).
     """
-    _check_cycle(k)
+    if not 0 <= k < 2 ** 64:
+        raise ConfigError("cycle index must fit in 64 bits")
     if bitgen is None:
         bitgen = np.random.Philox(key=0)
-    bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": (0, 0, 0, 0), "key": (int(k), int(seed))},
-                    "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                    "has_uint32": 0, "uinteger": 0}
+    bitgen.state = dict(_PHILOX_AT_ZERO, state={"counter": _ZEROS, "key": (k, seed)})
     return bitgen.random_raw(cfg.n_words).tolist()
 
 
@@ -137,16 +137,18 @@ def beta_from_bits(group: int, w_b: int) -> int:
 
 def betas(words: list, cfg: KeyConfig) -> BetaVector:
     """Split the first w_q bits of generate_key's words into d groups
-    and map each to its beta: beta_from_bits, which the tests hold it
-    to, inlined on cfg.split's constants."""
+    and map each to its beta in one pass: beta_from_bits, which the
+    tests hold it to, is g + 1 for a group g below the sign bit and
+    g - 2^w_b at or above it."""
     if len(words) != cfg.n_words:
         raise KeyLengthError(
             f"key has {len(words)} words, config requires {cfg.n_words}")
-    drop, mask, shifts, low, half1, sign = cfg.split
+    mask, shifts, sign, span = cfg.split
     acc = 0
     for word in words:
         acc = acc << 64 | word
-    acc >>= drop
-    groups = [acc >> shift & mask for shift in shifts]
-    return BetaVector(tuple([(g & low) + 1 - half1 * (g >> sign) for g in groups]),
-                      cfg.n, cfg.m)
+    beta = []
+    for shift in shifts:
+        g = acc >> shift & mask
+        beta.append(g + 1 if g < sign else g - span)
+    return BetaVector(tuple(beta), cfg.n, cfg.m)

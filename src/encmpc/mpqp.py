@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -194,6 +196,16 @@ class Region:
             set_readonly(self, name, getattr(self, name))
 
 
+def _read_only_json(value):
+    """A read-only copy of a JSON value: each object a read-only mapping,
+    each array a tuple."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _read_only_json(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_read_only_json, value))
+    return value
+
+
 class _ReadOnlyList(list):
     """A list that refuses in-place changes; its slices are plain lists."""
 
@@ -209,37 +221,38 @@ class PwaController:
     """The explicit law u = K_s x + b_s over the regions of a partition.
 
     The regions are read once, when the controller is built: their rows
-    stack into A_all/b_all (owner[i] is row i's region), which locate
-    scans, and their laws into gains (nreg, m, n) and offsets (nreg, m),
-    which eval_region and the protocol's parties read.  With no regions
-    every stack keeps its shape, with 0 leading.  The controller and its
-    Regions are frozen, their arrays and the stacks read-only, and the
-    region list refuses in-place changes: a variant is a
-    dataclasses.replace, which stacks and checks again.  It is a
-    ConfigError when n, m or horizon is not an integer >= 1, meta is not
-    a dict, or a region's active_set is not strictly increasing
-    non-negative integers, its K, b or rows do not fit n and m, or it
-    holds a NaN or an inf (a cheb_radius of +inf, an unbounded region,
-    excepted).
+    stack into A_all/b_all, which locate scans region by region, and
+    their laws into gains (nreg, m, n) and offsets (nreg, m), which
+    eval_region and the protocol's parties read.  With no regions every
+    stack keeps its shape, with 0 leading.  The controller and its
+    Regions are frozen, their arrays and the stacks read-only, meta a
+    read-only copy, and the region list refuses in-place changes: a
+    variant is a dataclasses.replace, which stacks and checks again.
+    It is a ConfigError when n, m or horizon is not an integer >= 1,
+    meta is not a mapping, or a region's active_set is not strictly
+    increasing non-negative integers, its K, b, cheb_center or rows do
+    not fit n and m, or it holds a NaN or an inf (a cheb_radius of +inf,
+    an unbounded region, excepted).
     """
     regions: list
     n: int
     m: int
     horizon: int
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
     A_all: np.ndarray = field(init=False, repr=False, compare=False)
     b_all: np.ndarray = field(init=False, repr=False, compare=False)
-    owner: np.ndarray = field(init=False, repr=False, compare=False)
     gains: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _scan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.n, self.m
         for name, value in (("n", n), ("m", m), ("horizon", self.horizon)):
             if not (is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.meta, dict):
+        if not isinstance(self.meta, Mapping):
             raise ConfigError(f"meta must be a JSON object, got {self.meta!r}")
+        object.__setattr__(self, "meta", _read_only_json(self.meta))
         object.__setattr__(self, "regions", regions := _ReadOnlyList(self.regions))
         for i, r in enumerate(regions):
             aset = r.active_set
@@ -247,12 +260,13 @@ class PwaController:
                     and list(aset) == sorted(set(aset))):
                 raise ConfigError(f"region {i}: active_set must be strictly "
                                   f"increasing non-negative integers, got {aset!r}")
-            got = (np.shape(r.K), np.shape(r.b), r.poly.dim)
-            if got != ((m, n), (m,), n):
+            got = (np.shape(r.K), np.shape(r.b), np.shape(r.cheb_center), r.poly.dim)
+            if got != ((m, n), (m,), (n,), n):
                 raise ConfigError(
-                    f"region {i}: K has shape {got[0]}, b {got[1]} and its rows "
-                    f"{got[2]} columns; a controller for n = {n} states and "
-                    f"m = {m} inputs needs ({m}, {n}), ({m},) and {n}")
+                    f"region {i}: K has shape {got[0]}, b {got[1]}, cheb_center "
+                    f"{got[2]} and its rows {got[3]} columns; a controller for "
+                    f"n = {n} states and m = {m} inputs needs ({m}, {n}), ({m},), "
+                    f"({n},) and {n}")
             for name, val in (("A_ineq", r.poly.A), ("b_ineq", r.poly.b), ("K", r.K),
                               ("b", r.b), ("cheb_center", r.cheb_center),
                               ("cheb_radius", r.cheb_radius)):
@@ -265,11 +279,19 @@ class PwaController:
         polys = [r.poly for r in regions]
         set_readonly(self, "A_all", np.vstack([p.A for p in polys] + [np.zeros((0, n))]))
         set_readonly(self, "b_all", np.concatenate([p.b for p in polys] + [np.zeros(0)]))
-        set_readonly(self, "owner", np.repeat(np.arange(len(polys)),
-                                              [p.nrows for p in polys]), dtype=int)
         nreg = len(polys)
         set_readonly(self, "gains", np.reshape([r.K for r in regions], (nreg, m, n)))
         set_readonly(self, "offsets", np.reshape([r.b for r in regions], (nreg, m)))
+        # locate's scan, which not_covered reads too: the rows of the
+        # regions before the first 0-row one, where each of those regions
+        # starts (reduceat cannot take an empty span) and the first 0-row
+        # region (-1 if none), which holds every state
+        nrows = [p.nrows for p in polys] + [0]
+        head = nrows.index(0)
+        ends = np.cumsum([0] + nrows[:head], dtype=np.intp)
+        ends.flags.writeable = False
+        object.__setattr__(self, "_scan", (self.A_all[:ends[-1]], self.b_all[:ends[-1]],
+                                           ends[:-1], head if head < nreg else -1))
 
     @property
     def nregions(self) -> int:
@@ -278,21 +300,23 @@ class PwaController:
     def locate(self, x, tol: float = None) -> int:
         """Index of the first region containing x, or -1.
 
-        One product over the stacked rows of all regions gives every
-        slack; x lies in a region when none of its rows has slack above
-        tol (a NaN slack counts as above, so a non-finite state lands
-        only in a 0-row region). Of those regions the lowest index wins,
-        so states on shared facets resolve deterministically.
+        One product over the stacked rows gives every slack; x lies in a
+        region when none of its rows has slack above tol (a NaN slack
+        counts as above, so a non-finite state lands only in a 0-row
+        region).  Of those regions the lowest index wins, so states on
+        shared facets resolve deterministically.  A 0-row region holds
+        every state, so the scan reduces the rows before the first one,
+        region by region, and falls back to it (or to -1).
         """
         if tol is None:
             tol = DEFAULT_TOL.feasibility
         x = np.asarray(x, dtype=float).reshape(-1)
-        out = ~(self.A_all @ x - self.b_all <= tol)
-        # violated rows per region, plus a slot past the last region that
-        # stays 0, so argmin lands on the first region with none
-        missed = np.bincount(self.owner[out], minlength=len(self.regions) + 1)
-        sigma = int(missed.argmin())
-        return sigma if sigma < len(self.regions) else -1
+        A, b, starts, fallback = self._scan
+        if not starts.size:
+            return fallback
+        inside = np.logical_and.reduceat(A @ x - b <= tol, starts)
+        sigma = int(inside.argmax())
+        return sigma if inside[sigma] else fallback
 
     def eval_region(self, sigma: int, x):
         """Affine law of region sigma applied to x."""
@@ -317,13 +341,13 @@ class PwaController:
         """
         x = np.asarray(x, dtype=float).reshape(-1)
         text = f"state {x.tolist()} lies in no region"
-        if self.regions:
+        A, b, starts, _ = self._scan
+        if starts.size:
             with np.errstate(invalid="ignore"):  # non-finite x: NaN slack
-                slack = self.A_all @ x - self.b_all
-                worst = np.full(len(self.regions), -np.inf)
-                np.maximum.at(worst, self.owner, slack)
+                slack = A @ x - b
+                worst = np.maximum.reduceat(slack, starts)
             sigma = int(np.argmin(worst))
-            own = slack[self.owner == sigma]
+            own = np.split(slack, starts[1:])[sigma]
             row = int(np.argmax(own))
             text += (f"; nearest is region {sigma}, whose row {row} is "
                      f"violated by {own[row]:.3e}")
@@ -401,7 +425,7 @@ def fmt_17g(x: float) -> str:
 def _dumps_17g(obj, indent: int = 0) -> str:
     """JSON writer with %.17g floats so files are byte-stable."""
     pad = " " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         if not obj:
             return "{}"
         items = []

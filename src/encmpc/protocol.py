@@ -207,12 +207,13 @@ def wire_field(backend, cfg, rng=None):
 class Sensor:
     """Measures, locates the region, encrypts state and region offset.
 
-    Holds the controller, whose partition it locates x in and whose
-    offsets it encrypts, and its link's field codec; for QE backends
-    also a key source synchronized with the actuator's, for Paillier a
-    key and the fixed-point codec.  The Paillier key may be the public
-    key or, on the plant side, the keypair, which computes the
-    encryption randomizer by CRT (same ciphertexts).  step(x, cycle)
+    Holds the controller, whose partition it locates x in, its offsets
+    as Python rows and its field sizes (n, m), both built once, as the
+    cipher and the codecs take lists, and its link's field codec; for
+    QE backends also a key source synchronized with the actuator's, for
+    Paillier a key and the fixed-point codec.  The Paillier key may be
+    the public key or, on the plant side, the keypair, which computes
+    the encryption randomizer by CRT (same ciphertexts).  step(x, cycle)
     returns the sensor message.
     """
 
@@ -220,6 +221,8 @@ class Sensor:
                  he_key=None, codec=None, he_rng=None):
         self.backend = backend
         self.controller = controller
+        self.offset_rows = controller.offsets.tolist()
+        self.sizes = (controller.n, controller.m)
         self.key_source = key_source
         self.field = field
         self.he_key = he_key
@@ -231,9 +234,9 @@ class Sensor:
         sigma = self.controller.locate(x)
         if sigma < 0:
             raise self.controller.not_covered(x)
-        b_sig = self.controller.offsets[sigma].tolist()
+        b_sig = self.offset_rows[sigma]
 
-        sizes = (self.controller.n, self.controller.m)
+        sizes = self.sizes
         if self.backend == "plaintext":
             values, sizes = x.tolist(), sizes[:1]
         elif self.backend in QE_BACKENDS:
@@ -253,15 +256,19 @@ class Cloud:
     """Holds the gain library only; applies it in ciphertext space.
 
     gains is the controller's stack (nreg, m, n), and so are the offsets
-    (nreg, m) a plaintext cloud applies itself.  By construction there
-    is no attribute that can hold a key source, beta vector, Paillier
-    trapdoor, or plaintext state.  step(msg) returns the cloud message.
+    (nreg, m) a plaintext cloud applies itself; the gains' Python rows,
+    which con takes, and their (m, n) are built once.  By construction
+    there is no attribute that can hold a key source, beta vector,
+    Paillier trapdoor, or plaintext state.  step(msg) returns the cloud
+    message.
     """
 
     def __init__(self, gains, backend, offsets=None, field=None,
                  pk=None, gains_encoded=None):
         self.backend = backend
         self.gains = gains
+        self.gain_rows = gains.tolist()
+        self.m, self.n = gains.shape[1:]
         self.offsets = offsets
         self.field = field
         self.pk = pk
@@ -271,7 +278,7 @@ class Cloud:
         sigma, off = wire.decode_u32(msg.body)
         if not 0 <= sigma < len(self.gains):
             raise InvalidRegion(f"region index {sigma} out of range")
-        _, m, n = self.gains.shape
+        m, n = self.m, self.n
 
         forwarded = 0
         if self.backend == "plaintext":
@@ -283,7 +290,7 @@ class Cloud:
             ct_x, off = self.field.decode(msg.body, (n,), off)
             # the m offset ciphertexts: framing checked, forwarded as they are
             wire.expect_end(msg.body, self.field.skip(msg.body, m, off))
-            values = con(self.gains[sigma], ct_x)
+            values = con(self.gain_rows[sigma], ct_x)
             forwarded = m
         else:
             vals, off = self.field.decode(msg.body, (n, m), off)

@@ -81,21 +81,25 @@ def con(K, ct_vec) -> list:
     """Cloud-side linear-term computation: the m*n powers ct_i ** K[j,i],
     row-major (entry j*n + i), for an (m, n) gain K.
 
-    Takes no key material by construction; raises CiphertextError if a
-    ciphertext is not a positive finite float, or if any power overflows
-    (Python's OverflowError) or underflows to 0.
+    K is m rows of n Python floats, as the cloud holds its gains, or an
+    (m, n) array, which is turned into such rows first.  Takes no key
+    material by construction; raises ValueError unless K is rows of
+    len(ct_vec) numbers, CiphertextError if a ciphertext is not a
+    positive finite float, or if any power overflows (Python's
+    OverflowError) or underflows to 0.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[1] != len(ct_vec):
-        raise ValueError("gain/ciphertext dimension mismatch")
+    if isinstance(K, np.ndarray):
+        K = K.tolist()
     if not _positive_finite(ct_vec):
         raise CiphertextError("ciphertext vector has nonpositive or nonfinite entries")
     try:
-        T = [ct ** k for row in K.tolist() for ct, k in zip(ct_vec, row)]
+        T = [ct ** k for row in K for ct, k in zip(ct_vec, row, strict=True)]
         if _positive_finite(T):
             return T
     except OverflowError:
         pass
+    except (TypeError, ValueError) as exc:  # K is no list of len(ct_vec)-rows
+        raise ValueError("gain/ciphertext dimension mismatch") from exc
     raise CiphertextError("power overflowed or underflowed the positive reals")
 
 

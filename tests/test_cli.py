@@ -251,6 +251,8 @@ def one_region_controller(header=(), **region):
     (one_region_controller(b_ineq=[math.inf]), "region 0: b_ineq must be finite"),
     (one_region_controller(cheb_center=[0.0, math.nan]),
      "region 0: cheb_center must be finite"),
+    (one_region_controller(cheb_center=[0.0, 0.0, 7.0]),
+     "region 0: K has shape (1, 2), b (1,), cheb_center (3,)"),
     (one_region_controller(cheb_radius=math.nan),
      "region 0: cheb_radius must not be NaN"),
     (one_region_controller({"n": 2.5}), "n must be an integer >= 1, got 2.5"),
@@ -266,18 +268,19 @@ def one_region_controller(header=(), **region):
 ], ids=["malformed", "not-an-object", "other-format", "missing-key",
         "wide-gain", "long-offset", "wide-rows", "ragged-rows", "not-utf8",
         "nan-gain", "inf-offset", "nan-row", "nan-bound", "inf-bound",
-        "nan-center", "nan-radius", "float-n", "float-n-no-rows",
+        "nan-center", "long-center", "nan-radius", "float-n", "float-n-no-rows",
         "string-horizon", "bool-m", "negative-horizon", "non-integer-active-set",
         "unsorted-active-set", "negative-active-set", "list-meta"])
 def test_bad_controller_file_exits_2(tmp_path, capsys, text, named):
     """controller.json is read like every other input: bytes that are not
     UTF-8, malformed JSON, an object of another format, a missing key, a
-    region whose gain, offset or rows do not fit n and m, or a region
-    with a non-finite number (a cheb_radius of +inf, an unbounded region,
-    is legal), an n, m or horizon that is not an integer >= 1, an
-    active_set that is not strictly increasing non-negative integers, or
-    a meta that is not a JSON object, is a configuration error that names
-    the file, under both commands that read it."""
+    region whose gain, offset, Chebyshev center or rows do not fit n and
+    m, or a region with a non-finite number (a cheb_radius of +inf, an
+    unbounded region, is legal), an n, m or horizon that is not an
+    integer >= 1, an active_set that is not strictly increasing
+    non-negative integers, or a meta that is not a JSON object, is a
+    configuration error that names the file, under both commands that
+    read it."""
     (tmp_path / "controller.json").write_bytes(
         text if isinstance(text, bytes) else text.encode())
     for command in ("run", "bench"):

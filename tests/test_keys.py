@@ -149,10 +149,10 @@ def test_rekeyed_generator_matches_fresh_philox(cfg):
             dirty.integers(0, 2 ** 32, size=int(rng.integers(1, 4)), dtype=np.uint32)
 
 
-def test_key_source_words_match_fresh_philox():
+@pytest.mark.parametrize("cfg", WORD_CONFIGS, ids=lambda c: f"{c.n_words}words")
+def test_key_source_words_match_fresh_philox(cfg):
     """A KeySource's betas over increasing cycles are those of a fresh
     Philox per cycle, at every seed."""
-    cfg = KeyConfig(n=5, m=3, w_b=40)
     for seed in EDGE_SEEDS:
         src = KeySource(seed, cfg)
         for k in sorted(EDGE_CYCLES + [5, 6, 2 ** 40]):

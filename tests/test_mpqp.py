@@ -586,26 +586,30 @@ def test_locate_non_default_tol(bench_controller):
 
 def zero_row_controller(at):
     """Two unit boxes side by side, with a region of no rows (it holds
-    every state) inserted at index `at`."""
+    every state) inserted at index `at`; with `at` None, that region
+    alone, so the stack holds no rows at all."""
     def region(poly):
         return Region(active_set=(), poly=poly, K=np.zeros((1, 2)),
                       b=np.zeros(1), cheb_center=np.zeros(2), cheb_radius=1.0)
+    free = region(box([-np.inf] * 2, [np.inf] * 2))
+    assert free.poly.nrows == 0
+    if at is None:
+        return PwaController(regions=[free], n=2, m=1, horizon=1)
     regions = [region(box([-1.0, 0.0], [0.0, 1.0])),
                region(box([0.0, 0.0], [1.0, 1.0]))]
-    regions.insert(at, region(box([-np.inf] * 2, [np.inf] * 2)))
-    assert regions[at].poly.nrows == 0
+    regions.insert(at, free)
     return PwaController(regions=regions, n=2, m=1, horizon=1)
 
 
 @pytest.mark.parametrize("at, expect", [(0, [0, 0, 0, 0, 0]),
                                         (1, [0, 0, 1, 1, 1]),
-                                        (2, [0, 0, 1, 2, 2])])
+                                        (2, [0, 0, 1, 2, 2]),
+                                        pytest.param(None, [0, 0, 0, 0, 0], id="alone")])
 def test_locate_zero_row_region(at, expect):
     ctl = zero_row_controller(at)
     states = [[-0.5, 0.5], [0.0, 0.5], [0.5, 0.5], [3.0, 3.0], [np.nan, 0.0]]
     assert assert_locates_like_scan(ctl, states) == expect
-    assert ctl.A_all.shape == (8, 2)
-    assert np.bincount(ctl.owner, minlength=3).tolist()[at] == 0
+    assert ctl.A_all.shape == (0 if at is None else 8, 2)
 
 
 def test_locate_without_regions():
@@ -613,6 +617,25 @@ def test_locate_without_regions():
     assert ctl.gains.shape == (0, 1, 2) and ctl.offsets.shape == (0, 1)
     assert ctl.locate([0.0, 0.0]) == -1
     assert str(ctl.not_covered([0.0, 0.0])) == "state [0.0, 0.0] lies in no region"
+
+
+def test_meta_is_a_read_only_copy(bench_controller):
+    """meta is copied read-only at construction, nested objects and
+    arrays too; replace, to_json and from_json carry it unchanged."""
+    meta = {"note": {"by": ["synthesize"]}, "step": 1}
+    ctl = dataclasses.replace(bench_controller, meta=meta)
+    meta["note"]["by"].append("caller")
+    for write in (lambda: ctl.meta.__setitem__("note", 1),
+                  lambda: ctl.meta["note"].__setitem__("by", 1),
+                  lambda: ctl.meta["note"]["by"].append("x")):
+        with pytest.raises((TypeError, AttributeError)):
+            write()
+    assert ctl.meta == {"note": {"by": ("synthesize",)}, "step": 1}
+    text = ctl.to_json()
+    assert '"note": {\n      "by": ["synthesize"]\n    },\n    "step": 1' in text
+    assert PwaController.from_json(text).to_json() == text
+    assert dataclasses.replace(ctl, horizon=7).meta == ctl.meta
+    assert dataclasses.replace(ctl, meta={}).to_json() == bench_controller.to_json()
 
 
 @pytest.mark.parametrize("change, named", [
@@ -623,12 +646,14 @@ def test_locate_without_regions():
     ({"active_set": (4, 2)}, "active_set must be strictly increasing"),
     ({"active_set": (1, 1)}, "active_set must be strictly increasing"),
     ({"active_set": (0.0,)}, "active_set must be strictly increasing"),
+    ({"cheb_center": np.zeros(3)}, "cheb_center (3,)"),
 ], ids=["wide-gain", "flat-gain", "long-offset", "wide-rows", "unsorted-set",
-        "repeated-row", "float-row"])
+        "repeated-row", "float-row", "long-center"])
 def test_controller_refuses_misshapen_region(change, named):
-    """Every region's K is m x n, its b has m entries, its rows have n
-    columns and its active set is a tuple of strictly increasing row
-    indices; anything else is a ConfigError that names the region."""
+    """Every region's K is m x n, its b and its Chebyshev center have m
+    and n entries, its rows have n columns and its active set is a tuple
+    of strictly increasing row indices; anything else is a ConfigError
+    that names the region."""
     regions = list(zero_row_controller(1).regions)
     regions[2] = dataclasses.replace(regions[2], **change)
     with pytest.raises(ConfigError, match=r"region 2: .*" + re.escape(named)):
@@ -661,10 +686,9 @@ def test_stacked_rows_stay_out_of_json(bench_controller):
         assert ctl.gains[i].tobytes() == r.K.tobytes()
         assert ctl.offsets[i].tobytes() == r.b.tobytes()
     text = ctl.to_json()
-    assert not any(name in text for name in ("A_all", "owner", "gains", "offsets"))
+    assert not any(name in text for name in ("A_all", "gains", "offsets"))
     again = PwaController.from_json(text)
     assert np.array_equal(again.A_all, ctl.A_all)
-    assert np.array_equal(again.owner, ctl.owner)
     # equal values; JSON writes -0.0 as 0
     assert np.array_equal(again.gains, ctl.gains)
     assert np.array_equal(again.offsets, ctl.offsets)
