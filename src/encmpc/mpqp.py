@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from operator import mul
 from types import MappingProxyType
 
 import numpy as np
@@ -196,6 +198,14 @@ class Region:
             set_readonly(self, name, getattr(self, name))
 
 
+def apply_law(K_rows, b_row, x) -> list:
+    """u = K x + b over Python floats: u_j is the math.fsum of the
+    rounded products K_ji x_i and b_j, the correctly rounded sum whatever
+    the order of its terms, so its bits depend on no BLAS kernel.  K_rows
+    are m rows of n floats, b_row m floats and x n floats."""
+    return [math.fsum([*map(mul, row, x), b]) for row, b in zip(K_rows, b_row)]
+
+
 def _read_only_json(value):
     """A read-only copy of a JSON value: each object a read-only mapping,
     each array a tuple."""
@@ -222,11 +232,12 @@ class PwaController:
 
     The regions are read once, when the controller is built: their rows
     stack into A_all/b_all, which locate scans region by region, and
-    their laws into gains (nreg, m, n) and offsets (nreg, m), which
-    eval_region and the protocol's parties read.  With no regions every
-    stack keeps its shape, with 0 leading.  The controller and its
-    Regions are frozen, their arrays and the stacks read-only, meta a
-    read-only copy, and the region list refuses in-place changes: a
+    their laws into gains (nreg, m, n) and offsets (nreg, m), which the
+    protocol's parties read, and into Python rows, which eval_region
+    applies by apply_law (tuples, so read-only too).  With no regions
+    every stack keeps its shape, with 0 leading.  The controller and
+    its Regions are frozen, their arrays and the stacks read-only, meta
+    a read-only copy, and the region list refuses in-place changes: a
     variant is a dataclasses.replace, which stacks and checks again.
     It is a ConfigError when n, m or horizon is not an integer >= 1,
     meta is not a mapping, or a region's active_set is not strictly
@@ -243,6 +254,7 @@ class PwaController:
     b_all: np.ndarray = field(init=False, repr=False, compare=False)
     gains: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _law: tuple = field(init=False, repr=False, compare=False)
     _scan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -282,6 +294,8 @@ class PwaController:
         nreg = len(polys)
         set_readonly(self, "gains", np.reshape([r.K for r in regions], (nreg, m, n)))
         set_readonly(self, "offsets", np.reshape([r.b for r in regions], (nreg, m)))
+        object.__setattr__(self, "_law", tuple(
+            (tuple(map(tuple, r.K.tolist())), tuple(r.b.tolist())) for r in regions))
         # locate's scan, which not_covered reads too: the rows of the
         # regions before the first 0-row one, where each of those regions
         # starts (reduceat cannot take an empty span) and the first 0-row
@@ -319,11 +333,14 @@ class PwaController:
         return sigma if inside[sigma] else fallback
 
     def eval_region(self, sigma: int, x):
-        """Affine law of region sigma applied to x."""
+        """Affine law of region sigma applied to x, by apply_law, as an
+        array of m floats; an x of other than n values is a ValueError."""
         if not 0 <= sigma < len(self.regions):
             raise InvalidRegion(f"region index {sigma} out of range")
-        return (self.gains[sigma] @ np.asarray(x, dtype=float).reshape(-1)
-                + self.offsets[sigma])
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if x.size != self.n:
+            raise ValueError(f"state has {x.size} values, the law takes {self.n}")
+        return np.array(apply_law(*self._law[sigma], x.tolist()))
 
     def evaluate(self, x):
         """Return (u, sigma) at state x; raises outside the partition."""
@@ -462,17 +479,18 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
 
     Starts from the oracle's active set at the Chebyshev center of the
     lifted feasible set {(x, z): Gz - Ex <= h} (none: no feasible state)
-    and visits each active set once: LICQ (rank floor, determinant
-    guard), KKT law and region rows, dead-row kill, Chebyshev LP against
-    the cutoff. Irredundant primal row i is crossed to A + {i}, the
-    multiplier row of a_j to A - {a_j}. If degeneracy leaves that set
-    without a region, the oracle's active set, or its strongly active
-    set, a step past the facet's Chebyshev center is taken instead: an
-    infeasible oracle marks the feasible set's boundary, one failing at
-    every step raises ConfigError, and a step whose sets give no region
-    (ill-conditioned G_A) is logged as unresolved. Coinciding (region,
-    law) pairs keep the set smallest in (size, indices) order, as
-    exhaustive enumeration did. Sorted by active set.
+    and visits each active set once: LICQ (at most nz rows, rank floor,
+    determinant guard), KKT law and region rows, dead-row kill,
+    Chebyshev LP against the cutoff. Irredundant primal row i is crossed
+    to A + {i}, the multiplier row of a_j to A - {a_j}. If degeneracy
+    leaves that set without a region, the oracle's active set, or its
+    strongly active set, a step past the facet's Chebyshev center is
+    taken instead: an infeasible oracle marks the feasible set's
+    boundary, one failing at every step raises ConfigError, and a step
+    whose sets give no region (ill-conditioned G_A) is logged as
+    unresolved. Coinciding (region, law) pairs keep the set smallest in
+    (size, indices) order, as exhaustive enumeration did. Sorted by
+    active set.
 
     stats gets the funnel: candidates = rank_fails + dead_kills +
     lp_calls, regions = lp_calls - empty - thin - merged, and per facet
@@ -504,6 +522,11 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
         stats["candidates"] += 1
         idx = list(aset)
         GA = qp.G[idx]                         # (k, nz)
+        # more rows than variables are dependent, but the SVD returns only
+        # nz singular values for them, so they are refused before it
+        if len(idx) > GA.shape[1]:
+            stats["rank_fails"] += 1
+            return None
         sv = np.linalg.svd(GA, compute_uv=False)
         M = GA @ Hinv @ GA.T
         if not ((sv > DEFAULT_TOL.rank * sv.max(initial=1.0)).all()

@@ -58,9 +58,10 @@ class _CrtHalf:
 
     @classmethod
     def of(cls, f, g):
-        f_sq = f * f
-        h = pow((pow(f * g + 1, f - 1, f_sq) - 1) // f, -1, f)
-        return cls(f, f_sq, h, g % (f - 1))
+        """The constants of f; h in closed form, with no modexp: n^2 is 0
+        mod f^2, so (n+1)^(f-1) = 1 + (f-1) n mod f^2, whose L_f is
+        (f-1) g = -g mod f, and h = (-g)^(-1) mod f."""
+        return cls(f, f * f, pow(-g, -1, f), g % (f - 1))
 
     def dec(self, c):
         """m mod f = L_f(c^(f-1) mod f^2) h_f mod f."""

@@ -29,13 +29,14 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from . import wire
 from .config import ConfigError
 from .keys import KeyConfig, KeySource
-from .mpqp import InvalidRegion
+from .mpqp import InvalidRegion, apply_law
 from .paillier import (
     FixedPointCodec,
     HeCiphertext,
@@ -67,9 +68,9 @@ def cycle_counts(backend, n, m):
     return MappingProxyType(counts)
 
 
-@dataclass(frozen=True)
-class WireMessage:
-    """One transmission: raw bytes plus measured payload bits."""
+class WireMessage(NamedTuple):
+    """One transmission: raw bytes plus measured payload bits (a named
+    tuple, which two per cycle build at a tuple's cost)."""
 
     link: str  # "s_to_c" or "c_to_a"
     body: bytes
@@ -256,11 +257,11 @@ class Cloud:
     """Holds the gain library only; applies it in ciphertext space.
 
     gains is the controller's stack (nreg, m, n), and so are the offsets
-    (nreg, m) a plaintext cloud applies itself; the gains' Python rows,
-    which con takes, and their (m, n) are built once.  By construction
-    there is no attribute that can hold a key source, beta vector,
-    Paillier trapdoor, or plaintext state.  step(msg) returns the cloud
-    message.
+    (nreg, m) a plaintext cloud applies itself; the Python rows of both,
+    which con and apply_law take, and the gains' (m, n) are built once.
+    By construction there is no attribute that can hold a key source,
+    beta vector, Paillier trapdoor, or plaintext state.  step(msg)
+    returns the cloud message.
     """
 
     def __init__(self, gains, backend, offsets=None, field=None,
@@ -269,7 +270,7 @@ class Cloud:
         self.gains = gains
         self.gain_rows = gains.tolist()
         self.m, self.n = gains.shape[1:]
-        self.offsets = offsets
+        self.offset_rows = None if offsets is None else offsets.tolist()
         self.field = field
         self.pk = pk
         self.gains_encoded = gains_encoded
@@ -284,8 +285,7 @@ class Cloud:
         if self.backend == "plaintext":
             x, off = self.field.decode(msg.body, (n,), off)
             wire.expect_end(msg.body, off)
-            values = (self.gains[sigma] @ np.frombuffer(x)
-                      + self.offsets[sigma]).tolist()
+            values = apply_law(self.gain_rows[sigma], self.offset_rows[sigma], x)
         elif self.backend in QE_BACKENDS:
             ct_x, off = self.field.decode(msg.body, (n,), off)
             # the m offset ciphertexts: framing checked, forwarded as they are

@@ -47,7 +47,12 @@ class RangeError(ValueError):
 
 
 def _positive_finite(values) -> bool:
-    return all(0.0 < v < math.inf for v in values)
+    """0 < v < inf for every v (a NaN fails it), in a plain loop, which
+    at a cycle's 2-3 values beats all() over a generator or map()."""
+    for v in values:
+        if not 0.0 < v < math.inf:
+            return False
+    return True
 
 
 def enc_vector(values, beta) -> list:
@@ -131,10 +136,6 @@ def g_map(v: float) -> float:
     return float(v) if v > 1 else 2.0 - 1.0 / float(v)
 
 
-def g_inv(y: float) -> float:
-    return float(y) if y > 1 else 1.0 / (2.0 - float(y))
-
-
 def quantize_stochastic(values, w: int, rng: np.random.Generator) -> list:
     """Stochastically round each g_map(v) to a w-bit integer code.
 
@@ -163,6 +164,7 @@ def quantize_stochastic(values, w: int, rng: np.random.Generator) -> list:
 
 
 def dequantize(codes, w: int) -> list:
-    """Positive reals back from w-bit codes: g_inv of I * 2^(1-w)."""
+    """Positive reals back from w-bit codes: the inverse fold of I *
+    2^(1-w), y itself above 1 and 1 / (2 - y) at or below it."""
     scale = 2.0 ** (1 - w)
-    return [g_inv(code * scale) for code in codes]
+    return [y if (y := code * scale) > 1 else 1.0 / (2.0 - y) for code in codes]

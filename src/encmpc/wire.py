@@ -17,6 +17,7 @@ are read and written only through the protocol's field codecs
   framing, not payload
 """
 
+import functools
 import struct
 from array import array
 
@@ -38,9 +39,15 @@ def decode_u32(data, off=0):
     return struct.unpack_from("<I", data, off)[0], off + 4
 
 
+@functools.cache
+def _f64_struct(count):
+    """The precompiled layout of `count` little-endian binary64 values."""
+    return struct.Struct(f"<{count}d")
+
+
 def encode_f64_vec(values):
     """The values as consecutive little-endian binary64."""
-    return struct.pack(f"<{len(values)}d", *values)
+    return _f64_struct(len(values)).pack(*values)
 
 
 def f64_end(data, count, off=0):
@@ -55,7 +62,7 @@ def decode_f64_vec(data, count, off=0):
     """(values, end): the `count` binary64 values at off, unpacked into
     a new array('d'), whose items are Python floats."""
     end = f64_end(data, count, off)
-    return array("d", struct.unpack_from(f"<{count}d", data, off)), end
+    return array("d", _f64_struct(count).unpack_from(data, off)), end
 
 
 def pack_words(codes, w):

@@ -219,9 +219,10 @@ def test_observation_shapes_and_feature_domains(observations):
     assert np.allclose(observations["paillier"][2], base, atol=1e-2)
 
 
-# qe's digest recorded when the cipher moved to libm on Python floats
+# qe's digest recorded when the cipher moved to libm on Python floats,
+# plaintext's when its law became one math.fsum per input (apply_law)
 FEATURE_DIGESTS = {
-    "plaintext": "933a030fae6f2e0c5c3cdcf5ded9216c77eb5191227cb9ae9deb2388907c1a7f",
+    "plaintext": "57590352cc14515d35aeed692c8a3f703132c1bdee668ec4a51d3cb64208cfea",
     "qe": "ae90dd752b58cba866c59b28128d2274d5ce1fe57023071a932f81f6b108df6e",
     "qe_quantized": "ec056ffda5172658ad6232fabe0ba52be4516a22c89d05cf4b1abb4f2645a45f",
     "paillier": "5a11120d53867210190d9f9af1377c33b62fab88d21d1b32edb8a06b76ec9a3d",
@@ -263,12 +264,13 @@ def test_ordering_table_and_separation(observations):
     assert table[("none", "plaintext")] < 1e-3
 
 
-# recorded when the qe cipher moved to libm on Python floats
+# recorded when the plaintext law became one math.fsum per input
+# (apply_law), which moved the plaintext loop's states
 ATTACK_TABLE_DIGESTS = {
-    (200, 3): "9c417975758267dfb5567059b4511c2d4bf7f59b399dbc0de9fe78290c79fcef",
-    (8, 0): "ef0f965c6a8564abebbef656ec2b3e66b1f4f1b38a89532178ccf91a06fc1d7d",
-    (8, 1): "b14ddf86814f7118dce420a3b375126b5efdc83f99becc75bb825cc8a5b162b7",
-    (8, 2): "e22f41e78fbad4052370eb161d0a2f77f25489eafc12628bf46db2cd9e0f8648",
+    (200, 3): "8794ecbe3e4e1c0dd6472d83b416fb06c536a255195311eae12248deaa8f1344",
+    (8, 0): "6c2c1c0b136609f08cbcd5e65f4e8c6e0d068e67585d5c490bace716cc6465f9",
+    (8, 1): "463938558041281bdd8ab845a0bcbf8c089efd81f63b6d039a47118b881ce366",
+    (8, 2): "d827f7824d24acd18edc0227b4630c33967a99a0811819bd8d59bb25bd4ecf29",
 }
 
 

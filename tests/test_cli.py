@@ -55,8 +55,8 @@ def test_synthesize_logs_funnel(tmp_path, capsys, caplog):
     funnel = [r for r in caplog.records if r.getMessage().startswith("synthesis funnel")]
     assert len(funnel) == 1 and funnel[0].name == "encmpc"
     assert funnel[0].getMessage() == (
-        "synthesis funnel: candidates 71, rank_fails 26, dead_kills 0, "
-        "lp_calls 45, empty 6, thin 0, merged 0, oracle_steps 8, "
+        "synthesis funnel: candidates 71, rank_fails 32, dead_kills 0, "
+        "lp_calls 39, empty 0, thin 0, merged 0, oracle_steps 8, "
         "boundary_facets 30, unresolved 0, redundancy_lps 335, "
         "rows_duplicate 206, rows_ray 153, rows_box 748, rows_lp 179")
 

@@ -122,7 +122,8 @@ def test_betas_matches_scalar_path():
 
 # 1, 3, 5 and 10 words: the longer ones cross Philox's 4-word block
 WORD_CONFIGS = [KeyConfig(n=2, m=1, w_b=16), KeyConfig(n=4, m=2, w_b=32),
-                KeyConfig(n=5, m=3, w_b=40), KeyConfig(n=10, m=5, w_b=40)]
+                KeyConfig(n=5, m=3, w_b=40), KeyConfig(n=10, m=5, w_b=40),
+                KeyConfig(n=3, m=1, w_b=32)]
 EDGE_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1]
 EDGE_CYCLES = [0, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from encmpc import lp
 from encmpc.config import DEFAULT_TOL, ConfigError, RunConfig
 from encmpc.mpqp import (InvalidRegion, LtiSystem, MpcSpec, PwaController,
-                         Region, StateNotCovered, condense, synthesize)
+                         Region, StateNotCovered, condense, enumerate_regions,
+                         synthesize)
 from encmpc.polyhedra import Polyhedron, box, chebyshev_center
 from encmpc.protocol import make_parties
 from encmpc.qp import (QpInfeasible, implicit_control, kkt_residuals,
                        solve_qp, solve_qp_oracle)
+from test_qp import coupled_integrators
 
 
 def scalar_problem():
@@ -180,12 +182,14 @@ def test_benchmark_synthesis_funnel(bench_synthesis):
     active set the facet crossing tries either fails LICQ, dies on a
     dead row, or costs one Chebyshev LP; every facet whose crossed set
     gives no region is settled by the oracle, here 30 of them on the
-    feasible set's boundary. Of the regions' rows, rays certify 153
+    feasible set's boundary. The 6 candidates with more rows than the
+    5 variables fail LICQ on their row count, under every kernel, so no
+    LP finds an empty region. Of the regions' rows, rays certify 153
     facets and the bounding boxes 748 redundant rows, so 179 are left to
     per-row LPs: 335 redundancy LPs with the 156 box LPs."""
     ctl, stats = bench_synthesis
-    assert stats == {"candidates": 71, "rank_fails": 26, "dead_kills": 0,
-                     "lp_calls": 45, "empty": 6, "thin": 0, "merged": 0,
+    assert stats == {"candidates": 71, "rank_fails": 32, "dead_kills": 0,
+                     "lp_calls": 39, "empty": 0, "thin": 0, "merged": 0,
                      "oracle_steps": 8, "boundary_facets": 30,
                      "unresolved": 0, "redundancy_lps": 335,
                      "rows_duplicate": 206, "rows_ray": 153, "rows_box": 748,
@@ -289,11 +293,32 @@ def test_random_plant_partition(seed):
     assert_covers(ctl, samples, 1e-9)
 
 
-def test_singular_simplex_basis_raises_lp_error():
-    """A Chebyshev LP of this plant ends on a singular basis; the simplex
+def test_singular_simplex_basis_raises_lp_error(monkeypatch):
+    """A Chebyshev LP that ends on a singular basis, forced under every
+    kernel by a basis solve that raises as numpy's does on a singular
+    matrix (synthesis solves nothing before its first LP): the simplex
     names it as LpError instead of letting numpy's LinAlgError escape."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(lp.LpError, match="singular simplex basis"):
         synthesize(*random_plant(176))
+
+
+def test_coupled_integrators_synthesize_at_horizon_2():
+    """The 4-state, 2-input plant at horizon 2 (nz = 4): an active set of
+    5 or more rows once passed LICQ and its Chebyshev LP ended on a
+    singular basis, an LpError.  Refused on its row count, it no longer
+    costs an LP, and the 141 regions cover the oracle-feasible states."""
+    qp = coupled_integrators(2)
+    stats = {}
+    ctl = PwaController(regions=enumerate_regions(qp, stats=stats), n=4, m=2,
+                        horizon=2)
+    assert ctl.nregions == stats["lp_calls"] == 141 and stats["empty"] == 0
+    samples = oracle_feasible_samples(qp, 0, 300, [-5.0] * 4, [5.0] * 4)
+    assert len(samples) > 100
+    assert_covers(ctl, samples, 1e-9)
 
 
 @pytest.mark.parametrize("seed, x", [
@@ -487,6 +512,10 @@ def test_infeasible_state_raises(bench_controller):
         bench_controller.eval_region(39, [0.0, 0.0])
     with pytest.raises(InvalidRegion):
         bench_controller.eval_region(-1, [0.0, 0.0])
+    # a state of other than n values is refused, never truncated
+    for x in ([0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(ValueError):
+            bench_controller.eval_region(0, x)
 
 
 def test_state_not_covered_names_nearest_region(bench_controller):

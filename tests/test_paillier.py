@@ -156,6 +156,19 @@ def test_pow_n_lift_is_textbook_power(bits):
         assert kp.pow_n(r) == pow(r, n, kp.n_sq), r
 
 
+def test_crt_h_closed_form_is_pow_form():
+    """Each CRT half's h_f = (-g)^(-1) mod f, in closed form, is the
+    textbook L_f((n+1)^(f-1) mod f^2)^(-1) mod f: on the seeded keypair
+    of every size, on ten more 256-bit ones and on n = 35."""
+    keypairs = [seeded_keypair(bits) for bits in VALID_KEY_BITS]
+    keypairs += [keygen(256, random.Random(seed)) for seed in range(10)]
+    keypairs.append(PaillierKeypair(PaillierPublicKey(35, 1225, 6), 5, 7))
+    for kp in keypairs:
+        for half, f in ((kp._hp, kp.p), (kp._hq, kp.q)):
+            f_sq = f * f
+            assert half.h == pow((pow(kp.n + 1, f - 1, f_sq) - 1) // f, -1, f)
+
+
 def test_pow_n_lift_hand_keypair():
     """n = 35: 2^35 mod 1225 = 18, from (2^7 mod 5)^5 mod 25 = 18 and
     (2^5 mod 7)^7 mod 49 = 18."""

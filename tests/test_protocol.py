@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from encmpc.qe_cipher import CiphertextError, RangeError
 from encmpc.protocol import (
     COUNT_KEYS,
     Sensor,
+    WireMessage,
     make_parties,
     predict_cost,
     run_cycle,
@@ -104,6 +106,29 @@ def test_plaintext_backend_zero_counts(bench_controller):
     u, metrics = run_cycle(x, sensor, cloud, actuator, 0)
     assert all(v == 0 for v in metrics.counts.values())
     assert np.allclose(u, bench_controller.evaluate(x)[0])
+
+
+def test_exact_law_correctly_rounded(bench_controller):
+    """At seeded states in every region of the benchmark partition, and of
+    a 4-state, 3-input law, eval_region and the plaintext cloud give
+    u_j = the correctly rounded value of the exact sum of the rounded
+    products K_ji x_i and b_j, taken in Fractions, under every kernel."""
+    rng = np.random.default_rng(31)
+    for ctl in (bench_controller, single_region_controller(4, 3, rng)):
+        cloud = make_parties(ctl, "plaintext", RunConfig())[1]
+        for sigma, r in enumerate(ctl.regions):
+            # 12 states inside the region's Chebyshev ball
+            steps = rng.uniform(-1.0, 1.0, (12, ctl.n))
+            steps *= 0.9 * min(r.cheb_radius, 50.0) / np.linalg.norm(
+                steps, axis=1, keepdims=True)
+            for x in (r.cheb_center + steps).tolist():
+                want = [float(sum(map(Fraction, map(float.__mul__, row, x)),
+                                  Fraction(bj)))
+                        for row, bj in zip(r.K.tolist(), r.b.tolist())]
+                assert ctl.eval_region(sigma, x).tolist() == want
+                body = wire.encode_u32(sigma) + wire.encode_f64_vec(x)
+                out = cloud.step(WireMessage("s_to_c", body, 0)).body
+                assert wire.decode_f64_vec(out, ctl.m)[0].tolist() == want
 
 
 def test_counts_on_benchmark(bench_controller, kp256):
@@ -263,7 +288,7 @@ def test_paillier_sensor_holds_keypair_same_bytes(bench_controller, kp256):
 
 
 def with_body(msg, body):
-    return dataclasses.replace(msg, body=body)
+    return msg._replace(body=body)
 
 
 def malformed_he_bodies(body, head, count, L):
@@ -567,12 +592,13 @@ def test_qe_wire_stream_pinned(bench_controller):
 def test_plaintext_wire_stream_pinned(bench_controller):
     """The qe pin's 400 seeded states through plaintext parties: the
     state and input travel as binary64, so the bodies pin the reference
-    pipeline's layout and its inputs bit for bit."""
+    pipeline's layout and its inputs bit for bit, recorded when the
+    cloud's law became one math.fsum per input (apply_law)."""
     parties = make_parties(bench_controller, "plaintext", RunConfig())
     faults, sent, digest = wire_stream_digest(parties, 400)
     assert len(faults) == 81 and sent == 2 * 319
     assert digest == (
-        "14b1383ccbd7b4246d5c18b6c8f20f11c6588cedae0ac379589baa7535a4a267")
+        "992a59df813ad90a7a8593b555b8af48a4aa9df79b4d61d270e458dc648415e5")
 
 
 def test_paillier_wire_stream_pinned(bench_controller, kp256):

@@ -9,7 +9,13 @@ from encmpc.keys import BetaVector, KeyConfig, betas, generate_key
 from encmpc.qe_cipher import (CiphertextError, DomainError, MagnitudeError,
                               RangeError, con, dec_aggregate, dec_vector,
                               dequantize, enc_offset, enc_state, enc_vector,
-                              g_inv, g_map, quantize_stochastic)
+                              g_map, quantize_stochastic)
+
+
+def g_inv(y):
+    """The inverse of the domain fold g_map, per value: the reference
+    that dequantize folds inline."""
+    return float(y) if y > 1 else 1.0 / (2.0 - float(y))
 
 
 def test_enc_scalar_values():
@@ -141,6 +147,23 @@ def test_dec_aggregate_rejects_bad_ciphertexts():
         dec_aggregate([1.0, 2.0], bv)
 
 
+@pytest.mark.parametrize("v, ok", [
+    (float("nan"), False), (math.inf, False), (-math.inf, False),
+    (0.0, False), (-0.0, False), (5e-324, True), (2.0 ** -1030, True)])
+def test_ciphertext_edge_values(v, ok):
+    """A ciphertext must be a positive finite float: NaN, +-inf and +-0.0
+    are refused, and a subnormal is accepted, by con, dec_vector and
+    dec_aggregate alike."""
+    bv = BetaVector(beta=(4, -7, 2), n=2, m=1)
+    for call in (lambda: con([[1.0]], [v]), lambda: dec_vector([v], [3]),
+                 lambda: dec_aggregate([1.0, 2.0, v], bv)):
+        if ok:
+            call()
+        else:
+            with pytest.raises(CiphertextError):
+                call()
+
+
 def test_exact_recovery_chain_random():
     """Full f_Dec(f_Con(f_Enc)) chain: v = Kx and u = Kx + b."""
     rng = np.random.default_rng(8)
@@ -212,6 +235,15 @@ def test_g_map_values():
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_g_roundtrip(v):
     assert g_inv(g_map(v)) == pytest.approx(v, rel=1e-12)
+
+
+def test_dequantize_is_g_inv_per_code():
+    """dequantize folds inline what g_inv does per code, bit for bit."""
+    rng = np.random.default_rng(9)
+    for w in (1, 2, 8, 16, 24, 40):
+        codes = [0, 1, 2 ** (w - 1), 2 ** w - 1]
+        codes += rng.integers(0, 2 ** w, 200).tolist()
+        assert dequantize(codes, w) == [g_inv(c * 2.0 ** (1 - w)) for c in codes]
 
 
 def test_g_monotone_on_positives():

@@ -178,11 +178,12 @@ def test_trajectory_csv_shape_and_determinism(bench_controller):
 
 
 # SHA-256 of trajectory_csv for qe_quantized: the first recorded when
-# the cipher moved to libm on Python floats, the second from the earlier
-# word-object implementation of the quantized wire; the second config
-# faults with StateNotCovered at step 1
+# the plaintext law of the u_plain column became one math.fsum per input
+# (apply_law), the second from the earlier word-object implementation of
+# the quantized wire; the second config faults with StateNotCovered at
+# step 1, before u_plain differs
 QUANTIZED_CSV_SHA256 = [
-    ({}, "b570b8db7da9d91d44bdea76880020c53319556a35eb787e75f1888b27036e92"),
+    ({}, "d6b113db15c12317cc6e31d5ed23b7a8d72fa974b784d4fd26c3d391833afdf7"),
     ({"epsilon_q": 0.001},
      "da9c693811c107fa431c32e35da66f3ba781bd3a570366fed001cc7260e24064"),
 ]
@@ -196,12 +197,13 @@ def test_quantized_trajectory_bytes_pinned(bench_controller, overrides, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# SHA-256 of trajectory_csv for qe, recorded when the cipher moved to
-# libm on Python floats; seed_keys moves every ciphertext
+# SHA-256 of trajectory_csv for qe, recorded when the plaintext law of
+# the u_plain column became one math.fsum per input (apply_law);
+# seed_keys moves every ciphertext
 QE_CSV_SHA256 = [
-    ({}, "8b60c2155eac70c0cf76d76f43bb3c5a94955523b225007b8a9d47da728932a4"),
+    ({}, "12c8d2430573f1fa84faaa31257c61c5b9c61306b041e886a2405e1c37028c59"),
     ({"seed_keys": 7},
-     "9cd1383ddae0496537d5cf7e4738b63a00db37886a3f2f73fbfa2a913bcf9dee"),
+     "cf18832930904270fe9cf2fd33158250b87201542c9dfedf2a0aab365102a3cc"),
 ]
 
 
