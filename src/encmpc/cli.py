@@ -163,7 +163,8 @@ def _model_cost(controller, cfg):
     """predict_cost for one bench row: b_K from the fixed-point gains, p
     the binary64 that the qe parties compute in."""
     scale = cfg.rho ** cfg.delta
-    b_K = gain_bitlen([[round(float(v) * scale) for v in controller.gains.flat]])
+    b_K = gain_bitlen([[round(v * scale) for K in controller.gain_rows
+                        for row in K for v in row]])
     return predict_cost(controller.n, controller.m, cfg.key_bits,
                         F64Field.bits, b_K)
 

@@ -230,32 +230,29 @@ class _ReadOnlyList(list):
 class PwaController:
     """The explicit law u = K_s x + b_s over the regions of a partition.
 
-    The regions are read once, when the controller is built: their rows
-    stack into A_all/b_all, which locate scans region by region, and
-    their laws into gains (nreg, m, n) and offsets (nreg, m), which the
-    protocol's parties read, and into Python rows, which eval_region
-    applies by apply_law (tuples, so read-only too).  With no regions
-    every stack keeps its shape, with 0 leading.  The controller and
-    its Regions are frozen, their arrays and the stacks read-only, meta
-    a read-only copy, and the region list refuses in-place changes: a
-    variant is a dataclasses.replace, which stacks and checks again.
-    It is a ConfigError when n, m or horizon is not an integer >= 1,
-    meta is not a mapping, or a region's active_set is not strictly
-    increasing non-negative integers, its K, b, cheb_center or rows do
-    not fit n and m, or it holds a NaN or an inf (a cheb_radius of +inf,
-    an unbounded region, excepted).
+    The regions are read once, when the controller is built, into the
+    law as Python rows, gain_rows (nreg x m x n) and offset_rows (nreg x
+    m), which eval_region applies by apply_law and the protocol's
+    parties hold as they are, and into one private stack of the
+    regions' rows, which locate and not_covered read; a region with no
+    rows stacks as the neutral row 0'x <= 1.  The controller and its
+    Regions are frozen, their arrays and the stack read-only, the rows
+    tuples, meta a read-only copy, and the region list refuses in-place
+    changes: a variant is a dataclasses.replace, which stacks and checks
+    again.  It is a ConfigError when n, m or horizon is not an integer
+    >= 1, meta is not a mapping, or a region's active_set is not
+    strictly increasing non-negative integers, its K, b, cheb_center or
+    rows do not fit n and m, or it holds a NaN or an inf (a cheb_radius
+    of +inf, an unbounded region, excepted).
     """
     regions: list
     n: int
     m: int
     horizon: int
     meta: Mapping = field(default_factory=dict)
-    A_all: np.ndarray = field(init=False, repr=False, compare=False)
-    b_all: np.ndarray = field(init=False, repr=False, compare=False)
-    gains: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    _law: tuple = field(init=False, repr=False, compare=False)
-    _scan: tuple = field(init=False, repr=False, compare=False)
+    gain_rows: tuple = field(init=False, repr=False, compare=False)
+    offset_rows: tuple = field(init=False, repr=False, compare=False)
+    _stack: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.n, self.m
@@ -287,50 +284,40 @@ class PwaController:
                 if np.isnan(val).any() or not radius and np.isinf(val).any():
                     raise ConfigError(f"region {i}: {name} must "
                                       f"{'not be NaN' if radius else 'be finite'}")
-        # the trailing empty block gives the right shapes with no regions
-        polys = [r.poly for r in regions]
-        set_readonly(self, "A_all", np.vstack([p.A for p in polys] + [np.zeros((0, n))]))
-        set_readonly(self, "b_all", np.concatenate([p.b for p in polys] + [np.zeros(0)]))
-        nreg = len(polys)
-        set_readonly(self, "gains", np.reshape([r.K for r in regions], (nreg, m, n)))
-        set_readonly(self, "offsets", np.reshape([r.b for r in regions], (nreg, m)))
-        object.__setattr__(self, "_law", tuple(
-            (tuple(map(tuple, r.K.tolist())), tuple(r.b.tolist())) for r in regions))
-        # locate's scan, which not_covered reads too: the rows of the
-        # regions before the first 0-row one, where each of those regions
-        # starts (reduceat cannot take an empty span) and the first 0-row
-        # region (-1 if none), which holds every state
-        nrows = [p.nrows for p in polys] + [0]
-        head = nrows.index(0)
-        ends = np.cumsum([0] + nrows[:head], dtype=np.intp)
-        ends.flags.writeable = False
-        object.__setattr__(self, "_scan", (self.A_all[:ends[-1]], self.b_all[:ends[-1]],
-                                           ends[:-1], head if head < nreg else -1))
+        object.__setattr__(self, "gain_rows", tuple(
+            tuple(map(tuple, r.K.tolist())) for r in regions))
+        object.__setattr__(self, "offset_rows", tuple(tuple(r.b.tolist()) for r in regions))
+        # the leading empty block gives the right shapes with no regions;
+        # region i owns the rows from starts[i] on
+        rows = [(np.zeros((0, n)), np.zeros(0))] + [
+            (r.poly.A, r.poly.b) if r.poly.nrows else (np.zeros((1, n)), np.ones(1))
+            for r in regions]
+        stack = (np.vstack([A for A, _ in rows]), np.concatenate([b for _, b in rows]),
+                 np.cumsum([len(b) for _, b in rows], dtype=np.intp)[:-1])
+        for arr in stack:
+            arr.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def nregions(self) -> int:
         return len(self.regions)
 
-    def locate(self, x, tol: float = None) -> int:
+    def locate(self, x) -> int:
         """Index of the first region containing x, or -1.
 
         One product over the stacked rows gives every slack; x lies in a
-        region when none of its rows has slack above tol (a NaN slack
-        counts as above, so a non-finite state lands only in a 0-row
-        region).  Of those regions the lowest index wins, so states on
-        shared facets resolve deterministically.  A 0-row region holds
-        every state, so the scan reduces the rows before the first one,
-        region by region, and falls back to it (or to -1).
+        region when none of its rows has slack above the feasibility
+        tolerance (a NaN slack counts as above, so a non-finite state
+        lies in no region).  Of those regions the lowest index wins, so
+        states on shared facets resolve deterministically.
         """
-        if tol is None:
-            tol = DEFAULT_TOL.feasibility
-        x = np.asarray(x, dtype=float).reshape(-1)
-        A, b, starts, fallback = self._scan
+        A, b, starts = self._stack
         if not starts.size:
-            return fallback
-        inside = np.logical_and.reduceat(A @ x - b <= tol, starts)
+            return -1
+        x = np.asarray(x, dtype=float).reshape(-1)
+        inside = np.logical_and.reduceat(A @ x - b <= DEFAULT_TOL.feasibility, starts)
         sigma = int(inside.argmax())
-        return sigma if inside[sigma] else fallback
+        return sigma if inside[sigma] else -1
 
     def eval_region(self, sigma: int, x):
         """Affine law of region sigma applied to x, by apply_law, as an
@@ -340,25 +327,18 @@ class PwaController:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.n:
             raise ValueError(f"state has {x.size} values, the law takes {self.n}")
-        return np.array(apply_law(*self._law[sigma], x.tolist()))
-
-    def evaluate(self, x):
-        """Return (u, sigma) at state x; raises outside the partition."""
-        sigma = self.locate(x)
-        if sigma < 0:
-            raise self.not_covered(x)
-        return self.eval_region(sigma, x), sigma
+        return np.array(apply_law(self.gain_rows[sigma], self.offset_rows[sigma],
+                                  x.tolist()))
 
     def not_covered(self, x) -> StateNotCovered:
         """The error for a state in no region.
 
         It names the nearest region, the one whose most violated row is
-        violated least (a 0-row region covers every state, so each
-        region here has a row).
+        violated least (a 0-row region by its neutral row).
         """
         x = np.asarray(x, dtype=float).reshape(-1)
         text = f"state {x.tolist()} lies in no region"
-        A, b, starts, _ = self._scan
+        A, b, starts = self._stack
         if starts.size:
             with np.errstate(invalid="ignore"):  # non-finite x: NaN slack
                 slack = A @ x - b
@@ -391,10 +371,6 @@ class PwaController:
             ],
         }
         return _dumps_17g(obj)
-
-    @staticmethod
-    def from_json(text: str) -> "PwaController":
-        return PwaController._from_obj(json.loads(text), "controller JSON")
 
     @staticmethod
     def _from_obj(obj, what) -> "PwaController":

@@ -321,9 +321,9 @@ def he_eval_pwa(enc_x, K_hat, enc_b, pk):
     construction.  enc_x must be at scale delta and enc_b at scale
     2*delta; the result is at scale 2*delta.  The powers for negative
     gains are taken to |a| and multiplied apart, and their product is
-    inverted once per row: the same residue mod n^2 as one inverse per
-    negative gain.  The cycle's counts of these operations are
-    protocol.cycle_counts, in closed form.
+    inverted once per row, by pow(., -1, n^2): the same residue as one
+    inverse per negative gain.  So he_scalar_mul runs once per gain, as
+    protocol.cycle_counts counts in closed form.
     """
     if len(K_hat) != len(enc_b):
         raise ValueError("gain rows and offset length disagree")
@@ -339,6 +339,6 @@ def he_eval_pwa(enc_x, K_hat, enc_b, pk):
             else:
                 neg = term if neg is None else he_add(neg, term, pk)
         if neg is not None:
-            acc = he_add(acc, he_scalar_mul(-1, neg, pk), pk)
+            acc = he_add(acc, HeCiphertext(pow(neg.value, -1, pk.n_sq), pk.n_sq), pk)
         out.append(acc)
     return out

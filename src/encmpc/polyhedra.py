@@ -1,5 +1,5 @@
 """Polyhedra in halfspace form {x : Ax <= b} and the geometry used by
-region synthesis: Chebyshev centers, membership, redundancy pruning.
+region synthesis: Chebyshev centers and redundancy pruning.
 """
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .config import DEFAULT_TOL, set_readonly
+from .config import set_readonly
 
 # sentinel bound on the Chebyshev radius; optima at or above half of it
 # are reported as unbounded
@@ -35,10 +35,6 @@ class Polyhedron:
     @property
     def nrows(self) -> int:
         return self.A.shape[0]
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(self.A @ x - self.b <= DEFAULT_TOL.feasibility))
 
 
 def box(lower, upper) -> Polyhedron:

@@ -16,8 +16,8 @@ are its field count times the codec's bits per field, plus the u32
 region index on the sensor link; the codecs' framing is not payload
 (see wire).
 
-The cloud object holds gain matrices and (for Paillier) the public key
-only; it has no field that can carry key material or plaintext state.
+The cloud object holds the gain library and (for Paillier) the public
+key only; it has no field that can carry key material or plaintext state.
 Region indices travel in plaintext on the sensor link, which is the
 protocol's documented leak.
 """
@@ -59,7 +59,8 @@ COUNT_KEYS = ("enc", "con", "dec", "sums", "he_enc", "he_dec", "he_add", "he_mul
 def cycle_counts(backend, n, m):
     """One cycle's primitive operations in closed form, a read-only
     mapping over COUNT_KEYS built once per (backend, n, m) (Paillier: one
-    scalar product and one addition per gain)."""
+    scalar product and one addition per gain).  The Paillier cloud's
+    modular inverses, at most one per output row, are not counted."""
     counts = dict.fromkeys(COUNT_KEYS, 0)
     if backend in QE_BACKENDS:
         counts.update(enc=n + m, con=m * n, dec=m * n + m, sums=m * n)
@@ -208,21 +209,19 @@ def wire_field(backend, cfg, rng=None):
 class Sensor:
     """Measures, locates the region, encrypts state and region offset.
 
-    Holds the controller, whose partition it locates x in, its offsets
-    as Python rows and its field sizes (n, m), both built once, as the
-    cipher and the codecs take lists, and its link's field codec; for
-    QE backends also a key source synchronized with the actuator's, for
-    Paillier a key and the fixed-point codec.  The Paillier key may be
-    the public key or, on the plant side, the keypair, which computes
-    the encryption randomizer by CRT (same ciphertexts).  step(x, cycle)
-    returns the sensor message.
+    Holds the controller, whose partition it locates x in, the
+    controller's offset rows, its field sizes (n, m) and its link's
+    field codec; for QE backends also a key source synchronized with the
+    actuator's, for Paillier the plant-side keypair, which computes the
+    encryption randomizer by CRT, and the fixed-point codec.  step(x,
+    cycle) returns the sensor message.
     """
 
     def __init__(self, controller, backend, key_source=None, field=None,
                  he_key=None, codec=None, he_rng=None):
         self.backend = backend
         self.controller = controller
-        self.offset_rows = controller.offsets.tolist()
+        self.offset_rows = controller.offset_rows
         self.sizes = (controller.n, controller.m)
         self.key_source = key_source
         self.field = field
@@ -242,7 +241,7 @@ class Sensor:
             values, sizes = x.tolist(), sizes[:1]
         elif self.backend in QE_BACKENDS:
             bv = self.key_source.betas(cycle)
-            values = enc_state(x.tolist() + b_sig, bv.beta)
+            values = enc_state([*x.tolist(), *b_sig], bv.beta)
         else:
             key, codec, rng = self.he_key, self.codec, self.he_rng
             values = [he_enc(fp_encode(v, codec), key, rng).value for v in x]
@@ -256,28 +255,27 @@ class Sensor:
 class Cloud:
     """Holds the gain library only; applies it in ciphertext space.
 
-    gains is the controller's stack (nreg, m, n), and so are the offsets
-    (nreg, m) a plaintext cloud applies itself; the Python rows of both,
-    which con and apply_law take, and the gains' (m, n) are built once.
-    By construction there is no attribute that can hold a key source,
-    beta vector, Paillier trapdoor, or plaintext state.  step(msg)
-    returns the cloud message.
+    gain_rows are the controller's (nreg x m x n), and offset_rows, which
+    only a plaintext cloud holds and applies itself, its (nreg x m).  By
+    construction there is no attribute that can hold a key source, beta
+    vector, Paillier trapdoor, or plaintext state.  step(msg) returns the
+    cloud message.
     """
 
-    def __init__(self, gains, backend, offsets=None, field=None,
+    def __init__(self, backend, n, m, gain_rows, offset_rows=None, field=None,
                  pk=None, gains_encoded=None):
         self.backend = backend
-        self.gains = gains
-        self.gain_rows = gains.tolist()
-        self.m, self.n = gains.shape[1:]
-        self.offset_rows = None if offsets is None else offsets.tolist()
+        self.n = n
+        self.m = m
+        self.gain_rows = gain_rows
+        self.offset_rows = offset_rows
         self.field = field
         self.pk = pk
         self.gains_encoded = gains_encoded
 
     def step(self, msg):
         sigma, off = wire.decode_u32(msg.body)
-        if not 0 <= sigma < len(self.gains):
+        if not 0 <= sigma < len(self.gain_rows):
             raise InvalidRegion(f"region index {sigma} out of range")
         m, n = self.m, self.n
 
@@ -398,7 +396,7 @@ def make_parties(controller, backend, cfg, keypair=None):
     n, m = controller.n, controller.m
     s_kw, c_kw, a_kw = {}, {}, {}
     if backend == "plaintext":
-        c_kw["offsets"] = controller.offsets
+        c_kw["offset_rows"] = controller.offset_rows
     elif backend in QE_BACKENDS:
         kc = KeyConfig(n=n, m=m, w_b=cfg.w_b)
         s_kw["key_source"] = KeySource(cfg.seed_keys, kc)
@@ -411,7 +409,7 @@ def make_parties(controller, backend, cfg, keypair=None):
                               f"but key_bits is {cfg.key_bits}")
         try:
             codec = FixedPointCodec(cfg.rho, cfg.gamma, cfg.delta, keypair.n)
-            gains_encoded = [encode_gain(K, codec) for K in controller.gains]
+            gains_encoded = [encode_gain(K, codec) for K in controller.gain_rows]
         except OverflowError as exc:
             raise ConfigError(f"gamma={cfg.gamma}, delta={cfg.delta} under a "
                               f"{cfg.key_bits}-bit key: {exc}") from exc
@@ -420,5 +418,5 @@ def make_parties(controller, backend, cfg, keypair=None):
         c_kw = {"pk": keypair.public, "gains_encoded": gains_encoded}
         a_kw = {"keypair": keypair, "codec": codec}
     return (Sensor(controller, backend, field=s_field, **s_kw),
-            Cloud(controller.gains, backend, field=c_field, **c_kw),
+            Cloud(backend, n, m, controller.gain_rows, field=c_field, **c_kw),
             Actuator(backend, n, m, field=wire_field(backend, cfg), **a_kw))

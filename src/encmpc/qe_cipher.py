@@ -86,15 +86,12 @@ def con(K, ct_vec) -> list:
     """Cloud-side linear-term computation: the m*n powers ct_i ** K[j,i],
     row-major (entry j*n + i), for an (m, n) gain K.
 
-    K is m rows of n Python floats, as the cloud holds its gains, or an
-    (m, n) array, which is turned into such rows first.  Takes no key
-    material by construction; raises ValueError unless K is rows of
-    len(ct_vec) numbers, CiphertextError if a ciphertext is not a
+    K is m rows of n Python floats, as the cloud holds its gains.  Takes
+    no key material by construction; raises ValueError unless K is rows
+    of len(ct_vec) numbers, CiphertextError if a ciphertext is not a
     positive finite float, or if any power overflows (Python's
     OverflowError) or underflows to 0.
     """
-    if isinstance(K, np.ndarray):
-        K = K.tolist()
     if not _positive_finite(ct_vec):
         raise CiphertextError("ciphertext vector has nonpositive or nonfinite entries")
     try:

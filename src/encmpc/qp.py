@@ -268,20 +268,3 @@ def implicit_control(qp, x):
     x = _state(x)
     z, lam, active = solve_qp(qp, qp.F @ x, qp.h + qp.E @ x)
     return z[:qp.m], z, active
-
-
-def kkt_residuals(qp, x, z, lam):
-    """Stationarity and complementarity residuals at (z, lam) for x.
-
-    Used by tests to certify a claimed optimizer: stationarity
-    ||Hz + Fx + G'lam||_inf, worst primal violation, worst negative
-    multiplier, and worst complementarity product.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    slack = qp.h + qp.E @ x - qp.G @ z
-    stat = np.linalg.norm(qp.H @ z + qp.F @ x + qp.G.T @ lam, ord=np.inf)
-    primal = float(max(0.0, -slack.min())) if slack.size else 0.0
-    dual = float(max(0.0, -lam.min())) if lam.size else 0.0
-    comp = float(np.abs(lam * slack).max()) if slack.size else 0.0
-    return {"stationarity": float(stat), "primal": primal,
-            "dual": dual, "complementarity": comp}

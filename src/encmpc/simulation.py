@@ -14,7 +14,7 @@ representable range stops the loop and records the fault instead of
 raising.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,15 +211,6 @@ def attack_scenario():
     )
 
 
-def scenario_to_dict(sc):
-    """The JSON object form of a scenario: one key per Scenario field."""
-    out = {}
-    for f in fields(sc):
-        val = getattr(sc, f.name)
-        out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
-    return out
-
-
 def load_scenario(path):
     """Scenario from a JSON file; malformed JSON is a ConfigError."""
     return from_dict(Scenario, load_json(path), path)
@@ -243,9 +234,6 @@ class Trajectory:
     records: list = field(default_factory=list)
     fault: str = ""
     fault_k: int = -1
-
-    def __len__(self):
-        return len(self.records)
 
 
 def episode_steps(scenario, cfg):

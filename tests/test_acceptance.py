@@ -28,7 +28,7 @@ from encmpc.qp import QpInfeasible, implicit_control
 from encmpc.simulation import attack_scenario, benchmark_scenario, run_closed_loop
 from encmpc.attack import default_settings, gather_observations, run_attack_table
 
-from test_protocol import single_region_controller
+from test_protocol import plain_law, single_region_controller
 
 
 def report(num, ok, detail):
@@ -57,8 +57,8 @@ def test_criterion_01_qe_exact_recovery(bench_controller):
     for rec in traj.records:
         x_ss, u_ss = scenario.steady_state(rec.r)
         sigma = rec.cycle.sigma
-        law = exact_law(bench_controller.gains[sigma],
-                        bench_controller.offsets[sigma], rec.x - x_ss)
+        law = exact_law(bench_controller.gain_rows[sigma],
+                        bench_controller.offset_rows[sigma], rec.x - x_ss)
         exact_gaps.append(max(float(abs(Fraction(u) - v - Fraction(us)))
                               for u, v, us in zip(rec.u.tolist(), law,
                                                   u_ss.tolist())))
@@ -96,7 +96,7 @@ def test_criterion_02_pwa_matches_qp_oracle(bench_controller):
         except QpInfeasible:
             continue
         feasible += 1
-        u_pwa, _ = bench_controller.evaluate(x)
+        u_pwa = plain_law(bench_controller, x)
         worst = max(worst, float(np.max(np.abs(u_oracle - u_pwa))))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-6 and dt < 60.0

@@ -14,7 +14,8 @@ from encmpc.cli import main, parse_sweep, BENCH_COLUMNS
 from encmpc.config import ConfigError
 from encmpc.mpqp import PwaController, synthesize
 from encmpc.protocol import run_cycle
-from encmpc.simulation import attack_scenario, benchmark_scenario, scenario_to_dict
+from encmpc.simulation import attack_scenario, benchmark_scenario
+from test_simulation import scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -505,7 +506,7 @@ def test_run_paillier_small_delta_within_budget(workdir, tmp_path, capsys):
     u = np.array(column(header, rows, "u0"))
     u_plain = np.array(column(header, rows, "u_plain0"))
     ctrl = PwaController.load(workdir / "controller.json")
-    budget = (2 * 2**4 * np.max(np.abs(ctrl.gains)) + 2) * 2.0**-6
+    budget = (2 * 2**4 * np.max(np.abs(ctrl.gain_rows)) + 2) * 2.0**-6
     assert np.max(np.abs(u - u_plain)) <= budget
 
 

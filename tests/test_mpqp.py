@@ -14,9 +14,8 @@ from encmpc.mpqp import (InvalidRegion, LtiSystem, MpcSpec, PwaController,
                          synthesize)
 from encmpc.polyhedra import Polyhedron, box, chebyshev_center
 from encmpc.protocol import make_parties
-from encmpc.qp import (QpInfeasible, implicit_control, kkt_residuals,
-                       solve_qp, solve_qp_oracle)
-from test_qp import coupled_integrators
+from encmpc.qp import QpInfeasible, implicit_control, solve_qp, solve_qp_oracle
+from test_qp import coupled_integrators, kkt_residuals
 
 
 def scalar_problem():
@@ -49,7 +48,7 @@ def test_scalar_explicit_law():
     assert [r.active_set for r in ctl.regions] == [(), (0,), (1,)]
     # saturated region boundaries sit at |x| = 2
     for x in np.linspace(-6, 6, 121):
-        u, _ = ctl.evaluate([x])
+        u = ctl.eval_region(ctl.locate([x]), [x])
         assert u[0] == pytest.approx(np.clip(-x / 2, -1.0, 1.0), abs=1e-12)
 
 
@@ -60,7 +59,7 @@ def test_scalar_facet_tiebreak():
     assert ctl.locate([-2.0]) == 0
     assert ctl.locate([2.0]) == 0
     assert ctl.locate([-2.0000001]) == 1
-    assert ctl.evaluate([0.3])[1] == 0
+    assert ctl.locate([0.3]) == 0
 
 
 def test_scalar_qp_oracle_saturation():
@@ -465,7 +464,7 @@ def test_explicit_matches_implicit(bench_controller):
             continue
         sigma = bench_controller.locate(x)
         assert sigma >= 0, f"feasible state {x} not covered by any region"
-        u_exp, _ = bench_controller.evaluate(x)
+        u_exp = bench_controller.eval_region(sigma, x)
         assert u_exp == pytest.approx(u_imp, abs=1e-8)
         checked += 1
 
@@ -506,8 +505,6 @@ def test_infeasible_state_raises(bench_controller):
     with pytest.raises(QpInfeasible):
         implicit_control(qp, np.array([50.0, 50.0]))
     assert bench_controller.locate([50.0, 50.0]) == -1
-    with pytest.raises(StateNotCovered):
-        bench_controller.evaluate([50.0, 50.0])
     with pytest.raises(InvalidRegion):
         bench_controller.eval_region(39, [0.0, 0.0])
     with pytest.raises(InvalidRegion):
@@ -524,9 +521,8 @@ def test_state_not_covered_names_nearest_region(bench_controller):
     sigma = int(np.argmin(viol))
     row = int(np.argmax(bench_controller.regions[sigma].poly.A @ x
                         - bench_controller.regions[sigma].poly.b))
-    with pytest.raises(StateNotCovered) as info:
-        bench_controller.evaluate(x)
-    text = str(info.value)
+    assert bench_controller.locate(x) == -1
+    text = str(bench_controller.not_covered(x))
     assert text == (f"state [50.0, 50.0] lies in no region; nearest is "
                     f"region {sigma}, whose row {row} is violated by "
                     f"{viol[sigma]:.3e}")
@@ -539,13 +535,13 @@ def test_state_not_covered_names_nearest_region(bench_controller):
 
 def test_eval_pwa_affine_form(bench_controller):
     x = np.array([0.3, -0.2])
-    u, sigma = bench_controller.evaluate(x)
+    sigma = bench_controller.locate(x)
     reg = bench_controller.regions[sigma]
-    assert u == pytest.approx(reg.K @ x + reg.b)
-    assert bench_controller.eval_region(sigma, x) == pytest.approx(u)
+    assert bench_controller.eval_region(sigma, x) == pytest.approx(reg.K @ x + reg.b)
     # x=0 returns the offset of whatever region holds the origin
-    u0, s0 = bench_controller.evaluate([0.0, 0.0])
-    assert u0 == pytest.approx(bench_controller.regions[s0].b)
+    s0 = bench_controller.locate([0.0, 0.0])
+    assert bench_controller.eval_region(s0, [0.0, 0.0]) == pytest.approx(
+        bench_controller.regions[s0].b)
 
 
 def test_chebyshev_center_is_interior(bench_controller):
@@ -556,12 +552,15 @@ def test_chebyshev_center_is_interior(bench_controller):
         assert np.all(slack >= reg.cheb_radius * norms - 1e-7)
 
 
-def scan_locate(ctl, x, tol=DEFAULT_TOL.feasibility):
+def scan_locate(ctl, x):
     """Reference point location: the first region, in stored order, none
-    of whose rows has slack above tol."""
+    of whose rows has slack above the feasibility tolerance; a
+    non-finite state lies in no region."""
     x = np.asarray(x, dtype=float).reshape(-1)
+    if not np.isfinite(x).all():
+        return -1
     for sigma, reg in enumerate(ctl.regions):
-        if np.all(reg.poly.A @ x - reg.poly.b <= tol):
+        if np.all(reg.poly.A @ x - reg.poly.b <= DEFAULT_TOL.feasibility):
             return sigma
     return -1
 
@@ -576,9 +575,9 @@ def facet_feet(ctl):
                 yield c + (b - a @ c) / (a @ a) * a
 
 
-def assert_locates_like_scan(ctl, states, tol=DEFAULT_TOL.feasibility):
-    sigmas = [ctl.locate(x, tol) for x in states]
-    assert sigmas == [scan_locate(ctl, x, tol) for x in states]
+def assert_locates_like_scan(ctl, states):
+    sigmas = [ctl.locate(x) for x in states]
+    assert sigmas == [scan_locate(ctl, x) for x in states]
     return sigmas
 
 
@@ -600,23 +599,10 @@ def test_locate_matches_scan(which, bench_controller, horizon10):
     assert assert_locates_like_scan(ctl, centers) == list(range(ctl.nregions))
 
 
-def test_locate_non_default_tol(bench_controller):
-    """States just off the facets switch region with tol as the scan does."""
-    ctl = bench_controller
-    feet = np.array(list(facet_feet(ctl)))
-    rng = np.random.default_rng(3)
-    near = feet + rng.normal(scale=1e-4, size=feet.shape)
-    for tol in (0.0, 1e-5, 1e-3, -1e-5):
-        sigmas = assert_locates_like_scan(ctl, near, tol)
-        assert len(set(sigmas)) > 10
-    assert ([ctl.locate(x, 1e-3) for x in near]
-            != [ctl.locate(x, -1e-5) for x in near])
-
-
 def zero_row_controller(at):
     """Two unit boxes side by side, with a region of no rows (it holds
-    every state) inserted at index `at`; with `at` None, that region
-    alone, so the stack holds no rows at all."""
+    every finite state) inserted at index `at`; with `at` None, that
+    region alone."""
     def region(poly):
         return Region(active_set=(), poly=poly, K=np.zeros((1, 2)),
                       b=np.zeros(1), cheb_center=np.zeros(2), cheb_radius=1.0)
@@ -630,27 +616,36 @@ def zero_row_controller(at):
     return PwaController(regions=regions, n=2, m=1, horizon=1)
 
 
-@pytest.mark.parametrize("at, expect", [(0, [0, 0, 0, 0, 0]),
-                                        (1, [0, 0, 1, 1, 1]),
-                                        (2, [0, 0, 1, 2, 2]),
-                                        pytest.param(None, [0, 0, 0, 0, 0], id="alone")])
+@pytest.mark.parametrize("at, expect", [(0, [0, 0, 0, 0, -1]),
+                                        (1, [0, 0, 1, 1, -1]),
+                                        (2, [0, 0, 1, 2, -1]),
+                                        pytest.param(None, [0, 0, 0, 0, -1], id="alone")])
 def test_locate_zero_row_region(at, expect):
+    """A region of no rows holds every finite state (it is stacked as the
+    neutral row 0'x <= 1), a NaN state none."""
     ctl = zero_row_controller(at)
     states = [[-0.5, 0.5], [0.0, 0.5], [0.5, 0.5], [3.0, 3.0], [np.nan, 0.0]]
     assert assert_locates_like_scan(ctl, states) == expect
-    assert ctl.A_all.shape == (0 if at is None else 8, 2)
+    assert str(ctl.not_covered(states[-1])).startswith("state [nan, 0.0] lies in no region")
 
 
 def test_locate_without_regions():
     ctl = PwaController(regions=[], n=2, m=1, horizon=1)
-    assert ctl.gains.shape == (0, 1, 2) and ctl.offsets.shape == (0, 1)
+    assert ctl.gain_rows == ctl.offset_rows == ()
     assert ctl.locate([0.0, 0.0]) == -1
     assert str(ctl.not_covered([0.0, 0.0])) == "state [0.0, 0.0] lies in no region"
 
 
-def test_meta_is_a_read_only_copy(bench_controller):
+def reload(ctl, tmp_path):
+    """The controller read back by PwaController.load from its to_json."""
+    path = tmp_path / "controller.json"
+    path.write_text(ctl.to_json(), encoding="utf-8")
+    return PwaController.load(path)
+
+
+def test_meta_is_a_read_only_copy(bench_controller, tmp_path):
     """meta is copied read-only at construction, nested objects and
-    arrays too; replace, to_json and from_json carry it unchanged."""
+    arrays too; replace, to_json and load carry it unchanged."""
     meta = {"note": {"by": ["synthesize"]}, "step": 1}
     ctl = dataclasses.replace(bench_controller, meta=meta)
     meta["note"]["by"].append("caller")
@@ -662,7 +657,7 @@ def test_meta_is_a_read_only_copy(bench_controller):
     assert ctl.meta == {"note": {"by": ("synthesize",)}, "step": 1}
     text = ctl.to_json()
     assert '"note": {\n      "by": ["synthesize"]\n    },\n    "step": 1' in text
-    assert PwaController.from_json(text).to_json() == text
+    assert reload(ctl, tmp_path).to_json() == text
     assert dataclasses.replace(ctl, horizon=7).meta == ctl.meta
     assert dataclasses.replace(ctl, meta={}).to_json() == bench_controller.to_json()
 
@@ -696,31 +691,24 @@ def test_controller_refuses_misshapen_region(change, named):
 def test_non_finite_state_not_covered(bench_controller, x):
     assert bench_controller.locate(x) == -1
     assert scan_locate(bench_controller, x) == -1
-    with pytest.raises(StateNotCovered):
-        bench_controller.evaluate(x)
     sensor = make_parties(bench_controller, "plaintext", RunConfig())[0]
     with pytest.raises(StateNotCovered):
         sensor.step(np.array(x), 0)
 
 
-def test_stacked_rows_stay_out_of_json(bench_controller):
-    """The stacked rows and laws are each region's own, in region order,
-    and a JSON round trip rebuilds them from the regions alone."""
+def test_stacked_rows_stay_out_of_json(bench_controller, tmp_path):
+    """The law's rows are each region's own, in region order, and a JSON
+    round trip rebuilds them from the regions alone."""
     ctl = bench_controller
-    assert ctl.A_all.shape == (sum(r.poly.nrows for r in ctl.regions), 2)
-    assert np.array_equal(ctl.b_all, np.concatenate([r.poly.b for r in ctl.regions]))
-    assert ctl.gains.shape == (ctl.nregions, 1, 2)
-    assert ctl.offsets.shape == (ctl.nregions, 1)
-    for i, r in enumerate(ctl.regions):
-        assert ctl.gains[i].tobytes() == r.K.tobytes()
-        assert ctl.offsets[i].tobytes() == r.b.tobytes()
+    assert len(ctl.gain_rows) == len(ctl.offset_rows) == ctl.nregions
+    for K, b, r in zip(ctl.gain_rows, ctl.offset_rows, ctl.regions):
+        assert np.array(K).tobytes() == r.K.tobytes()
+        assert np.array(b).tobytes() == r.b.tobytes()
     text = ctl.to_json()
-    assert not any(name in text for name in ("A_all", "gains", "offsets"))
-    again = PwaController.from_json(text)
-    assert np.array_equal(again.A_all, ctl.A_all)
+    assert not any(name in text for name in ("gain_rows", "offset_rows", "stack"))
+    again = reload(ctl, tmp_path)
     # equal values; JSON writes -0.0 as 0
-    assert np.array_equal(again.gains, ctl.gains)
-    assert np.array_equal(again.offsets, ctl.offsets)
+    assert again.gain_rows == ctl.gain_rows and again.offset_rows == ctl.offset_rows
 
 
 def test_serialization_roundtrip(bench_controller, tmp_path):
@@ -736,14 +724,14 @@ def test_serialization_roundtrip(bench_controller, tmp_path):
         s2 = again.locate(x)
         assert s1 == s2
         if s1 >= 0:
-            u1, _ = bench_controller.evaluate(x)
-            u2, _ = again.evaluate(x)
+            u1 = bench_controller.eval_region(s1, x)
+            u2 = again.eval_region(s2, x)
             assert u1 == pytest.approx(u2, abs=0)  # exact: %.17g round-trips
 
 
-def test_serialization_deterministic(bench_controller):
+def test_serialization_deterministic(bench_controller, tmp_path):
     a = bench_controller.to_json()
-    b = PwaController.from_json(a).to_json()
+    b = reload(bench_controller, tmp_path).to_json()
     assert a == b
     json.loads(a)  # stays valid JSON
 
@@ -759,9 +747,9 @@ def test_pwa_law_continuous_near_boundaries(bench_controller, x1, x2):
     s = ctl.locate(x)
     if s < 0:
         return
-    u0, _ = ctl.evaluate(x)
+    u0 = ctl.eval_region(s, x)
     for dx in np.array([[1e-9, 0], [-1e-9, 0], [0, 1e-9], [0, -1e-9]]):
         s2 = ctl.locate(x + dx)
         if s2 >= 0:
-            u2, _ = ctl.evaluate(x + dx)
+            u2 = ctl.eval_region(s2, x + dx)
             assert abs(u2 - u0).max() < 1e-6

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encmpc import wire
+from encmpc import paillier, wire
 from encmpc.attack import observe_features
 from encmpc.config import ConfigError, RunConfig, align_accuracy
 from encmpc.keys import BetaVector, KeyReuseError, KeySource
@@ -44,6 +44,11 @@ def kp256():
     return keygen(256, random.Random(77))
 
 
+def plain_law(controller, x):
+    """The plaintext law at a state inside the partition."""
+    return controller.eval_region(controller.locate(x), x)
+
+
 def sample_feasible(controller, count, seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -60,7 +65,7 @@ def test_qe_matches_plaintext(bench_controller):
     errs = []
     for k, x in enumerate(sample_feasible(bench_controller, 50, 3)):
         u, _ = run_cycle(x, sensor, cloud, actuator, k)
-        errs.append(abs(u - bench_controller.evaluate(x)[0]).max())
+        errs.append(abs(u - plain_law(bench_controller, x)).max())
     assert max(errs) <= 1e-9
     assert np.mean(errs) <= 1e-10
 
@@ -73,7 +78,7 @@ def test_paillier_matches_plaintext_within_budget(bench_controller, kp256):
     budget = (bench_controller.n * 2.0**cfg.gamma * K_max + 2) * 2.0**-cfg.delta
     for k, x in enumerate(sample_feasible(bench_controller, 20, 4)):
         u, _ = run_cycle(x, sensor, cloud, actuator, k)
-        assert abs(u - bench_controller.evaluate(x)[0]).max() <= budget
+        assert abs(u - plain_law(bench_controller, x)).max() <= budget
 
 
 def test_quantized_error_scales_with_word_budget(bench_controller):
@@ -94,7 +99,7 @@ def test_quantized_error_scales_with_word_budget(bench_controller):
         if bench_controller.locate(x) != 0:
             continue
         u, _ = run_cycle(x, sensor, cloud, actuator, k)
-        errs.append(abs(u - bench_controller.evaluate(x)[0]).max())
+        errs.append(abs(u - plain_law(bench_controller, x)).max())
         k += 1
     assert max(errs) <= 1e-4
 
@@ -105,7 +110,7 @@ def test_plaintext_backend_zero_counts(bench_controller):
     x = np.array([-1.0, 0.2])
     u, metrics = run_cycle(x, sensor, cloud, actuator, 0)
     assert all(v == 0 for v in metrics.counts.values())
-    assert np.allclose(u, bench_controller.evaluate(x)[0])
+    assert np.allclose(u, plain_law(bench_controller, x))
 
 
 def test_exact_law_correctly_rounded(bench_controller):
@@ -242,18 +247,51 @@ def test_error_paths(bench_controller):
 
 
 def test_cloud_holds_no_secrets(bench_controller, kp256):
+    """No cloud holds key material; an encrypting cloud holds the gain
+    library alone, and every party's law rows are the controller's own
+    tuples, so no second copy of the law exists."""
+    ctl = bench_controller
     cfg = RunConfig(key_bits=256)
-    for backend, kw in [("qe", {}), ("qe_quantized", {}),
+    for backend, kw in [("plaintext", {}), ("qe", {}), ("qe_quantized", {}),
                         ("paillier", {"keypair": kp256})]:
         if backend == "qe_quantized":
             cfg = RunConfig(key_bits=256, w_b=4, w=24)
-        _, cloud, _ = make_parties(bench_controller, backend, cfg, **kw)
+        sensor, cloud, _ = make_parties(ctl, backend, cfg, **kw)
         for name, val in vars(cloud).items():
             assert not isinstance(val, (KeySource, BetaVector, PaillierKeypair))
             assert "key" not in name and "beta" not in name and "seed" not in name
         if cloud.pk is not None:
             for secret in ("p", "q", "lam", "mu"):
                 assert not hasattr(cloud.pk, secret)
+        assert cloud.offset_rows is (ctl.offset_rows if backend == "plaintext" else None)
+        assert sensor.offset_rows is ctl.offset_rows
+        assert cloud.gain_rows is ctl.gain_rows
+
+
+def test_he_mul_counts_what_runs(bench_controller, kp256, monkeypatch):
+    """One Paillier cycle per region, at its Chebyshev center, runs
+    he_scalar_mul and he_add exactly as often as cycle_counts says,
+    negative gains included."""
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(paillier, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("he_scalar_mul", "he_add"):
+        monkeypatch.setattr(paillier, name, counted(name))
+    parties = make_parties(bench_controller, "paillier", RunConfig(key_bits=256),
+                           keypair=kp256)
+    for k, r in enumerate(bench_controller.regions):
+        calls.clear()
+        _, met = run_cycle(r.cheb_center, *parties, k)
+        assert met.sigma == k
+        assert (calls["he_scalar_mul"], calls["he_add"]) == (
+            met.counts["he_mul"], met.counts["he_add"]), k
 
 
 def test_paillier_keypair_derives_from_key_bits_and_seed(bench_controller, kp256):

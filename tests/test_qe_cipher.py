@@ -130,7 +130,7 @@ def test_dec_aggregate_hand_chain():
 
 
 def test_dec_aggregate_zero_gain():
-    T = con(np.zeros((2, 3)), [1.5, 0.3, 9.0])
+    T = con([[0.0] * 3] * 2, [1.5, 0.3, 9.0])
     bv = BetaVector(beta=(4, -7, 2, 5, -6), n=3, m=2)
     assert dec_aggregate(received(T, [1.0, 1.0]), bv) == pytest.approx(
         np.zeros(2), abs=0)

@@ -37,7 +37,24 @@ from encmpc.polyhedra import box
 from encmpc import qp as qp_module
 from encmpc.qp import (DEPENDENT_TOL, DualQp, QpInfeasible, QpNoConvergence,
                        _factor_drop, _factor_solve, implicit_control,
-                       kkt_residuals, solve_qp, solve_qp_oracle)
+                       solve_qp, solve_qp_oracle)
+
+
+def kkt_residuals(qp, x, z, lam):
+    """Stationarity and complementarity residuals at (z, lam) for x.
+
+    Certifies a claimed optimizer of the parametric QP qp (H, F, G, E,
+    h): stationarity ||Hz + Fx + G'lam||_inf, worst primal violation,
+    worst negative multiplier, and worst complementarity product.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    slack = qp.h + qp.E @ x - qp.G @ z
+    stat = np.linalg.norm(qp.H @ z + qp.F @ x + qp.G.T @ lam, ord=np.inf)
+    primal = float(max(0.0, -slack.min())) if slack.size else 0.0
+    dual = float(max(0.0, -lam.min())) if lam.size else 0.0
+    comp = float(np.abs(lam * slack).max()) if slack.size else 0.0
+    return {"stationarity": float(stat), "primal": primal,
+            "dual": dual, "complementarity": comp}
 
 
 def reference_solve_qp(H, g, G, w, max_iter=500):

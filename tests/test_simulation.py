@@ -24,11 +24,19 @@ from encmpc.simulation import (
     input_mismatch,
     load_scenario,
     run_closed_loop,
-    scenario_to_dict,
     step_plant,
     tracking_rmse,
     trajectory_csv,
 )
+
+
+def scenario_to_dict(sc):
+    """The JSON object form of a scenario: one key per Scenario field."""
+    out = {}
+    for f in dataclasses.fields(sc):
+        val = getattr(sc, f.name)
+        out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
+    return out
 
 
 def test_step_plant_examples():
@@ -95,7 +103,7 @@ def test_closed_loop_settles_before_its_first_cycle(bench_controller, monkeypatc
 def test_qe_closed_loop_exact(bench_controller):
     sc = benchmark_scenario()
     traj = run_closed_loop(sc, RunConfig(backend="qe"), controller=bench_controller)
-    assert len(traj) == 60 and not traj.fault
+    assert len(traj.records) == 60 and not traj.fault
     mean, mx = input_mismatch(traj)
     assert mean <= 1e-10
     assert mx <= 1e-9
@@ -123,7 +131,7 @@ def test_paillier_closed_loop_within_budget(bench_controller):
     sc = benchmark_scenario()
     cfg = RunConfig(backend="paillier", key_bits=256)
     traj = run_closed_loop(sc, cfg, controller=bench_controller)
-    assert len(traj) == 60 and not traj.fault
+    assert len(traj.records) == 60 and not traj.fault
     K_max = max(abs(r.K).max() for r in bench_controller.regions)
     budget = (2 * 2.0**cfg.gamma * K_max + 2) * float(cfg.rho) ** -cfg.delta
     _, mx = input_mismatch(traj)
@@ -161,7 +169,7 @@ def test_fault_recorded_not_raised(bench_controller):
     traj = run_closed_loop(sc, RunConfig(backend="qe"), controller=bench_controller)
     assert traj.fault.startswith("StateNotCovered")
     assert traj.fault_k == 0
-    assert len(traj) == 0
+    assert len(traj.records) == 0
     assert tracking_rmse(traj) == float("inf")
 
 
@@ -334,8 +342,8 @@ def frozen_case(name, ctrl):
         return obj, [obj.K, obj.b, obj.cheb_center, obj.poly.A], mine, obj.K
     obj = dataclasses.replace(ctrl, regions=[
         dataclasses.replace(r, K=mine) if i == 33 else r for i, r in enumerate(ctrl.regions)])
-    return (obj, [obj.gains, obj.regions[33].K, obj.regions[33].b, obj.regions],
-            mine, obj.gains[33])
+    return (obj, [obj.regions[33].K, obj.regions[33].b, obj.regions],
+            mine, obj.regions[33].K)
 
 
 @pytest.mark.parametrize("name", ["Scenario", "CondensedQp", "Region", "PwaController",
