@@ -102,18 +102,26 @@ class CondensedQp(DualQp):
     """Parametric QP data; u_0 is the first m entries of z. The QP is
     its own factor: H and G are the DualQp's read-only arrays, beside
     what qp.solve_qp derives from them (unit-row norms, H^-1, K and the
-    KKT matrix), so the two cannot disagree (dataclasses.replace builds a new QP and factor)."""
+    KKT matrix), so the two cannot disagree (dataclasses.replace builds a new QP and factor).
+
+    Its right-hand side at a state x is affine in x: one read-only
+    stacked map gives [g; w] = rhs_map @ x + rhs_offset, with rhs_map =
+    [F; E] and rhs_offset = [-0; h] (adding -0.0 leaves each g_i as F x
+    gives it, a -0.0 included)."""
     F: np.ndarray
     E: np.ndarray
     h: np.ndarray
     n: int
     m: int
     horizon: int
+    rhs_map: np.ndarray = field(init=False, repr=False, compare=False)
+    rhs_offset: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("F", "E", "h"):
-            set_readonly(self, name, getattr(self, name))
+        F, E, h = (set_readonly(self, name, getattr(self, name)) for name in ("F", "E", "h"))
+        set_readonly(self, "rhs_map", np.vstack([F, E]))
+        set_readonly(self, "rhs_offset", np.concatenate([np.full(len(F), -0.0), h]))
 
     @property
     def q(self) -> int:
@@ -334,15 +342,17 @@ class PwaController:
         """The error for a state in no region.
 
         It names the nearest region, the one whose most violated row is
-        violated least (a 0-row region by its neutral row).
+        violated least (a 0-row region by its neutral row); a non-finite
+        state is near none, and is said to be not finite.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
         text = f"state {x.tolist()} lies in no region"
         A, b, starts = self._stack
-        if starts.size:
-            with np.errstate(invalid="ignore"):  # non-finite x: NaN slack
-                slack = A @ x - b
-                worst = np.maximum.reduceat(slack, starts)
+        if not all(map(math.isfinite, x.tolist())):
+            text += ": it is not finite"
+        elif starts.size:
+            slack = A @ x - b
+            worst = np.maximum.reduceat(slack, starts)
             sigma = int(np.argmin(worst))
             own = np.split(slack, starts[1:])[sigma]
             row = int(np.argmax(own))

@@ -11,10 +11,13 @@ and tests lean on that as an independent route to the same optimizer
 In a parametric QP only g and w depend on the state, so what the method
 needs of H and G (unit rows, H^-1, the dual Hessian K, K's rows as
 floats and the KKT matrix of every row) is a DualQp, computed once per
-QP; mpqp.CondensedQp is one, and a state pays only for its slacks, its
-dual steps and one KKT solve. Only the slacks of all rows are arrays: a
-dual step works in floats on the active set, its multipliers and a
-Cholesky factor of its block of K, which each step updates in place.
+QP. mpqp.CondensedQp is one, and it also holds g = F x and w = h + E x,
+both affine in x, as one stacked map. So a state pays only for one
+product with that map, its slacks, its dual steps and one KKT solve,
+whose block is built once per active set. Only the slacks of all rows
+are arrays: a dual step works in floats on the active set, its
+multipliers and a Cholesky factor of its block of K, which each step
+updates in place.
 """
 from __future__ import annotations
 
@@ -51,7 +54,9 @@ class DualQp:
     as read-only arrays, with K's rows also as a tuple of tuples of
     floats for the iteration's scalar steps. The iteration runs on unit
     rows (a zero row keeps norm 1 and its raw slack), so its slacks,
-    multipliers and K come in units of ||G_i||."""
+    multipliers and K come in units of ||G_i||. The one mutable member
+    is a private dict of the KKT blocks of the active sets solve_qp has
+    ended at, each read-only and built on first use."""
     H: np.ndarray
     G: np.ndarray
     norms: np.ndarray = field(init=False, repr=False, compare=False)
@@ -59,6 +64,7 @@ class DualQp:
     K: np.ndarray = field(init=False, repr=False, compare=False)
     K_rows: tuple = field(init=False, repr=False, compare=False)
     KKT: np.ndarray = field(init=False, repr=False, compare=False)
+    _blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = set_readonly(self, "H", self.H, 2)
@@ -70,6 +76,7 @@ class DualQp:
         K = set_readonly(self, "K", Gu @ H_inv @ Gu.T)
         set_readonly(self, "KKT", np.block([[H, G.T], [G, np.zeros((G.shape[0],) * 2)]]))
         object.__setattr__(self, "K_rows", tuple(map(tuple, K.tolist())))
+        object.__setattr__(self, "_blocks", {})
 
 
 def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
@@ -103,8 +110,8 @@ def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
     verdict after an unbounded step means the set is empty by no more
     than that LP's tolerance: the iteration then runs again on the rows
     relaxed just enough to hold the LP's point. Finally z and lam_A come
-    from the KKT system of the active rows as given, taken from dual's
-    KKT matrix.
+    from the KKT system of the active rows as given, whose block of
+    dual's KKT matrix is taken once per active set and kept in dual.
     """
     G, norms = dual.G, dual.norms
     nz, q = dual.H.shape[0], G.shape[0]
@@ -120,23 +127,27 @@ def solve_qp(dual: DualQp, g: np.ndarray, w: np.ndarray):
             bad = np.flatnonzero(~np.isfinite(v))
             if bad.size:
                 raise ValueError(f"{name}[{bad[0]}] = {v[bad[0]]} is not finite")
-    z0 = -(dual.H_inv @ g)
-    Gz0 = G @ z0
+    # -G z0, from g: slacks mapped from a state round otherwise, and a
+    # weakly active row's entry turns on their last bits
+    GHg = G @ (dual.H_inv @ g)
 
-    active, unsure = _dual_steps(dual, (w - Gz0) / norms)
+    active, unsure = _dual_steps(dual, (w + GHg) / norms)
     if active is None or unsure:
         feasible, x = lp.feasible_point(G, w)
         if not feasible:
             raise QpInfeasible("constraint set is empty for this parameter")
         if active is None:
             w = np.maximum(w, G @ x)
-            active, _ = _dual_steps(dual, (w - Gz0) / norms)
+            active, _ = _dual_steps(dual, (w + GHg) / norms)
             if active is None:
                 raise QpNoConvergence("dual step unbounded on a feasible set")
+    block = dual._blocks.get(active)
+    if block is None:
+        idx = np.array([*range(nz), *(nz + i for i in active)])
+        block = dual._blocks[active] = dual.KKT[idx[:, None], idx]
+        block.flags.writeable = False
     rows = list(active)
-    idx = np.array([*range(nz), *(nz + i for i in rows)])
-    sol = np.linalg.solve(dual.KKT[idx[:, None], idx],
-                          np.concatenate([-g, w[rows]]))
+    sol = np.linalg.solve(block, np.concatenate([-g, w[rows]]))
     lam = np.zeros(q)
     lam[rows] = np.maximum(sol[nz:], 0.0)
     return sol[:nz], lam, active
@@ -169,7 +180,9 @@ def _dual_steps(dual, s0):
             if not worst < -VIOLATION_TOL:
                 return tuple(sorted(work)), bool(quiet)
             tie = worst + TIE_TOL
-            p = next(i for i, s in enumerate(slack) if s <= tie)
+            p = slack.index(worst)
+            if p and min(slack[:p]) <= tie:    # a lower row ties
+                p = next(i for i, s in enumerate(slack) if s <= tie)
             KAp = [K_rows[i][p] for i in work]
             summed = sum(map(mul, map(abs, KAp), lam))
             if -worst <= ROUNDING * (abs(s0_rows[p]) + summed):
@@ -243,19 +256,21 @@ def _factor_drop(L, d):
             below[i + 1] = c * y - s * x
 
 
-def _state(x):
-    """x as a float vector; a NaN or infinite entry is a ValueError
-    naming the state, raised before any arithmetic."""
+def _solve_at(qp, x):
+    """solve_qp on the condensed QP qp at state x, with g and w the two
+    slices of one product with qp's stacked map; a NaN or infinite entry
+    of x is a ValueError naming the state, raised before any arithmetic."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if not all(map(math.isfinite, x.tolist())):
         raise ValueError(f"state {x.tolist()} is not finite")
-    return x
+    nz = qp.H.shape[0]
+    gw = qp.rhs_map @ x + qp.rhs_offset
+    return solve_qp(qp, gw[:nz], gw[nz:])
 
 
 def solve_qp_oracle(qp, x):
     """(z_star, active_set, multipliers) for the condensed QP at x."""
-    x = _state(x)
-    z, lam, active = solve_qp(qp, qp.F @ x, qp.h + qp.E @ x)
+    z, lam, active = _solve_at(qp, x)
     return z, active, lam
 
 
@@ -265,6 +280,5 @@ def implicit_control(qp, x):
     Returns (u0, z, active). qp is a CondensedQp; raising QpInfeasible
     marks x outside the feasible set, and a non-finite x is a ValueError.
     """
-    x = _state(x)
-    z, lam, active = solve_qp(qp, qp.F @ x, qp.h + qp.E @ x)
+    z, lam, active = _solve_at(qp, x)
     return z[:qp.m], z, active

@@ -689,10 +689,17 @@ def test_controller_refuses_misshapen_region(change, named):
 @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0],
                                [-np.inf, 0.0], [0.0, np.inf], [np.inf, -np.inf]])
 def test_non_finite_state_not_covered(bench_controller, x):
+    """A non-finite state lies in no region, and its fault names none:
+    it says the state is not finite, and never forms the slack product
+    (inf * 0 there would raise under errstate; at the parent, a NaN
+    slack made np.argmin name region 0 as the nearest)."""
     assert bench_controller.locate(x) == -1
     assert scan_locate(bench_controller, x) == -1
+    text = f"state {x} lies in no region: it is not finite"
+    with np.errstate(all="raise"):
+        assert str(bench_controller.not_covered(x)) == text
     sensor = make_parties(bench_controller, "plaintext", RunConfig())[0]
-    with pytest.raises(StateNotCovered):
+    with pytest.raises(StateNotCovered, match=re.escape(text)):
         sensor.step(np.array(x), 0)
 
 

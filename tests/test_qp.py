@@ -326,21 +326,24 @@ def test_oracle_active_sets_are_exactly_optimal():
     every active set the oracle reports at a feasible one (54 of them)
     is optimal for the binary64 QP by the exact certificate, and z and
     the multipliers are within test_solve_qp_matches_reference's 1e-12
-    relative of the exact solution."""
-    qp = double_integrator(5)
+    relative of the exact solution. The same holds on horizon 10 (10
+    variables, 60 rows) at 60 states drawn from the same box (24
+    feasible)."""
     states = np.random.default_rng(2024).uniform([-11.0, -6.0], [11.0, 6.0], (1000, 2))
-    certified = 0
-    for x in states[np.random.default_rng(5).choice(1000, 150, replace=False)]:
-        try:
-            z, active, lam = solve_qp_oracle(qp, x)
-        except QpInfeasible:
-            continue
-        exact = exact_kkt(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x, active)
-        assert exact.primal and exact.dual and exact.complementarity, x
-        assert exact_relative_error(z, exact.z) <= 1e-12, x
-        assert exact_relative_error(lam, exact.lam) <= 1e-12, x
-        certified += 1
-    assert certified >= 40
+    for horizon, count, least in ((5, 150, 40), (10, 60, 15)):
+        qp = double_integrator(horizon)
+        certified = 0
+        for x in states[np.random.default_rng(5).choice(1000, count, replace=False)]:
+            try:
+                z, active, lam = solve_qp_oracle(qp, x)
+            except QpInfeasible:
+                continue
+            exact = exact_kkt(qp.H, qp.F @ x, qp.G, qp.h + qp.E @ x, active)
+            assert exact.primal and exact.dual and exact.complementarity, (horizon, x)
+            assert exact_relative_error(z, exact.z) <= 1e-12, (horizon, x)
+            assert exact_relative_error(lam, exact.lam) <= 1e-12, (horizon, x)
+            certified += 1
+        assert certified >= least, horizon
 
 
 def entry_order_block(K, A):
@@ -521,15 +524,18 @@ def test_oracle_bytes_pinned():
     assert digest.hexdigest() == ORACLE_SHA256
 
 
-FACTOR = ("H", "G", "norms", "H_inv", "K", "KKT")
+FACTOR = ("H", "G", "norms", "H_inv", "K", "KKT", "rhs_map", "rhs_offset")
 
 
 def test_factor_is_read_only_data_of_the_qp():
-    """The QP condense builds is its own factor: H, G and what solve_qp
-    derives from them are read-only, K's rows are tuples of its floats,
-    and replacing G builds a new factor. Doubling G doubles the row
-    norms and the KKT matrix's G blocks, and leaves the unit rows, and
-    so K and its rows, bit for bit."""
+    """The QP condense builds is its own factor: H, G, the stacked map
+    [F; E] with its offset [-0; h], and what solve_qp derives from H and
+    G are read-only, K's rows are tuples of its floats, and replacing G
+    builds a new factor. Doubling G doubles the row norms and the KKT
+    matrix's G blocks, and leaves the unit rows, and so K and its rows,
+    bit for bit; replacing E builds a new map. Each KKT block memoized
+    by a solve is read-only and is its active set's block of the KKT
+    matrix; a new QP starts with none."""
     qp = double_integrator(5)
     assert isinstance(qp, DualQp) and not hasattr(qp, "dual")
     for name in FACTOR:
@@ -555,28 +561,71 @@ def test_factor_is_read_only_data_of_the_qp():
     assert np.array_equal(doubled.KKT[:nz, nz:], 2.0 * qp.G.T)
     assert np.array_equal(doubled.KKT[:nz, :nz], qp.H)
     assert np.array_equal(doubled.F, qp.F) and np.array_equal(doubled.h, qp.h)
-
-
-def test_fresh_factor_solves_bit_for_bit_as_the_oracle():
-    """solve_qp on a DualQp built anew from the QP's H and G gives the
-    oracle's z, multipliers and active set to the last bit, and the same
-    verdict, at seeded benchmark states."""
-    qp = double_integrator(5)
-    fresh = DualQp(qp.H, qp.G)
-    verdicts = []
-    for x in np.random.default_rng(31).uniform([-11.0, -6.0], [11.0, 6.0], (200, 2)):
+    assert np.array_equal(qp.rhs_map, np.vstack([qp.F, qp.E]))
+    assert qp.rhs_offset.tobytes() == np.concatenate([np.full(nz, -0.0), qp.h]).tobytes()
+    moved = dataclasses.replace(qp, E=2.0 * qp.E)
+    assert np.array_equal(moved.rhs_map, np.vstack([qp.F, 2.0 * qp.E]))
+    assert not moved.rhs_map.flags.writeable and moved.rhs_map is not qp.rhs_map
+    assert moved.rhs_offset.tobytes() == qp.rhs_offset.tobytes()
+    for x in np.random.default_rng(3).uniform([-11.0, -6.0], [11.0, 6.0], (100, 2)):
         try:
-            z, active, lam = solve_qp_oracle(qp, x)
+            solve_qp_oracle(qp, x)
         except QpInfeasible:
-            with pytest.raises(QpInfeasible):
-                solve_qp(fresh, qp.F @ x, qp.h + qp.E @ x)
-            verdicts.append(False)
-            continue
-        z2, lam2, active2 = solve_qp(fresh, qp.F @ x, qp.h + qp.E @ x)
-        assert z2.tobytes() == z.tobytes() and lam2.tobytes() == lam.tobytes()
-        assert active2 == active
-        verdicts.append(True)
-    assert any(verdicts) and not all(verdicts)
+            pass
+    assert len(qp._blocks) > 1 and doubled._blocks == {} and moved._blocks == {}
+    for active, block in qp._blocks.items():
+        idx = [*range(nz), *(nz + i for i in active)]
+        assert not block.flags.writeable, active
+        assert block.tobytes() == qp.KKT[idx][:, idx].tobytes(), active
+
+
+def general_solve(fresh, qp, x):
+    """solve_qp on a DualQp built anew from qp's H and G, with g and w
+    from their own products; None for an infeasible verdict."""
+    try:
+        return solve_qp(fresh, qp.F @ x, qp.h + qp.E @ x)
+    except QpInfeasible:
+        return None
+
+
+def test_fresh_factor_solves_bit_for_bit_as_the_oracle(bench_controller):
+    """The parametric path (g and w sliced from one product with the QP's
+    stacked map, KKT blocks memoized per active set) gives the general
+    path's verdicts, and its z, multipliers and active set to the last
+    bit, for solve_qp_oracle and implicit_control alike. The states are
+    200 seeded ones per problem of PROBLEMS and, on the benchmark QP, the
+    foot of every facet of the benchmark partition, where the active set
+    changes and a row can be weakly active."""
+    from test_mpqp import facet_feet   # test_mpqp imports this module
+
+    def states(name):
+        make, half, count, least = PROBLEMS[name]
+        half = np.asarray(half)
+        yield from np.random.default_rng(31).uniform(-half, half, (200, half.size))
+        if name == "benchmark":
+            yield from facet_feet(bench_controller)
+
+    for name in PROBLEMS:
+        qp = PROBLEMS[name][0]()
+        fresh = DualQp(qp.H, qp.G)
+        verdicts = []
+        for x in states(name):
+            ref = general_solve(fresh, qp, x)
+            verdicts.append(ref is not None)
+            for oracle in (solve_qp_oracle, implicit_control):
+                if ref is None:
+                    with pytest.raises(QpInfeasible):
+                        oracle(qp, x)
+                    continue
+                if oracle is solve_qp_oracle:
+                    z, active, lam = oracle(qp, x)
+                    assert lam.tobytes() == ref[1].tobytes(), (name, x)
+                else:
+                    u0, z, active = oracle(qp, x)
+                    assert u0.tobytes() == ref[0][:qp.m].tobytes(), (name, x)
+                assert z.tobytes() == ref[0].tobytes(), (name, x)
+                assert active == ref[2], (name, x)
+        assert any(verdicts) and not all(verdicts), name
 
 
 @pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
