@@ -18,9 +18,10 @@ class Tolerances:
     feasibility    slack allowed when testing membership in a polyhedron;
                    a raw slack on a_i'x - b_i, not a distance, since
                    stored region rows are not unit-normalized
-    rank           singular values below this count as zero in LICQ checks
+    rank           relative: LICQ keeps a singular value of G_A only above
+                   rank * max(sigma_max, 1), sigma_max the largest
     cheb_cutoff    regions with Chebyshev radius at or below this are dropped
-    zero_row       region rows with norm below this are degenerate
+    zero_row       region rows with norm at or below this are degenerate
     spd_min_eig    smallest eigenvalue required of R and of the condensed H
     """
 

@@ -456,8 +456,8 @@ def _dumps_17g(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-# steps past a facet, tried in turn until the oracle names its region
-_FACET_STEPS = (1e-6, 1e-7, 1e-8)
+# the step past a facet's Chebyshev center at which the oracle is asked
+_FACET_STEP = 1e-6
 
 
 def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
@@ -469,18 +469,19 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
     determinant guard), KKT law and region rows, dead-row kill,
     Chebyshev LP against the cutoff. Irredundant primal row i is crossed
     to A + {i}, the multiplier row of a_j to A - {a_j}. If degeneracy
-    leaves that set without a region, the oracle's active set, or its
-    strongly active set, a step past the facet's Chebyshev center is
-    taken instead: an infeasible oracle marks the feasible set's
-    boundary, one failing at every step raises ConfigError, and a step
-    whose sets give no region (ill-conditioned G_A) is logged as
-    unresolved. Coinciding (region, law) pairs keep the set smallest in
-    (size, indices) order, as exhaustive enumeration did. Sorted by
-    active set.
+    leaves that set without a region, the oracle is asked once, a step
+    _FACET_STEP past the facet's Chebyshev center, and its active set is
+    visited: an infeasible oracle marks the feasible set's boundary, one
+    that fails raises ConfigError naming the facet, and a facet with no
+    interior point, or whose oracle set gives no region containing the
+    step (ill-conditioned G_A), is logged as unresolved. Coinciding
+    (region, law) pairs keep the set smallest in (size, indices) order,
+    as exhaustive enumeration did. Sorted by active set.
 
     stats gets the funnel: candidates = rank_fails + dead_kills +
-    lp_calls, regions = lp_calls - empty - thin - merged, and per facet
-    step oracle_steps (feasible), boundary_facets and unresolved. Each
+    lp_calls, regions = lp_calls - empty - thin - merged, and per
+    degenerate facet oracle_steps (one feasible oracle solve each),
+    boundary_facets and unresolved. Each
     region's redundancy elimination, which starts from its Chebyshev
     center, adds redundancy_lps and the rows each of its stages settled
     (rows_duplicate, rows_ray, rows_box, rows_lp; see irredundant_rows).
@@ -552,31 +553,26 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
         return found[aset]
 
     def step_across(aset, Ar, br, row, facet):
-        """Settle a facet through the oracle just past its center."""
-        normal = Ar[row] / np.linalg.norm(Ar[row])
-        center = _facet_center(Ar, br, row)
-        converged = False
-        for step in _FACET_STEPS:
-            x = center + step * normal
-            try:
-                _, active, lam = solve_qp_oracle(qp, x)
-            except QpInfeasible:
-                stats["boundary_facets"] += 1
-                return
-            except (QpNoConvergence, lp.LpError):
-                continue
-            converged = True
-            stats["oracle_steps"] += 1
-            for cand in (active, tuple(i for i in active if lam[i] > 1e-9)):
-                rows = visit(cand)
-                if rows is not None and np.all(
-                        rows[0] @ x - rows[1] <= DEFAULT_TOL.feasibility):
-                    return
+        """Settle a facet by the oracle's active set just past its center."""
         where = f"facet row {facet} of the region of active set {aset}"
-        if not converged:
-            raise ConfigError(f"QP oracle failed at every step across {where}")
-        stats["unresolved"] += 1
-        log.warning("no full-dimensional region found across %s", where)
+        center = _facet_center(Ar, br, row)
+        if center is None:
+            stats["unresolved"] += 1
+            log.warning("no interior point on %s", where)
+            return
+        x = center + _FACET_STEP * (Ar[row] / np.linalg.norm(Ar[row]))
+        try:
+            _, active, _ = solve_qp_oracle(qp, x)
+        except QpInfeasible:
+            stats["boundary_facets"] += 1
+            return
+        except (QpNoConvergence, lp.LpError) as exc:
+            raise ConfigError(f"QP oracle failed just past {where}: {exc}") from exc
+        stats["oracle_steps"] += 1
+        rows = visit(active)
+        if rows is None or not np.all(rows[0] @ x - rows[1] <= DEFAULT_TOL.feasibility):
+            stats["unresolved"] += 1
+            log.warning("no full-dimensional region found across %s", where)
 
     start, radius = chebyshev_center(np.hstack([-qp.E, qp.G]), qp.h)
     if radius < 0:
@@ -597,12 +593,13 @@ def enumerate_regions(qp: CondensedQp, stats: dict = None) -> list:
 
 def _facet_center(A: np.ndarray, b: np.ndarray, row: int) -> np.ndarray:
     """Chebyshev center of facet a_row'x = b_row of {Ax <= b}, found in
-    the facet's own coordinates x = x0 + N y (N orthonormal)."""
+    the facet's own coordinates x = x0 + N y (N orthonormal), or None
+    when the facet has no interior point."""
     a, others = A[row], np.arange(len(b)) != row
     x0 = a * (b[row] / (a @ a))
     N = np.linalg.svd(a[None])[2][1:].T    # (n, n-1)
     y, radius = chebyshev_center(A[others] @ N, b[others] - A[others] @ x0)
-    return x0 if radius < 0 else x0 + N @ y
+    return None if radius < 0 else x0 + N @ y
 
 
 def _region_signature(A: np.ndarray, b: np.ndarray,

@@ -3,7 +3,6 @@ region synthesis: Chebyshev centers and redundancy pruning.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,21 +94,8 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray):
 
 REDUNDANCY_TOL = 1e-9  # the tol of irredundant_rows
 
-# rays per dimension that redundancy elimination shoots from the center,
-# along fixed directions drawn once from this seed
-RAYS_PER_DIM = 64
-_RAY_SEED = 1994
 
-
-@functools.lru_cache(maxsize=None)
-def _ray_directions(n: int) -> np.ndarray:
-    """The RAYS_PER_DIM * n fixed directions in R^n, one per row."""
-    dirs = np.random.default_rng(_RAY_SEED).normal(size=(RAYS_PER_DIM * n, n))
-    dirs.flags.writeable = False
-    return dirs
-
-
-def irredundant_rows(A: np.ndarray, b: np.ndarray, center: np.ndarray = None,
+def irredundant_rows(A: np.ndarray, b: np.ndarray, center: np.ndarray,
                      stats: dict = None):
     """Drop rows whose removal does not change the set P = {x : Ax <= b}.
 
@@ -121,9 +107,9 @@ def irredundant_rows(A: np.ndarray, b: np.ndarray, center: np.ndarray = None,
 
     1. Duplicates. A row within 1e-12 of an earlier surviving row goes,
        so ties cannot delete both copies.
-    2. Ray witnesses. Each of the fixed rays _ray_directions(n) from
-       `center`, an interior point (the Chebyshev center when none is
-       given), first hits some row k. The point w halfway between its
+    2. Ray witnesses. The ray from `center`, an interior point of P
+       (synthesis passes its Chebyshev center), along each row's own
+       normal first hits some row k. The point w halfway between its
        first and second hit is checked on the rows themselves: if w
        violates row k by more than tol and satisfies every other row,
        w lies in the set without row k but not in P. Every LP over a
@@ -151,9 +137,7 @@ def irredundant_rows(A: np.ndarray, b: np.ndarray, center: np.ndarray = None,
     m, n = A.shape
     idx = np.flatnonzero(_first_copies(A, b))
     Ai, bi = A[idx], b[idx]
-    if center is None and idx.size:
-        center, _ = chebyshev_center(Ai, bi)
-    inner = center is not None and idx.size > 0 and bool(np.all(Ai @ center < bi))
+    inner = idx.size > 0 and bool(np.all(Ai @ center < bi))
     facet = np.zeros(idx.size, dtype=bool)
     if inner:
         facet[_ray_facets(Ai, bi, center)] = True
@@ -201,12 +185,11 @@ def _first_copies(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ray_facets(A: np.ndarray, b: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Rows certified irredundant by a witness on one of the fixed rays."""
-    dirs = _ray_directions(A.shape[1])
-    rate = A @ dirs.T                                    # (rows, rays)
+    """Rows certified irredundant by a witness on a ray along a row's normal."""
+    rate = A @ A.T                                       # (rows, rays)
     hit = np.divide((b - A @ center)[:, None], rate,
                     out=np.full(rate.shape, np.inf), where=rate > 0)
-    rays = np.arange(len(dirs))
+    rays = np.arange(len(A))
     first = hit.argmin(axis=0)
     near = hit[first, rays]
     hit[first, rays] = np.inf
@@ -214,7 +197,7 @@ def _ray_facets(A: np.ndarray, b: np.ndarray, center: np.ndarray) -> np.ndarray:
     shot = np.isfinite(near)     # a ray that hits no row leaves no witness
     first, near, far = first[shot], near[shot], far[shot]
     step = np.where(np.isfinite(far), 0.5 * (near + far), 2.0 * near)
-    excess = A @ (center + step[:, None] * dirs[shot]).T - b[:, None]
+    excess = A @ (center + step[:, None] * A[shot]).T - b[:, None]
     ok = ((excess[first, np.arange(first.size)] > REDUNDANCY_TOL)
           & ((excess > 0).sum(axis=0) == 1))
     return first[ok]

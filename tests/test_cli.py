@@ -58,8 +58,8 @@ def test_synthesize_logs_funnel(tmp_path, capsys, caplog):
     assert funnel[0].getMessage() == (
         "synthesis funnel: candidates 71, rank_fails 32, dead_kills 0, "
         "lp_calls 39, empty 0, thin 0, merged 0, oracle_steps 8, "
-        "boundary_facets 30, unresolved 0, redundancy_lps 335, "
-        "rows_duplicate 206, rows_ray 153, rows_box 748, rows_lp 179")
+        "boundary_facets 30, unresolved 0, redundancy_lps 354, "
+        "rows_duplicate 206, rows_ray 134, rows_box 748, rows_lp 198")
 
 
 def test_synthesize_unconstrained_single_region(tmp_path, capsys):

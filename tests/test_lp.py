@@ -205,14 +205,14 @@ def test_irredundant_rows_drops_loose_row():
     # unit box plus a slack halfspace x <= 5
     A = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1], [1, 0]])
     b = np.array([1.0, 1, 1, 1, 5])
-    Ar, br, kept = irredundant_rows(A, b)
+    Ar, br, kept = irredundant_rows(A, b, chebyshev_center(A, b)[0])
     assert list(kept) == [0, 1, 2, 3]
 
 
 def test_irredundant_rows_keeps_duplicates_once():
     A = np.array([[1.0], [1.0], [-1.0]])
     b = np.array([1.0, 1.0, 0.0])
-    Ar, br, kept = irredundant_rows(A, b)
+    Ar, br, kept = irredundant_rows(A, b, chebyshev_center(A, b)[0])
     assert len(kept) == 2
     inside = [bool(np.all(Ar @ [x] <= br)) for x in (0.5, 1.5, -0.5)]
     assert inside == [True, False, False]

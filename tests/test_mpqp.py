@@ -1,20 +1,22 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encmpc import lp
+from encmpc import lp, mpqp
 from encmpc.config import DEFAULT_TOL, ConfigError, RunConfig
 from encmpc.mpqp import (InvalidRegion, LtiSystem, MpcSpec, PwaController,
                          Region, StateNotCovered, condense, enumerate_regions,
                          synthesize)
 from encmpc.polyhedra import Polyhedron, box, chebyshev_center
 from encmpc.protocol import make_parties
-from encmpc.qp import QpInfeasible, implicit_control, solve_qp, solve_qp_oracle
+from encmpc.qp import (QpInfeasible, QpNoConvergence, implicit_control, solve_qp,
+                       solve_qp_oracle)
 from test_qp import coupled_integrators, kkt_residuals
 
 
@@ -183,16 +185,17 @@ def test_benchmark_synthesis_funnel(bench_synthesis):
     gives no region is settled by the oracle, here 30 of them on the
     feasible set's boundary. The 6 candidates with more rows than the
     5 variables fail LICQ on their row count, under every kernel, so no
-    LP finds an empty region. Of the regions' rows, rays certify 153
-    facets and the bounding boxes 748 redundant rows, so 179 are left to
-    per-row LPs: 335 redundancy LPs with the 156 box LPs."""
+    LP finds an empty region. Of the regions' rows, the rays along their
+    normals certify 134 facets and the bounding boxes 748 redundant rows,
+    so 198 are left to per-row LPs: 354 redundancy LPs with the 156 box
+    LPs."""
     ctl, stats = bench_synthesis
     assert stats == {"candidates": 71, "rank_fails": 32, "dead_kills": 0,
                      "lp_calls": 39, "empty": 0, "thin": 0, "merged": 0,
                      "oracle_steps": 8, "boundary_facets": 30,
-                     "unresolved": 0, "redundancy_lps": 335,
-                     "rows_duplicate": 206, "rows_ray": 153, "rows_box": 748,
-                     "rows_lp": 179}
+                     "unresolved": 0, "redundancy_lps": 354,
+                     "rows_duplicate": 206, "rows_ray": 134, "rows_box": 748,
+                     "rows_lp": 198}
     assert stats["candidates"] == (stats["rank_fails"] + stats["dead_kills"]
                                    + stats["lp_calls"])
     assert stats["lp_calls"] - stats["empty"] == ctl.nregions == 39
@@ -266,7 +269,8 @@ def assert_covers(ctl, samples, tol):
 # active sets of the parent's exhaustive enumeration for seeded random
 # plants: plain crossing finds 11 of seed 24's 15 regions, and on seeds 4
 # and 40 the oracle once cycled to max_iter just past a facet; seeds 4
-# and 40 also have near-singular active sets logged as unresolved
+# and 40 also have near-singular active sets and facets with no interior
+# point, logged as unresolved
 RANDOM_PLANT_ACTIVE_SETS = {
     24: [(), (0,), (0, 2), (0, 2, 17), (0, 13), (1,), (1, 3), (1, 3, 15),
          (1, 11), (2, 9), (3, 7), (7,), (7, 11), (9,), (9, 13)],
@@ -277,6 +281,13 @@ RANDOM_PLANT_ACTIVE_SETS = {
 }
 
 
+# (oracle_steps, unresolved counts) of each seed's synthesis: one oracle
+# solve per degenerate facet with an interior point.  Seed 40 keeps rows
+# whose facet has no interior point in two sliver regions, 4 under the
+# default BLAS kernels and 2 under Haswell's, so its count is one of two
+RANDOM_PLANT_ORACLE = {4: (10, {8}), 24: (20, {0}), 40: (12, {10, 12})}
+
+
 @pytest.mark.parametrize("seed", sorted(RANDOM_PLANT_ACTIVE_SETS))
 def test_random_plant_partition(seed):
     """Stepping across the facets whose crossed set gives no region finds
@@ -284,12 +295,56 @@ def test_random_plant_partition(seed):
     sys, spec = random_plant(seed)
     stats = {}
     ctl = synthesize(sys, spec, stats=stats)
-    assert stats["oracle_steps"] > 0
+    steps, unresolved = RANDOM_PLANT_ORACLE[seed]
+    assert stats["oracle_steps"] == steps and stats["unresolved"] in unresolved
     assert [r.active_set for r in ctl.regions] == RANDOM_PLANT_ACTIVE_SETS[seed]
     samples = oracle_feasible_samples(condense(sys, spec), 0, 300,
                                       [-6.0, -6.0], [6.0, 6.0])
     assert len(samples) > 100
     assert_covers(ctl, samples, 1e-9)
+
+
+def test_facet_without_interior_point_is_unresolved(caplog, monkeypatch):
+    """Seed 104's sliver regions have facets on which the facet LP finds
+    no interior point. Each is logged as unresolved by name, with no
+    oracle call: the oracle's solves are the start and one per other
+    degenerate facet."""
+    calls = []
+
+    def counted(qp, x):
+        calls.append(x)
+        return solve_qp_oracle(qp, x)
+
+    monkeypatch.setattr(mpqp, "solve_qp_oracle", counted)
+    caplog.set_level(logging.WARNING, logger="encmpc")
+    stats = {}
+    synthesize(*random_plant(104), stats=stats)
+    texts = [r.getMessage() for r in caplog.records]
+    assert stats["unresolved"] > 0 and len(texts) == stats["unresolved"]
+    for text in texts:
+        assert re.fullmatch(r"no interior point on facet row \d+ of the region "
+                            r"of active set \(\d+(, \d+)*\)", text), text
+    assert len(calls) == 1 + stats["oracle_steps"] + stats["boundary_facets"]
+
+
+def test_oracle_failure_past_a_facet_names_it(monkeypatch):
+    """An oracle that fails just past a degenerate facet is asked there
+    once: the ConfigError names the facet, with no retry at a smaller
+    step."""
+    calls = []
+
+    def failing(qp, x):
+        calls.append(x)
+        if len(calls) == 1:
+            return solve_qp_oracle(qp, x)   # the start state
+        raise QpNoConvergence("active-set iteration limit reached")
+
+    monkeypatch.setattr(mpqp, "solve_qp_oracle", failing)
+    with pytest.raises(ConfigError) as info:
+        synthesize(bench_system(), bench_spec())
+    assert len(calls) == 2
+    assert re.match(r"QP oracle failed just past facet row \d+ of the region of "
+                    r"active set \(.*\): active-set iteration limit", str(info.value))
 
 
 def test_singular_simplex_basis_raises_lp_error(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from encmpc import lp, mpqp, simulation
 from encmpc.mpqp import synthesize
-from encmpc.polyhedra import irredundant_rows
+from encmpc.polyhedra import chebyshev_center, irredundant_rows
 from test_mpqp import CONTROLLER_SHA256, pinned_problem
 
 
@@ -99,13 +99,13 @@ def random_polytope(seed):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_random_polytope_matches_lp_loop(seed):
-    """With the interior point as center or with none, the kept rows are
-    those of the LP loop; of rows that are positive multiples of one
-    another, at most one stays, and it is the last that is not an exact
-    copy of an earlier one."""
+    """With the interior point or the Chebyshev center as center, the
+    kept rows are those of the LP loop; of rows that are positive
+    multiples of one another, at most one stays, and it is the last that
+    is not an exact copy of an earlier one."""
     A, b, x0, groups = random_polytope(seed)
     expect = reference_irredundant_rows(A, b)[2].tolist()
-    for center in (x0, None):
+    for center in (x0, chebyshev_center(A, b)[0]):
         stats = {}
         Ar, br, kept = irredundant_rows(A, b, center=center, stats=stats)
         assert kept.tolist() == expect
@@ -125,7 +125,7 @@ def test_rays_and_box_settle_without_row_lps():
     A = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [0, 1]])
     b = np.array([1.0, 1, 1, 1, 3, 1])
     stats = {}
-    _, _, kept = irredundant_rows(A, b, stats=stats)
+    _, _, kept = irredundant_rows(A, b, chebyshev_center(A, b)[0], stats=stats)
     assert kept.tolist() == [0, 1, 2, 3]
     assert stats == {"redundancy_lps": 4, "rows_duplicate": 1, "rows_ray": 4,
                      "rows_box": 1, "rows_lp": 0}
@@ -138,7 +138,7 @@ def test_open_box_leaves_row_to_lp():
     A = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]])
     b = np.array([1.0, 1.0, 3.0])
     stats = {}
-    _, _, kept = irredundant_rows(A, b, stats=stats)
+    _, _, kept = irredundant_rows(A, b, chebyshev_center(A, b)[0], stats=stats)
     assert kept.tolist() == reference_irredundant_rows(A, b)[2].tolist() == [0, 1]
     assert stats == {"redundancy_lps": 5, "rows_duplicate": 0, "rows_ray": 2,
                      "rows_box": 0, "rows_lp": 1}
@@ -148,7 +148,7 @@ def test_lone_vacuous_row_stays():
     """0'x <= 1 alone describes all of R^n; like the LP loop, the routine
     keeps one row rather than return none."""
     for A, b in (([[0.0, 0.0]], [1.0]), ([[0.0, 0.0], [0.0, 0.0]], [2.0, 1.0])):
-        _, _, kept = irredundant_rows(A, b)
+        _, _, kept = irredundant_rows(A, b, chebyshev_center(A, b)[0])
         assert kept.tolist() == reference_irredundant_rows(A, b)[2].tolist()
 
 
@@ -165,7 +165,6 @@ def test_center_outside_a_row_leaves_all_to_lps():
 
 
 def test_no_rows():
-    """The unconstrained region has no rows, with or without a center."""
-    for center in (np.zeros(2), None):
-        Ar, br, kept = irredundant_rows(np.zeros((0, 2)), np.zeros(0), center=center)
-        assert Ar.shape == (0, 2) and br.shape == (0,) and kept.tolist() == []
+    """The unconstrained region has no rows."""
+    Ar, br, kept = irredundant_rows(np.zeros((0, 2)), np.zeros(0), center=np.zeros(2))
+    assert Ar.shape == (0, 2) and br.shape == (0,) and kept.tolist() == []
