@@ -169,11 +169,12 @@ def observe_features(log, backend, field, n):
     run_cycle's tap `log`: the n state fields past the plaintext region
     index, read with `field`."""
     rows = []
-    for body in [msg.body for msg in log if msg.link == "s_to_c"]:
-        vals, _ = field.decode(body, (n,), wire.decode_u32(body)[1])
-        if backend == "paillier":
-            vals = [math.log2(v) if v > 0 else 0.0 for v in vals]
-        rows.append(vals)
+    for link, body, _ in log:
+        if link == "s_to_c":
+            vals, _ = field.decode(body, (n,), wire.decode_u32(body)[1])
+            if backend == "paillier":
+                vals = [math.log2(v) if v > 0 else 0.0 for v in vals]
+            rows.append(vals)
     return np.array(rows, dtype=float)
 
 
@@ -253,8 +254,10 @@ def gather_observations(scenario, controller, cfg, backends):
     """Run the true loop once per backend under an eavesdropper tap.
 
     Each run's parties, and the adversary's reading of their wire, come
-    from cfg with that backend (run_closed_loop, wire_field); the episode
-    and every run's parties are judged before the first loop runs.
+    from cfg with that backend (make_parties, wire_field).  The episode
+    is judged, and every run's parties are built, before the first loop
+    runs; each run's parties are handed to its loop (run_closed_loop),
+    which alone uses them.
     Returns {backend: (features, inputs, truth_states)} where inputs are
     the applied control sequence including the probing dither (granted
     to the adversary; the plaintext wire carries the state anyway and
@@ -264,13 +267,12 @@ def gather_observations(scenario, controller, cfg, backends):
     check_episode(scenario, cfg)
     dither = probe_dither(episode_steps(scenario, cfg), controller.m, cfg.seed_attack)
     runs = [replace(cfg, backend=backend) for backend in backends]
-    for run in runs:
-        make_parties(controller, run.backend, run)
+    parties = [make_parties(controller, run.backend, run) for run in runs]
     obs = {}
-    for run in runs:
+    for run, run_parties in zip(runs, parties):
         log = []
         traj = run_closed_loop(scenario, run, controller=controller,
-                               log=log, dither=dither)
+                               log=log, dither=dither, parties=run_parties)
         if traj.fault:
             raise RuntimeError(f"{run.backend} observation run faulted: {traj.fault}")
         features = observe_features(log, run.backend, wire_field(run.backend, run),

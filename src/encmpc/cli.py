@@ -215,18 +215,19 @@ def _median_wall(traj, part):
 def cmd_bench(cfg, data, sweep_spec):
     scenario = resolve_scenario(cfg, benchmark_scenario)
     controller = _load_controller(cfg)
-    # one run per (point, backend), its parties built before the first loop
-    # runs; a point and a config that name no backend run every backend
+    # one run per (point, backend), its parties built once, before the first
+    # loop runs, and handed to its loop; a point and a config that name no
+    # backend run every backend
     runs = []
     for point in parse_sweep(sweep_spec):
         merged = {**data, **point}
         runs += [from_dict(RunConfig, {**merged, "backend": backend}, f"sweep point {point}")
                  for backend in ([merged["backend"]] if "backend" in merged else BACKENDS)]
-    for run in runs:
-        make_parties(controller, run.backend, run)
+    parties = [make_parties(controller, run.backend, run) for run in runs]
     lines = [",".join(BENCH_COLUMNS)]
-    for run in runs:
-        traj = run_closed_loop(scenario, run, controller=controller)
+    for run, run_parties in zip(runs, parties):
+        traj = run_closed_loop(scenario, run, controller=controller,
+                               parties=run_parties)
         lines.append(_bench_row(run, traj, controller))
         print(f"timing {run.backend} (L={run.key_bits}): per-cycle median "
               f"sensor {_median_wall(traj, 'sensor'):.3e}s "

@@ -40,6 +40,10 @@ BACKENDS = ("plaintext", "qe", "qe_quantized", "paillier")
 # keys.KeyConfig both check
 W_B_RANGE = (2, 62)
 
+# the dtype of a float array, which eval_region and step_plant take as
+# it is when it is also flat
+FLOAT64 = np.dtype(float)
+
 # exp() overflow guard for the exp/log cipher: |z/beta| above this is a
 # configuration error (plant scaling incompatible with key magnitudes)
 EXP_ARG_LIMIT = 700.0

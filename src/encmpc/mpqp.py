@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import lp
-from .config import ConfigError, DEFAULT_TOL, is_int, load_json, set_readonly
+from .config import ConfigError, DEFAULT_TOL, FLOAT64, is_int, load_json, set_readonly
 from .polyhedra import Polyhedron, chebyshev_center, irredundant_rows
 from .qp import DualQp, QpInfeasible, QpNoConvergence, solve_qp_oracle
 
@@ -332,7 +332,8 @@ class PwaController:
         array of m floats; an x of other than n values is a ValueError."""
         if not 0 <= sigma < len(self.regions):
             raise InvalidRegion(f"region index {sigma} out of range")
-        x = np.asarray(x, dtype=float).reshape(-1)
+        if x.__class__ is not np.ndarray or x.ndim != 1 or x.dtype is not FLOAT64:
+            x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.n:
             raise ValueError(f"state has {x.size} values, the law takes {self.n}")
         return np.array(apply_law(self.gain_rows[sigma], self.offset_rows[sigma],

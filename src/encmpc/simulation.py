@@ -14,11 +14,12 @@ representable range stops the loop and records the fault instead of
 raising.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, from_dict, is_int, load_json, set_readonly
+from .config import ConfigError, FLOAT64, from_dict, is_int, load_json, set_readonly
 from .mpqp import (
     LtiSystem,
     MpcSpec,
@@ -33,9 +34,12 @@ from .qe_cipher import CiphertextError, MagnitudeError, RangeError
 
 
 def step_plant(sys, x, u):
-    """One plant update x+ = A x + B u."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
+    """One plant update x+ = A x + B u; x and u are read as flat float
+    arrays, and one that is already one is used as it is."""
+    if x.__class__ is not np.ndarray or x.ndim != 1 or x.dtype is not FLOAT64:
+        x = np.asarray(x, dtype=float).ravel()
+    if u.__class__ is not np.ndarray or u.ndim != 1 or u.dtype is not FLOAT64:
+        u = np.asarray(u, dtype=float).ravel()
     return sys.A @ x + sys.B @ u
 
 
@@ -241,21 +245,26 @@ def episode_steps(scenario, cfg):
     return cfg.steps or scenario.T
 
 
-def run_closed_loop(scenario, cfg, controller, log=None, dither=None):
+def run_closed_loop(scenario, cfg, controller, log=None, dither=None, parties=None):
     """Simulate the plant under cfg.backend; returns a Trajectory.
 
-    Before the first cycle it builds the parties from cfg (make_parties)
-    and each reference value's steady state, and refuses a controller
-    for other dimensions than the scenario's (ConfigError).  The
-    plaintext law of the region the sensor located is evaluated in
-    parallel each step for the mismatch column.  Faults (state outside
-    the partition, ciphertext or fixed-point value out of representable
-    range) stop the loop and are recorded.
+    Before the first cycle it refuses a controller for other dimensions
+    than the scenario's (ConfigError), has its parties, and settles each
+    step's (r, x_ss, u_ss), one steady state per reference value.
+    parties, the (sensor, cloud, actuator) of make_parties(controller,
+    cfg.backend, cfg), are handed over by a caller that built them before
+    its first loop, and only this loop uses them; parties of another
+    backend than cfg.backend are a ValueError.  Without them the loop
+    builds its own.  The plaintext law of the region the sensor located
+    is evaluated in parallel each step for the mismatch column.  Faults
+    (state outside the partition, ciphertext or fixed-point value out of
+    representable range) stop the loop and are recorded.
 
     dither, if given, is a (T, m) probing sequence added to the applied
     input at the plant (identification experiments need the input to
-    carry excitation that is not a function of the state).  It shifts
-    the encrypted and plaintext laws identically, so the mismatch
+    carry excitation that is not a function of the state); one of fewer
+    rows than the episode's steps is a ValueError before step 0.  It
+    shifts the encrypted and plaintext laws identically, so the mismatch
     column is unaffected.
     """
     n, m = scenario.B.shape
@@ -263,14 +272,23 @@ def run_closed_loop(scenario, cfg, controller, log=None, dither=None):
         raise ConfigError(f"the controller is for n = {controller.n} states and "
                           f"m = {controller.m} inputs, scenario {scenario.name!r} "
                           f"has n = {n} and m = {m}")
-    sensor, cloud, actuator = make_parties(controller, cfg.backend, cfg)
-    steady = {r.tobytes(): scenario.steady_state(r)  # one per reference value
-              for r in (scenario.reference(start) for start, _ in scenario.r_steps)}
+    if parties is None:
+        parties = make_parties(controller, cfg.backend, cfg)
+    elif any(party.backend != cfg.backend for party in parties):
+        raise ValueError(f"parties of {[p.backend for p in parties]} handed to "
+                         f"a {cfg.backend} loop")
+    sensor, cloud, actuator = parties
+    starts = [start for start, _ in scenario.r_steps]
+    settled = [(r, *scenario.steady_state(r)) for r in map(scenario.reference, starts)]
+    for r, _, _ in settled:
+        r.flags.writeable = False  # the records of its steps share it
+    plan = [settled[bisect_right(starts, k) - 1]
+            for k in range(episode_steps(scenario, cfg))]
+    if dither is not None and len(dither) < len(plan):
+        raise ValueError(f"dither has {len(dither)} rows for {len(plan)} steps")
     traj = Trajectory(backend=cfg.backend)
     x = scenario.x0
-    for k in range(episode_steps(scenario, cfg)):
-        r = scenario.reference(k)
-        x_ss, u_ss = steady[r.tobytes()]
+    for k, (r, x_ss, u_ss) in enumerate(plan):
         x_shift = x - x_ss
         try:
             u_tilde, metrics = run_cycle(x_shift, sensor, cloud, actuator,
@@ -284,8 +302,9 @@ def run_closed_loop(scenario, cfg, controller, log=None, dither=None):
         u = u_tilde + u_ss
         u_plain = u_plain_tilde + u_ss
         if dither is not None:
-            u = u + dither[k]
-            u_plain = u_plain + dither[k]
+            d = dither[k]
+            u = u + d
+            u_plain = u_plain + d
         y = scenario.C_out @ x
         traj.records.append(StepRecord(k=k, x=x, u=u, u_plain=u_plain,
                                        y=y, r=r, cycle=metrics))

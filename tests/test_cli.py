@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, CSV schemas, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -9,11 +10,11 @@ import shutil
 import numpy as np
 import pytest
 
-from encmpc import simulation
+from encmpc import attack, cli, simulation
 from encmpc.cli import main, parse_sweep, BENCH_COLUMNS
-from encmpc.config import ConfigError
+from encmpc.config import BACKENDS, ConfigError, RunConfig
 from encmpc.mpqp import PwaController, synthesize
-from encmpc.protocol import run_cycle
+from encmpc.protocol import make_parties, run_cycle
 from encmpc.simulation import attack_scenario, benchmark_scenario
 from test_simulation import scenario_to_dict
 
@@ -134,6 +135,49 @@ def cycles(monkeypatch):
 
     monkeypatch.setattr(simulation, "run_cycle", spy)
     return calls
+
+
+@pytest.fixture
+def party_builds(monkeypatch):
+    """The backend of every make_parties call, in call order, whichever
+    module makes it."""
+    builds = []
+
+    def counted(controller, backend, cfg, keypair=None):
+        builds.append(backend)
+        return make_parties(controller, backend, cfg, keypair)
+
+    for module in (attack, cli, simulation):
+        monkeypatch.setattr(module, "make_parties", counted)
+    return builds
+
+
+def test_parties_are_built_once_per_run(workdir, tmp_path, capsys, cycles,
+                                        party_builds):
+    """gather_observations and bench build each run's parties once, all
+    of them before the first cycle, and each loop runs on its run's; a
+    run whose parties are refused is still refused before any cycle."""
+    probe = dataclasses.replace(attack_scenario(), horizon=2)
+    probe_ctrl = probe.synthesize_controller()
+    backends = ("plaintext", "qe", "qe_quantized")
+    attack.gather_observations(probe, probe_ctrl, RunConfig(steps=4), backends)
+    assert party_builds == list(backends) and len(cycles) == 3 * 4
+    party_builds.clear()
+    cycles.clear()
+    with pytest.raises(ConfigError, match="gamma=0"):
+        attack.gather_observations(probe, probe_ctrl, RunConfig(gamma=0),
+                                   ("plaintext", "paillier"))
+    assert party_builds == ["plaintext", "paillier"] and cycles == []
+
+    shutil.copy(workdir / "controller.json", tmp_path)
+    party_builds.clear()
+    assert main(["bench", "--out", str(tmp_path), "--sweep", "steps=2,3"]) == 0
+    assert party_builds == list(BACKENDS) * 2 and len(cycles) == 4 * (2 + 3)
+    party_builds.clear()
+    cycles.clear()
+    assert main(["bench", "--out", str(tmp_path), "--sweep",
+                 "gamma=4,0;backend=paillier"]) == 2
+    assert party_builds == ["paillier"] * 2 and cycles == []
 
 
 BENCH_SCENARIO = scenario_to_dict(benchmark_scenario())

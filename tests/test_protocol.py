@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encmpc import paillier, wire
+from encmpc import paillier, protocol, qe_cipher, wire
 from encmpc.attack import observe_features
 from encmpc.config import ConfigError, RunConfig, align_accuracy
 from encmpc.keys import BetaVector, KeyReuseError, KeySource
@@ -268,30 +269,67 @@ def test_cloud_holds_no_secrets(bench_controller, kp256):
         assert cloud.gain_rows is ctl.gain_rows
 
 
+def tallied(calls, key, fn, size=lambda args, out: 1):
+    """fn, adding size(args, result) to calls[key] on each call."""
+    def counted(*args):
+        out = fn(*args)
+        calls[key] += size(args, out)
+        return out
+    return counted
+
+
 def test_he_mul_counts_what_runs(bench_controller, kp256, monkeypatch):
     """One Paillier cycle per region, at its Chebyshev center, runs
-    he_scalar_mul and he_add exactly as often as cycle_counts says,
-    negative gains included."""
+    he_enc, he_scalar_mul, he_add and he_dec exactly as often as
+    cycle_counts says, negative gains included."""
     calls = collections.Counter()
-
-    def counted(name):
-        real = getattr(paillier, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in ("he_scalar_mul", "he_add"):
-        monkeypatch.setattr(paillier, name, counted(name))
+    for module, name in ((paillier, "he_scalar_mul"), (paillier, "he_add"),
+                         (protocol, "he_enc"), (protocol, "he_dec")):
+        monkeypatch.setattr(module, name, tallied(calls, name, getattr(module, name)))
     parties = make_parties(bench_controller, "paillier", RunConfig(key_bits=256),
                            keypair=kp256)
     for k, r in enumerate(bench_controller.regions):
         calls.clear()
         _, met = run_cycle(r.cheb_center, *parties, k)
         assert met.sigma == k
-        assert (calls["he_scalar_mul"], calls["he_add"]) == (
-            met.counts["he_mul"], met.counts["he_add"]), k
+        assert [calls[name] for name in ("he_enc", "he_scalar_mul", "he_add", "he_dec")
+                ] == [met.counts[key] for key in ("he_enc", "he_mul", "he_add", "he_dec")], k
+
+
+class CountedMath:
+    """The math module, with the calls that a tally counts swapped in."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_qe_counts_what_runs(bench_controller, monkeypatch):
+    """One qe cycle takes as many exps (enc), powers returned by con
+    (con), logs (dec) and fsum additions (sums) as cycle_counts says:
+    at every region's Chebyshev center of the benchmark law, and at
+    seeded states of a 4-state, 3-input law."""
+    calls = collections.Counter()
+    counted_math = CountedMath()
+    counted_math.exp = tallied(calls, "enc", math.exp)
+    counted_math.log = tallied(calls, "dec", math.log)
+    counted_math.fsum = tallied(calls, "sums", math.fsum,
+                                lambda args, _: len(args[0]) - 1)
+    monkeypatch.setattr(qe_cipher, "math", counted_math)
+    monkeypatch.setattr(protocol, "con", tallied(calls, "con", protocol.con,
+                                                 lambda _, out: len(out)))
+    rng = np.random.default_rng(12)
+    wide = single_region_controller(4, 3, rng)
+    cases = [(bench_controller, [r.cheb_center for r in bench_controller.regions]),
+             (wide, rng.uniform(-1.0, 1.0, size=(8, 4)))]
+    for ctl, states in cases:
+        parties = make_parties(ctl, "qe", RunConfig())
+        want = protocol.cycle_counts("qe", ctl.n, ctl.m)
+        for k, x in enumerate(states):
+            calls.clear()
+            _, met = run_cycle(x, *parties, k)
+            assert met.counts is want
+            assert dict(calls) == {key: want[key] for key in ("enc", "con", "dec", "sums")}
+            assert not any(want[key] for key in COUNT_KEYS if key not in calls)
 
 
 def test_paillier_keypair_derives_from_key_bits_and_seed(bench_controller, kp256):

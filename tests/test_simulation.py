@@ -12,15 +12,20 @@ import numpy as np
 import pytest
 
 from encmpc import simulation
+from encmpc.attack import probe_dither
 from encmpc.config import ConfigError, RunConfig, from_dict
-from encmpc.mpqp import LtiSystem, condense
+from encmpc.mpqp import LtiSystem, StateNotCovered, condense
+from encmpc.paillier import FixedPointOverflow
 from encmpc.polyhedra import Polyhedron
-from encmpc.protocol import CycleMetrics, run_cycle
+from encmpc.protocol import CycleMetrics, make_parties, run_cycle
+from encmpc.qe_cipher import CiphertextError, MagnitudeError, RangeError
 from encmpc.simulation import (
     Scenario,
     StepRecord,
     Trajectory,
+    attack_scenario,
     benchmark_scenario,
+    episode_steps,
     input_mismatch,
     load_scenario,
     run_closed_loop,
@@ -71,8 +76,8 @@ def test_closed_loop_settles_before_its_first_cycle(bench_controller, monkeypatc
     """The parties and every reference's steady state are built before
     step 0: a reference that no steady state reaches is refused when the
     scenario is built, and, when the step-20 reference's steady state
-    fails in the loop, by the loop with no cycle run.  The loop's
-    backend is the config's."""
+    fails in the loop, by the loop with no cycle run, as is a dither
+    shorter than the episode.  The loop's backend is the config's."""
     with pytest.raises(ConfigError, match=r"no steady state for reference \[1.5\]"):
         dataclasses.replace(benchmark_scenario(), C_out=[[0.0, 1.0]])
     calls = []
@@ -93,11 +98,104 @@ def test_closed_loop_settles_before_its_first_cycle(bench_controller, monkeypatc
         patch.setattr(Scenario, "steady_state", unsettled)
         with pytest.raises(ConfigError, match=r"no steady state for reference \[1.5\]"):
             run_closed_loop(sc, RunConfig(backend="plaintext"), controller=bench_controller)
+    with pytest.raises(ValueError, match="dither has 4 rows for 60 steps"):
+        run_closed_loop(sc, RunConfig(backend="plaintext"), controller=bench_controller,
+                        dither=np.zeros((4, 1)))
     assert calls == []
     traj = run_closed_loop(benchmark_scenario(), RunConfig(backend="plaintext", steps=2),
                            controller=bench_controller)
     assert traj.backend == "plaintext" and len(calls) == 2
     assert {args[1].backend for args in calls} == {"plaintext"}
+
+
+def reference_closed_loop(scenario, cfg, controller, log=None, dither=None):
+    """The closed loop step by step: each step's reference by
+    scenario.reference(k) and its steady state, u_plain by eval_region
+    and the plant by step_plant, both given lists, and the inputs as
+    numpy sums, one step at a time."""
+    sensor, cloud, actuator = make_parties(controller, cfg.backend, cfg)
+    traj = Trajectory(backend=cfg.backend)
+    x = scenario.x0
+    for k in range(episode_steps(scenario, cfg)):
+        r = scenario.reference(k)
+        x_ss, u_ss = scenario.steady_state(r)
+        x_shift = x - x_ss
+        try:
+            u_tilde, metrics = run_cycle(x_shift, sensor, cloud, actuator, k, log=log)
+            u_plain_tilde = controller.eval_region(metrics.sigma, x_shift.tolist())
+        except (StateNotCovered, RangeError, MagnitudeError,
+                CiphertextError, FixedPointOverflow) as exc:
+            traj.fault = f"{type(exc).__name__}: {exc}"
+            traj.fault_k = k
+            break
+        u = u_tilde + u_ss
+        u_plain = u_plain_tilde + u_ss
+        if dither is not None:
+            u = u + dither[k]
+            u_plain = u_plain + dither[k]
+        traj.records.append(StepRecord(k=k, x=x, u=u, u_plain=u_plain,
+                                       y=scenario.C_out @ x, r=r, cycle=metrics))
+        x = step_plant(scenario, x.tolist(), u.tolist())
+    return traj
+
+
+def record_bits(rec):
+    """A step record as bytes and exact values; wall times are left out."""
+    arrays = (rec.x, rec.u, rec.u_plain, rec.y, rec.r)
+    return (rec.k, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            rec.cycle.sigma, dict(rec.cycle.counts), rec.cycle.payload_bits)
+
+
+@pytest.fixture(scope="module")
+def stepped_probe():
+    """The attack-probe plant at horizon 2 with a stepped reference, whose
+    steady inputs are not 0, and its controller."""
+    sc = dataclasses.replace(attack_scenario(), horizon=2, T=8,
+                             r_steps=((0, 0.0), (3, 0.3), (5, -0.7)))
+    return sc, sc.synthesize_controller()
+
+
+@pytest.mark.parametrize("dither", ["none", "probe", "faulting"])
+@pytest.mark.parametrize("backend", ["plaintext", "qe", "qe_quantized", "paillier"])
+def test_closed_loop_matches_reference_loop(stepped_probe, backend, dither):
+    """run_closed_loop's records, tap and fault equal the step-by-step
+    loop's bit for bit, under every backend, through two reference
+    changes and, Paillier aside, past the scenario's T; a dither of 3
+    pushes the state out of the partition at step 6, and that fault is
+    the same."""
+    sc, ctl = stepped_probe
+    cfg = RunConfig(backend=backend, key_bits=256,
+                    steps=7 if backend == "paillier" else 12)
+    steps = episode_steps(sc, cfg)
+    pushes = {"none": None, "probe": probe_dither(steps, 1, 7),
+              "faulting": np.full((steps, 1), 3.0)}
+    logs = [], []
+    want = reference_closed_loop(sc, cfg, ctl, log=logs[0], dither=pushes[dither])
+    got = run_closed_loop(sc, cfg, ctl, log=logs[1], dither=pushes[dither])
+    assert (got.backend, got.fault, got.fault_k) == (want.backend, want.fault,
+                                                      want.fault_k)
+    assert [record_bits(rec) for rec in got.records] == [
+        record_bits(rec) for rec in want.records]
+    assert logs[1] == logs[0]
+    if dither == "faulting":
+        assert got.fault.startswith("StateNotCovered") and got.fault_k == 6
+    else:
+        assert not got.fault and len(got.records) == steps
+
+
+def test_closed_loop_refuses_parties_of_another_backend(bench_controller, monkeypatch):
+    """Parties handed to a loop must be of its config's backend; others
+    are refused before any cycle, and the loop's own are not built."""
+    calls = []
+    monkeypatch.setattr(simulation, "run_cycle", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(simulation, "make_parties", lambda *args: calls.append(args))
+    qe = make_parties(bench_controller, "qe", RunConfig())
+    for parties in (qe, qe[:2] + make_parties(bench_controller, "plaintext",
+                                              RunConfig())[2:]):
+        with pytest.raises(ValueError, match="handed to a plaintext loop"):
+            run_closed_loop(benchmark_scenario(), RunConfig(backend="plaintext"),
+                            bench_controller, parties=parties)
+    assert calls == []
 
 
 def test_qe_closed_loop_exact(bench_controller):
